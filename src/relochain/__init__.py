@@ -12,6 +12,7 @@ from .errors import (
     DegenerateImageError,
     NegativeEntryError,
     NoConvergenceError,
+    NonFiniteEntryError,
     NonPositiveInputError,
     OverflowGuardError,
     PeriodicError,

@@ -21,7 +21,6 @@ from .config import (
     FIG1_EPSILONS,
     FIG2_EPSILONS,
     ExperimentConfig,
-    config_from_values,
     load_config,
 )
 from .errors import (

@@ -16,9 +16,8 @@ from .errors import ConfigParseError, UnknownExperimentError
 KNOWN_EXPERIMENTS = ("fig1", "fig2", "conjecture-scan")
 
 _KNOWN_KEYS = {
-    "experiment", "sigma", "tau", "epsilons", "steps", "burnin", "thin",
-    "replicas", "seed", "stream", "outdir", "emit_svg", "dtail", "dmax",
-    "restarts", "count", "m", "threads",
+    "experiment", "sigma", "epsilons", "steps", "burnin", "thin", "seed",
+    "stream", "outdir", "emit_svg", "dtail", "dmax", "restarts", "count", "m",
 }
 
 FIG1_EPSILONS = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
@@ -29,12 +28,10 @@ FIG2_EPSILONS = tuple(float(x) for x in np.geomspace(0.5, 0.001, 12))
 class ExperimentConfig:
     experiment: str
     sigma_path: str | None = None
-    tau_spec: str | None = None
     epsilons: tuple[float, ...] = ()
     steps: int = 400_000
     burnin: int | None = None
     thin: int = 20
-    replicas: int = 100_000
     seed: int = 12345
     stream: int = 0
     outdir: str = "out"
@@ -44,7 +41,6 @@ class ExperimentConfig:
     restarts: int = 8
     count: int = 20
     m: int = 2
-    threads: int = 1
     raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -56,8 +52,6 @@ class ExperimentConfig:
                 raise ValueError("epsilon values must lie in (0, 1)")
             if (np.diff(eps) >= 0).any():
                 raise ValueError("epsilon values must be strictly decreasing")
-        if self.threads != 1:
-            raise ValueError("only single-threaded execution is provided; set threads = 1")
 
 
 def parse_config_text(text: str) -> dict:
@@ -118,15 +112,14 @@ def config_from_values(values: dict) -> ExperimentConfig:
     kwargs = dict(
         experiment=experiment,
         sigma_path=values.get("sigma"),
-        tau_spec=values.get("tau"),
         epsilons=eps,
         outdir=values.get("outdir", "out"),
         raw=dict(values),
     )
     for key, conv in (
-        ("steps", int), ("thin", int), ("replicas", int), ("seed", int),
-        ("stream", int), ("dmax", int), ("restarts", int), ("count", int),
-        ("m", int), ("threads", int), ("dtail", float),
+        ("steps", int), ("thin", int), ("seed", int), ("stream", int),
+        ("dmax", int), ("restarts", int), ("count", int), ("m", int),
+        ("dtail", float),
     ):
         if key in values:
             kwargs[key] = conv(values[key])

@@ -5,6 +5,10 @@ class RelochainError(Exception):
     """Base class for all library errors."""
 
 
+class NonFiniteEntryError(RelochainError, ValueError):
+    """A matrix entry is NaN or infinite."""
+
+
 class NegativeEntryError(RelochainError, ValueError):
     """A matrix entry is negative beyond rounding tolerance."""
 

@@ -98,7 +98,7 @@ class RadiusBracket:
     cap_reached: bool
 
 
-def _finite_masses(law_or_trunc, mode: str) -> tuple[np.ndarray, float]:
+def _finite_masses(law_or_trunc) -> tuple[np.ndarray, float]:
     if isinstance(law_or_trunc, TruncationResult):
         return np.asarray(law_or_trunc.masses, dtype=float), law_or_trunc.tail_mass
     if isinstance(law_or_trunc, RelocationLaw):
@@ -122,7 +122,7 @@ def build_lifted(sigma, law, mode: str = EXACT, state_cap: int = DEFAULT_STATE_C
     entries = sigma.entries if isinstance(sigma, SubStochasticMatrix) else np.asarray(sigma, dtype=float)
     if mode not in (EXACT, LOWER, UPPER):
         raise ValueError(f"unknown lift mode {mode!r}")
-    masses, tail_mass = _finite_masses(law, mode)
+    masses, tail_mass = _finite_masses(law)
     if mode != UPPER:
         tail_mass_applied = 0.0
     else:

@@ -18,6 +18,7 @@ from .errors import (
     DegenerateImageError,
     NegativeEntryError,
     NoConvergenceError,
+    NonFiniteEntryError,
     NonPositiveInputError,
     PeriodicError,
     ProportionalToStochasticWarning,
@@ -169,6 +170,9 @@ def validate_substochastic(raw, labels=None) -> SubStochasticMatrix:
     a = _as_square_array(raw).copy()
     m = a.shape[0]
 
+    if not np.isfinite(a).all():
+        s, t = np.argwhere(~np.isfinite(a))[0]
+        raise NonFiniteEntryError(f"entry ({s}, {t}) is not finite: {float(a[s, t])!r}")
     if (a < -NEGATIVE_NOISE_TOL).any():
         s, t = np.unravel_index(np.argmin(a), a.shape)
         raise NegativeEntryError(f"entry ({s}, {t}) is negative: {a[s, t]!r}")

@@ -1,11 +1,15 @@
 """Seeded Monte Carlo engines for the killed and weighted relocation chains.
 
-The killed chain and the Feynman-Kac estimator run replicas side by side in
-numpy arrays; the weighted chain is a single long path driven by buffered
-uniform draws. Relocation depths are sampled by rejection (draw the depth
-from the law, accept with probability proportional to the tilted row mass at
-the referenced state), which is exact for unbounded laws: no truncation bias
-enters the samplers.
+With memory w = (w_0, w_1, ...), w_0 the current state, the relocation chain
+moves to t with weight sum_i tau(i) sigma[w_i, t]; the deficit of that row
+from 1 is the killing probability. The row depends on the past only through
+the law-weighted occupation theta of the memory (the row is theta @ sigma),
+so every sampler draws its next state straight from the memory row and no
+relocation depth is ever drawn. `_Memory` keeps just what the row needs:
+theta itself for a geometric law, whose unbounded memory thus enters with no
+truncation, and a ring of the last d+1 states for a law on {0..d}. The
+killed chain and the Feynman-Kac estimator run replicas side by side in
+numpy arrays; the weighted chain is a single long path.
 """
 
 from __future__ import annotations
@@ -17,12 +21,7 @@ import numpy as np
 
 from .errors import OverflowGuardError
 from .matrices import SubStochasticMatrix, tilt_vector
-from .relocation import (
-    GEOMETRIC,
-    HistoryWindow,
-    RelocationLaw,
-    occupation_measure,
-)
+from .relocation import GEOMETRIC, HistoryWindow, RelocationLaw, occupation_measure
 
 LOG_OVERFLOW_LIMIT = 690.0  # log(1e300), unreachable for sub-stochastic weights
 
@@ -77,24 +76,73 @@ class FkEstimate:
     replicas: int
 
 
-class _UniformBuffer:
-    """Blocked uniform draws; one stream feeds every decision in a sequential chain."""
+class _Memory:
+    """What the next-state row depends on, for one path or for `replicas` side by side.
 
-    __slots__ = ("_rng", "_block", "_buf", "_i")
+    `row(mat)` is sum_i tau(i) mat[w_i], where `mat` is a matrix or a vector
+    of per-state values and the start window extends by its oldest entry.
+    For a geometric law that is theta @ mat, and moving to t maps theta to
+    (1 - eps) theta + eps e_t. A law on {0..d} reads only w_0..w_d, kept in
+    a ring. With replicas, theta is (R, m) and the ring is (d+1, R).
+    """
 
-    def __init__(self, rng: np.random.Generator, block: int = 1 << 16):
-        self._rng = rng
-        self._block = block
-        self._buf = rng.random(block)
-        self._i = 0
+    def __init__(self, law: RelocationLaw, init: HistoryWindow, m: int, replicas: int | None = None):
+        if max(init.states) >= m:
+            raise ValueError(f"start window names a state outside 0..{m - 1}")
+        self._geometric = law.kind == GEOMETRIC
+        if self._geometric:
+            self._eps = law.eps
+            theta = occupation_measure(init, law, m)
+            self.theta = theta if replicas is None else np.tile(theta, (replicas, 1))
+            # Flat offset of each replica's theta row, for the scatter in push().
+            self._base = 0 if replicas is None else m * np.arange(replicas)
+        else:
+            d = law.support_max
+            mass = np.array([law.mass(i) for i in range(d + 1)])
+            # Slot k holds w_((k - ptr) mod (d+1)); _masses[ptr] lines the law up with the slots.
+            self._masses = [np.roll(mass, p) for p in range(d + 1)]
+            self._ptr = 0
+            start = np.array(init.truncated(d + 1), dtype=np.intp)
+            self._ring = start if replicas is None else np.repeat(start[:, None], replicas, axis=1)
 
-    def next(self) -> float:
-        if self._i == self._block:
-            self._buf = self._rng.random(self._block)
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return v
+    def row(self, mat: np.ndarray) -> np.ndarray:
+        if self._geometric:
+            return self.theta @ mat
+        rows = mat.take(self._ring, axis=0)
+        w = self._masses[self._ptr]
+        return (w @ rows.reshape(len(w), -1)).reshape(rows.shape[1:])
+
+    def push(self, t) -> None:
+        if self._geometric:
+            self.theta *= 1.0 - self._eps
+            self.theta.reshape(-1)[self._base + t] += self._eps
+        else:
+            self._ptr = (self._ptr - 1) % len(self._masses)
+            self._ring[self._ptr] = t
+
+    def keep(self, alive: np.ndarray) -> None:
+        """Drop the replicas whose entry of the mask is False."""
+        if self._geometric:
+            self.theta = self.theta[alive]
+            self._base = self._base[: len(self.theta)]
+        else:
+            self._ring = self._ring[:, alive]
+
+
+def _search(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per replica, the first column whose running row sum exceeds x; m when none does."""
+    acc = np.zeros(len(x))
+    k = np.zeros(len(x), dtype=np.intp)
+    for col in rows.T:
+        acc += col
+        k += acc <= x
+    return k
+
+
+def _uniforms(gen: np.random.Generator, n: int, block: int = 1 << 12):
+    """n uniforms drawn in blocks, so a long path holds no n-sized array."""
+    for start in range(0, n, block):
+        yield from gen.random(min(block, n - start)).tolist()
 
 
 def default_burnin(law: RelocationLaw) -> int:
@@ -102,30 +150,6 @@ def default_burnin(law: RelocationLaw) -> int:
     if law.kind == GEOMETRIC:
         return int(math.ceil(10.0 / law.eps))
     return 100 * (law.support_max + 1)
-
-
-def _draw_depth_scalar(law: RelocationLaw, u: float, cum: np.ndarray | None) -> int:
-    if law.kind == GEOMETRIC:
-        return int(math.log1p(-u) / math.log1p(-law.eps))
-    if law.kind == "dirac":
-        return law.point
-    return int(np.searchsorted(cum, u, side="right"))
-
-
-def _law_cumulative(law: RelocationLaw) -> np.ndarray | None:
-    if law.kind == "explicit":
-        c = np.cumsum(np.asarray(law.masses, dtype=float))
-        c[-1] = 1.0
-        return c
-    return None
-
-
-def _draw_depth_vector(law: RelocationLaw, rng: np.random.Generator, size: int, cum) -> np.ndarray:
-    if law.kind == GEOMETRIC:
-        return rng.geometric(law.eps, size=size) - 1
-    if law.kind == "dirac":
-        return np.full(size, law.point, dtype=np.int64)
-    return np.searchsorted(cum, rng.random(size), side="right").astype(np.int64)
 
 
 def run_killed_chain(
@@ -139,53 +163,32 @@ def run_killed_chain(
 ) -> KilledChainResult:
     """Replica-parallel simulation of the killed chain with relocations.
 
-    Each replica keeps its full history; a step draws the relocation depth T
-    from the law, reads the state T steps back (the initial window extends by
-    its oldest entry), and moves from it by sigma, dying with the row's
-    killing probability. p_hat[n] is the fraction of replicas whose first n
-    transitions all succeeded.
+    Each step draws the next state from the memory row sum_i tau(i)
+    sigma[w_i, :] (the start window extends by its oldest entry); a uniform
+    past the row sum kills the replica. p_hat[n] is the fraction of
+    replicas whose first n transitions all succeeded.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     gen = rng.generator()
-    entries = sigma.entries
     m = sigma.m
-    cum = np.cumsum(entries, axis=1)  # row cdf; u beyond the last column kills
-    law_cum = _law_cumulative(law)
-
-    p = len(init)
-    hist = np.zeros((replicas, p + n_max), dtype=np.int8)
-    for k in range(p):
-        hist[:, p - 1 - k] = init.states[k]
+    memory = _Memory(law, init, m, replicas)
 
     lifetimes = np.full(replicas, np.inf)
     active = np.arange(replicas)
-    alive_counts = np.zeros(n_max + 1, dtype=np.int64)
-    alive_counts[0] = replicas
+    alive_counts = np.full(n_max + 1, replicas, dtype=np.int64)
     counts = np.zeros((replicas, m), dtype=np.int64)
     empirical: dict[int, np.ndarray] = {}
     check = set(int(c) for c in checkpoints)
 
     for n in range(1, n_max + 1):
-        if active.size == 0:
-            for rest in range(n, n_max + 1):
-                alive_counts[rest] = 0
-                if rest in check:
-                    empirical[rest] = np.zeros((0, m))
-            break
-        size = active.size
-        depth = _draw_depth_vector(law, gen, size, law_cum)
-        ref_col = np.maximum(p - 1 + (n - 1) - depth, 0)
-        ref_state = hist[active, ref_col]
-        u = gen.random(size)
-        nxt = (u[:, None] >= cum[ref_state]).sum(axis=1)
-        died = nxt >= m
-        lifetimes[active[died]] = n - 1
-        survivors = active[~died]
-        moved = nxt[~died]
-        hist[survivors, p - 1 + n] = moved
-        counts[survivors, moved] += 1
-        active = survivors
+        nxt = _search(memory.row(sigma.entries), gen.random(active.size))
+        alive = nxt < m
+        lifetimes[active[~alive]] = n - 1
+        active, nxt = active[alive], nxt[alive]
+        memory.keep(alive)
+        memory.push(nxt)
+        counts[active, nxt] += 1
         alive_counts[n] = active.size
         if n in check:
             empirical[n] = counts[active] / float(n)
@@ -209,12 +212,12 @@ def run_weighted_chain(
 ) -> WeightedChainStats:
     """One long path of the conservative chain with weighted relocations.
 
-    Per step: rejection-sample the relocation depth (accept with probability
-    (sigma a)(s_T) / max(sigma a)), then move by the a-biased transition
-    row. After burn-in the occupation measure of the current memory and the
-    running bound integrand log(K a / a) are recorded every `thin` steps;
-    the integrand is evaluated at the same memory state in both numerator
-    and denominator, so a point-mass law with a equal to the right Perron
+    Per step the next state is drawn from the tilted memory row
+    sum_i tau(i) sigma[w_i, t] a(t), normalized by its sum K a. After
+    burn-in the occupation measure of the memory and the running bound
+    integrand log(K a / a) are recorded every `thin` steps; K a is the sum
+    of the row the next step draws from, and a is read at that memory's
+    current state, so a point-mass law at 0 with a equal to the right Perron
     vector yields a constant sequence.
     """
     if burnin is None:
@@ -225,91 +228,51 @@ def run_weighted_chain(
     av = tilt_vector(a)
     if av.shape[0] != sigma.m:
         raise ValueError("tilt vector length must match the state count")
-    gen = rng.generator()
-    buf = _UniformBuffer(gen)
-    entries = sigma.entries
     m = sigma.m
-    sa = entries @ av  # (sigma a)(s)
-    sa_max = float(sa.max())
-    pi_cum = np.cumsum(entries * av[None, :] / sa[:, None], axis=1)
-    pi_cum[:, -1] = 1.0
-    law_cum = _law_cumulative(law)
+    tilted = sigma.entries * av  # sigma diag(a)
+    log_av = np.log(av).tolist()
+    memory = _Memory(law, HistoryWindow.constant(init_state), m)
 
-    init = HistoryWindow.constant(init_state, 1)
-    hist = np.zeros(steps + 1, dtype=np.int64)
-    hist[0] = init_state
-
-    geometric = law.kind == GEOMETRIC
-    if geometric:
-        theta = occupation_measure(init, law, m)
-        one_minus_eps = 1.0 - law.eps
-    else:
-        d_sup = law.support_max
-        law_masses = np.array([law.mass(i) for i in range(d_sup + 1)])
-
-    n_rec = (steps - burnin - 1) // thin + 1
-    theta_samples = np.empty((n_rec, m))
-    sample_steps = np.empty(n_rec, dtype=np.int64)
-    c2_running = np.empty(n_rec)
-    rec = 0
-    hist_counts = np.zeros(m, dtype=np.int64)
-    batch_sums = np.zeros(n_batches)
-    batch_counts = np.zeros(n_batches, dtype=np.int64)
     post = steps - burnin
+    theta_samples = np.empty(((post - 1) // thin + 1, m))
+    c2_running = np.empty(len(theta_samples))
+    batch_sums = np.zeros(n_batches)
+    state_histogram = np.zeros(m, dtype=np.int64)
     c2_sum = 0.0
-    c2_count = 0
-    log_av = np.log(av)
 
-    for j in range(steps):
-        # rejection sampling of the relocation depth
-        while True:
-            t_depth = _draw_depth_scalar(law, buf.next(), law_cum)
-            ref = hist[j - t_depth] if t_depth <= j else init_state
-            if buf.next() * sa_max <= sa[ref]:
-                break
-        u = buf.next()
-        row = pi_cum[ref]
+    row = memory.row(tilted).tolist()
+    ka = sum(row)
+    # k counts the steps after burn-in, from 0 at step burnin + 1.
+    for k, u in enumerate(_uniforms(rng.generator(), steps), start=-burnin):
+        x = u * ka
         nxt = 0
-        while row[nxt] < u:
+        while nxt < m - 1 and x >= row[nxt]:
+            x -= row[nxt]
             nxt += 1
-        hist[j + 1] = nxt
-
-        if geometric:
-            theta *= one_minus_eps
-            theta[nxt] += law.eps
-            theta /= theta.sum()
-        else:
-            theta = np.zeros(m)
-            for i in range(d_sup):
-                theta[hist[max(j + 1 - i, 0)]] += law_masses[i]
-            theta[hist[max(j + 1 - d_sup, 0)]] += law.tail(d_sup)
-            theta /= theta.sum()
-
-        if j + 1 > burnin:
-            c2 = math.log(float(theta @ sa)) - log_av[nxt]
+        memory.push(nxt)
+        row = memory.row(tilted).tolist()
+        ka = sum(row)
+        if k >= 0:
+            c2 = math.log(ka) - log_av[nxt]
             c2_sum += c2
-            c2_count += 1
-            b = (c2_count - 1) * n_batches // post
-            batch_sums[b] += c2
-            batch_counts[b] += 1
-            hist_counts[nxt] += 1
-            if (c2_count - 1) % thin == 0:
-                theta_samples[rec] = theta
-                sample_steps[rec] = j + 1
-                c2_running[rec] = c2_sum / c2_count
-                rec += 1
+            batch_sums[k * n_batches // post] += c2
+            state_histogram[nxt] += 1
+            if k % thin == 0:
+                theta = memory.row(np.eye(m))
+                theta_samples[k // thin] = theta / theta.sum()
+                c2_running[k // thin] = c2_sum / (k + 1)
 
-    means = batch_sums / np.maximum(batch_counts, 1)
-    c2_mean = c2_sum / c2_count
-    c2_se = float(means.std(ddof=1) / math.sqrt(n_batches))
+    # Batch b holds the k with k * n_batches // post == b, from ceil(b post / n_batches) on.
+    edges = -(-np.arange(n_batches + 1) * post // n_batches)
+    means = batch_sums / np.maximum(np.diff(edges), 1)
     return WeightedChainStats(
-        theta_samples=theta_samples[:rec],
-        sample_steps=sample_steps[:rec],
-        c2_running=c2_running[:rec],
-        c2_mean=c2_mean,
-        c2_se=c2_se,
+        theta_samples=theta_samples,
+        sample_steps=burnin + 1 + thin * np.arange(len(theta_samples)),
+        c2_running=c2_running,
+        c2_mean=c2_sum / post,
+        c2_se=float(means.std(ddof=1) / math.sqrt(n_batches)),
         batch_means=means,
-        state_histogram=hist_counts,
+        state_histogram=state_histogram,
         burnin=burnin,
         steps=steps,
     )
@@ -326,73 +289,29 @@ def fk_survival_estimate(
 ) -> FkEstimate:
     """Unbiased survival estimate through the weighted chain.
 
-    Replicas never die; each carries the running product of
-    K a(X(j-1)) / a(X(j)) in log space, and the estimate is the plain mean
-    of the exponentiated weights.
+    Replicas never die: each step draws from the tilted memory row
+    sum_i tau(i) sigma[w_i, t] a(t), and the replica's log weight gains
+    log(K a) - log a(next), where K a is that row's sum. The estimate is the
+    plain mean of the exponentiated weights.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     gen = rng.generator()
     av = tilt_vector(a)
-    entries = sigma.entries
     m = sigma.m
-    sa = entries @ av
-    sa_max = float(sa.max())
-    pi_cum = np.cumsum(entries * av[None, :] / sa[:, None], axis=1)
-    pi_cum[:, -1] = 1.0
-    law_cum = _law_cumulative(law)
+    tilted = sigma.entries * av  # sigma diag(a)
     log_av = np.log(av)
-
-    p = len(init)
-    hist = np.zeros((replicas, p + n), dtype=np.int8)
-    for k in range(p):
-        hist[:, p - 1 - k] = init.states[k]
-
-    geometric = law.kind == GEOMETRIC
-    if geometric:
-        theta0 = occupation_measure(init, law, m)
-        theta = np.tile(theta0, (replicas, 1))
-        one_minus_eps = 1.0 - law.eps
-    else:
-        d_sup = law.support_max
-        law_masses = np.array([law.mass(i) for i in range(d_sup + 1)])
+    ones = np.ones(m)
+    memory = _Memory(law, init, m, replicas)
 
     log_w = np.zeros(replicas)
-    rows = np.arange(replicas)
-
-    for j in range(1, n + 1):
-        # K a at the pre-move memory state
-        if geometric:
-            ka = theta @ sa
-        else:
-            ka = np.zeros(replicas)
-            for i in range(d_sup):
-                col = max(p - 1 + (j - 1) - i, 0)
-                ka += law_masses[i] * sa[hist[:, col]]
-            col = max(p - 1 + (j - 1) - d_sup, 0)
-            ka += law.tail(d_sup) * sa[hist[:, col]]
-
-        # rejection sampling of depths, vectorized over still-rejected replicas
-        ref = np.zeros(replicas, dtype=np.int64)
-        pending = rows
-        while pending.size:
-            depth = _draw_depth_vector(law, gen, pending.size, law_cum)
-            cols = np.maximum(p - 1 + (j - 1) - depth, 0)
-            cand = hist[pending, cols]
-            accept = gen.random(pending.size) * sa_max <= sa[cand]
-            ref[pending[accept]] = cand[accept]
-            pending = pending[~accept]
-
-        u = gen.random(replicas)
-        nxt = (u[:, None] >= pi_cum[ref]).sum(axis=1)
-        np.clip(nxt, 0, m - 1, out=nxt)
-        hist[:, p - 1 + j] = nxt
-
+    for _ in range(n):
+        rows = memory.row(tilted)
+        ka = rows @ ones
+        nxt = _search(rows, gen.random(replicas) * ka)
+        np.minimum(nxt, m - 1, out=nxt)
         log_w += np.log(ka) - log_av[nxt]
-        if geometric:
-            theta *= one_minus_eps
-            theta[rows, nxt] += law.eps
-            theta /= theta.sum(axis=1, keepdims=True)
+        memory.push(nxt)
 
     if (log_w > LOG_OVERFLOW_LIMIT).any():
         raise OverflowGuardError("Feynman-Kac weight left the representable range")

@@ -28,3 +28,19 @@ def sigma_fig():
 @pytest.fixture(scope="session")
 def triple_closed():
     return closed_form_triple()
+
+
+def cycle_matrix_200():
+    """m = 200 cycle with a jump 0 -> 150 and a heavily killing row 150.
+
+    States above 127 do not fit a signed byte, so a sampler that stores
+    states in one reads a wrong row here.
+    """
+    m = 200
+    sigma = np.zeros((m, m))
+    for s in range(m):
+        sigma[s, s] = 0.05
+        sigma[s, (s + 1) % m] = 0.9
+    sigma[0, 1], sigma[0, 150] = 0.04, 0.86
+    sigma[150, 151] = 0.05
+    return sigma

@@ -10,7 +10,7 @@ from relochain.cli import main
 from relochain.config import config_from_values, parse_config_text
 from relochain.errors import ConfigParseError, UnknownExperimentError
 
-from conftest import R_CLOSED
+from conftest import R_CLOSED, cycle_matrix_200
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +55,21 @@ def test_simulate_survival_csv(tmp_path, capsys):
     assert len(lines) == 7
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 1.0
+
+
+def test_simulate_survival_start_state_above_127(tmp_path, capsys):
+    sigma_path = tmp_path / "sigma.txt"
+    raw = cycle_matrix_200()
+    sigma_path.write_text(rc.write_matrix_text(raw))
+    out_path = tmp_path / "surv.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate-survival", "--tau", "dirac 0", "--n", "3", "--replicas", "20000",
+        "--init-state", "150", "--sigma", str(sigma_path), "--out", str(out_path),
+    )
+    assert code == 0
+    n, p_hat, se = (float(x) for x in out_path.read_text().splitlines()[-1].split(","))
+    exact = np.linalg.matrix_power(raw, 3).sum(axis=1)[150]
+    assert n == 3 and abs(p_hat - exact) <= 4 * se
 
 
 def test_weighted_run_csv(tmp_path, capsys):
@@ -135,11 +150,16 @@ def test_config_parser_errors():
 
 
 def test_run_config_malformed_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("experiment = fig1\nwhatever = 3\n")
-    code, _, err = run_cli(capsys, "run", "--config", str(bad))
-    assert code == 2
-    assert "config error" in err
+    # threads, tau and replicas were once accepted and then ignored.
+    for line in ("whatever = 3", "threads = 1", "tau = dirac 0", "replicas = 1000"):
+        text = f"experiment = fig1\n{line}\n"
+        with pytest.raises(ConfigParseError):
+            parse_config_text(text)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "run", "--config", str(bad))
+        assert code == 2
+        assert "config error" in err
 
 
 def test_fig1_outputs_and_manifest(tmp_path, capsys):

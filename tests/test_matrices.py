@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relochain as rc
+from relochain.cli import main
 from relochain.errors import (
     NegativeEntryError,
+    NonFiniteEntryError,
     NonPositiveInputError,
     PeriodicError,
     ProportionalToStochasticWarning,
@@ -51,6 +55,40 @@ def test_validate_row_sum_error_and_clamp():
         rc.validate_substochastic([[0.7, 0.4], [0.2, 0.3]])
     noisy = rc.validate_substochastic([[0.72, 0.28 + 5e-13], [0.18, 0.58]])
     assert noisy.row_sums().max() <= 1.0
+
+
+_BAD_ENTRIES = {
+    NonFiniteEntryError: st.sampled_from([math.nan, math.inf, -math.inf]),
+    NegativeEntryError: st.floats(min_value=-1e6, max_value=-1e-9),
+    RowSumExceedsOneError: st.floats(min_value=1.0 + 1e-9, max_value=1e6),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**31),
+    error=st.sampled_from(sorted(_BAD_ENTRIES, key=lambda e: e.__name__)),
+    data=st.data(),
+)
+def test_validate_rejects_bad_entries(m, seed, error, data):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.05, 1.0, size=(m, m))
+    raw = raw / raw.sum(axis=1, keepdims=True) * 0.9
+    s, t = rng.integers(m, size=2)
+    raw[s, t] = data.draw(_BAD_ENTRIES[error])
+    with pytest.raises(error):
+        rc.validate_substochastic(raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sigma.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(rc.write_matrix_text(raw))
+        assert main(["perron", "--sigma", path]) == 2
+
+
+def test_validate_nan_entry():
+    with pytest.raises(NonFiniteEntryError):
+        rc.validate_substochastic([[math.nan, 0.1], [0.2, 0.5]])
 
 
 def test_structure_flags_examples(sigma_fig):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import relochain as rc
+from relochain.simulate import _Memory
 
-from conftest import R_CLOSED
+from conftest import R_CLOSED, cycle_matrix_200
 
 
 def exact_survival(sigma, law, init, n):
@@ -170,3 +171,63 @@ def test_fk_unbiased_desk_scale(sigma_fig):
             if abs(est.value - exact) <= 4 * est.se:
                 hits += 1
         assert hits >= 99
+
+
+@pytest.mark.parametrize("start", [0, 150])
+def test_samplers_read_states_above_127(start):
+    # Oracle: the dense three-step survival (sigma^3 1)(start) of the plain
+    # chain, which a point mass at 0 reproduces.
+    raw = cycle_matrix_200()
+    sigma = rc.validate_substochastic(raw)
+    exact = np.linalg.matrix_power(raw, 3).sum(axis=1)[start]
+    law = rc.RelocationLaw.dirac(0)
+    init = rc.HistoryWindow((start,))
+    killed = rc.run_killed_chain(sigma, law, init, 3, 20_000, rc.RngSpec(11))
+    assert abs(killed.curve.p_hat[3] - exact) <= 4 * killed.curve.se[3]
+    fk = rc.fk_survival_estimate(sigma, law, np.ones(200), init, 3, 20_000, rc.RngSpec(12))
+    assert abs(fk.value - exact) <= 4 * fk.se
+
+
+def test_start_window_shorter_than_law_support(sigma_fig):
+    # The window (1, 0) extends by its oldest entry to (1, 0, 0) for a law on {0, 1, 2}.
+    law = rc.RelocationLaw.explicit([0.2, 0.3, 0.5])
+    init = rc.HistoryWindow((1, 0))
+    n = 8
+    exact = exact_survival(sigma_fig, law, init, n)
+    killed = rc.run_killed_chain(sigma_fig, law, init, n, 40_000, rc.RngSpec(13))
+    assert abs(killed.curve.p_hat[n] - exact) <= 4 * killed.curve.se[n]
+    fk = rc.fk_survival_estimate(sigma_fig, law, np.ones(2), init, n, 40_000, rc.RngSpec(14))
+    assert abs(fk.value - exact) <= 4 * fk.se
+
+
+def test_start_window_outside_state_space(sigma_fig):
+    with pytest.raises(ValueError):
+        rc.run_killed_chain(sigma_fig, rc.RelocationLaw.dirac(0), rc.HistoryWindow((2,)), 3, 10, rc.RngSpec(1))
+
+
+@pytest.mark.parametrize(
+    "law",
+    [rc.RelocationLaw.dirac(2), rc.RelocationLaw.explicit([0.2, 0.3, 0.5]), rc.RelocationLaw.geometric(0.35)],
+    ids=["dirac", "explicit", "geometric"],
+)
+def test_memory_row_matches_depth_definition(sigma_fig, law):
+    # Oracle: the kernel row sum_i tau(i) sigma[w_i] of the full window that
+    # the path spells out, most recent first, ahead of the start window.
+    rng = np.random.default_rng(3)
+    init = rc.HistoryWindow((1, 0))
+    paths = rng.integers(0, 2, size=(4, 12))
+    one = _Memory(law, init, 2)
+    many = _Memory(law, init, 2, replicas=4)
+    for n in range(12):
+        if n == 6:
+            alive = np.array([True, False, True, True])
+            many.keep(alive)
+            paths = paths[alive]
+        rows = many.row(sigma_fig.entries)
+        for r, path in enumerate(paths):
+            window = rc.HistoryWindow(tuple(int(s) for s in path[:n][::-1]) + init.states)
+            np.testing.assert_allclose(rows[r], rc.defective_kernel_row(window, sigma_fig, law), atol=1e-14)
+        np.testing.assert_allclose(one.row(sigma_fig.entries), rows[0], atol=1e-15)
+        np.testing.assert_allclose(many.row(sigma_fig.entries @ np.ones(2)), rows.sum(axis=1), atol=1e-15)
+        one.push(int(paths[0, n]))
+        many.push(paths[:, n])
