@@ -96,8 +96,6 @@ def config_from_values(values: dict) -> ExperimentConfig:
     if "experiment" not in values:
         raise UnknownExperimentError("config does not name an experiment")
     experiment = values["experiment"]
-    if experiment not in KNOWN_EXPERIMENTS:
-        raise UnknownExperimentError(f"unknown experiment {experiment!r}")
 
     eps: tuple[float, ...]
     if "epsilons" in values:
@@ -119,12 +117,10 @@ def config_from_values(values: dict) -> ExperimentConfig:
     for key, conv in (
         ("steps", int), ("thin", int), ("seed", int), ("stream", int),
         ("dmax", int), ("restarts", int), ("count", int), ("m", int),
-        ("dtail", float),
+        ("burnin", int), ("dtail", float),
     ):
         if key in values:
             kwargs[key] = conv(values[key])
-    if "burnin" in values:
-        kwargs["burnin"] = int(values["burnin"])
     if "emit_svg" in values:
         kwargs["emit_svg"] = _parse_bool(values["emit_svg"])
     return ExperimentConfig(**kwargs)

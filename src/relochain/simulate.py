@@ -99,8 +99,10 @@ class _Memory:
         else:
             d = law.support_max
             mass = np.array([law.mass(i) for i in range(d + 1)])
-            # Slot k holds w_((k - ptr) mod (d+1)); _masses[ptr] lines the law up with the slots.
-            self._masses = [np.roll(mass, p) for p in range(d + 1)]
+            depths = np.flatnonzero(mass)  # zero-mass depths stay in the ring, unread
+            self._weights = mass[depths]
+            # Slot (ptr + i) mod (d+1) holds w_i, so _slots[ptr] are the slots the row reads.
+            self._slots = [(p + depths) % (d + 1) for p in range(d + 1)]
             self._ptr = 0
             start = np.array(init.truncated(d + 1), dtype=np.intp)
             self._ring = start if replicas is None else np.repeat(start[:, None], replicas, axis=1)
@@ -108,16 +110,15 @@ class _Memory:
     def row(self, mat: np.ndarray) -> np.ndarray:
         if self._geometric:
             return self.theta @ mat
-        rows = mat.take(self._ring, axis=0)
-        w = self._masses[self._ptr]
-        return (w @ rows.reshape(len(w), -1)).reshape(rows.shape[1:])
+        rows = mat.take(self._ring[self._slots[self._ptr]], axis=0)
+        return (self._weights @ rows.reshape(len(self._weights), -1)).reshape(rows.shape[1:])
 
     def push(self, t) -> None:
         if self._geometric:
             self.theta *= 1.0 - self._eps
             self.theta.reshape(-1)[self._base + t] += self._eps
         else:
-            self._ptr = (self._ptr - 1) % len(self._masses)
+            self._ptr = (self._ptr - 1) % len(self._ring)
             self._ring[self._ptr] = t
 
     def keep(self, alive: np.ndarray) -> None:
@@ -177,9 +178,9 @@ def run_killed_chain(
     lifetimes = np.full(replicas, np.inf)
     active = np.arange(replicas)
     alive_counts = np.full(n_max + 1, replicas, dtype=np.int64)
-    counts = np.zeros((replicas, m), dtype=np.int64)
     empirical: dict[int, np.ndarray] = {}
     check = set(int(c) for c in checkpoints)
+    counts = np.zeros((replicas, m), dtype=np.int64) if check else None
 
     for n in range(1, n_max + 1):
         nxt = _search(memory.row(sigma.entries), gen.random(active.size))
@@ -188,8 +189,9 @@ def run_killed_chain(
         active, nxt = active[alive], nxt[alive]
         memory.keep(alive)
         memory.push(nxt)
-        counts[active, nxt] += 1
         alive_counts[n] = active.size
+        if check:
+            counts[active, nxt] += 1
         if n in check:
             empirical[n] = counts[active] / float(n)
 
@@ -309,6 +311,7 @@ def fk_survival_estimate(
         rows = memory.row(tilted)
         ka = rows @ ones
         nxt = _search(rows, gen.random(replicas) * ka)
+        del rows  # so the next (R, m) row is not built while this one is held
         np.minimum(nxt, m - 1, out=nxt)
         log_w += np.log(ka) - log_av[nxt]
         memory.push(nxt)
