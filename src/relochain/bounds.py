@@ -221,7 +221,7 @@ def rate_function_I(sigma: SubStochasticMatrix, nu, _candidates=()) -> float:
         return RATE_INF if diag == 0.0 else -math.log(diag)
 
     def log_radius(av):
-        return math.log(spectral_radius(tilt(sigma, av), aperiodic_known=sigma.aperiodic))
+        return math.log(spectral_radius(tilt(sigma, av)))
 
     log_h = np.log(perron_triple(sigma).h)
     starts = [np.zeros(m - 1), (log_h - log_h[-1])[:-1]]
@@ -260,7 +260,7 @@ def rate_function_lifted(
     h_cand = (log_h - log_h[-1])[:-1]
 
     def log_radius_plain(av):
-        return math.log(spectral_radius(tilt(sigma, av), aperiodic_known=sigma.aperiodic))
+        return math.log(spectral_radius(tilt(sigma, av)))
 
     def log_radius_lifted(av):
         chain = build_lifted(tilt(sigma, av), law, mode="exact", state_cap=state_cap)

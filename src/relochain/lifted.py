@@ -5,8 +5,10 @@ windows of d+1 states. Windows are encoded in mixed radix with the most
 recent state most significant, so the successor of window index w under a
 new state t is t * m**d + w // m: an integer shift-and-add, no lookup
 tables. The kernel weight from window w toward t is
-sum_i mass(i) * sigma[w_i, t]; the N x m array of these weights is the only
-stored object, never the N x N operator.
+sum_i mass(i) * sigma[w_i, t]; the N x m array of these weights is the
+stored object. The N x N operator is materialized only for the dense
+eigensolve of chains with at most DENSE_MAX_STATES windows; larger chains
+are solved matrix-free by power sweeps of `LiftedChain.apply`.
 """
 
 from __future__ import annotations
@@ -16,14 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, StateCapExceededError
-from .matrices import SubStochasticMatrix, perron_triple
+from .errors import StateCapExceededError
+from .matrices import SpectralResult, SubStochasticMatrix, _certified_perron, perron_triple
 from .relocation import HistoryWindow, RelocationLaw, TruncationResult, truncate_law
 
 DEFAULT_STATE_CAP = 2**21
-LIFTED_RESIDUAL_RTOL = 1e-12
-LIFTED_INCREMENT_RTOL = 1e-15
-MAX_SWEEPS = 100_000
 
 EXACT = "exact"
 LOWER = "lower"
@@ -69,23 +68,15 @@ class LiftedChain:
 
 
 @dataclass(frozen=True)
-class SpectralResult:
-    """Perron radius of the lifted operator with its sup-normalized right vector."""
-
-    radius: float
-    right_vector: np.ndarray
-    iterations: int
-    residual: float
-
-
-@dataclass(frozen=True)
 class RadiusBracket:
     """Certified two-sided enclosure of the relocation-chain radius.
 
-    `lo_lift` and `hi_lift` are the raw truncated-lift radii; `lo` and `hi`
-    additionally fold in the always-valid analytic envelopes (the benchmark
-    radius from below, the largest benchmark row sum from above), which carry
-    the certificate when the affordable truncation is loose.
+    `lo_lift` and `hi_lift` are the Collatz-Wielandt lower bound of the
+    conservative lift and upper bound of the tail-majorized lift (both the
+    exact radius when the law fits uncut); `lo` and `hi` additionally fold
+    in the always-valid analytic envelopes (the benchmark radius from below,
+    the largest benchmark row sum from above), which carry the certificate
+    when the affordable truncation is loose.
     """
 
     lo: float
@@ -161,43 +152,26 @@ def build_lifted(sigma, law, mode: str = EXACT, state_cap: int = DEFAULT_STATE_C
     return LiftedChain(m=m, d=d, masses=masses, weights=weights, mode=mode, tail_mass=tail_mass)
 
 
-def lifted_spectral_radius(chain: LiftedChain, max_sweeps: int = MAX_SWEEPS) -> SpectralResult:
-    """Matrix-free power iteration on the window operator.
+def lifted_spectral_radius(chain: LiftedChain) -> SpectralResult:
+    """Certified Perron radius of the window operator.
 
-    A diagonal shift proportional to the largest row sum keeps the iteration
-    convergent for periodic or reducible supports (upper-mode lifts need
-    this); the shift moves the eigenvalue by exactly its own value and is
-    subtracted back. Cost per sweep is O(m**(d+2)); memory stays O(m**(d+1))
-    per vector.
+    Chains of at most DENSE_MAX_STATES windows are solved by a dense
+    eigensolve of the explicit N x N matrix; larger ones, and small ones
+    whose eigenvector fails the Collatz-Wielandt check, by a shifted power
+    iteration over `chain.apply` (O(m**(d+2)) per sweep, O(m**(d+1)) memory
+    per vector). `lower` and `upper` enclose the radius to 1e-12 relative.
     """
-    shift = 0.1 * float(chain.weights.sum(axis=1).max())
-    if shift <= 0.0:
-        raise ValueError("zero operator has no Perron radius")
-    v = np.ones(chain.n_states)
-    lam_prev = 0.0
-    sweeps = 0
-    norm_every = 4  # deferred normalization; growth over 4 sweeps stays in range
-    while sweeps < max_sweeps:
-        for _ in range(4):
-            for _ in range(norm_every):
-                v = chain.apply(v) + shift * v
-                sweeps += 1
-            peak = float(v.max())  # iterates stay nonnegative
-            v /= peak
-        lam = peak ** (1.0 / norm_every)
-        if abs(lam - lam_prev) <= LIFTED_INCREMENT_RTOL * lam:
-            resid_vec = chain.apply(v) + shift * v - lam * v
-            residual = float(np.abs(resid_vec).max())
-            if residual <= LIFTED_RESIDUAL_RTOL * lam:
-                radius = lam - shift
-                unshifted_residual = float(np.abs(chain.apply(v) - radius * v).max())
-                v = v.copy()
-                v.setflags(write=False)
-                return SpectralResult(
-                    radius=radius, right_vector=v, iterations=sweeps, residual=unshifted_residual
-                )
-        lam_prev = lam
-    raise NoConvergenceError(f"lifted power iteration did not converge in {max_sweeps} sweeps")
+    return _certified_perron(chain.apply, chain.n_states, lambda: _window_matrix(chain))
+
+
+def _window_matrix(chain: LiftedChain) -> np.ndarray:
+    """Explicit operator: entry (w, t * m**d + w // m) is weights[w, t]."""
+    n, m = chain.n_states, chain.m
+    w = np.arange(n)
+    succ = np.arange(m)[None, :] * (n // m) + (w // m)[:, None]
+    dense = np.zeros((n, n))
+    dense[w[:, None], succ] = chain.weights
+    return dense
 
 
 def survival_exact(chain: LiftedChain, init: HistoryWindow, n: int) -> float:
@@ -285,9 +259,11 @@ def bracket_radius(
 
     Bounded laws that fit the caps get the exact lifted radius on both
     sides. Otherwise the law is truncated at the largest affordable depth:
-    the conservative lift bounds from below, the tail-majorized lift from
-    above, and the analytic envelopes (benchmark radius, largest benchmark
-    row sum) tighten whatever the truncation left loose.
+    the Collatz-Wielandt lower bound of the conservative lift bounds from
+    below, the Collatz-Wielandt upper bound of the tail-majorized lift from
+    above, so solver error cannot leak into the enclosure; the analytic
+    envelopes (benchmark radius, largest benchmark row sum) tighten whatever
+    the truncation left loose.
     """
     m = sigma.m
     d_cap = d_max
@@ -312,9 +288,9 @@ def bracket_radius(
 
     trunc = truncate_law(law, delta_tail, d_cap, mode="conservative")
     lower = build_lifted(sigma, trunc, mode=LOWER, state_cap=state_cap)
-    lo_lift = lifted_spectral_radius(lower).radius
+    lo_lift = lifted_spectral_radius(lower).lower
     upper = build_lifted(sigma, trunc, mode=UPPER, state_cap=state_cap)
-    hi_lift = lifted_spectral_radius(upper).radius
+    hi_lift = lifted_spectral_radius(upper).upper
 
     r_bench = perron_triple(sigma).r
     lo = max(lo_lift, r_bench)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -44,3 +45,29 @@ def cycle_matrix_200():
     sigma[0, 1], sigma[0, 150] = 0.04, 0.86
     sigma[150, 151] = 0.05
     return sigma
+
+
+def window_matrix(sigma, masses, extra=None):
+    """Window-chain matrix built by enumerating windows (s_0 most recent, ..., s_d).
+
+    From window w the chain moves to (t, s_0, ..., s_{d-1}) with weight
+    sum_i masses[i] sigma[s_i, t], plus extra[t] when given.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    m, d = sigma.shape[0], len(masses) - 1
+    windows = list(itertools.product(range(m), repeat=d + 1))
+    index = {w: k for k, w in enumerate(windows)}
+    mat = np.zeros((len(windows), len(windows)))
+    for w in windows:
+        for t in range(m):
+            weight = sum(masses[i] * sigma[w[i], t] for i in range(d + 1))
+            if extra is not None:
+                weight += extra[t]
+            mat[index[w], index[(t,) + w[:-1]]] += weight
+    return mat
+
+
+def largest_eigenvalue(mat):
+    """Largest-modulus eigenvalue of a dense matrix from numpy.linalg.eigvals."""
+    vals = np.linalg.eigvals(mat)
+    return float(vals[np.argmax(np.abs(vals))].real)

@@ -1,14 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relochain as rc
 from relochain.errors import StateCapExceededError
+from relochain.matrices import DENSE_MAX_STATES
 
-from conftest import R_CLOSED
+from conftest import R_CLOSED, largest_eigenvalue, window_matrix
 
 # Frozen before the build: power iteration on the explicit 4x4 window chain
 # for the two-point law (0.5, 0.5), cross-checked against a dense eigensolve.
 R_BOLD_HALF_HALF = 0.7893433926663943
+# Slack for the eigvals oracle's own rounding when it is compared with a
+# Collatz-Wielandt bound that may sit within a few ulps of the radius.
+ORACLE_RTOL = 1e-14
 
 
 def two_point_law():
@@ -142,3 +150,58 @@ def test_exact_radius_dominates_own_truncations(sigma_fig):
         trunc = rc.truncate_law(law, 1e-300, d_max=d)
         lower = rc.lifted_spectral_radius(rc.build_lifted(sigma_fig, trunc, mode="lower")).radius
         assert exact >= lower - 1e-12
+
+
+@pytest.mark.parametrize("d_max", [3, 7])
+def test_truncated_bracket_contains_enumerated_radii(sigma_fig, d_max):
+    law = rc.RelocationLaw.geometric(0.25)
+    br = rc.bracket_radius(sigma_fig, law, delta_tail=1e-6, d_max=d_max)
+    assert not br.exact and br.d_used == d_max
+    # d_max 3 gives 16 windows (dense eigensolve), d_max 7 gives 256 (power sweeps).
+    assert 2**4 <= DENSE_MAX_STATES < 2**8
+    trunc = rc.truncate_law(law, 1e-6, d_max)
+    sigma = sigma_fig.entries
+    lam_lower = largest_eigenvalue(window_matrix(sigma, trunc.masses))
+    lam_upper = largest_eigenvalue(
+        window_matrix(sigma, trunc.masses, extra=trunc.tail_mass * sigma.max(axis=0))
+    )
+    assert br.lo_lift <= lam_lower * (1 + ORACLE_RTOL)
+    assert lam_upper <= br.hi_lift * (1 + ORACLE_RTOL)
+    assert lam_lower - br.lo_lift <= 2e-12 * lam_lower
+    assert br.hi_lift - lam_upper <= 2e-12 * lam_upper
+
+
+def assert_certified(res, mat):
+    """CW bounds enclose the eigvals oracle, are 1e-12 tight, and h has a small residual."""
+    oracle = largest_eigenvalue(mat)
+    slack = ORACLE_RTOL * oracle
+    assert res.lower - slack <= oracle <= res.upper + slack
+    assert res.upper - res.lower <= 1e-12 * res.radius
+    h = res.right_vector
+    assert (h > 0).all() and h.max() == 1.0
+    assert np.abs(mat @ h - res.radius * h).max() <= 1e-10 * res.radius
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**31),
+    scale=st.floats(min_value=0.2, max_value=0.98),
+)
+def test_lifted_certificate_random_laws(d, seed, scale):
+    # m = 2 and N = 2**(d+1) from 4 to 128 windows, across DENSE_MAX_STATES.
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(0.05, 1.0, size=(2, 2))
+    sigma = sigma / sigma.sum(axis=1, keepdims=True) * scale * rng.uniform(0.5, 1.0, size=(2, 1))
+    masses = rng.dirichlet(np.ones(d + 1))
+    res = rc.lifted_spectral_radius(rc.build_lifted(sigma, masses))
+    if 2 ** (d + 1) > DENSE_MAX_STATES:
+        assert res.iterations > 0
+    assert_certified(res, window_matrix(sigma, masses))
+
+
+def test_badly_scaled_lift_falls_back_to_power_sweeps(sigma_fig):
+    tilted = rc.tilt(sigma_fig, [math.exp(25.0), 1.0])
+    res = rc.lifted_spectral_radius(rc.build_lifted(tilted, two_point_law()))
+    assert res.iterations > 0  # the dense eigenvector failed its certificate
+    assert_certified(res, window_matrix(tilted, [0.5, 0.5]))

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import relochain as rc
 from relochain.cli import main
 from relochain.errors import (
     NegativeEntryError,
+    NoConvergenceError,
     NonFiniteEntryError,
     NonPositiveInputError,
     PeriodicError,
@@ -19,8 +21,9 @@ from relochain.errors import (
     RowSumExceedsOneError,
     ZeroRowError,
 )
+from relochain.matrices import _certified_perron
 
-from conftest import R_CLOSED
+from conftest import R_CLOSED, largest_eigenvalue
 
 
 def test_validate_benchmark(sigma_fig):
@@ -221,19 +224,34 @@ def test_contraction_property(sigma_fig):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    m=st.integers(min_value=2, max_value=5),
+    m=st.integers(min_value=2, max_value=6),
     seed=st.integers(min_value=0, max_value=2**31),
     scale=st.floats(min_value=0.2, max_value=0.98),
 )
 def test_perron_residuals_random(m, seed, scale):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.05, 1.0, size=(m, m))
-    raw = raw / raw.sum(axis=1, keepdims=True) * scale
+    # Unequal row sums, so that neither Perron vector is trivially flat.
+    raw = raw / raw.sum(axis=1, keepdims=True) * scale * rng.uniform(0.5, 1.0, size=(m, 1))
+    oracle = largest_eigenvalue(raw)
+    for a in (raw, raw.T):
+        cert = _certified_perron(a.dot, m, lambda: a)
+        assert cert.lower - 1e-14 * oracle <= oracle <= cert.upper + 1e-14 * oracle
+        assert cert.upper - cert.lower <= 1e-12 * cert.radius
     t = rc.perron_triple(raw)
     assert np.abs(t.rho @ raw - t.r * t.rho).max() <= 1e-10 * t.r
     assert np.abs(raw @ t.h - t.r * t.h).max() <= 1e-10 * t.r
     assert abs(t.rho.sum() - 1.0) <= 1e-12
     assert abs(t.rho @ t.h - 1.0) <= 1e-12
+
+
+def test_spectral_radius_rejects_zero_perron_entries():
+    # Reducible: the right vector of r = 0.5 is (1, 0), and no strictly
+    # positive vector certifies r, so the solver must fail loudly.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergenceError, match="strict positivity"):
+            rc.spectral_radius(np.array([[0.5, 0.1], [0.0, 0.3]]))
 
 
 def test_matrix_text_roundtrip(sigma_fig):
