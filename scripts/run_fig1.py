@@ -2,8 +2,10 @@
 """Occupation-measure concentration experiment (geometric laws, decreasing eps).
 
 Writes per-eps occupation samples, a summary CSV, and optionally an SVG
-histogram panel. Defaults reproduce the packaged config; pass --config to
-override everything from a file.
+histogram panel. Takes the flags of `relochain fig1`; with --config FILE the
+file supplies the values and the flags given override them. Without a file,
+the defaults match configs/fig1.cfg except that no SVG is written unless
+--emit-svg is given.
 """
 
 import sys

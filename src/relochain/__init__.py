@@ -26,14 +26,12 @@ from .errors import (
 )
 from .matrices import (
     PerronTriple,
-    StateSpace,
     SubStochasticMatrix,
     birkhoff_contraction,
     hilbert_distance,
     load_matrix,
     perron_triple,
     phi_map,
-    probability_vector,
     read_matrix_text,
     spectral_radius,
     structure_flags,

@@ -17,12 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import optimize_j, rate_function_lifted
-from .config import (
-    FIG1_EPSILONS,
-    FIG2_EPSILONS,
-    ExperimentConfig,
-    load_config,
-)
+from .config import EXPERIMENT_KEYS, config_from_values, load_config, parse_config_text
 from .errors import (
     ConfigParseError,
     NoConvergenceError,
@@ -38,10 +33,9 @@ from .relocation import HistoryWindow, parse_relocation_law
 from .simulate import RngSpec, run_killed_chain, run_weighted_chain
 
 
-def _sigma_arg(parser, required=False):
+def _sigma_arg(parser):
     parser.add_argument(
         "--sigma",
-        required=required,
         help="matrix text file (first line m, then m rows); defaults to the built-in two-state benchmark",
     )
 
@@ -113,23 +107,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--out", help="CSV output path (default stdout)")
 
-    for name, eps_default in (("fig1", FIG1_EPSILONS), ("fig2", FIG2_EPSILONS)):
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="config file; other flags override its values")
-        _sigma_arg(p)
-        p.add_argument("--outdir", default=f"out_{name}")
-        p.add_argument("--steps", type=int, default=400_000)
-        p.add_argument("--seed", type=int, default=12345)
-        p.add_argument("--dmax", type=int, default=16)
-        p.add_argument("--emit-svg", action="store_true")
-        p.set_defaults(default_epsilons=eps_default)
-
-    p = sub.add_parser("conjecture-scan", help="randomized search for ceiling violations")
-    p.add_argument("--config")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--outdir", default="out_conjecture")
+    for name, help_text, int_keys in (
+        ("fig1", "run the fig1 experiment", ("steps", "seed")),
+        ("fig2", "run the fig2 experiment", ("dmax", "seed")),
+        ("conjecture-scan", "randomized search for ceiling violations", ("count", "m", "seed")),
+    ):
+        # Flags default to None so that only the flags given override --config.
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="config file; the flags given override its values")
+        if "sigma" in EXPERIMENT_KEYS[name]:
+            _sigma_arg(p)
+        p.add_argument("--outdir")
+        for key in int_keys:
+            p.add_argument(f"--{key}", type=int)
+        if "emit_svg" in EXPERIMENT_KEYS[name]:
+            p.add_argument("--emit-svg", action="store_true", default=None)
 
     p = sub.add_parser("run", help="run an experiment described by a config file")
     p.add_argument("--config", required=True)
@@ -233,32 +225,15 @@ def _cmd_rate_function(args):
 
 
 def _experiment_config(args, name):
-    if args.config:
-        config = load_config(args.config)
-        if config.experiment != name:
-            raise UnknownExperimentError(f"config names {config.experiment!r}, expected {name!r}")
-        return config
+    """The --config values, if any, with the flags given laid over them."""
     values = {"experiment": name}
-    if name in ("fig1", "fig2"):
-        return ExperimentConfig(
-            experiment=name,
-            sigma_path=args.sigma,
-            epsilons=args.default_epsilons,
-            steps=args.steps,
-            seed=args.seed,
-            dmax=args.dmax,
-            outdir=args.outdir,
-            emit_svg=args.emit_svg,
-            raw=values,
-        )
-    return ExperimentConfig(
-        experiment=name,
-        count=args.count,
-        m=args.m,
-        seed=args.seed,
-        outdir=args.outdir,
-        raw=values,
-    )
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            values = parse_config_text(fh.read())
+        if values.get("experiment") != name:
+            raise UnknownExperimentError(f"config names {values.get('experiment')!r}, expected {name!r}")
+    flags = {k: str(v) for k, v in vars(args).items() if k in EXPERIMENT_KEYS[name] and v is not None}
+    return config_from_values({**values, **flags})
 
 
 def main(argv=None) -> int:
@@ -280,7 +255,7 @@ def main(argv=None) -> int:
             _cmd_bound_c3(args)
         elif args.command == "rate-function":
             _cmd_rate_function(args)
-        elif args.command in ("fig1", "fig2", "conjecture-scan"):
+        elif args.command in EXPERIMENT_KEYS:
             run_config(_experiment_config(args, args.command))
         elif args.command == "run":
             run_config(load_config(args.config))

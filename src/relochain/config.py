@@ -2,24 +2,27 @@
 
 The format is deliberately trivial to parse from any language: blank lines
 and # comments are skipped, [section] lines are organizational only, and
-every key must be unique across the whole file.
+every key must be unique across the whole file. A key the named experiment
+does not read is an error, never silently ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigParseError, UnknownExperimentError
 
-KNOWN_EXPERIMENTS = ("fig1", "fig2", "conjecture-scan")
-
-_KNOWN_KEYS = {
-    "experiment", "sigma", "epsilons", "steps", "burnin", "thin", "seed",
-    "stream", "outdir", "emit_svg", "dtail", "dmax", "restarts", "count", "m",
+# The keys each experiment reads, besides `experiment` itself.
+EXPERIMENT_KEYS = {
+    "fig1": ("sigma", "epsilons", "steps", "burnin", "thin", "seed", "stream", "outdir", "emit_svg"),
+    "fig2": ("sigma", "epsilons", "dtail", "dmax", "restarts", "seed", "stream", "outdir", "emit_svg"),
+    "conjecture-scan": ("count", "m", "restarts", "seed", "stream", "outdir"),
 }
+_ALL_KEYS = {"experiment"}.union(*EXPERIMENT_KEYS.values())
 
+DEFAULT_OUTDIRS = {"fig1": "out_fig1", "fig2": "out_fig2", "conjecture-scan": "out_conjecture"}
 FIG1_EPSILONS = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 FIG2_EPSILONS = tuple(float(x) for x in np.geomspace(0.5, 0.001, 12))
 
@@ -41,11 +44,8 @@ class ExperimentConfig:
     restarts: int = 8
     count: int = 20
     m: int = 2
-    raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in KNOWN_EXPERIMENTS:
-            raise UnknownExperimentError(f"unknown experiment {self.experiment!r}")
         if self.epsilons:
             eps = np.asarray(self.epsilons)
             if (eps <= 0).any() or (eps >= 1).any():
@@ -54,9 +54,20 @@ class ExperimentConfig:
                 raise ValueError("epsilon values must be strictly decreasing")
 
 
+def _check_keys(values: dict, where: dict) -> None:
+    """Reject each key the named experiment does not read; `where` maps keys to (line, column)."""
+    experiment = values.get("experiment")
+    allowed = EXPERIMENT_KEYS.get(experiment, _ALL_KEYS)
+    for key in values:
+        if key != "experiment" and key not in allowed:
+            reader = f"experiment {experiment!r}" if experiment in EXPERIMENT_KEYS else "any experiment"
+            raise ConfigParseError(f"key {key!r} is not read by {reader}", *where.get(key, ()))
+
+
 def parse_config_text(text: str) -> dict:
     """Parse the key=value format, returning the flat dict of raw strings."""
     values: dict[str, str] = {}
+    where: dict[str, tuple[int, int]] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -74,12 +85,11 @@ def parse_config_text(text: str) -> dict:
         value = value.strip()
         if not key:
             raise ConfigParseError("empty key", lineno, 1)
-        if key not in _KNOWN_KEYS:
-            col = line.index(key) + 1 if key in line else 1
-            raise ConfigParseError(f"unknown key {key!r}", lineno, col)
         if key in values:
             raise ConfigParseError(f"duplicate key {key!r}", lineno, 1)
         values[key] = value
+        where[key] = (lineno, line.index(key) + 1)
+    _check_keys(values, where)
     return values
 
 
@@ -93,9 +103,12 @@ def _parse_bool(s: str) -> bool:
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
-    if "experiment" not in values:
-        raise UnknownExperimentError("config does not name an experiment")
-    experiment = values["experiment"]
+    """Build the config of the named experiment from raw string values."""
+    experiment = values.get("experiment")
+    if experiment not in EXPERIMENT_KEYS:
+        known = ", ".join(EXPERIMENT_KEYS)
+        raise UnknownExperimentError(f"unknown experiment {experiment!r}; expected one of {known}")
+    _check_keys(values, {})
 
     eps: tuple[float, ...]
     if "epsilons" in values:
@@ -111,8 +124,7 @@ def config_from_values(values: dict) -> ExperimentConfig:
         experiment=experiment,
         sigma_path=values.get("sigma"),
         epsilons=eps,
-        outdir=values.get("outdir", "out"),
-        raw=dict(values),
+        outdir=values.get("outdir", DEFAULT_OUTDIRS[experiment]),
     )
     for key, conv in (
         ("steps", int), ("thin", int), ("seed", int), ("stream", int),

@@ -59,10 +59,10 @@ class OverflowGuardError(RelochainError, OverflowError):
 
 
 class ConfigParseError(RelochainError, ValueError):
-    """A config file failed to parse; carries line and column."""
+    """A config failed to parse; carries line and column when the text came from a file."""
 
-    def __init__(self, message, line, column=1):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message, line=None, column=1):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
 

@@ -1,8 +1,8 @@
 """Experiment orchestration: occupation concentration, radius comparison, conjecture scan.
 
 Every experiment writes CSV files with a header row and 12-significant-digit
-floats, then a manifest recording the config, per-stage wall-clock, and a
-content digest of each output. Reruns with the same config and seed are
+floats, then a manifest recording the effective config, per-stage
+wall-clock, and a content digest of each output. Reruns with the same config and seed are
 byte-identical.
 """
 
@@ -14,7 +14,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -234,7 +234,7 @@ def run_config(config: ExperimentConfig) -> RunManifest:
     outputs, stages = runner(config)
     entries = tuple((os.path.basename(p), sha256_of(p)) for p in outputs)
     manifest = RunManifest(
-        config=dict(config.raw) or _config_echo(config),
+        config=asdict(config),
         version=__version__,
         stage_seconds=stages,
         outputs=entries,
@@ -254,16 +254,6 @@ def run_config(config: ExperimentConfig) -> RunManifest:
         )
         fh.write("\n")
     return manifest
-
-
-def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "experiment": config.experiment,
-        "epsilons": " ".join(_eps_name(e) for e in config.epsilons),
-        "steps": str(config.steps),
-        "seed": str(config.seed),
-        "outdir": config.outdir,
-    }
 
 
 def verify_manifest(outdir) -> bool:

@@ -22,7 +22,7 @@ from .errors import StateCapExceededError
 from .matrices import SpectralResult, SubStochasticMatrix, _certified_perron, perron_triple
 from .relocation import HistoryWindow, RelocationLaw, TruncationResult, truncate_law
 
-DEFAULT_STATE_CAP = 2**21
+STATE_CAP = 2**21  # largest window count a chain may have
 
 EXACT = "exact"
 LOWER = "lower"
@@ -39,10 +39,7 @@ class LiftedChain:
 
     m: int
     d: int
-    masses: np.ndarray
     weights: np.ndarray
-    mode: str
-    tail_mass: float
 
     @property
     def n_states(self) -> int:
@@ -101,7 +98,7 @@ def _finite_masses(law_or_trunc) -> tuple[np.ndarray, float]:
     return np.asarray(law_or_trunc, dtype=float), 0.0
 
 
-def build_lifted(sigma, law, mode: str = EXACT, state_cap: int = DEFAULT_STATE_CAP) -> LiftedChain:
+def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
     """Assemble the window chain for a finite-support mass vector.
 
     `law` may be a bounded RelocationLaw, a TruncationResult, or a raw mass
@@ -114,17 +111,13 @@ def build_lifted(sigma, law, mode: str = EXACT, state_cap: int = DEFAULT_STATE_C
     if mode not in (EXACT, LOWER, UPPER):
         raise ValueError(f"unknown lift mode {mode!r}")
     masses, tail_mass = _finite_masses(law)
-    if mode != UPPER:
-        tail_mass_applied = 0.0
-    else:
-        tail_mass_applied = tail_mass
     m = entries.shape[0]
     d = len(masses) - 1
     n_states = m ** (d + 1)
-    if n_states > state_cap:
-        best = int(math.floor(math.log(state_cap, m))) - 1
+    if n_states > STATE_CAP:
+        best = int(math.floor(math.log(STATE_CAP, m))) - 1
         raise StateCapExceededError(
-            f"m**(d+1) = {n_states} exceeds the cap {state_cap}; largest affordable d is {best}",
+            f"m**(d+1) = {n_states} exceeds the cap {STATE_CAP}; largest affordable d is {best}",
             best_d=best,
         )
 
@@ -137,8 +130,8 @@ def build_lifted(sigma, law, mode: str = EXACT, state_cap: int = DEFAULT_STATE_C
         for s in range(m):
             occ[:, s] += mass * (pattern == s)
     weights = occ @ entries
-    if tail_mass_applied > 0.0:
-        weights += tail_mass_applied * entries.max(axis=0)[None, :]
+    if mode == UPPER and tail_mass > 0.0:
+        weights += tail_mass * entries.max(axis=0)[None, :]
 
     # The sub-stochastic invariant only binds for chains built from a
     # validated benchmark; tilted matrices may legitimately exceed it.
@@ -147,9 +140,7 @@ def build_lifted(sigma, law, mode: str = EXACT, state_cap: int = DEFAULT_STATE_C
         if (sums > 1.0 + 1e-12).any():
             raise ValueError("lifted row sums exceed 1; input masses are not sub-stochastic")
     weights.setflags(write=False)
-    masses = np.asarray(masses, dtype=float).copy()
-    masses.setflags(write=False)
-    return LiftedChain(m=m, d=d, masses=masses, weights=weights, mode=mode, tail_mass=tail_mass)
+    return LiftedChain(m=m, d=d, weights=weights)
 
 
 def lifted_spectral_radius(chain: LiftedChain) -> SpectralResult:
@@ -253,7 +244,6 @@ def bracket_radius(
     law: RelocationLaw,
     delta_tail: float = 1e-6,
     d_max: int = 20,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> RadiusBracket:
     """Two-sided certified enclosure of the relocation-chain spectral radius.
 
@@ -267,13 +257,13 @@ def bracket_radius(
     """
     m = sigma.m
     d_cap = d_max
-    while m ** (d_cap + 1) > state_cap:
+    while m ** (d_cap + 1) > STATE_CAP:
         d_cap -= 1
     if d_cap < 0:
         raise StateCapExceededError("state cap too small for even a single-step window", best_d=None)
 
     if law.bounded and law.support_max <= d_cap:
-        chain = build_lifted(sigma, law, mode=EXACT, state_cap=state_cap)
+        chain = build_lifted(sigma, law, mode=EXACT)
         radius = lifted_spectral_radius(chain).radius
         return RadiusBracket(
             lo=radius,
@@ -286,10 +276,10 @@ def bracket_radius(
             cap_reached=False,
         )
 
-    trunc = truncate_law(law, delta_tail, d_cap, mode="conservative")
-    lower = build_lifted(sigma, trunc, mode=LOWER, state_cap=state_cap)
+    trunc = truncate_law(law, delta_tail, d_cap)
+    lower = build_lifted(sigma, trunc, mode=LOWER)
     lo_lift = lifted_spectral_radius(lower).lower
-    upper = build_lifted(sigma, trunc, mode=UPPER, state_cap=state_cap)
+    upper = build_lifted(sigma, trunc, mode=UPPER)
     hi_lift = lifted_spectral_radius(upper).upper
 
     r_bench = perron_triple(sigma).r

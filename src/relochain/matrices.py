@@ -42,27 +42,6 @@ DENSE_MAX_STATES = 64
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """Ordered, distinct state labels; index order is fixed for the object's lifetime."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.labels) == 0:
-            raise ValueError("state space must contain at least one state")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("state labels must be distinct")
-
-    @property
-    def m(self) -> int:
-        return len(self.labels)
-
-    @classmethod
-    def of_size(cls, m: int) -> "StateSpace":
-        return cls(tuple(str(i + 1) for i in range(m)))
-
-
-@dataclass(frozen=True)
 class SubStochasticMatrix:
     """Nonnegative matrix with row sums at most 1, irreducible and aperiodic.
 
@@ -70,16 +49,13 @@ class SubStochasticMatrix:
     probability. Construct through :func:`validate_substochastic`.
     """
 
-    space: StateSpace
     entries: np.ndarray
-    irreducible: bool
-    aperiodic: bool
     strictly_positive: bool
     proportional_to_stochastic: bool
 
     @property
     def m(self) -> int:
-        return self.space.m
+        return self.entries.shape[0]
 
     def row_sums(self) -> np.ndarray:
         return self.entries.sum(axis=1)
@@ -106,6 +82,16 @@ def _as_square_array(raw) -> np.ndarray:
     return a
 
 
+def _nonnegative_entries(matrix) -> np.ndarray:
+    """Entries of a validated matrix, or a raw square array without negative entries."""
+    if isinstance(matrix, SubStochasticMatrix):
+        return matrix.entries
+    a = _as_square_array(matrix)
+    if (a < 0).any():
+        raise NegativeEntryError("matrix has a negative entry")
+    return a
+
+
 def structure_flags(raw) -> tuple[bool, bool, bool]:
     """(irreducible, aperiodic, strictly_positive) of the support digraph.
 
@@ -116,7 +102,9 @@ def structure_flags(raw) -> tuple[bool, bool, bool]:
     a = _as_square_array(raw)
     m = a.shape[0]
     support = a > 0.0
-    strictly_positive = bool(support.all())
+    if support.all():
+        # A complete digraph with self-loops: strongly connected, period 1.
+        return True, True, True
 
     forward = _reachable(support, 0)
     backward = _reachable(support.T, 0)
@@ -131,7 +119,7 @@ def structure_flags(raw) -> tuple[bool, bool, bool]:
             if depth[v] >= 0:
                 g = math.gcd(g, abs(int(depth[u]) + 1 - int(depth[v])))
     aperiodic = g == 1
-    return irreducible, aperiodic, strictly_positive
+    return irreducible, aperiodic, False
 
 
 def _reachable(support: np.ndarray, root: int) -> np.ndarray:
@@ -166,7 +154,7 @@ def _bfs_depths(support: np.ndarray, root: int) -> np.ndarray:
     return depth
 
 
-def validate_substochastic(raw, labels=None) -> SubStochasticMatrix:
+def validate_substochastic(raw) -> SubStochasticMatrix:
     """Validate entries and structure, clamp rounding noise, and build the matrix.
 
     Rows summing to slightly more than 1 (within 1e-12) are rescaled onto the
@@ -175,7 +163,6 @@ def validate_substochastic(raw, labels=None) -> SubStochasticMatrix:
     since uniform killing makes the relocation comparison trivial.
     """
     a = _as_square_array(raw).copy()
-    m = a.shape[0]
 
     if not np.isfinite(a).all():
         s, t = np.argwhere(~np.isfinite(a))[0]
@@ -208,30 +195,12 @@ def validate_substochastic(raw, labels=None) -> SubStochasticMatrix:
             stacklevel=2,
         )
 
-    space = StateSpace(tuple(labels)) if labels is not None else StateSpace.of_size(m)
-    if space.m != m:
-        raise ValueError(f"{space.m} labels for a {m}x{m} matrix")
     a.setflags(write=False)
     return SubStochasticMatrix(
-        space=space,
         entries=a,
-        irreducible=True,
-        aperiodic=True,
         strictly_positive=strictly_positive,
         proportional_to_stochastic=proportional,
     )
-
-
-def probability_vector(weights) -> np.ndarray:
-    """Validate simplex membership (sum 1 within 1e-12) and return a copy."""
-    p = np.asarray(weights, dtype=float).copy()
-    if p.ndim != 1:
-        raise ValueError("probability vector must be one-dimensional")
-    if (p < 0).any():
-        raise NonPositiveInputError("probability vector has a negative coordinate")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probability vector sums to {p.sum()!r}, not 1")
-    return p
 
 
 def tilt_vector(a) -> np.ndarray:
@@ -343,14 +312,9 @@ def perron_triple(matrix) -> PerronTriple:
     quotient. The result satisfies rho @ M = r rho and M @ h = r h to 1e-10
     relative, with sum(rho) = 1 and rho @ h = 1.
     """
-    if isinstance(matrix, SubStochasticMatrix):
-        a = np.asarray(matrix.entries, dtype=float)
-        irreducible = matrix.irreducible
-    else:
-        a = _as_square_array(matrix)
-        if (a < 0).any():
-            raise NegativeEntryError("matrix has a negative entry")
-        irreducible, _, _ = structure_flags(a)
+    a = _nonnegative_entries(matrix)
+    # Validation has already proved a SubStochasticMatrix irreducible.
+    irreducible = isinstance(matrix, SubStochasticMatrix) or structure_flags(a)[0]
     m = a.shape[0]
     if not irreducible or not a.any():  # a 1x1 zero passes the digraph test
         raise ReducibleError("matrix is reducible or zero; Perron data is not well defined here")
@@ -373,8 +337,9 @@ def spectral_radius(matrix) -> float:
 
     The Perron vector must be strictly positive, as it is for irreducible
     matrices; otherwise no certificate exists and NoConvergenceError is raised.
+    A negative entry raises NegativeEntryError.
     """
-    a = matrix.entries if isinstance(matrix, SubStochasticMatrix) else _as_square_array(matrix)
+    a = _nonnegative_entries(matrix)
     return _certified_perron(a.dot, a.shape[0], lambda: a).radius
 
 
@@ -405,9 +370,7 @@ def birkhoff_contraction(matrix) -> float:
     voids the strict-contraction certificate and the conventional value 1 is
     returned; rows of zeros are rejected outright.
     """
-    a = matrix.entries if isinstance(matrix, SubStochasticMatrix) else _as_square_array(matrix)
-    if (a < 0).any():
-        raise NegativeEntryError("matrix has a negative entry")
+    a = _nonnegative_entries(matrix)
     if (a.sum(axis=1) == 0.0).any():
         raise ZeroRowError("matrix has a zero row")
     if (a == 0.0).any():
@@ -443,6 +406,6 @@ def write_matrix_text(a) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_matrix(path, labels=None) -> SubStochasticMatrix:
+def load_matrix(path) -> SubStochasticMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return validate_substochastic(read_matrix_text(fh.read()), labels=labels)
+        return validate_substochastic(read_matrix_text(fh.read()))

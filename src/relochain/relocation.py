@@ -166,8 +166,8 @@ class HistoryWindow:
         return len(self.states)
 
     @classmethod
-    def constant(cls, state: int, length: int = 1) -> "HistoryWindow":
-        return cls((int(state),) * max(1, length))
+    def constant(cls, state: int) -> "HistoryWindow":
+        return cls((int(state),))
 
     def entry(self, i: int) -> int:
         """State i steps into the past, with the eventually constant extension."""
@@ -185,23 +185,18 @@ class HistoryWindow:
 class TruncationResult:
     """Law restricted to {0..d} with the unassigned tail accounted for.
 
-    Conservative mode keeps the raw masses (total below 1, realizing extra
-    killing); renormalized mode rescales them onto the simplex.
+    The raw masses are kept (total below 1), so a chain built from them
+    realizes the discarded tail as extra killing.
     """
 
     masses: np.ndarray
     d: int
     retained: float
     tail_mass: float
-    mode: str
     cap_reached: bool
 
-    @property
-    def conservative(self) -> bool:
-        return self.mode == "conservative"
 
-
-def truncate_law(law: RelocationLaw, delta_tail: float, d_max: int, mode: str = "conservative") -> TruncationResult:
+def truncate_law(law: RelocationLaw, delta_tail: float, d_max: int) -> TruncationResult:
     """Smallest d with tail(d+1) <= delta_tail, capped at d_max.
 
     Hitting the cap is reported through `cap_reached` and the achieved
@@ -209,20 +204,15 @@ def truncate_law(law: RelocationLaw, delta_tail: float, d_max: int, mode: str = 
     """
     if delta_tail <= 0:
         raise ValueError("delta_tail must be positive")
-    if mode not in ("conservative", "renormalized"):
-        raise ValueError(f"unknown truncation mode {mode!r}")
     d = _smallest_depth(law, delta_tail)
     cap_reached = d > d_max
     if cap_reached:
         d = d_max
     masses = np.array([law.mass(i) for i in range(d + 1)], dtype=float)
     tail_mass = law.tail(d + 1)
-    retained = 1.0 - tail_mass
-    if mode == "renormalized":
-        masses = masses / retained
     masses.setflags(write=False)
     return TruncationResult(
-        masses=masses, d=d, retained=retained, tail_mass=tail_mass, mode=mode, cap_reached=cap_reached
+        masses=masses, d=d, retained=1.0 - tail_mass, tail_mass=tail_mass, cap_reached=cap_reached
     )
 
 
@@ -287,16 +277,10 @@ def biased_kernel_row(window: HistoryWindow, sigma, law: RelocationLaw, a) -> np
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Which unique-ergodicity route applies, and whether strictness is available."""
+    """Whether the positive-matrix route applies, and whether strictness is available."""
 
-    finite_mean: bool
-    tail_o_inv_sqrt: bool
-    exponential_tail: bool
     sigma_positive: bool
     law_is_dirac: bool
-    route_finite_mean: bool
-    route_positive_matrix: bool
-    unique_ergodicity: bool
     strict_improvement: bool
 
 
@@ -304,26 +288,15 @@ def hypothesis_report(sigma: SubStochasticMatrix, law: RelocationLaw) -> Hypothe
     """Decide the ergodicity hypotheses analytically for the closed-form law families.
 
     Route (i) needs a finite first moment of the law; route (ii) needs a
-    strictly positive matrix and a tail of order o(n^{-1/2}). Strict
-    improvement over the benchmark is only guaranteed when the law is not a
-    point mass and some route applies.
+    strictly positive matrix and a tail of order o(n^{-1/2}). Every law here
+    has bounded support or a geometric tail, so route (i) always applies and
+    the unique-ergodicity hypothesis always holds; `sigma_positive` says
+    whether route (ii) applies too. Strict improvement over the benchmark is
+    guaranteed exactly when the law is not a point mass.
     """
-    finite_mean = True  # bounded support or geometric: always finite
-    tail_small = True  # exact for these families: tails vanish or decay geometrically
-    exponential_tail = True
-    positive = bool(sigma.strictly_positive)
     dirac = law.is_dirac_mass
-    route_i = finite_mean
-    route_ii = positive and tail_small
-    unique = route_i or route_ii
     return HypothesisReport(
-        finite_mean=finite_mean,
-        tail_o_inv_sqrt=tail_small,
-        exponential_tail=exponential_tail,
-        sigma_positive=positive,
+        sigma_positive=bool(sigma.strictly_positive),
         law_is_dirac=dirac,
-        route_finite_mean=route_i,
-        route_positive_matrix=route_ii,
-        unique_ergodicity=unique,
-        strict_improvement=unique and not dirac,
+        strict_improvement=not dirac,
     )

@@ -24,6 +24,7 @@ from .matrices import SubStochasticMatrix, tilt_vector
 from .relocation import GEOMETRIC, HistoryWindow, RelocationLaw, occupation_measure
 
 LOG_OVERFLOW_LIMIT = 690.0  # log(1e300), unreachable for sub-stochastic weights
+N_BATCHES = 20  # contiguous batches behind the weighted chain's standard error
 
 
 @dataclass(frozen=True)
@@ -209,10 +210,8 @@ def run_weighted_chain(
     burnin: int | None = None,
     thin: int = 20,
     rng: RngSpec = RngSpec(0),
-    n_batches: int = 20,
-    init_state: int = 0,
 ) -> WeightedChainStats:
-    """One long path of the conservative chain with weighted relocations.
+    """One long path, started in state 0, of the conservative chain with weighted relocations.
 
     Per step the next state is drawn from the tilted memory row
     sum_i tau(i) sigma[w_i, t] a(t), normalized by its sum K a. After
@@ -233,12 +232,12 @@ def run_weighted_chain(
     m = sigma.m
     tilted = sigma.entries * av  # sigma diag(a)
     log_av = np.log(av).tolist()
-    memory = _Memory(law, HistoryWindow.constant(init_state), m)
+    memory = _Memory(law, HistoryWindow.constant(0), m)
 
     post = steps - burnin
     theta_samples = np.empty(((post - 1) // thin + 1, m))
     c2_running = np.empty(len(theta_samples))
-    batch_sums = np.zeros(n_batches)
+    batch_sums = np.zeros(N_BATCHES)
     state_histogram = np.zeros(m, dtype=np.int64)
     c2_sum = 0.0
 
@@ -257,22 +256,22 @@ def run_weighted_chain(
         if k >= 0:
             c2 = math.log(ka) - log_av[nxt]
             c2_sum += c2
-            batch_sums[k * n_batches // post] += c2
+            batch_sums[k * N_BATCHES // post] += c2
             state_histogram[nxt] += 1
             if k % thin == 0:
                 theta = memory.row(np.eye(m))
                 theta_samples[k // thin] = theta / theta.sum()
                 c2_running[k // thin] = c2_sum / (k + 1)
 
-    # Batch b holds the k with k * n_batches // post == b, from ceil(b post / n_batches) on.
-    edges = -(-np.arange(n_batches + 1) * post // n_batches)
+    # Batch b holds the k with k * N_BATCHES // post == b, from ceil(b post / N_BATCHES) on.
+    edges = -(-np.arange(N_BATCHES + 1) * post // N_BATCHES)
     means = batch_sums / np.maximum(np.diff(edges), 1)
     return WeightedChainStats(
         theta_samples=theta_samples,
         sample_steps=burnin + 1 + thin * np.arange(len(theta_samples)),
         c2_running=c2_running,
         c2_mean=c2_sum / post,
-        c2_se=float(means.std(ddof=1) / math.sqrt(n_batches)),
+        c2_se=float(means.std(ddof=1) / math.sqrt(N_BATCHES)),
         batch_means=means,
         state_histogram=state_histogram,
         burnin=burnin,

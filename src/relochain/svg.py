@@ -57,9 +57,10 @@ def line_chart(path, xs, series, title="", xlabel="", ylabel=""):
         fh.write("\n".join(parts) + "\n")
 
 
-def histogram_panel(path, datasets, bins=40, lo=0.0, hi=1.0, title="", xlabel=""):
-    """Write stacked outline histograms for several sample sets on a shared range."""
-    edges = np.linspace(lo, hi, bins + 1)
+def histogram_panel(path, datasets, title="", xlabel=""):
+    """Write outline histograms (40 bins) of several sample sets of simplex coordinates in [0, 1]."""
+    lo, hi = 0.0, 1.0
+    edges = np.linspace(lo, hi, 41)
     all_counts = []
     for _, samples in datasets:
         counts, _ = np.histogram(np.asarray(samples, dtype=float), bins=edges, density=True)

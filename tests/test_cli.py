@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 import relochain as rc
-from relochain.cli import main
-from relochain.config import config_from_values, parse_config_text
+from relochain.cli import build_parser, main
+from relochain.config import EXPERIMENT_KEYS, config_from_values, parse_config_text
 from relochain.errors import ConfigParseError, UnknownExperimentError
 
 from conftest import R_CLOSED, cycle_matrix_200
@@ -162,6 +163,62 @@ def test_run_config_malformed_exit_code(tmp_path, capsys):
         assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "experiment,key,value",
+    [("fig1", "dmax", "3"), ("fig2", "steps", "5000"), ("conjecture-scan", "sigma", "x.txt"),
+     ("conjecture-scan", "emit_svg", "true")],
+)
+def test_config_key_not_read_by_experiment(experiment, key, value, tmp_path, capsys):
+    text = f"experiment = {experiment}\nseed = 3\n{key} = {value}\n"
+    with pytest.raises(ConfigParseError) as err:
+        parse_config_text(text)
+    assert err.value.line == 3
+    with pytest.raises(ConfigParseError) as err:
+        config_from_values({"experiment": experiment, key: value})
+    assert err.value.line is None
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    code, _, err_text = run_cli(capsys, "run", "--config", str(bad))
+    assert code == 2
+    assert "config error" in err_text
+
+
+@pytest.mark.parametrize("argv", [["fig1", "--dmax", "3"], ["fig2", "--steps", "5000"]])
+def test_experiment_rejects_flag_it_does_not_read(argv, tmp_path, capsys):
+    code, _, _ = run_cli(capsys, *argv, "--outdir", str(tmp_path / "out"))
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_flags_are_keys_their_experiment_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, keys in EXPERIMENT_KEYS.items():
+        dests = {a.dest for a in sub.choices[name]._actions} - {"help", "config"}
+        assert dests <= set(keys), name
+
+
+def test_flags_override_config_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"experiment = fig1\nepsilons = 0.3 0.1\nsteps = 12000\nseed = 9\noutdir = {tmp_path / 'file'}\n"
+    )
+    outdir = tmp_path / "flags"
+    code, _, _ = run_cli(
+        capsys, "fig1", "--config", str(cfg), "--steps", "6000", "--seed", "5", "--outdir", str(outdir)
+    )
+    assert code == 0
+    assert not (tmp_path / "file").exists()
+    config = json.loads((outdir / "manifest.json").read_text())["config"]
+    assert (config["steps"], config["seed"], config["epsilons"]) == (6000, 5, [0.3, 0.1])
+    # The same run spelled out in a file gives the same bytes.
+    same = tmp_path / "same.cfg"
+    same.write_text(f"experiment = fig1\nepsilons = 0.3 0.1\nsteps = 6000\nseed = 5\noutdir = {tmp_path / 'same'}\n")
+    assert run_cli(capsys, "run", "--config", str(same))[0] == 0
+    for name in ("fig1_eps0.3.csv", "fig1_eps0.1.csv", "fig1_summary.csv"):
+        assert (outdir / name).read_bytes() == (tmp_path / "same" / name).read_bytes()
+
+
 def test_fig1_outputs_and_manifest(tmp_path, capsys):
     outdir = tmp_path / "f1"
     code, _, _ = run_cli(
@@ -252,7 +309,7 @@ def test_run_config_file_and_digest_stability(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "run", "--config", str(cfg))
     assert code == 0
     manifest1 = json.loads((outdir / "manifest.json").read_text())
-    assert manifest1["config"]["steps"] == "12000"
+    assert manifest1["config"]["steps"] == 12000
     code, _, _ = run_cli(capsys, "run", "--config", str(cfg))
     assert code == 0
     manifest2 = json.loads((outdir / "manifest.json").read_text())

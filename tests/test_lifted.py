@@ -49,9 +49,10 @@ def test_upper_mode_with_zero_tail_is_exact(sigma_fig):
 
 
 def test_state_cap(sigma_fig):
+    # 2**22 windows, one doubling past the cap; raised before any allocation.
     with pytest.raises(StateCapExceededError) as err:
-        rc.build_lifted(sigma_fig, rc.RelocationLaw.dirac(6), state_cap=64)
-    assert err.value.best_d is not None
+        rc.build_lifted(sigma_fig, rc.RelocationLaw.dirac(21))
+    assert err.value.best_d == 20
 
 
 def test_radius_dirac_matches_benchmark(sigma_fig):

@@ -27,7 +27,7 @@ from conftest import R_CLOSED, largest_eigenvalue
 
 
 def test_validate_benchmark(sigma_fig):
-    assert sigma_fig.irreducible and sigma_fig.aperiodic and sigma_fig.strictly_positive
+    assert sigma_fig.strictly_positive and sigma_fig.m == 2
     assert not sigma_fig.proportional_to_stochastic
     np.testing.assert_allclose(sigma_fig.row_sums(), [0.80, 0.76])
 
@@ -252,6 +252,13 @@ def test_spectral_radius_rejects_zero_perron_entries():
         warnings.simplefilter("error")
         with pytest.raises(NoConvergenceError, match="strict positivity"):
             rc.spectral_radius(np.array([[0.5, 0.1], [0.0, 0.3]]))
+
+
+def test_spectral_radius_rejects_negative_entries():
+    # Named as perron_triple names it, not left to the solver's positivity check.
+    for raw in ([[-2.0, 0.0], [0.0, 1.0]], [[0.5, -1e-3], [0.2, 0.3]]):
+        with pytest.raises(NegativeEntryError):
+            rc.spectral_radius(np.array(raw))
 
 
 def test_matrix_text_roundtrip(sigma_fig):

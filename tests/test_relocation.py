@@ -86,8 +86,7 @@ def test_truncate_capped_conservative():
     assert trunc.cap_reached
     np.testing.assert_allclose(trunc.masses, [0.5, 0.25])
     assert trunc.retained == pytest.approx(0.75)
-    renorm = rc.truncate_law(rc.RelocationLaw.geometric(0.5), 1e-12, d_max=1, mode="renormalized")
-    assert renorm.masses.sum() == pytest.approx(1.0, abs=1e-15)
+    assert trunc.tail_mass == pytest.approx(0.25)
 
 
 def test_occupation_examples():
@@ -208,14 +207,14 @@ def test_truncated_row_monotone_in_depth(sigma_fig):
 
 def test_hypothesis_report(sigma_fig):
     geom = rc.hypothesis_report(sigma_fig, rc.RelocationLaw.geometric(0.2))
-    assert geom.finite_mean and geom.exponential_tail
-    assert geom.route_finite_mean and geom.route_positive_matrix
-    assert geom.unique_ergodicity and geom.strict_improvement
+    assert geom.sigma_positive and not geom.law_is_dirac and geom.strict_improvement
 
     dirac = rc.hypothesis_report(sigma_fig, rc.RelocationLaw.dirac(2))
     assert dirac.law_is_dirac and not dirac.strict_improvement
 
+    one_mass = rc.hypothesis_report(sigma_fig, rc.RelocationLaw.explicit([0.0, 1.0]))
+    assert one_mass.law_is_dirac and not one_mass.strict_improvement
+
     with_zero = rc.validate_substochastic([[0.5, 0.3], [0.6, 0.0]])
     rep = rc.hypothesis_report(with_zero, rc.RelocationLaw.explicit([0.5, 0.5]))
-    assert rep.route_finite_mean and not rep.route_positive_matrix
-    assert rep.unique_ergodicity and rep.strict_improvement
+    assert not rep.sigma_positive and rep.strict_improvement
