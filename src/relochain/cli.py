@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -216,9 +215,8 @@ def _cmd_rate_function(args):
         cols = ",".join(f"nu_{i+1}" for i in range(sigma.m))
         stream.write(f"{cols},I,I_bold\n")
         for nu, iv, ib in zip(table.nu_grid, table.i_values, table.i_lifted):
-            cells = ",".join(fmt(x) for x in nu)
-            iv_s = "inf" if math.isinf(iv) else fmt(iv)
-            stream.write(f"{cells},{iv_s},{fmt(ib)}\n")
+            cells = ",".join(fmt(x) for x in (*nu, iv, ib))
+            stream.write(f"{cells}\n")
     finally:
         if stream is not sys.stdout:
             stream.close()

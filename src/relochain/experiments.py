@@ -1,9 +1,9 @@
 """Experiment orchestration: occupation concentration, radius comparison, conjecture scan.
 
 Every experiment writes CSV files with a header row and 12-significant-digit
-floats, then a manifest recording the effective config, per-stage
-wall-clock, and a content digest of each output. Reruns with the same config and seed are
-byte-identical.
+floats, then a manifest recording the effective value of each config key
+the experiment reads, per-stage wall-clock, and a content digest of each
+output. Reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import optimize_j
-from .config import ExperimentConfig
+from .config import EXPERIMENT_KEYS, ExperimentConfig
 from .errors import UnknownExperimentError
 from .lifted import bracket_radius, build_lifted, lifted_spectral_radius
 from .matrices import (
@@ -233,8 +233,10 @@ def run_config(config: ExperimentConfig) -> RunManifest:
         raise UnknownExperimentError(f"unknown experiment {config.experiment!r}")
     outputs, stages = runner(config)
     entries = tuple((os.path.basename(p), sha256_of(p)) for p in outputs)
+    fields = asdict(config)
+    fields["sigma"] = fields.pop("sigma_path")
     manifest = RunManifest(
-        config=asdict(config),
+        config={key: fields[key] for key in ("experiment", *EXPERIMENT_KEYS[config.experiment])},
         version=__version__,
         stage_seconds=stages,
         outputs=entries,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StateCapExceededError
-from .matrices import SpectralResult, SubStochasticMatrix, _certified_perron, perron_triple
+from .matrices import SpectralResult, SubStochasticMatrix, _certified_perron
 from .relocation import HistoryWindow, RelocationLaw, TruncationResult, truncate_law
 
 STATE_CAP = 2**21  # largest window count a chain may have
@@ -71,9 +71,10 @@ class RadiusBracket:
     `lo_lift` and `hi_lift` are the Collatz-Wielandt lower bound of the
     conservative lift and upper bound of the tail-majorized lift (both the
     exact radius when the law fits uncut); `lo` and `hi` additionally fold
-    in the always-valid analytic envelopes (the benchmark radius from below,
-    the largest benchmark row sum from above), which carry the certificate
-    when the affordable truncation is loose.
+    in the always-valid analytic envelopes (the Collatz-Wielandt lower bound
+    of the benchmark radius from below, the largest benchmark row sum from
+    above), which carry the certificate when the affordable truncation is
+    loose.
     """
 
     lo: float
@@ -152,7 +153,7 @@ def lifted_spectral_radius(chain: LiftedChain) -> SpectralResult:
     iteration over `chain.apply` (O(m**(d+2)) per sweep, O(m**(d+1)) memory
     per vector). `lower` and `upper` enclose the radius to 1e-12 relative.
     """
-    return _certified_perron(chain.apply, chain.n_states, lambda: _window_matrix(chain))
+    return _certified_perron(chain.apply, chain.n_states, lambda: _window_matrix(chain), terms=chain.m)
 
 
 def _window_matrix(chain: LiftedChain) -> np.ndarray:
@@ -252,8 +253,8 @@ def bracket_radius(
     the Collatz-Wielandt lower bound of the conservative lift bounds from
     below, the Collatz-Wielandt upper bound of the tail-majorized lift from
     above, so solver error cannot leak into the enclosure; the analytic
-    envelopes (benchmark radius, largest benchmark row sum) tighten whatever
-    the truncation left loose.
+    envelopes (the Collatz-Wielandt lower bound of the benchmark radius, the
+    largest benchmark row sum) tighten whatever the truncation left loose.
     """
     m = sigma.m
     d_cap = d_max
@@ -282,7 +283,8 @@ def bracket_radius(
     upper = build_lifted(sigma, trunc, mode=UPPER)
     hi_lift = lifted_spectral_radius(upper).upper
 
-    r_bench = perron_triple(sigma).r
+    entries = sigma.entries
+    r_bench = _certified_perron(entries.dot, m, lambda: entries).lower
     lo = max(lo_lift, r_bench)
     hi = min(hi_lift, float(sigma.row_sums().max()))
     hi = max(hi, lo)

@@ -229,7 +229,8 @@ def tilt(sigma, a) -> np.ndarray:
 class SpectralResult:
     """Perron radius with its positive sup-normalized right vector v.
 
-    `lower` and `upper` are min and max of (A v)/v, which enclose the radius;
+    `lower` and `upper` are min and max of (A v)/v, widened outward by the
+    rounding of their evaluation, so they enclose the radius of the operator;
     `iterations` counts power sweeps (0 when the dense eigensolve certified);
     `residual` is max |A v - radius v|.
     """
@@ -242,13 +243,15 @@ class SpectralResult:
     upper: float
 
 
-def _certified_perron(matvec, n: int, dense) -> SpectralResult:
+def _certified_perron(matvec, n: int, dense, terms: int | None = None) -> SpectralResult:
     """Perron radius and right vector, stopped by a Collatz-Wielandt gap.
 
     For any strictly positive v, min (Av)/v <= r <= max (Av)/v; a result is
-    returned only once that interval is at most CW_RTOL * r wide. Operators
-    with at most DENSE_MAX_STATES states are solved first by np.linalg.eig on
-    the n x n matrix that `dense()` builds; when its eigenvector fails the
+    returned only once that interval, widened for rounding (`_cw_bounds`),
+    is at most CW_RTOL * r wide. `terms` is the number of summands per row
+    of `matvec` (n when omitted). Operators with at most DENSE_MAX_STATES
+    states are solved first by np.linalg.eig on the n x n matrix that
+    `dense()` builds; when its eigenvector fails the
     certificate (badly scaled or reducible operators), and for every larger
     operator, a sup-normalized power iteration over `matvec` runs on
     A + shift I. The shift is a tenth of the largest row sum, so periodic
@@ -261,9 +264,10 @@ def _certified_perron(matvec, n: int, dense) -> SpectralResult:
         v = vecs[:, k].real
         v = v / v[np.argmax(np.abs(v))]
         if (v > 0.0).all():
-            result = _cw_result(float(vals[k].real), v, a @ v, 0)
-            if result.upper - result.lower <= CW_RTOL * result.upper:
-                return result
+            av = a @ v
+            lo, hi = _cw_bounds(av / v, n)
+            if hi - lo <= CW_RTOL * hi:
+                return _cw_result(float(vals[k].real), v, av, 0, lo, hi)
 
     v = np.ones(n)
     av = matvec(v)
@@ -281,25 +285,39 @@ def _certified_perron(matvec, n: int, dense) -> SpectralResult:
             if not v.min() > 0.0:
                 # A Perron vector with zero entries (reducible operator) underflows.
                 raise NoConvergenceError("power iterate lost strict positivity; no certificate exists")
-            ratio = av / v
-            lo, hi = float(ratio.min()), float(ratio.max())
+            lo, hi = _cw_bounds(av / v, n if terms is None else terms)
             if hi - lo <= CW_RTOL * hi:
                 peak = v.max()
-                return _cw_result(0.5 * (lo + hi), v / peak, av / peak, sweeps)
+                return _cw_result(0.5 * (lo + hi), v / peak, av / peak, sweeps, lo, hi)
     raise NoConvergenceError(f"power iteration did not certify in {MAX_SWEEPS} sweeps")
 
 
-def _cw_result(radius: float, v: np.ndarray, av: np.ndarray, sweeps: int) -> SpectralResult:
-    """Certificate of a strictly positive v, given av = A v."""
-    ratio = av / v
+def _cw_bounds(ratio: np.ndarray, terms: int) -> tuple[float, float]:
+    """min and max of ratio = (Av)/v, widened to enclose the exact values.
+
+    Each entry of Av is a sum of `terms` nonnegative products, so it is
+    within terms * 2**-53 relative of the exact one, and the division by v
+    adds one rounding more. The bounds are widened outward by
+    (terms + 2) * 2**-53 relative and then by one ulp, which covers the
+    rounding of the widening itself.
+    """
+    slack = (terms + 2) * 2.0**-53
+    return (
+        math.nextafter(float(ratio.min()) * (1.0 - slack), 0.0),
+        math.nextafter(float(ratio.max()) * (1.0 + slack), math.inf),
+    )
+
+
+def _cw_result(radius, v, av, sweeps, lower, upper) -> SpectralResult:
+    """Certificate of a strictly positive, sup-normalized v, given av = A v."""
     v.setflags(write=False)
     return SpectralResult(
         radius=radius,
         right_vector=v,
         iterations=sweeps,
         residual=float(np.abs(av - radius * v).max()),
-        lower=float(ratio.min()),
-        upper=float(ratio.max()),
+        lower=lower,
+        upper=upper,
     )
 
 

@@ -6,7 +6,7 @@ from scipy.optimize import minimize_scalar
 
 import relochain as rc
 
-from conftest import R_CLOSED
+from conftest import R_CLOSED, largest_eigenvalue, window_matrix
 
 
 def weighted_chain_c2_oracle(sigma, h):
@@ -156,3 +156,40 @@ def test_rate_table_two_point_ordering_and_duality(sigma_fig):
 def test_rate_table_needs_bounded_law(sigma_fig):
     with pytest.raises(ValueError):
         rc.rate_function_lifted(sigma_fig, rc.RelocationLaw.geometric(0.2))
+
+
+def test_rate_function_I_duality_three_states():
+    # At the tilt lambda the gradient of log r is pi = rho h / (rho . h), so
+    # the transform at pi is attained there: I(pi) = pi . lambda - log r.
+    rng = np.random.default_rng(31)
+    raw = rng.uniform(0.05, 1.0, size=(3, 3))
+    raw = raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.5, 0.95, size=(3, 1))
+    sigma = rc.validate_substochastic(raw)
+    for _ in range(6):
+        lam = rng.normal(size=3)
+        tilted = raw * np.exp(lam)[None, :]
+        vals, right = np.linalg.eig(tilted)
+        vals_t, left = np.linalg.eig(tilted.T)
+        h = np.abs(right[:, np.argmax(vals.real)].real)
+        rho = np.abs(left[:, np.argmax(vals_t.real)].real)
+        r = float(vals.real.max())
+        pi = rho * h / (rho @ h)
+        assert rc.rate_function_I(sigma, pi) == pytest.approx(float(pi @ lam) - math.log(r), abs=1e-9)
+
+
+@pytest.mark.parametrize("masses", [[0.5, 0.5], [0.0, 0.0, 1.0], [0.2, 0.0, 0.8], [0.0, 0.3, 0.7]])
+def test_rate_table_lifted_vertices_match_dense_tilts(sigma_fig, masses):
+    # Tilting toward the vertex state v by e^x, x - log r of the explicitly
+    # enumerated window matrix rises to the transform at e_v.
+    table = rc.rate_function_lifted(sigma_fig, rc.RelocationLaw.explicit(masses), grid_points=3)
+    for v, row in ((0, -1), (1, 0)):  # nu = e_0 is the last grid point, e_1 the first
+        at_vertex = table.i_lifted[row]
+        assert at_vertex == table.i_values[row]
+        gaps = []
+        for x in (5.0, 10.0, 20.0):
+            a = np.ones(2)
+            a[v] = math.exp(x)
+            tilted = rc.tilt(sigma_fig, a)
+            gaps.append(at_vertex - (x - math.log(largest_eigenvalue(window_matrix(tilted, masses)))))
+        assert gaps[0] > gaps[1] > gaps[2] >= -1e-12
+        assert gaps[2] <= 5e-10

@@ -105,6 +105,17 @@ def test_rate_function_command(tmp_path, capsys):
     assert len(lines) == 6
 
 
+
+def test_rate_function_command_prints_infinite_vertex(tmp_path, capsys):
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text(rc.write_matrix_text(np.array([[0.0, 0.9], [0.4, 0.3]])))
+    code, out, _ = run_cli(capsys, "rate-function", "--sigma", str(sigma), "--tau", "dirac 0", "--grid", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "nu_1,nu_2,I,I_bold"
+    assert lines[-1] == "1,0,inf,inf"
+    assert lines[1].split(",")[2] == lines[1].split(",")[3] == f"{-math.log(0.3):.12g}"
+
 def test_float_format_is_12_significant_digits(tmp_path, capsys):
     out_path = tmp_path / "surv.csv"
     run_cli(
@@ -338,3 +349,21 @@ def test_numerical_failure_exit_code(capsys):
     code, _, err = run_cli(capsys, "rate-function", "--tau", "dirac 25", "--grid", "3")
     assert code == 1
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"experiment": "fig1", "epsilons": "0.3", "steps": "2000"},
+        {"experiment": "fig2", "epsilons": "0.3", "dmax": "3", "restarts": "2"},
+        {"experiment": "conjecture-scan", "count": "1", "restarts": "2"},
+    ],
+)
+def test_manifest_records_the_keys_its_experiment_reads(tmp_path, values):
+    outdir = tmp_path / values["experiment"]
+    rc.run_config(config_from_values({**values, "outdir": str(outdir)}))
+    config = json.loads((outdir / "manifest.json").read_text())["config"]
+    assert set(config) == {"experiment", *EXPERIMENT_KEYS[values["experiment"]]}
+    assert config["outdir"] == str(outdir)
+    if "sigma" in config:
+        assert config["sigma"] is None

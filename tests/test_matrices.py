@@ -2,6 +2,7 @@ import math
 import os
 import tempfile
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -268,3 +269,36 @@ def test_matrix_text_roundtrip(sigma_fig):
     assert text.splitlines()[0] == "2"
     with pytest.raises(ValueError):
         rc.read_matrix_text("2\n0.5 0.5\n0.5")
+
+
+def exact_root_2x2(a):
+    """Perron root of a 2x2 float matrix from its closed form in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p, q, r, s = (Decimal(float(x)) for x in np.asarray(a).ravel())
+        trace, det = p + s, p * s - q * r
+        return (trace + (trace * trace - 4 * det).sqrt()) / 2
+
+
+def test_cw_bounds_enclose_exact_2x2_root():
+    # Rounding in (Av)/v alone can put both bounds on one side of the root;
+    # the benchmark matrix of configs/benchmark2.txt is such a case.
+    rng = np.random.default_rng(17)
+    cases = [rc.benchmark_matrix()]
+    for _ in range(500):
+        raw = rng.uniform(0.05, 1.0, size=(2, 2))
+        raw = raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.2, 0.98) * rng.uniform(0.5, 1.0, size=(2, 1))
+        cases.append(rc.validate_substochastic(raw))
+    for sigma in cases:
+        a = sigma.entries
+        root = exact_root_2x2(a)
+        for res in (
+            _certified_perron(a.dot, 2, lambda: a),
+            rc.lifted_spectral_radius(rc.build_lifted(sigma, rc.RelocationLaw.dirac(0))),
+        ):
+            assert Decimal(res.lower) <= root <= Decimal(res.upper)
+        # A depth-0 truncation keeps only mass(0) = 1/2, so the lower end of
+        # the bracket is the benchmark envelope, which must not exceed the root.
+        bracket = rc.bracket_radius(sigma, rc.RelocationLaw.geometric(0.5), d_max=0)
+        assert bracket.lo_lift < bracket.lo
+        assert Decimal(bracket.lo) <= root
