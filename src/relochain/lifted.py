@@ -6,20 +6,23 @@ recent state most significant, so the successor of window index w under a
 new state t is t * m**d + w // m: an integer shift-and-add, no lookup
 tables. The kernel weight from window w toward t is
 sum_i mass(i) * sigma[w_i, t]; the N x m array of these weights is the
-stored object. The N x N operator is materialized only for the dense
-eigensolve of chains with at most DENSE_MAX_STATES windows; larger chains
-are solved matrix-free by power sweeps of `LiftedChain.apply`.
+stored object, and `LiftedChain.operator` views it as the N x N sparse
+window operator (m entries per row, int32 indices), the one place the
+successor map is written. Power sweeps, survival products and the support
+check all run on that operator; it is densified only for the eigensolve of
+chains with at most DENSE_MAX_STATES windows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .errors import StateCapExceededError
-from .matrices import SpectralResult, SubStochasticMatrix, _certified_perron
+from .matrices import SpectralResult, SubStochasticMatrix, _certified_perron, _digraph_structure
 from .relocation import HistoryWindow, RelocationLaw, TruncationResult, truncate_law
 
 STATE_CAP = 2**21  # largest window count a chain may have
@@ -54,14 +57,22 @@ class LiftedChain:
             idx = idx * self.m + s
         return idx
 
+    @cached_property
+    def operator(self) -> sparse.csr_array:
+        """N x N window operator: row w holds weights[w, t] in column t * m**d + w // m.
+
+        `data` is a view of `weights`; columns rise with t, so the CSR form
+        is canonical and a matvec sums each row in the order t = 0..m-1.
+        """
+        n, m = self.n_states, self.m
+        index = np.int32 if n * m < 2**31 else np.int64
+        cols = np.arange(m, dtype=index) * (n // m) + (np.arange(n, dtype=index) // m)[:, None]
+        indptr = np.arange(0, n * m + 1, m, dtype=index)
+        return sparse.csr_array((self.weights.reshape(-1), cols.reshape(-1), indptr), shape=(n, n))
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """One sub-stochastic sweep u(w) = sum_t weights[w, t] * v(succ(w, t))."""
-        m = self.m
-        block = self.n_states // m
-        u = np.zeros_like(v)
-        for t in range(m):
-            u += self.weights[:, t] * np.repeat(v[t * block : (t + 1) * block], m)
-        return u
+        return self.operator @ v
 
 
 @dataclass(frozen=True)
@@ -69,12 +80,13 @@ class RadiusBracket:
     """Certified two-sided enclosure of the relocation-chain radius.
 
     `lo_lift` and `hi_lift` are the Collatz-Wielandt lower bound of the
-    conservative lift and upper bound of the tail-majorized lift (both the
-    exact radius when the law fits uncut); `lo` and `hi` additionally fold
-    in the always-valid analytic envelopes (the Collatz-Wielandt lower bound
-    of the benchmark radius from below, the largest benchmark row sum from
-    above), which carry the certificate when the affordable truncation is
-    loose.
+    conservative lift and upper bound of the tail-majorized lift; when the
+    law fits uncut (`exact`) they are the two Collatz-Wielandt bounds of
+    one solve of the exact lift, at most 1e-12 relative apart, and equal
+    `lo` and `hi`. Otherwise `lo` and `hi` additionally fold in the
+    always-valid analytic envelopes (the Collatz-Wielandt lower bound of the
+    benchmark radius from below, the largest benchmark row sum from above),
+    which carry the certificate when the affordable truncation is loose.
     """
 
     lo: float
@@ -116,7 +128,7 @@ def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
     d = len(masses) - 1
     n_states = m ** (d + 1)
     if n_states > STATE_CAP:
-        best = int(math.floor(math.log(STATE_CAP, m))) - 1
+        best = _affordable_depth(m, d)
         raise StateCapExceededError(
             f"m**(d+1) = {n_states} exceeds the cap {STATE_CAP}; largest affordable d is {best}",
             best_d=best,
@@ -153,17 +165,7 @@ def lifted_spectral_radius(chain: LiftedChain) -> SpectralResult:
     iteration over `chain.apply` (O(m**(d+2)) per sweep, O(m**(d+1)) memory
     per vector). `lower` and `upper` enclose the radius to 1e-12 relative.
     """
-    return _certified_perron(chain.apply, chain.n_states, lambda: _window_matrix(chain), terms=chain.m)
-
-
-def _window_matrix(chain: LiftedChain) -> np.ndarray:
-    """Explicit operator: entry (w, t * m**d + w // m) is weights[w, t]."""
-    n, m = chain.n_states, chain.m
-    w = np.arange(n)
-    succ = np.arange(m)[None, :] * (n // m) + (w // m)[:, None]
-    dense = np.zeros((n, n))
-    dense[w[:, None], succ] = chain.weights
-    return dense
+    return _certified_perron(chain.apply, chain.n_states, chain.operator.toarray, terms=chain.m)
 
 
 def survival_exact(chain: LiftedChain, init: HistoryWindow, n: int) -> float:
@@ -181,63 +183,19 @@ def survival_exact(chain: LiftedChain, init: HistoryWindow, n: int) -> float:
 
 
 def lifted_structure_check(chain: LiftedChain) -> tuple[bool, bool]:
-    """(irreducible, aperiodic) of the lifted support digraph.
+    """(irreducible, aperiodic) of the support digraph of `chain.operator`.
 
-    Strong connectivity by forward and backward reachability from window 0;
-    period as the gcd of 1 + depth(u) - depth(v) over support edges, using
-    BFS depths.
+    A reducible support is reported as (False, False).
     """
-    m, n = chain.m, chain.n_states
-    block = n // m
-    pos = chain.weights > 0.0
-
-    depth = _lifted_bfs(chain, pos, forward=True)
-    if (depth < 0).any():
-        return False, False
-    back = _lifted_bfs(chain, pos, forward=False)
-    if (back < 0).any():
-        return False, False
-
-    g = 0
-    for t in range(m):
-        src = np.nonzero(pos[:, t])[0]
-        dst = t * block + src // m
-        diffs = np.abs(depth[src] + 1 - depth[dst])
-        g = math.gcd(g, int(np.gcd.reduce(diffs))) if len(diffs) else g
-    return True, g == 1
+    return _digraph_structure(chain.operator)
 
 
-def _lifted_bfs(chain: LiftedChain, pos: np.ndarray, forward: bool) -> np.ndarray:
-    m, n = chain.m, chain.n_states
-    block = n // m
-    depth = np.full(n, -1, dtype=np.int64)
-    depth[0] = 0
-    frontier = np.array([0], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        nxt = []
-        for t in range(m):
-            if forward:
-                cand_src = frontier[pos[frontier, t]]
-                cand = t * block + cand_src // m
-            else:
-                # Predecessors of u under letter t exist when u sits in block t;
-                # they are (u mod block) * m + x with a positive weight toward t.
-                in_block = frontier[(frontier // block) == t]
-                if in_block.size == 0:
-                    continue
-                base = (in_block % block) * m
-                cand = (base[:, None] + np.arange(m)[None, :]).ravel()
-                cand = cand[pos[cand, t]]
-            if cand.size:
-                cand = cand[depth[cand] < 0]
-                if cand.size:
-                    cand = np.unique(cand)
-                    depth[cand] = level
-                    nxt.append(cand)
-        frontier = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
-    return depth
+def _affordable_depth(m: int, d: int) -> int:
+    """Largest depth at most d whose m**(depth+1) windows fit STATE_CAP (-1 if none)."""
+    best = -1
+    while best < d and m ** (best + 2) <= STATE_CAP:
+        best += 1
+    return best
 
 
 def bracket_radius(
@@ -248,31 +206,30 @@ def bracket_radius(
 ) -> RadiusBracket:
     """Two-sided certified enclosure of the relocation-chain spectral radius.
 
-    Bounded laws that fit the caps get the exact lifted radius on both
-    sides. Otherwise the law is truncated at the largest affordable depth:
-    the Collatz-Wielandt lower bound of the conservative lift bounds from
-    below, the Collatz-Wielandt upper bound of the tail-majorized lift from
-    above, so solver error cannot leak into the enclosure; the analytic
-    envelopes (the Collatz-Wielandt lower bound of the benchmark radius, the
-    largest benchmark row sum) tighten whatever the truncation left loose.
+    Bounded laws that fit the caps get the Collatz-Wielandt bounds of one
+    solve of the exact lift, 1e-12 relative apart. Otherwise the law is
+    truncated at the largest affordable depth: the Collatz-Wielandt lower
+    bound of the conservative lift bounds from below, the Collatz-Wielandt
+    upper bound of the tail-majorized lift from above, so solver error
+    cannot leak into the enclosure; the analytic envelopes (the
+    Collatz-Wielandt lower bound of the benchmark radius, the largest
+    benchmark row sum) tighten whatever the truncation left loose.
     """
     m = sigma.m
-    d_cap = d_max
-    while m ** (d_cap + 1) > STATE_CAP:
-        d_cap -= 1
+    d_cap = _affordable_depth(m, d_max)
     if d_cap < 0:
         raise StateCapExceededError("state cap too small for even a single-step window", best_d=None)
 
     if law.bounded and law.support_max <= d_cap:
         chain = build_lifted(sigma, law, mode=EXACT)
-        radius = lifted_spectral_radius(chain).radius
+        res = lifted_spectral_radius(chain)
         return RadiusBracket(
-            lo=radius,
-            hi=radius,
+            lo=res.lower,
+            hi=res.upper,
             d_used=law.support_max,
             tail_mass=0.0,
-            lo_lift=radius,
-            hi_lift=radius,
+            lo_lift=res.lower,
+            hi_lift=res.upper,
             exact=True,
             cap_reached=False,
         )

@@ -10,11 +10,13 @@ contraction coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     DegenerateImageError,
@@ -36,8 +38,8 @@ MAX_SWEEPS = 100_000
 CHECK_EVERY = 16  # power sweeps between Collatz-Wielandt checks
 NORM_EVERY = 4  # defer sup-normalization; growth over 4 steps stays in range
 # Largest operator solved by a dense eigensolve. Measured per solve on
-# window chains (2 cores): eig 0.7 vs power 3.5 ms at N=32, 3.2 vs 4.3 ms at
-# N=64, 22 vs 4.9 ms at N=128.
+# window chains with CSR power sweeps (2-core Xeon VM, one BLAS thread): eig
+# 0.7 vs power 3.0 ms at N=32, 3.4 vs 3.4 ms at N=64, 20 vs 3.6 ms at N=128.
 DENSE_MAX_STATES = 64
 
 
@@ -95,63 +97,45 @@ def _nonnegative_entries(matrix) -> np.ndarray:
 def structure_flags(raw) -> tuple[bool, bool, bool]:
     """(irreducible, aperiodic, strictly_positive) of the support digraph.
 
-    Irreducibility is strong connectivity; aperiodicity is gcd 1 of the
-    values 1 + depth(u) - depth(v) over support edges (u, v), with depths
-    from a BFS tree rooted at state 0.
+    Irreducibility is strong connectivity; aperiodicity is period 1, and a
+    reducible support is reported as not aperiodic. Results are memoized
+    per support, since every tilt of a matrix keeps its support.
     """
     a = _as_square_array(raw)
-    m = a.shape[0]
     support = a > 0.0
     if support.all():
         # A complete digraph with self-loops: strongly connected, period 1.
         return True, True, True
-
-    forward = _reachable(support, 0)
-    backward = _reachable(support.T, 0)
-    irreducible = bool(forward.all() and backward.all())
-
-    depth = _bfs_depths(support, 0)
-    g = 0
-    for u in range(m):
-        if depth[u] < 0:
-            continue
-        for v in np.nonzero(support[u])[0]:
-            if depth[v] >= 0:
-                g = math.gcd(g, abs(int(depth[u]) + 1 - int(depth[v])))
-    aperiodic = g == 1
-    return irreducible, aperiodic, False
+    m = a.shape[0]
+    return (*_support_structure(m, np.packbits(support).tobytes()), False)
 
 
-def _reachable(support: np.ndarray, root: int) -> np.ndarray:
-    m = support.shape[0]
-    seen = np.zeros(m, dtype=bool)
-    seen[root] = True
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(support[u])[0]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return seen
+@functools.lru_cache(maxsize=64)
+def _support_structure(m: int, packed: bytes) -> tuple[bool, bool]:
+    support = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=m * m).reshape(m, m)
+    return _digraph_structure(support)
 
 
-def _bfs_depths(support: np.ndarray, root: int) -> np.ndarray:
-    m = support.shape[0]
-    depth = np.full(m, -1, dtype=np.int64)
-    depth[root] = 0
-    frontier = [root]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(support[u])[0]:
-                if depth[v] < 0:
-                    depth[v] = d
-                    nxt.append(int(v))
-        frontier = nxt
-    return depth
+def _digraph_structure(graph) -> tuple[bool, bool]:
+    """(irreducible, aperiodic) of the digraph of the positive entries of a square array.
+
+    `graph` is a dense array or a scipy sparse array. Strong components come
+    from csgraph; the period is the gcd of depth(u) + 1 - depth(v) over all
+    edges (u, v), with unweighted shortest-path depths from state 0. A
+    reducible digraph gives (False, False).
+    """
+    # Deferred: csgraph adds about 1 MB of RSS, and strictly positive
+    # matrices never need it.
+    from scipy.sparse import csgraph
+
+    # Positive entries only: csgraph reads a stored zero as an edge.
+    edges = sparse.csr_array(graph > 0)
+    n_strong, _ = csgraph.connected_components(edges, directed=True, connection="strong")
+    if n_strong > 1:
+        return False, False
+    depth = csgraph.dijkstra(edges, indices=0, unweighted=True).astype(np.int64)
+    src, dst = edges.nonzero()
+    return True, bool(np.gcd.reduce(depth[src] + 1 - depth[dst]) == 1)
 
 
 def validate_substochastic(raw) -> SubStochasticMatrix:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relochain as rc
@@ -96,9 +96,60 @@ def test_structure_check(sigma_fig):
     assert not irreducible
 
 
+def support_power(support, k):
+    """Support of the k-th power of a 0/1 matrix, by repeated squaring."""
+    result = np.eye(support.shape[0], dtype=int)
+    base = support.astype(int)
+    while k:
+        if k & 1:
+            result = np.minimum(result @ base, 1)
+        base = np.minimum(base @ base, 1)
+        k >>= 1
+    return result
+
+
+def dense_structure(mat):
+    """(irreducible, irreducible and aperiodic) of the support of a dense n x n matrix.
+
+    Irreducible iff (I + A)^(n-1) > 0; primitive iff A^((n-1)^2 + 1) > 0
+    (Wielandt's bound).
+    """
+    support = mat > 0
+    n = support.shape[0]
+    irreducible = support_power(support | np.eye(n, dtype=bool), n - 1).all()
+    return bool(irreducible), bool(support_power(support, (n - 1) ** 2 + 1).all())
+
+
+@st.composite
+def supports_and_laws(draw):
+    """A 0/1 support on m <= 6 states and a law support on {0..d} with m**(d+1) <= 64."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    bits = draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))
+    d = draw(st.integers(min_value=0, max_value=max(d for d in range(6) if m ** (d + 1) <= 64)))
+    law = draw(st.lists(st.booleans(), min_size=d + 1, max_size=d + 1).filter(any))
+    return np.array(bits).reshape(m, m), law
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=supports_and_laws())
+@example(case=(np.array([[False]]), [True]))
+# periodic two-cycle with an even-index law: the lift splits into two classes
+@example(case=(np.array([[False, True], [True, False]]), [True, False, True]))
+def test_structure_checks_match_dense_oracle(case):
+    support, law = case
+    m = support.shape[0]
+    sigma = support * (0.9 / m)
+    masses = np.array(law, dtype=float) / sum(law)
+    assert rc.structure_flags(sigma) == (*dense_structure(sigma), bool(support.all()))
+    chain = rc.build_lifted(sigma, masses)
+    assert rc.lifted_structure_check(chain) == dense_structure(window_matrix(sigma, masses))
+
+
 def test_bracket_exact_for_bounded(sigma_fig):
     br = rc.bracket_radius(sigma_fig, rc.RelocationLaw.dirac(2))
-    assert br.exact and br.lo == br.hi and br.tail_mass == 0.0
+    assert br.exact and br.tail_mass == 0.0
+    assert br.lo <= br.hi and br.hi - br.lo <= 1e-12 * br.hi
+    assert (br.lo_lift, br.hi_lift) == (br.lo, br.hi)
     assert abs(br.lo - R_CLOSED) <= 1e-10
     br2 = rc.bracket_radius(sigma_fig, two_point_law())
     assert br2.lo == pytest.approx(R_BOLD_HALF_HALF, abs=1e-12)
@@ -195,10 +246,16 @@ def test_lifted_certificate_random_laws(d, seed, scale):
     sigma = rng.uniform(0.05, 1.0, size=(2, 2))
     sigma = sigma / sigma.sum(axis=1, keepdims=True) * scale * rng.uniform(0.5, 1.0, size=(2, 1))
     masses = rng.dirichlet(np.ones(d + 1))
-    res = rc.lifted_spectral_radius(rc.build_lifted(sigma, masses))
+    chain = rc.build_lifted(sigma, masses)
+    mat = window_matrix(sigma, masses)
+    # The operator's successor map against enumeration of the windows.
+    np.testing.assert_allclose(chain.operator.toarray(), mat, rtol=1e-14, atol=0.0)
+    v = rng.uniform(0.1, 1.0, size=chain.n_states)
+    np.testing.assert_allclose(chain.apply(v), mat @ v, rtol=1e-14, atol=0.0)
+    res = rc.lifted_spectral_radius(chain)
     if 2 ** (d + 1) > DENSE_MAX_STATES:
         assert res.iterations > 0
-    assert_certified(res, window_matrix(sigma, masses))
+    assert_certified(res, mat)
 
 
 def test_badly_scaled_lift_falls_back_to_power_sweeps(sigma_fig):

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from decimal import Decimal, localcontext
@@ -100,6 +102,20 @@ def test_structure_flags_examples(sigma_fig):
     assert rc.structure_flags([[0, 1], [1, 0]]) == (True, False, False)
     irreducible, _, _ = rc.structure_flags([[1, 1], [0, 1]])
     assert not irreducible
+
+
+def test_strictly_positive_run_never_imports_csgraph():
+    # csgraph is imported on the first support check of a matrix with a zero
+    # entry; validating and solving a strictly positive one must not load it.
+    src = os.path.dirname(os.path.dirname(rc.__file__))
+    path = os.path.join(os.path.dirname(src), "configs", "benchmark2.txt")
+    code = (
+        "import sys, relochain as rc\n"
+        "rc.perron_triple(rc.load_matrix(sys.argv[1]))\n"
+        "sys.exit('scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code, path], env=env, timeout=120).returncode == 0
 
 
 def test_perron_closed_form(sigma_fig, triple_closed):
@@ -297,6 +313,8 @@ def test_cw_bounds_enclose_exact_2x2_root():
             rc.lifted_spectral_radius(rc.build_lifted(sigma, rc.RelocationLaw.dirac(0))),
         ):
             assert Decimal(res.lower) <= root <= Decimal(res.upper)
+        exact = rc.bracket_radius(sigma, rc.RelocationLaw.dirac(0))
+        assert Decimal(exact.lo) <= root <= Decimal(exact.hi)
         # A depth-0 truncation keeps only mass(0) = 1/2, so the lower end of
         # the bracket is the benchmark envelope, which must not exceed the root.
         bracket = rc.bracket_radius(sigma, rc.RelocationLaw.geometric(0.5), d_max=0)
