@@ -25,7 +25,7 @@ from .errors import (
     StateCapExceededError,
     UnknownExperimentError,
 )
-from .experiments import benchmark_matrix, fmt, run_config, write_csv
+from .experiments import benchmark_matrix, run_config, write_csv
 from .lifted import bracket_radius
 from .matrices import load_matrix, perron_triple
 from .relocation import HistoryWindow, parse_relocation_law
@@ -49,12 +49,6 @@ def _parse_a(spec, sigma):
     if spec == "h":
         return perron_triple(sigma).h
     return np.array([float(tok) for tok in spec.replace(",", " ").split()])
-
-
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8", newline="\n")
-    return sys.stdout
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,15 +154,9 @@ def _cmd_simulate_survival(args):
         sigma, law, HistoryWindow.constant(args.init_state), args.n, args.replicas,
         RngSpec(args.seed, args.stream),
     )
-    stream = _out_stream(args)
-    try:
-        stream.write("n,p_hat,se\n")
-        curve = result.curve
-        for n, p, s in zip(curve.ns, curve.p_hat, curve.se):
-            stream.write(f"{n},{fmt(p)},{fmt(s)}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    curve = result.curve
+    rows = zip(curve.ns, curve.p_hat, curve.se)
+    write_csv(args.out, ["n", "p_hat", "se"], ([str(n), p, s] for n, p, s in rows))
 
 
 def _cmd_weighted_run(args):
@@ -179,16 +167,9 @@ def _cmd_weighted_run(args):
         sigma, law, a, steps=args.steps, burnin=args.burnin, thin=args.thin,
         rng=RngSpec(args.seed, args.stream),
     )
-    stream = _out_stream(args)
-    try:
-        cols = ",".join(f"theta_{i+1}" for i in range(sigma.m))
-        stream.write(f"j,{cols},c2_running\n")
-        for j, theta, c2 in zip(stats.sample_steps, stats.theta_samples, stats.c2_running):
-            cells = ",".join(fmt(x) for x in theta)
-            stream.write(f"{j},{cells},{fmt(c2)}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    header = ["j", *(f"theta_{i+1}" for i in range(sigma.m)), "c2_running"]
+    rows = zip(stats.sample_steps, stats.theta_samples, stats.c2_running)
+    write_csv(args.out, header, ([str(j), *theta, c2] for j, theta, c2 in rows))
 
 
 def _cmd_bound_c3(args):
@@ -210,16 +191,9 @@ def _cmd_rate_function(args):
     sigma = _get_sigma(args)
     law = parse_relocation_law(args.tau)
     table = rate_function_lifted(sigma, law, grid_points=args.grid)
-    stream = _out_stream(args)
-    try:
-        cols = ",".join(f"nu_{i+1}" for i in range(sigma.m))
-        stream.write(f"{cols},I,I_bold\n")
-        for nu, iv, ib in zip(table.nu_grid, table.i_values, table.i_lifted):
-            cells = ",".join(fmt(x) for x in (*nu, iv, ib))
-            stream.write(f"{cells}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    header = [*(f"nu_{i+1}" for i in range(sigma.m)), "I", "I_bold"]
+    rows = zip(table.nu_grid, table.i_values, table.i_lifted)
+    write_csv(args.out, header, ([*nu, iv, ib] for nu, iv, ib in rows))
 
 
 def _experiment_config(args, name):

@@ -8,10 +8,12 @@ output. Reruns with the same config and seed are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -49,7 +51,9 @@ def fmt(x) -> str:
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write a CSV to `path`, or to stdout when it is None; cells that are not strings go through fmt."""
+    stream = open(path, "w", encoding="utf-8", newline="\n") if path else contextlib.nullcontext(sys.stdout)
+    with stream as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(cell if isinstance(cell, str) else fmt(cell) for cell in row) + "\n")

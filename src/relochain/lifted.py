@@ -99,16 +99,17 @@ class RadiusBracket:
     cap_reached: bool
 
 
-def _finite_masses(law_or_trunc) -> tuple[np.ndarray, float]:
-    if isinstance(law_or_trunc, TruncationResult):
-        return np.asarray(law_or_trunc.masses, dtype=float), law_or_trunc.tail_mass
+def _finite_masses(law_or_trunc) -> tuple[list[int], list[float], float]:
+    """(depths, masses, tail_mass) of a bounded law, a truncation, or a raw mass sequence."""
     if isinstance(law_or_trunc, RelocationLaw):
         if not law_or_trunc.bounded:
             raise ValueError("unbounded law: truncate first, or use bracket_radius")
-        d = law_or_trunc.support_max
-        masses = np.array([law_or_trunc.mass(i) for i in range(d + 1)], dtype=float)
-        return masses, 0.0
-    return np.asarray(law_or_trunc, dtype=float), 0.0
+        return list(law_or_trunc.depths), list(law_or_trunc.masses), 0.0
+    if isinstance(law_or_trunc, TruncationResult):
+        masses, tail_mass = law_or_trunc.masses, law_or_trunc.tail_mass
+    else:
+        masses, tail_mass = np.asarray(law_or_trunc, dtype=float), 0.0
+    return list(range(len(masses))), masses.tolist(), tail_mass
 
 
 def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
@@ -119,13 +120,17 @@ def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
     conservative truncation (row deficits realize the discarded tail as
     killing); upper adds tail_mass * max_u sigma[u, t] to every weight toward
     t, which dominates the true kernel pointwise.
+
+    The table is built from the oldest window digit up: with W the weights
+    of the windows (w_{i+1}, ..., w_d), prefixing the digit w_i gives
+    tau(i) sigma[w_i] + W, and w_i is the more significant digit.
     """
     entries = sigma.entries if isinstance(sigma, SubStochasticMatrix) else np.asarray(sigma, dtype=float)
     if mode not in (EXACT, LOWER, UPPER):
         raise ValueError(f"unknown lift mode {mode!r}")
-    masses, tail_mass = _finite_masses(law)
+    depths, masses, tail_mass = _finite_masses(law)
     m = entries.shape[0]
-    d = len(masses) - 1
+    d = depths[-1]
     n_states = m ** (d + 1)
     if n_states > STATE_CAP:
         best = _affordable_depth(m, d)
@@ -134,15 +139,11 @@ def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
             best_d=best,
         )
 
-    occ = np.zeros((n_states, m))
-    base = np.arange(m)
-    for i, mass in enumerate(masses):
-        if mass == 0.0:
-            continue
-        pattern = np.tile(np.repeat(base, m ** (d - i)), m**i)
-        for s in range(m):
-            occ[:, s] += mass * (pattern == s)
-    weights = occ @ entries
+    tau = np.zeros(d + 1)
+    tau[depths] = masses
+    weights = tau[d] * entries
+    for i in range(d - 1, -1, -1):
+        weights = (tau[i] * entries[:, None, :] + weights[None]).reshape(-1, m)
     if mode == UPPER and tail_mass > 0.0:
         weights += tail_mass * entries.max(axis=0)[None, :]
 
@@ -213,7 +214,8 @@ def bracket_radius(
     upper bound of the tail-majorized lift from above, so solver error
     cannot leak into the enclosure; the analytic envelopes (the
     Collatz-Wielandt lower bound of the benchmark radius, the largest
-    benchmark row sum) tighten whatever the truncation left loose.
+    benchmark row sum) tighten whatever the truncation left loose. A law
+    with no mass within the affordable depth gets exactly that envelope.
     """
     m = sigma.m
     d_cap = _affordable_depth(m, d_max)
@@ -235,10 +237,11 @@ def bracket_radius(
         )
 
     trunc = truncate_law(law, delta_tail, d_cap)
-    lower = build_lifted(sigma, trunc, mode=LOWER)
-    lo_lift = lifted_spectral_radius(lower).lower
-    upper = build_lifted(sigma, trunc, mode=UPPER)
-    hi_lift = lifted_spectral_radius(upper).upper
+    # With no mass retained the conservative lift is the zero operator, of radius 0.
+    lo_lift = 0.0
+    if trunc.masses.any():
+        lo_lift = lifted_spectral_radius(build_lifted(sigma, trunc, mode=LOWER)).lower
+    hi_lift = lifted_spectral_radius(build_lifted(sigma, trunc, mode=UPPER)).upper
 
     entries = sigma.entries
     r_bench = _certified_perron(entries.dot, m, lambda: entries).lower

@@ -1,6 +1,6 @@
 """Relocation laws, memory windows, occupation rows, and kernel rows.
 
-The law families are closed-form only (explicit table, point mass,
+The law families are closed-form only (a bounded law given by its atoms,
 geometric), so tails and means are exact and the ergodicity hypothesis
 checks never need numerical truncation.
 """
@@ -8,6 +8,7 @@ checks never need numerical truncation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,114 +16,90 @@ import numpy as np
 
 from .matrices import SubStochasticMatrix, tilt_vector
 
-EXPLICIT = "explicit"
-DIRAC = "dirac"
-GEOMETRIC = "geometric"
-
 
 @dataclass(frozen=True)
 class RelocationLaw:
     """Probability law on the nonnegative integers governing relocation depth.
 
-    Exactly one parameterization is active, selected by `kind`:
-    explicit masses on {0..d}, a point mass at d, or geometric with
-    mass(k) = eps (1-eps)^k.
+    A bounded law is stored as its increasing depths of positive mass and
+    their masses, so `dirac(d)` and `explicit([0] * d + [1])` are one law
+    and a point mass far out is a single atom. A geometric law has no atoms
+    and mass(k) = eps (1-eps)^k.
     """
 
-    kind: str
-    masses: tuple[float, ...] | None = None
-    point: int | None = None
+    depths: tuple[int, ...] = ()
+    masses: tuple[float, ...] = ()
     eps: float | None = None
 
     def __post_init__(self):
-        if self.kind == EXPLICIT:
-            if not self.masses:
-                raise ValueError("explicit law needs at least one mass")
-            p = np.asarray(self.masses, dtype=float)
-            if (p < 0).any():
-                raise ValueError("explicit masses must be nonnegative")
-            if abs(p.sum() - 1.0) > 1e-12:
-                raise ValueError(f"explicit masses sum to {p.sum()!r}, not 1")
-        elif self.kind == DIRAC:
-            if self.point is None or self.point < 0:
-                raise ValueError("dirac law needs a nonnegative point")
-        elif self.kind == GEOMETRIC:
-            if self.eps is None or not (0.0 < self.eps < 1.0):
+        if self.eps is not None:
+            if not 0.0 < self.eps < 1.0:
                 raise ValueError("geometric law needs eps in (0, 1)")
-        else:
-            raise ValueError(f"unknown law kind {self.kind!r}")
+            return
+        p = np.asarray(self.masses, dtype=float)
+        if len(p) == 0 or len(p) != len(self.depths):
+            raise ValueError("a bounded law needs one mass per depth and at least one")
+        if not (np.isfinite(p).all() and (p > 0).all()):
+            raise ValueError("explicit masses must be finite and nonnegative")
+        if self.depths[0] < 0 or (np.diff(self.depths) <= 0).any():
+            raise ValueError("depths must be nonnegative and increasing")
+        if abs(p.sum() - 1.0) > 1e-12:
+            raise ValueError(f"explicit masses sum to {p.sum()!r}, not 1")
 
     @classmethod
     def explicit(cls, masses) -> "RelocationLaw":
-        return cls(kind=EXPLICIT, masses=tuple(float(x) for x in masses))
+        """Law with mass masses[i] at depth i; zero masses are dropped."""
+        atoms = [(i, float(x)) for i, x in enumerate(masses) if float(x) != 0.0]
+        return cls(tuple(i for i, _ in atoms), tuple(x for _, x in atoms))
 
     @classmethod
     def dirac(cls, d: int) -> "RelocationLaw":
-        return cls(kind=DIRAC, point=int(d))
+        return cls((int(d),), (1.0,))
 
     @classmethod
     def geometric(cls, eps: float) -> "RelocationLaw":
-        return cls(kind=GEOMETRIC, eps=float(eps))
+        return cls(eps=float(eps))
 
     @property
     def bounded(self) -> bool:
-        return self.kind != GEOMETRIC
+        return self.eps is None
 
     @property
     def support_max(self) -> int | None:
         """Largest index with positive mass, None when unbounded."""
-        if self.kind == DIRAC:
-            return self.point
-        if self.kind == EXPLICIT:
-            p = self.masses
-            top = len(p) - 1
-            while top > 0 and p[top] == 0.0:
-                top -= 1
-            return top
-        return None
+        return self.depths[-1] if self.bounded else None
 
     @property
     def is_dirac_mass(self) -> bool:
-        """True when the whole mass sits on one index, whatever the encoding."""
-        if self.kind == DIRAC:
-            return True
-        if self.kind == EXPLICIT:
-            return sum(1 for x in self.masses if x > 0.0) == 1
-        return False
+        """True when the whole mass sits on one index."""
+        return len(self.depths) == 1
 
     @cached_property
     def mean(self) -> float:
-        if self.kind == DIRAC:
-            return float(self.point)
-        if self.kind == GEOMETRIC:
+        if not self.bounded:
             return (1.0 - self.eps) / self.eps
-        return float(sum(i * p for i, p in enumerate(self.masses)))
+        return float(sum(i * p for i, p in zip(self.depths, self.masses)))
 
     def mass(self, i: int) -> float:
-        if i < 0:
-            return 0.0
-        if self.kind == DIRAC:
-            return 1.0 if i == self.point else 0.0
-        if self.kind == GEOMETRIC:
-            return self.eps * (1.0 - self.eps) ** i
-        return self.masses[i] if i < len(self.masses) else 0.0
+        if not self.bounded:
+            return self.eps * (1.0 - self.eps) ** i if i >= 0 else 0.0
+        k = bisect_left(self.depths, i)
+        return self.masses[k] if k < len(self.depths) and self.depths[k] == i else 0.0
 
     def tail(self, n: int) -> float:
         """tail(n) = sum of masses at indices >= n; nonincreasing with tail(0) = 1."""
         if n <= 0:
             return 1.0
-        if self.kind == DIRAC:
-            return 1.0 if n <= self.point else 0.0
-        if self.kind == GEOMETRIC:
+        if not self.bounded:
             return (1.0 - self.eps) ** n
-        return float(max(0.0, math.fsum(self.masses[n:])))
+        return float(max(0.0, math.fsum(self.masses[bisect_left(self.depths, n):])))
 
     def spec_string(self) -> str:
-        if self.kind == DIRAC:
-            return f"dirac {self.point}"
-        if self.kind == GEOMETRIC:
+        if not self.bounded:
             return f"geometric {self.eps:.12g}"
-        return "explicit " + " ".join(f"{p:.12g}" for p in self.masses)
+        if self.is_dirac_mass:
+            return f"dirac {self.depths[0]}"
+        return "explicit " + " ".join(f"{self.mass(i):.12g}" for i in range(self.support_max + 1))
 
 
 def parse_relocation_law(spec: str) -> RelocationLaw:
@@ -131,15 +108,15 @@ def parse_relocation_law(spec: str) -> RelocationLaw:
     if not parts:
         raise ValueError("empty relocation law spec")
     kind = parts[0].lower()
-    if kind == DIRAC:
+    if kind == "dirac":
         if len(parts) != 2:
             raise ValueError("dirac law takes exactly one integer argument")
         return RelocationLaw.dirac(int(parts[1]))
-    if kind == GEOMETRIC:
+    if kind == "geometric":
         if len(parts) != 2:
             raise ValueError("geometric law takes exactly one argument")
         return RelocationLaw.geometric(float(parts[1]))
-    if kind == EXPLICIT:
+    if kind == "explicit":
         if len(parts) < 2:
             raise ValueError("explicit law needs at least one mass")
         return RelocationLaw.explicit(float(x) for x in parts[1:])
@@ -250,13 +227,7 @@ def occupation_measure(window: HistoryWindow, law: RelocationLaw, m: int) -> np.
 def defective_kernel_row(window: HistoryWindow, sigma, law: RelocationLaw) -> np.ndarray:
     """Sub-probability row sum_i mass(i) sigma[w_i, :]; the deficit from 1 is the killing probability."""
     entries = sigma.entries if isinstance(sigma, SubStochasticMatrix) else np.asarray(sigma, dtype=float)
-    s = window.states
-    k = len(s)
-    row = np.zeros(entries.shape[1], dtype=float)
-    for i in range(k - 1):
-        row += law.mass(i) * entries[s[i]]
-    row += law.tail(k - 1) * entries[s[k - 1]]
-    return row
+    return occupation_measure(window, law, entries.shape[0]) @ entries
 
 
 def biased_kernel_row(window: HistoryWindow, sigma, law: RelocationLaw, a) -> np.ndarray:

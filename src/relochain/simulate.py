@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import OverflowGuardError
 from .matrices import SubStochasticMatrix, tilt_vector
-from .relocation import GEOMETRIC, HistoryWindow, RelocationLaw, occupation_measure
+from .relocation import HistoryWindow, RelocationLaw, occupation_measure
 
 LOG_OVERFLOW_LIMIT = 690.0  # log(1e300), unreachable for sub-stochastic weights
 N_BATCHES = 20  # contiguous batches behind the weighted chain's standard error
@@ -90,7 +90,7 @@ class _Memory:
     def __init__(self, law: RelocationLaw, init: HistoryWindow, m: int, replicas: int | None = None):
         if max(init.states) >= m:
             raise ValueError(f"start window names a state outside 0..{m - 1}")
-        self._geometric = law.kind == GEOMETRIC
+        self._geometric = not law.bounded
         if self._geometric:
             self._eps = law.eps
             theta = occupation_measure(init, law, m)
@@ -99,9 +99,8 @@ class _Memory:
             self._base = 0 if replicas is None else m * np.arange(replicas)
         else:
             d = law.support_max
-            mass = np.array([law.mass(i) for i in range(d + 1)])
-            depths = np.flatnonzero(mass)  # zero-mass depths stay in the ring, unread
-            self._weights = mass[depths]
+            depths = np.array(law.depths)  # zero-mass depths stay in the ring, unread
+            self._weights = np.array(law.masses)
             # Slot (ptr + i) mod (d+1) holds w_i, so _slots[ptr] are the slots the row reads.
             self._slots = [(p + depths) % (d + 1) for p in range(d + 1)]
             self._ptr = 0
@@ -111,8 +110,18 @@ class _Memory:
     def row(self, mat: np.ndarray) -> np.ndarray:
         if self._geometric:
             return self.theta @ mat
-        rows = mat.take(self._ring[self._slots[self._ptr]], axis=0)
-        return (self._weights @ rows.reshape(len(self._weights), -1)).reshape(rows.shape[1:])
+        slots = self._slots[self._ptr]
+        if self._ring.ndim == 1:  # one path: the (k, m) gather is small
+            return self._weights @ mat.take(self._ring[slots], axis=0)
+        # Replicas: one term at a time, so at most two (R, m) arrays are alive.
+        out = mat.take(self._ring[slots[0]], axis=0)
+        out *= self._weights[0]
+        for slot, weight in zip(slots[1:], self._weights[1:]):
+            term = mat.take(self._ring[slot], axis=0)
+            term *= weight
+            out += term
+            del term
+        return out
 
     def push(self, t) -> None:
         if self._geometric:
@@ -149,7 +158,7 @@ def _uniforms(gen: np.random.Generator, n: int, block: int = 1 << 12):
 
 def default_burnin(law: RelocationLaw) -> int:
     """10/eps steps for geometric laws, else 100 (d+1): the memory horizon sets mixing."""
-    if law.kind == GEOMETRIC:
+    if not law.bounded:
         return int(math.ceil(10.0 / law.eps))
     return 100 * (law.support_max + 1)
 

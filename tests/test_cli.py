@@ -44,6 +44,14 @@ def test_lifted_radius_command(capsys):
     assert data["lo"] <= data["hi"]
 
 
+def test_lifted_radius_past_the_cap_prints_the_envelope(capsys):
+    code, out, _ = run_cli(capsys, "lifted-radius", "--tau", "dirac 5", "--dmax", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["lo"] <= R_CLOSED <= data["hi"] == rc.benchmark_matrix().row_sums().max()
+    assert (data["d_used"], data["tail_mass"]) == (2, 1.0)
+
+
 def test_simulate_survival_csv(tmp_path, capsys):
     out_path = tmp_path / "surv.csv"
     code, _, _ = run_cli(
@@ -342,6 +350,10 @@ def test_usage_error_exit_code(capsys):
     assert main(["lifted-radius"]) == 2  # --tau missing
     code, _, _ = run_cli(capsys, "perron", "--sigma", "/nonexistent/file.txt")
     assert code == 2
+    # A NaN mass used to slip past validation and print p_hat = 1 at every n.
+    argv = ["simulate-survival", "--tau", "explicit nan 1", "--n", "3", "--replicas", "1000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "finite" in err
 
 
 def test_numerical_failure_exit_code(capsys):

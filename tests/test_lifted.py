@@ -155,6 +155,18 @@ def test_bracket_exact_for_bounded(sigma_fig):
     assert br2.lo == pytest.approx(R_BOLD_HALF_HALF, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [5, 10**9])
+def test_bracket_is_envelope_when_all_mass_lies_past_the_cap(sigma_fig, d):
+    # d_max = 2 keeps no mass of a point mass at d: the conservative lift is zero.
+    br = rc.bracket_radius(sigma_fig, rc.RelocationLaw.dirac(d), d_max=2)
+    assert not br.exact and br.cap_reached and br.d_used == 2
+    assert br.tail_mass == 1.0 and br.lo_lift == 0.0
+    assert br.lo <= R_CLOSED <= br.hi == sigma_fig.row_sums().max()
+    assert br.lo == pytest.approx(R_CLOSED, rel=1e-12)
+    spread = rc.bracket_radius(sigma_fig, rc.RelocationLaw.explicit([0.5, 0, 0, 0.5]), d_max=2)
+    assert (br.lo, br.hi) == (spread.lo, spread.hi)
+
+
 def test_bracket_geometric(sigma_fig):
     br = rc.bracket_radius(sigma_fig, rc.RelocationLaw.geometric(0.25), delta_tail=1e-6, d_max=14)
     assert br.lo <= br.hi
@@ -234,26 +246,42 @@ def assert_certified(res, mat):
     assert np.abs(mat @ h - res.radius * h).max() <= 1e-10 * res.radius
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    d=st.integers(min_value=1, max_value=6),
-    seed=st.integers(min_value=0, max_value=2**31),
-    scale=st.floats(min_value=0.2, max_value=0.98),
-)
-def test_lifted_certificate_random_laws(d, seed, scale):
-    # m = 2 and N = 2**(d+1) from 4 to 128 windows, across DENSE_MAX_STATES.
+@st.composite
+def lifts(draw):
+    """(m, d, mode, seed): m = 2 with d up to 6, m = 3 with d up to 3, so N runs from 4 to 128."""
+    m = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(min_value=1, max_value=6 if m == 2 else 3))
+    return m, d, draw(st.sampled_from(["exact", "lower", "upper"])), draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=lifts(), scale=st.floats(min_value=0.2, max_value=0.98), zeros=st.booleans())
+def test_lifted_certificate_random_laws(case, scale, zeros):
+    m, d, mode, seed = case
     rng = np.random.default_rng(seed)
-    sigma = rng.uniform(0.05, 1.0, size=(2, 2))
-    sigma = sigma / sigma.sum(axis=1, keepdims=True) * scale * rng.uniform(0.5, 1.0, size=(2, 1))
-    masses = rng.dirichlet(np.ones(d + 1))
-    chain = rc.build_lifted(sigma, masses)
-    mat = window_matrix(sigma, masses)
-    # The operator's successor map against enumeration of the windows.
+    sigma = rng.uniform(0.05, 1.0, size=(m, m))
+    sigma = sigma / sigma.sum(axis=1, keepdims=True) * scale * rng.uniform(0.5, 1.0, size=(m, 1))
+    # Truncated modes cut a law on {0..d+2} at d; zeros empties random depths strictly inside {0..d}.
+    masses = rng.dirichlet(np.ones(d + 1 if mode == "exact" else d + 3))
+    if zeros:
+        masses[1:d] *= rng.integers(0, 2, size=d - 1)
+        masses /= masses.sum()
+    if mode == "exact":
+        chain = rc.build_lifted(sigma, rc.RelocationLaw.explicit(masses))
+        mat = window_matrix(sigma, masses)
+    else:
+        trunc = rc.truncate_law(rc.RelocationLaw.explicit(masses), 1e-300, d_max=d)
+        assert trunc.d == d and trunc.tail_mass > 0.0
+        chain = rc.build_lifted(sigma, trunc, mode=mode)
+        extra = trunc.tail_mass * sigma.max(axis=0) if mode == "upper" else None
+        mat = window_matrix(sigma, trunc.masses, extra=extra)
+    assert chain.n_states == m ** (d + 1)
+    # The weight recursion and the operator's successor map against enumeration of the windows.
     np.testing.assert_allclose(chain.operator.toarray(), mat, rtol=1e-14, atol=0.0)
     v = rng.uniform(0.1, 1.0, size=chain.n_states)
     np.testing.assert_allclose(chain.apply(v), mat @ v, rtol=1e-14, atol=0.0)
     res = rc.lifted_spectral_radius(chain)
-    if 2 ** (d + 1) > DENSE_MAX_STATES:
+    if chain.n_states > DENSE_MAX_STATES:
         assert res.iterations > 0
     assert_certified(res, mat)
 

@@ -52,6 +52,58 @@ def test_parse_relocation_law():
         assert rc.parse_relocation_law(law.spec_string()) == law
 
 
+def test_point_mass_is_one_law_in_both_spellings():
+    for d in range(5):
+        assert rc.RelocationLaw.dirac(d) == rc.RelocationLaw.explicit([0.0] * d + [1.0])
+    assert rc.RelocationLaw.dirac(3) == rc.RelocationLaw.explicit([0, 0, 0, 1])
+    assert rc.RelocationLaw.explicit([0, 0, 0, 1]).spec_string() == "dirac 3"
+    assert rc.RelocationLaw.explicit([0.25, 0, 0.75, 0]) == rc.RelocationLaw.explicit([0.25, 0, 0.75])
+    for spec in ("dirac 3", "explicit 0 0 0 1", "explicit 0.25 0 0.75", "explicit 0 0.5 0 0.5 0"):
+        law = rc.parse_relocation_law(spec)
+        assert rc.parse_relocation_law(law.spec_string()) == law
+
+
+def test_far_point_mass_is_one_atom():
+    d = 10**9
+    law = rc.RelocationLaw.dirac(d)
+    assert law.depths == (d,) and law.masses == (1.0,)
+    assert law.support_max == d and law.is_dirac_mass
+    assert law.tail(d) == 1.0 and law.tail(d + 1) == 0.0 and law.tail(17) == 1.0
+    assert law.mass(d) == 1.0 and law.mass(d - 1) == 0.0 and law.mass(0) == 0.0
+    assert law.mean == float(d)
+    assert rc.parse_relocation_law(law.spec_string()) == law
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_explicit_rejects_nonfinite_and_negative_masses(bad):
+    with pytest.raises(ValueError):
+        rc.RelocationLaw.explicit([bad, 1.0])
+    with pytest.raises(ValueError):
+        rc.RelocationLaw.explicit([1.0, 0.0, bad])
+
+
+@st.composite
+def dense_masses(draw):
+    """Mass vectors on {0..d} with zeros at random depths below d."""
+    raw = draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=9))
+    keep = draw(st.lists(st.booleans(), min_size=len(raw) - 1, max_size=len(raw) - 1))
+    p = np.array(raw) * np.array(keep + [True])
+    return p / p.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=dense_masses())
+def test_atoms_match_dense_mass_vector(p):
+    law = rc.RelocationLaw.explicit(p)
+    assert law.support_max == int(np.flatnonzero(p).max())
+    assert law.depths == tuple(int(i) for i in np.flatnonzero(p))
+    for i in range(-1, len(p) + 2):
+        assert law.mass(i) == (p[i] if 0 <= i < len(p) else 0.0)
+        assert law.tail(i) == pytest.approx(1.0 if i <= 0 else p[i:].sum(), rel=1e-12, abs=1e-15)
+    assert law.mean == pytest.approx(float(np.arange(len(p)) @ p), rel=1e-12, abs=1e-15)
+    assert law.is_dirac_mass == (np.count_nonzero(p) == 1)
+
+
 @settings(max_examples=50, deadline=None)
 @given(eps=st.floats(min_value=0.01, max_value=0.99), n=st.integers(min_value=0, max_value=50))
 def test_tail_monotone(eps, n):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,3 +232,19 @@ def test_memory_row_matches_depth_definition(sigma_fig, law):
         np.testing.assert_allclose(many.row(sigma_fig.entries @ np.ones(2)), rows.sum(axis=1), atol=1e-15)
         one.push(int(paths[0, n]))
         many.push(paths[:, n])
+
+
+def test_memory_row_holds_at_most_two_replica_arrays():
+    # The row is summed one depth at a time; a (k, R, m) gather would hold k + 1 arrays.
+    m, replicas = 200, 2000
+    law = rc.RelocationLaw.explicit([0.2, 0.3, 0.5])
+    mat = np.random.default_rng(4).uniform(size=(m, m))
+    memory = _Memory(law, rc.HistoryWindow((3, 150, 199)), m, replicas)
+    tracemalloc.start()
+    try:
+        row = memory.row(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * replicas * m * 8
+    np.testing.assert_allclose(row, np.tile(0.2 * mat[3] + 0.3 * mat[150] + 0.5 * mat[199], (replicas, 1)))
