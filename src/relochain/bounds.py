@@ -1,9 +1,10 @@
 """Variational objectives, optimizers, and rate functions.
 
 The dispersed-relocation objective J(a) = r_a exp(-rho_a log a) is
-maximized by derivative-free search over log-weights with one coordinate
-gauge-fixed (the objective is invariant under scaling of a, so an
-unconstrained search would wander along rays). The rate functions are
+maximized by Nelder-Mead over log-weights with one coordinate gauge-fixed
+(the objective is invariant under scaling of a, so an unconstrained search
+would wander along rays), from three starts: the flat weight, the benchmark
+Perron vector h, and one seeded Gaussian draw. The rate functions are
 Legendre transforms of the logarithmic spectral radii of tilted chains:
 I from the benchmark matrix, its lifted counterpart from the window chain.
 Each transform has one solver: BFGS on the exact gradient nu - rho h for the
@@ -86,28 +87,22 @@ def j_objective(sigma: SubStochasticMatrix, a) -> ObjectiveEval:
     return ObjectiveEval(a=av, r_a=triple.r, rho_a=triple.rho, j_value=j)
 
 
-def optimize_j(
-    sigma: SubStochasticMatrix,
-    restarts: int = 8,
-    rng: RngSpec = RngSpec(0),
-) -> OptimizeJResult:
-    """Multi-start Nelder-Mead maximization of J over log a with a(last) = 1.
+def optimize_j(sigma: SubStochasticMatrix, rng: RngSpec = RngSpec(0)) -> OptimizeJResult:
+    """Nelder-Mead maximization of J over log a with a(last) = 1, from three starts.
 
-    Start points are log a = 0, log a = log h, and Gaussian perturbations;
-    the returned value is the best evaluation seen, so it never falls below
-    J(1) or J(h) by more than solver tolerance. A best point with a large
-    log-weight norm is reported as boundary drift rather than treated as an
-    attained supremum.
+    The starts are log a = 0, the gauge-fixed log h, and one standard
+    Gaussian draw from `rng`: J is not known to be unimodal, and the draw is
+    a cheap hedge against a second local maximum. The returned value is the
+    best evaluation seen, so it never falls below J(1) or J(h) by more than
+    solver tolerance. A best point with a large log-weight norm is reported
+    as boundary drift rather than treated as an attained supremum.
     """
     m = sigma.m
     j_one = j_objective(sigma, np.ones(m)).j_value
     h = perron_triple(sigma).h
     j_h = j_objective(sigma, h).j_value
     if m == 1:
-        return OptimizeJResult(
-            a_star=np.ones(1), j_star=j_one, j_at_one=j_one, j_at_h=j_h,
-            boundary_drift=False,
-        )
+        return OptimizeJResult(a_star=np.ones(1), j_star=j_one, j_at_one=j_one, j_at_h=j_h, boundary_drift=False)
 
     def expand(x):
         return np.exp(np.append(x, 0.0))
@@ -116,30 +111,16 @@ def optimize_j(
         return -j_objective(sigma, expand(x)).j_value
 
     log_h = np.log(h)
-    starts = [np.zeros(m - 1), (log_h - log_h[-1])[:-1]]
-    gen = rng.generator()
-    for _ in range(max(0, restarts - 2)):
-        starts.append(gen.normal(scale=1.0, size=m - 1))
+    starts = [np.zeros(m - 1), (log_h - log_h[-1])[:-1], rng.generator().normal(size=m - 1)]
 
-    best_x = starts[0]
-    best = -neg_j(best_x)
+    best_x, best = starts[0], j_one
     for x0 in starts:
-        res = minimize(
-            neg_j,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": J_FATOL, "maxiter": 500 * m},
-        )
-        val = -res.fun
-        if val > best:
-            best = val
-            best_x = res.x
+        res = minimize(neg_j, x0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": J_FATOL, "maxiter": 500 * m})
+        if -res.fun > best:
+            best, best_x = -res.fun, res.x
     a_star = expand(best_x)
     drift = bool(np.abs(np.log(a_star)).max() > BOUNDARY_DRIFT_NORM)
-    return OptimizeJResult(
-        a_star=a_star, j_star=best, j_at_one=j_one, j_at_h=j_h,
-        boundary_drift=drift,
-    )
+    return OptimizeJResult(a_star=a_star, j_star=best, j_at_one=j_one, j_at_h=j_h, boundary_drift=drift)
 
 
 def c2_bound_estimate(

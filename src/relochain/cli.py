@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound-c3", help="optimize the dispersed-relocation objective")
     _sigma_arg(p)
-    p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=12345)
 
     p = sub.add_parser("rate-function", help="benchmark and lifted rate functions on a grid")
@@ -174,7 +173,7 @@ def _cmd_weighted_run(args):
 
 def _cmd_bound_c3(args):
     sigma = _get_sigma(args)
-    result = optimize_j(sigma, restarts=args.restarts, rng=RngSpec(args.seed))
+    result = optimize_j(sigma, RngSpec(args.seed))
     json.dump(
         {
             "a_star": [float(x) for x in result.a_star],

@@ -17,8 +17,8 @@ from .errors import ConfigParseError, UnknownExperimentError
 # The keys each experiment reads, besides `experiment` itself.
 EXPERIMENT_KEYS = {
     "fig1": ("sigma", "epsilons", "steps", "burnin", "thin", "seed", "stream", "outdir", "emit_svg"),
-    "fig2": ("sigma", "epsilons", "dtail", "dmax", "restarts", "seed", "stream", "outdir", "emit_svg"),
-    "conjecture-scan": ("count", "m", "restarts", "seed", "stream", "outdir"),
+    "fig2": ("sigma", "epsilons", "dtail", "dmax", "seed", "stream", "outdir", "emit_svg"),
+    "conjecture-scan": ("count", "m", "seed", "stream", "outdir"),
 }
 _ALL_KEYS = {"experiment"}.union(*EXPERIMENT_KEYS.values())
 
@@ -41,7 +41,6 @@ class ExperimentConfig:
     emit_svg: bool = False
     dtail: float = 1e-6
     dmax: int = 16
-    restarts: int = 8
     count: int = 20
     m: int = 2
 
@@ -127,9 +126,8 @@ def config_from_values(values: dict) -> ExperimentConfig:
         outdir=values.get("outdir", DEFAULT_OUTDIRS[experiment]),
     )
     for key, conv in (
-        ("steps", int), ("thin", int), ("seed", int), ("stream", int),
-        ("dmax", int), ("restarts", int), ("count", int), ("m", int),
-        ("burnin", int), ("dtail", float),
+        ("steps", int), ("thin", int), ("seed", int), ("stream", int), ("dmax", int),
+        ("count", int), ("m", int), ("burnin", int), ("dtail", float),
     ):
         if key in values:
             kwargs[key] = conv(values[key])

@@ -140,7 +140,7 @@ def run_fig2(config: ExperimentConfig):
     os.makedirs(config.outdir, exist_ok=True)
     stages = {}
     t0 = time.perf_counter()
-    opt = optimize_j(sigma, restarts=config.restarts, rng=RngSpec(config.seed, config.stream))
+    opt = optimize_j(sigma, RngSpec(config.seed, config.stream))
     log_jstar = math.log(opt.j_star)
     log_r = math.log(perron_triple(sigma).r)
     stages["optimize_j"] = round(time.perf_counter() - t0, 3)
@@ -212,7 +212,7 @@ def run_conjecture_scan(config: ExperimentConfig):
         r = perron_triple(sigma).r
         chain = build_lifted(sigma, law, mode="exact")
         r_bold = lifted_spectral_radius(chain).radius
-        j_star = optimize_j(sigma, restarts=config.restarts, rng=RngSpec(config.seed, case + 1)).j_star
+        j_star = optimize_j(sigma, RngSpec(config.seed, case + 1)).j_star
         violated = int(r_bold > j_star + 1e-6)
         violations += violated
         rows.append([str(case), r, j_star, r_bold, str(violated)])

@@ -131,11 +131,11 @@ def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
     depths, masses, tail_mass = _finite_masses(law)
     m = entries.shape[0]
     d = depths[-1]
-    n_states = m ** (d + 1)
-    if n_states > STATE_CAP:
-        best = _affordable_depth(m, d)
+    # Compared through the depth, so a far point mass never forms m**(d+1).
+    best = _affordable_depth(m, d)
+    if best < d:
         raise StateCapExceededError(
-            f"m**(d+1) = {n_states} exceeds the cap {STATE_CAP}; largest affordable d is {best}",
+            f"m**(d+1) windows for m = {m}, d = {d} exceed the cap {STATE_CAP}; largest affordable d is {best}",
             best_d=best,
         )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -195,10 +196,14 @@ def truncate_law(law: RelocationLaw, delta_tail: float, d_max: int) -> Truncatio
 
 def _smallest_depth(law: RelocationLaw, delta_tail: float) -> int:
     if law.bounded:
-        d = law.support_max
-        while d > 0 and law.tail(d) <= delta_tail:
-            d -= 1
-        return d
+        # The deepest atom whose suffix sum, tail() at that depth, exceeds
+        # delta_tail, else 0; exact sums round as the fsum in tail() does.
+        suffix = Fraction(0)
+        for depth, mass in zip(reversed(law.depths), reversed(law.masses)):
+            suffix += Fraction(mass)
+            if float(suffix) > delta_tail:
+                return depth
+        return 0
     # Geometric: closed-form first guess, then exact adjustment at the float boundary.
     n = max(1, math.ceil(math.log(delta_tail) / math.log1p(-law.eps)))
     while law.tail(n) > delta_tail:

@@ -7,7 +7,8 @@ the law-weighted occupation theta of the memory (the row is theta @ sigma),
 so every sampler draws its next state straight from the memory row and no
 relocation depth is ever drawn. `_Memory` keeps just what the row needs:
 theta itself for a geometric law, whose unbounded memory thus enters with no
-truncation, and a ring of the last d+1 states for a law on {0..d}. The
+truncation, and for a law on {0..d} a ring of the last d+1 states, or fewer
+when the run is too short to push states past the start window. The
 killed chain and the Feynman-Kac estimator run replicas side by side in
 numpy arrays; the weighted chain is a single long path.
 """
@@ -15,6 +16,7 @@ numpy arrays; the weighted chain is a single long path.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +85,15 @@ class _Memory:
     `row(mat)` is sum_i tau(i) mat[w_i], where `mat` is a matrix or a vector
     of per-state values and the start window extends by its oldest entry.
     For a geometric law that is theta @ mat, and moving to t maps theta to
-    (1 - eps) theta + eps e_t. A law on {0..d} reads only w_0..w_d, kept in
-    a ring. With replicas, theta is (R, m) and the ring is (d+1, R).
+    (1 - eps) theta + eps e_t. A law on {0..d} reads only w_0..w_d, kept in a
+    ring of length L = min(d+1, pushes + len(init)). Within `pushes` pushes
+    every w_i with i >= L is the start window's oldest entry, so the atoms
+    there add one constant term, read from a fixed slot L past the ring.
+    With replicas, theta is (R, m) and the ring is (L, R) or (L+1, R).
     """
 
-    def __init__(self, law: RelocationLaw, init: HistoryWindow, m: int, replicas: int | None = None):
+    def __init__(self, law: RelocationLaw, init: HistoryWindow, m: int, replicas: int | None = None,
+                 pushes: float = math.inf):
         if max(init.states) >= m:
             raise ValueError(f"start window names a state outside 0..{m - 1}")
         self._geometric = not law.bounded
@@ -98,13 +104,16 @@ class _Memory:
             # Flat offset of each replica's theta row, for the scatter in push().
             self._base = 0 if replicas is None else m * np.arange(replicas)
         else:
-            d = law.support_max
-            depths = np.array(law.depths)  # zero-mass depths stay in the ring, unread
-            self._weights = np.array(law.masses)
-            # Slot (ptr + i) mod (d+1) holds w_i, so _slots[ptr] are the slots the row reads.
-            self._slots = [(p + depths) % (d + 1) for p in range(d + 1)]
+            length = min(law.support_max + 1, pushes + len(init))
+            near = bisect_left(law.depths, length)
+            far = near < len(law.depths)
+            depths = np.array(law.depths[:near] + (length,) * far, dtype=np.intp)
+            self._weights = np.array(law.masses[:near] + (law.tail(length),) * far)
+            # Slot (ptr + i) mod L holds w_i, so _slots[ptr] are the slots the row
+            # reads; zero-mass depths stay in the ring, unread. Slot L is fixed.
+            self._slots = [np.where(depths < length, (p + depths) % length, length) for p in range(length)]
             self._ptr = 0
-            start = np.array(init.truncated(d + 1), dtype=np.intp)
+            start = np.array(init.truncated(length) + init.states[-1:] * far, dtype=np.intp)
             self._ring = start if replicas is None else np.repeat(start[:, None], replicas, axis=1)
 
     def row(self, mat: np.ndarray) -> np.ndarray:
@@ -128,7 +137,7 @@ class _Memory:
             self.theta *= 1.0 - self._eps
             self.theta.reshape(-1)[self._base + t] += self._eps
         else:
-            self._ptr = (self._ptr - 1) % len(self._ring)
+            self._ptr = (self._ptr - 1) % len(self._slots)
             self._ring[self._ptr] = t
 
     def keep(self, alive: np.ndarray) -> None:
@@ -183,7 +192,7 @@ def run_killed_chain(
         raise ValueError("replicas must be >= 1")
     gen = rng.generator()
     m = sigma.m
-    memory = _Memory(law, init, m, replicas)
+    memory = _Memory(law, init, m, replicas, pushes=n_max)
 
     lifetimes = np.full(replicas, np.inf)
     active = np.arange(replicas)
@@ -241,7 +250,7 @@ def run_weighted_chain(
     m = sigma.m
     tilted = sigma.entries * av  # sigma diag(a)
     log_av = np.log(av).tolist()
-    memory = _Memory(law, HistoryWindow.constant(0), m)
+    memory = _Memory(law, HistoryWindow.constant(0), m, pushes=steps)
 
     post = steps - burnin
     theta_samples = np.empty(((post - 1) // thin + 1, m))
@@ -312,7 +321,7 @@ def fk_survival_estimate(
     tilted = sigma.entries * av  # sigma diag(a)
     log_av = np.log(av)
     ones = np.ones(m)
-    memory = _Memory(law, init, m, replicas)
+    memory = _Memory(law, init, m, replicas, pushes=n)
 
     log_w = np.zeros(replicas)
     for _ in range(n):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 import relochain as rc
 
@@ -31,21 +31,59 @@ def weighted_chain_c2_oracle(sigma, h):
 
 
 def j_oracle_two_states(sigma):
-    """Independent maximizer of the objective using closed-form 2x2 Perron data."""
+    """Independent global maximizer of the objective using closed-form 2x2 Perron data.
+
+    J(e^t, 1) is tabulated on a grid of t in [-20, 20]; a bounded Brent
+    search then refines between the neighbours of the best grid point.
+    """
     entries = sigma.entries
 
-    def j_of(a1):
-        a = np.array([a1, 1.0])
+    def j_of(t):
+        a = np.array([math.exp(t), 1.0])
         sa = entries * a[None, :]
         tr = sa[0, 0] + sa[1, 1]
         det = sa[0, 0] * sa[1, 1] - sa[0, 1] * sa[1, 0]
         lam = (tr + math.sqrt(tr * tr - 4 * det)) / 2.0
-        rho = np.array([1.0, (lam - sa[0, 0]) / sa[1, 0]])
+        rho = np.array([sa[1, 0], lam - sa[0, 0]])  # left eigenvector; sa[1, 0] > 0
         rho /= rho.sum()
         return lam * math.exp(-float(rho @ np.log(a)))
 
-    res = minimize_scalar(lambda t: -j_of(math.exp(t)), bracket=(0.0, 0.5), options={"xtol": 1e-14})
-    return -res.fun
+    grid = np.linspace(-20.0, 20.0, 4001)
+    k = int(np.argmax([j_of(t) for t in grid]))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    res = minimize_scalar(lambda t: -j_of(t), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    return max(-res.fun, j_of(grid[k]))
+
+
+def j_oracle_multistart(sigma, rng, starts=20):
+    """Best of `starts` tightly converged Nelder-Mead runs over J(exp(x), 1) from random x."""
+
+    def neg_j(x):
+        return -rc.j_objective(sigma, np.exp(np.append(x, 0.0))).j_value
+
+    best = -math.inf
+    for _ in range(starts):
+        res = minimize(
+            neg_j, rng.normal(scale=1.5, size=sigma.m - 1), method="Nelder-Mead",
+            options={"xatol": 1e-11, "fatol": 1e-14, "maxiter": 1000 * sigma.m},
+        )
+        best = max(best, -res.fun)
+    return best
+
+
+def random_substochastic(rng, m, zeros):
+    """A validated random matrix; with `zeros`, about 30% of its entries vanish."""
+    while True:
+        raw = rng.uniform(0.05, 1.0, size=(m, m))
+        if zeros:
+            raw[rng.random((m, m)) < 0.3] = 0.0
+        sums = raw.sum(axis=1, keepdims=True)
+        if (sums == 0).any():
+            continue
+        try:
+            return rc.validate_substochastic(raw / sums * rng.uniform(0.3, 0.98, size=(m, 1)))
+        except ValueError:
+            continue
 
 
 def test_j_objective_examples(sigma_fig):
@@ -71,6 +109,29 @@ def test_optimize_j(sigma_fig):
     assert res.j_star >= res.j_at_h - 1e-9
     assert not res.boundary_drift
     assert res.j_star == pytest.approx(j_oracle_two_states(sigma_fig), abs=1e-9)
+
+
+def test_optimize_j_matches_two_state_global_optimum():
+    # Random 2x2 matrices, half of them with a vanishing diagonal entry, and
+    # the zero-diagonal example that the rate-function tests use.
+    rng = np.random.default_rng(2026)
+    cases = [random_substochastic(rng, 2, zeros=k % 2 == 1) for k in range(30)]
+    cases.append(rc.validate_substochastic([[0.0, 0.9], [0.4, 0.3]]))
+    for sigma in cases:
+        res = rc.optimize_j(sigma)
+        assert not res.boundary_drift
+        assert res.j_star == pytest.approx(j_oracle_two_states(sigma), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_optimize_j_matches_multistart_optimum(m):
+    rng = np.random.default_rng(70 + m)
+    cases = [random_substochastic(rng, m, zeros=k == 1) for k in range(3)]
+    if m == 3:
+        cases.append(rc.validate_substochastic([[0.3, 0.6, 0.0], [0.0, 0.0, 0.9], [0.8, 0.0, 0.0]]))
+    for k, sigma in enumerate(cases):
+        res = rc.optimize_j(sigma, rc.RngSpec(k))
+        assert res.j_star == pytest.approx(j_oracle_multistart(sigma, rng), rel=1e-12)
 
 
 def test_optimize_j_gauge_invariance(sigma_fig):

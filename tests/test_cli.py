@@ -1,4 +1,5 @@
 import argparse
+import glob
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import pytest
 
 import relochain as rc
 from relochain.cli import build_parser, main
-from relochain.config import EXPERIMENT_KEYS, config_from_values, parse_config_text
+from relochain.config import EXPERIMENT_KEYS, config_from_values, load_config, parse_config_text
 from relochain.errors import ConfigParseError, UnknownExperimentError
 
 from conftest import R_CLOSED, cycle_matrix_200
@@ -95,11 +96,17 @@ def test_weighted_run_csv(tmp_path, capsys):
 
 
 def test_bound_c3_command(capsys):
-    code, out, _ = run_cli(capsys, "bound-c3", "--restarts", "4")
+    code, out, _ = run_cli(capsys, "bound-c3")
     assert code == 0
     data = json.loads(out)
     assert data["J_star"] >= data["J_at_one"] - 1e-9
     assert data["J_star"] >= data["J_at_h"] - 1e-9
+
+
+def test_bound_c3_has_no_restarts_flag(capsys):
+    # optimize_j always searches from three starts; the old knob is a usage error.
+    code, _, _ = run_cli(capsys, "bound-c3", "--restarts", "4")
+    assert code == 2
 
 
 def test_rate_function_command(tmp_path, capsys):
@@ -169,6 +176,23 @@ def test_config_parser_errors():
         config_from_values({"experiment": "fig1", "epsilons": "0.1 0.3"})
 
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(REPO_ROOT, "configs", "*.cfg")))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_shipped_config_loads(path):
+    # A key dropped from an experiment's key set must leave the shipped files too.
+    config = load_config(path)
+    assert config.experiment in EXPERIMENT_KEYS
+    if config.sigma_path:
+        rc.load_matrix(os.path.join(REPO_ROOT, config.sigma_path))
+
+
+def test_every_experiment_ships_a_config():
+    assert {load_config(p).experiment for p in SHIPPED_CONFIGS} == set(EXPERIMENT_KEYS)
+
+
 def test_run_config_malformed_exit_code(tmp_path, capsys):
     # threads, tau and replicas were once accepted and then ignored.
     for line in ("whatever = 3", "threads = 1", "tau = dirac 0", "replicas = 1000"):
@@ -185,7 +209,7 @@ def test_run_config_malformed_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "experiment,key,value",
     [("fig1", "dmax", "3"), ("fig2", "steps", "5000"), ("conjecture-scan", "sigma", "x.txt"),
-     ("conjecture-scan", "emit_svg", "true")],
+     ("conjecture-scan", "emit_svg", "true"), ("fig2", "restarts", "8"), ("conjecture-scan", "restarts", "6")],
 )
 def test_config_key_not_read_by_experiment(experiment, key, value, tmp_path, capsys):
     text = f"experiment = {experiment}\nseed = 3\n{key} = {value}\n"
@@ -357,18 +381,21 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_numerical_failure_exit_code(capsys):
-    # dirac 25 forces an exact lift beyond the state cap
-    code, _, err = run_cli(capsys, "rate-function", "--tau", "dirac 25", "--grid", "3")
-    assert code == 1
-    assert "numerical failure" in err
+    # Both force an exact lift beyond the state cap; 2**100000001 windows
+    # would have more digits than an int may print.
+    for spec in ("dirac 25", "dirac 100000000"):
+        code, _, err = run_cli(capsys, "rate-function", "--tau", spec, "--grid", "3")
+        assert code == 1
+        assert "numerical failure" in err
+        assert f"d = {spec.split()[1]}" in err
 
 
 @pytest.mark.parametrize(
     "values",
     [
         {"experiment": "fig1", "epsilons": "0.3", "steps": "2000"},
-        {"experiment": "fig2", "epsilons": "0.3", "dmax": "3", "restarts": "2"},
-        {"experiment": "conjecture-scan", "count": "1", "restarts": "2"},
+        {"experiment": "fig2", "epsilons": "0.3", "dmax": "3"},
+        {"experiment": "conjecture-scan", "count": "1"},
     ],
 )
 def test_manifest_records_the_keys_its_experiment_reads(tmp_path, values):

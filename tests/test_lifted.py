@@ -55,6 +55,14 @@ def test_state_cap(sigma_fig):
     assert err.value.best_d == 20
 
 
+def test_state_cap_far_point_mass(sigma_fig):
+    # m**(d+1) would have far more digits than an int may print; the message names m and d.
+    with pytest.raises(StateCapExceededError) as err:
+        rc.build_lifted(sigma_fig, rc.RelocationLaw.dirac(10**9))
+    assert err.value.best_d == 20
+    assert "m = 2, d = 1000000000" in str(err.value)
+
+
 def test_radius_dirac_matches_benchmark(sigma_fig):
     for d in range(4):
         chain = rc.build_lifted(sigma_fig, rc.RelocationLaw.dirac(d))

@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relochain as rc
@@ -131,6 +132,49 @@ def test_truncate_dirac_noop():
     assert trunc.d == 3
     assert trunc.retained == 1.0
     np.testing.assert_array_equal(trunc.masses, [0, 0, 0, 1])
+
+
+def test_truncate_far_point_mass_at_once():
+    # Nothing lies within depth 0 and the whole mass is tail, so d = 0; the
+    # answer comes from the one atom, not from a walk over a billion depths
+    # (about 0.8 s per million depths).
+    start = time.perf_counter()
+    trunc = rc.truncate_law(rc.RelocationLaw.dirac(10**9), 1.0, d_max=2)
+    assert time.perf_counter() - start < 1.0
+    assert trunc.d == 0 and trunc.tail_mass == 1.0 and not trunc.cap_reached
+    np.testing.assert_array_equal(trunc.masses, [0.0])
+
+
+def dense_truncation_depth(p, delta_tail):
+    """The smallest-depth rule walked one depth at a time over the dense mass vector."""
+    d = len(p) - 1
+    while d > 0 and math.fsum(p[d:]) <= delta_tail:
+        d -= 1
+    return d
+
+
+# A suffix sum taken from the top in plain float arithmetic reads 1 ulp above
+# fsum(p[2:]) = delta here, which would stop the walk at depth 2 instead of 1.
+ROUNDING_EDGE = np.array(
+    [0.21188722270590135, 0.10950703811260121, 0.1396882018613662, 0.38995039573462276, 0.14896714158550856]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(p=ROUNDING_EDGE, delta=0.6786057391814975, d_max=12)
+@given(
+    p=dense_masses(),
+    delta=st.one_of(st.floats(min_value=1e-12, max_value=1.5), st.sampled_from([1.0, 0.5, 0.25])),
+    d_max=st.integers(min_value=0, max_value=12),
+)
+def test_truncate_bounded_law_matches_dense_walk(p, delta, d_max):
+    law = rc.RelocationLaw.explicit(p)
+    trunc = rc.truncate_law(law, delta, d_max)
+    d = dense_truncation_depth(p, delta)
+    assert trunc.cap_reached == (d > d_max)
+    assert trunc.d == min(d, d_max)
+    assert trunc.tail_mass == law.tail(trunc.d + 1)
+    np.testing.assert_array_equal(trunc.masses, np.append(p, np.zeros(d_max + 1))[: trunc.d + 1])
 
 
 def test_truncate_capped_conservative():

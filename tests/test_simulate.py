@@ -206,6 +206,42 @@ def test_start_window_outside_state_space(sigma_fig):
         rc.run_killed_chain(sigma_fig, rc.RelocationLaw.dirac(0), rc.HistoryWindow((2,)), 3, 10, rc.RngSpec(1))
 
 
+def test_far_point_mass_reads_the_start_state(sigma_fig):
+    # Three steps never reach past the start window, so every row is sigma[0],
+    # of sum 0.8; the ring holds the states a run can read, not 10**9 + 1 slots.
+    law = rc.RelocationLaw.dirac(10**9)
+    init = rc.HistoryWindow((0,))
+    fk = rc.fk_survival_estimate(sigma_fig, law, np.ones(2), init, 3, 10, rc.RngSpec(15))
+    assert fk.value == pytest.approx(0.8**3, abs=1e-14)
+    assert fk.se == 0.0
+    killed = rc.run_killed_chain(sigma_fig, law, init, 3, 20_000, rc.RngSpec(16))
+    assert abs(killed.curve.p_hat[3] - 0.8**3) <= 4 * killed.curve.se[3]
+
+
+@pytest.mark.parametrize(
+    "law",
+    [rc.RelocationLaw.explicit([0.2, 0.3, 0.5]), rc.RelocationLaw.explicit([0.1, 0, 0, 0.4, 0, 0.5])],
+    ids=["near", "spread"],
+)
+@pytest.mark.parametrize("pushes", [0, 1, 2, 5])
+def test_short_run_memory_matches_full_ring(sigma_fig, law, pushes):
+    # A memory told its push count keeps a shorter ring; every row it can be
+    # asked for within that count equals the full ring's.
+    rng = np.random.default_rng(pushes)
+    init = rc.HistoryWindow((1, 0))
+    paths = rng.integers(0, 2, size=(3, pushes))
+    full = _Memory(law, init, 2, replicas=3)
+    short = _Memory(law, init, 2, replicas=3, pushes=pushes)
+    one = _Memory(law, init, 2, pushes=pushes)
+    for n in range(pushes + 1):
+        np.testing.assert_allclose(short.row(sigma_fig.entries), full.row(sigma_fig.entries), rtol=1e-15)
+        np.testing.assert_allclose(one.row(sigma_fig.entries), full.row(sigma_fig.entries)[0], rtol=1e-15)
+        if n < pushes:
+            for memory in (full, short):
+                memory.push(paths[:, n])
+            one.push(int(paths[0, n]))
+
+
 @pytest.mark.parametrize(
     "law",
     [rc.RelocationLaw.dirac(2), rc.RelocationLaw.explicit([0.2, 0.3, 0.5]), rc.RelocationLaw.geometric(0.35)],
