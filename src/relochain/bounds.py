@@ -58,7 +58,7 @@ class C2Estimate:
 
     value: float
     se: float
-    batch_means: np.ndarray
+    chain_means: np.ndarray
     steps: int
     burnin: int
 
@@ -133,16 +133,17 @@ def c2_bound_estimate(
 ) -> C2Estimate:
     """Ergodic-average estimate of the persistence lower bound for weight a.
 
-    Runs the weighted chain and averages log(K a / a) along it; the standard
-    error comes from batch means over twenty contiguous blocks, which is
-    robust without knowing the mixing time. Every law of the closed-form
-    families has a finite mean, so the time average has a unique limit.
+    Runs N_CHAINS independent weighted chains and averages log(K a / a)
+    along them; the standard error comes from the spread of the chain means,
+    each taken after its own burn-in, so it needs no mixing-time estimate.
+    Every law of the closed-form families has a finite mean, so the time
+    average has a unique limit.
     """
     stats = run_weighted_chain(sigma, law, a, steps=steps, burnin=burnin, rng=rng)
     return C2Estimate(
         value=stats.c2_mean,
         se=stats.c2_se,
-        batch_means=stats.batch_means,
+        chain_means=stats.chain_means,
         steps=stats.steps,
         burnin=stats.burnin,
     )

@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-state", type=int, default=0)
     p.add_argument("--out", help="CSV output path (default stdout)")
 
-    p = sub.add_parser("weighted-run", help="one path of the conservative weighted chain")
+    p = sub.add_parser("weighted-run", help="20 chains of the conservative weighted chain")
     _sigma_arg(p)
     p.add_argument("--tau", required=True)
     p.add_argument("--a", default="ones", help="'ones' | 'h' | comma-separated positive weights")

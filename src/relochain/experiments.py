@@ -85,9 +85,10 @@ def _eps_name(eps: float) -> str:
 def run_fig1(config: ExperimentConfig):
     """Occupation-measure concentration for geometric laws at decreasing eps.
 
-    One weighted run with flat weights per eps; each run emits its occupation
-    samples, and the summary collects mean and spread of the first
-    coordinate against the benchmark quasi-stationary mass.
+    One weighted run of N_CHAINS chains with flat weights per eps; each run
+    emits the occupation samples of every chain, N_CHAINS rows per sampled
+    step, and the summary collects mean and spread of the first coordinate
+    against the benchmark quasi-stationary mass.
     """
     sigma = _load_sigma(config)
     rho1 = float(perron_triple(sigma).rho[0])

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import StateCapExceededError
-from .matrices import SpectralResult, SubStochasticMatrix, _certified_perron, _digraph_structure
+from .matrices import SpectralResult, SubStochasticMatrix, _certified_perron, _digraph_structure, _nonnegative_entries
 from .relocation import HistoryWindow, RelocationLaw, TruncationResult, truncate_law
 
 STATE_CAP = 2**21  # largest window count a chain may have
@@ -125,7 +125,7 @@ def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
     of the windows (w_{i+1}, ..., w_d), prefixing the digit w_i gives
     tau(i) sigma[w_i] + W, and w_i is the more significant digit.
     """
-    entries = sigma.entries if isinstance(sigma, SubStochasticMatrix) else np.asarray(sigma, dtype=float)
+    entries = _nonnegative_entries(sigma)
     if mode not in (EXACT, LOWER, UPPER):
         raise ValueError(f"unknown lift mode {mode!r}")
     depths, masses, tail_mass = _finite_masses(law)

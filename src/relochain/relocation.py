@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrices import SubStochasticMatrix, tilt_vector
+from .matrices import SubStochasticMatrix, _nonnegative_entries, tilt_vector
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def occupation_measure(window: HistoryWindow, law: RelocationLaw, m: int) -> np.
 
 def defective_kernel_row(window: HistoryWindow, sigma, law: RelocationLaw) -> np.ndarray:
     """Sub-probability row sum_i mass(i) sigma[w_i, :]; the deficit from 1 is the killing probability."""
-    entries = sigma.entries if isinstance(sigma, SubStochasticMatrix) else np.asarray(sigma, dtype=float)
+    entries = _nonnegative_entries(sigma)
     return occupation_measure(window, law, entries.shape[0]) @ entries
 
 

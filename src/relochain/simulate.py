@@ -8,9 +8,10 @@ so every sampler draws its next state straight from the memory row and no
 relocation depth is ever drawn. `_Memory` keeps just what the row needs:
 theta itself for a geometric law, whose unbounded memory thus enters with no
 truncation, and for a law on {0..d} a ring of the last d+1 states, or fewer
-when the run is too short to push states past the start window. The
-killed chain and the Feynman-Kac estimator run replicas side by side in
-numpy arrays; the weighted chain is a single long path.
+when the run is too short to push states past the start window. All three
+samplers run replicas side by side in numpy arrays through that one memory:
+the killed chain and the Feynman-Kac estimator as many as asked for, the
+weighted chain N_CHAINS independent chains.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .matrices import SubStochasticMatrix, tilt_vector
 from .relocation import HistoryWindow, RelocationLaw, occupation_measure
 
 LOG_OVERFLOW_LIMIT = 690.0  # log(1e300), unreachable for sub-stochastic weights
-N_BATCHES = 20  # contiguous batches behind the weighted chain's standard error
+N_CHAINS = 20  # independent weighted chains behind the standard error of c2
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,18 @@ class KilledChainResult:
 
 @dataclass(frozen=True)
 class WeightedChainStats:
-    """Occupation samples and ergodic averages from one weighted-chain path."""
+    """Occupation samples and ergodic averages from N_CHAINS weighted-chain paths.
 
-    theta_samples: np.ndarray  # (k, m)
-    sample_steps: np.ndarray  # (k,)
-    c2_running: np.ndarray  # (k,) running mean of the bound integrand
+    Samples are ordered by step, then by chain, so each step appears N_CHAINS
+    times; `c2_running` is the running mean pooled over all chains.
+    """
+
+    theta_samples: np.ndarray  # (k * N_CHAINS, m)
+    sample_steps: np.ndarray  # (k * N_CHAINS,)
+    c2_running: np.ndarray  # (k * N_CHAINS,) running mean of the bound integrand
     c2_mean: float
     c2_se: float
-    batch_means: np.ndarray
+    chain_means: np.ndarray  # (N_CHAINS,)
     state_histogram: np.ndarray
     burnin: int
     steps: int
@@ -80,49 +85,45 @@ class FkEstimate:
 
 
 class _Memory:
-    """What the next-state row depends on, for one path or for `replicas` side by side.
+    """What the next-state row depends on, for `replicas` paths side by side.
 
-    `row(mat)` is sum_i tau(i) mat[w_i], where `mat` is a matrix or a vector
-    of per-state values and the start window extends by its oldest entry.
-    For a geometric law that is theta @ mat, and moving to t maps theta to
-    (1 - eps) theta + eps e_t. A law on {0..d} reads only w_0..w_d, kept in a
-    ring of length L = min(d+1, pushes + len(init)). Within `pushes` pushes
-    every w_i with i >= L is the start window's oldest entry, so the atoms
-    there add one constant term, read from a fixed slot L past the ring.
-    With replicas, theta is (R, m) and the ring is (L, R) or (L+1, R).
+    `row(mat)` is sum_i tau(i) mat[w_i] per replica, where `mat` is a matrix
+    or a vector of per-state values and the start window extends by its
+    oldest entry. For a geometric law that is theta @ mat with theta (R, m),
+    and moving to t maps theta to (1 - eps) theta + eps e_t. A law on {0..d}
+    reads only w_0..w_d, kept in an (L, R) ring with L = min(d+1, pushes +
+    len(init)). Within `pushes` pushes every w_i with i >= L is the start
+    window's oldest entry, so the atoms there add one constant term, read
+    from a fixed slot L past the ring.
     """
 
-    def __init__(self, law: RelocationLaw, init: HistoryWindow, m: int, replicas: int | None = None,
-                 pushes: float = math.inf):
+    def __init__(self, law: RelocationLaw, init: HistoryWindow, m: int, replicas: int, pushes: float = math.inf):
         if max(init.states) >= m:
             raise ValueError(f"start window names a state outside 0..{m - 1}")
         self._geometric = not law.bounded
         if self._geometric:
             self._eps = law.eps
-            theta = occupation_measure(init, law, m)
-            self.theta = theta if replicas is None else np.tile(theta, (replicas, 1))
+            self.theta = np.tile(occupation_measure(init, law, m), (replicas, 1))
             # Flat offset of each replica's theta row, for the scatter in push().
-            self._base = 0 if replicas is None else m * np.arange(replicas)
+            self._base = m * np.arange(replicas)
         else:
-            length = min(law.support_max + 1, pushes + len(init))
+            self._length = length = min(law.support_max + 1, pushes + len(init))
             near = bisect_left(law.depths, length)
             far = near < len(law.depths)
-            depths = np.array(law.depths[:near] + (length,) * far, dtype=np.intp)
-            self._weights = np.array(law.masses[:near] + (law.tail(length),) * far)
-            # Slot (ptr + i) mod L holds w_i, so _slots[ptr] are the slots the row
-            # reads; zero-mass depths stay in the ring, unread. Slot L is fixed.
-            self._slots = [np.where(depths < length, (p + depths) % length, length) for p in range(length)]
+            # Zero-mass depths stay in the ring, unread; the far atoms read slot L.
+            self._depths = law.depths[:near] + (length,) * far
+            self._weights = law.masses[:near] + (law.tail(length),) * far
             self._ptr = 0
             start = np.array(init.truncated(length) + init.states[-1:] * far, dtype=np.intp)
-            self._ring = start if replicas is None else np.repeat(start[:, None], replicas, axis=1)
+            self._ring = np.repeat(start[:, None], replicas, axis=1)
 
     def row(self, mat: np.ndarray) -> np.ndarray:
         if self._geometric:
             return self.theta @ mat
-        slots = self._slots[self._ptr]
-        if self._ring.ndim == 1:  # one path: the (k, m) gather is small
-            return self._weights @ mat.take(self._ring[slots], axis=0)
-        # Replicas: one term at a time, so at most two (R, m) arrays are alive.
+        # Slot (ptr + i) mod L holds w_i. One term at a time, so at most two
+        # (R, m) arrays are alive.
+        length = self._length
+        slots = [(self._ptr + i) % length if i < length else length for i in self._depths]
         out = mat.take(self._ring[slots[0]], axis=0)
         out *= self._weights[0]
         for slot, weight in zip(slots[1:], self._weights[1:]):
@@ -137,7 +138,7 @@ class _Memory:
             self.theta *= 1.0 - self._eps
             self.theta.reshape(-1)[self._base + t] += self._eps
         else:
-            self._ptr = (self._ptr - 1) % len(self._slots)
+            self._ptr = (self._ptr - 1) % self._length
             self._ring[self._ptr] = t
 
     def keep(self, alive: np.ndarray) -> None:
@@ -157,12 +158,6 @@ def _search(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         acc += col
         k += acc <= x
     return k
-
-
-def _uniforms(gen: np.random.Generator, n: int, block: int = 1 << 12):
-    """n uniforms drawn in blocks, so a long path holds no n-sized array."""
-    for start in range(0, n, block):
-        yield from gen.random(min(block, n - start)).tolist()
 
 
 def default_burnin(law: RelocationLaw) -> int:
@@ -229,68 +224,65 @@ def run_weighted_chain(
     thin: int = 20,
     rng: RngSpec = RngSpec(0),
 ) -> WeightedChainStats:
-    """One long path, started in state 0, of the conservative chain with weighted relocations.
+    """N_CHAINS independent paths of the conservative chain with weighted relocations.
 
-    Per step the next state is drawn from the tilted memory row
-    sum_i tau(i) sigma[w_i, t] a(t), normalized by its sum K a. After
-    burn-in the occupation measure of the memory and the running bound
-    integrand log(K a / a) are recorded every `thin` steps; K a is the sum
-    of the row the next step draws from, and a is read at that memory's
-    current state, so a point-mass law at 0 with a equal to the right Perron
-    vector yields a constant sequence.
+    Per step each chain draws its next state from the tilted memory row
+    sum_i tau(i) sigma[w_i, t] a(t), normalized by its sum K a. Every chain
+    starts in state 0, burns in for `burnin` steps and then runs
+    (steps - burnin) // N_CHAINS more, so the chains share the step budget.
+    After burn-in each chain adds the bound integrand log(K a / a) to its
+    mean, and every `thin` steps its occupation measure and the pooled
+    running mean are recorded. K a is the sum of the row the next step draws
+    from, and a is read at the state just entered, so a point-mass law at 0
+    with a equal to the right Perron vector yields a constant sequence.
+    c2_se is the standard error of the N_CHAINS chain means.
     """
     if burnin is None:
         # The memory-horizon rule, capped so short diagnostic runs stay legal.
         burnin = min(default_burnin(law), steps // 2)
-    if steps <= burnin:
-        raise ValueError("steps must exceed burnin")
+    if burnin < 0 or thin < 1 or steps - burnin < N_CHAINS:
+        raise ValueError(f"need burnin >= 0, thin >= 1 and steps - burnin >= {N_CHAINS}, one step per chain")
     av = tilt_vector(a)
     if av.shape[0] != sigma.m:
         raise ValueError("tilt vector length must match the state count")
+    gen = rng.generator()
     m = sigma.m
     tilted = sigma.entries * av  # sigma diag(a)
-    log_av = np.log(av).tolist()
-    memory = _Memory(law, HistoryWindow.constant(0), m, pushes=steps)
+    log_av = np.log(av)
+    ones, eye = np.ones(m), np.eye(m)
+    post = (steps - burnin) // N_CHAINS
+    memory = _Memory(law, HistoryWindow.constant(0), m, N_CHAINS, pushes=burnin + post)
 
-    post = steps - burnin
-    theta_samples = np.empty(((post - 1) // thin + 1, m))
+    theta_samples = np.empty(((post - 1) // thin + 1, N_CHAINS, m))
     c2_running = np.empty(len(theta_samples))
-    batch_sums = np.zeros(N_BATCHES)
+    chain_sums = np.zeros(N_CHAINS)
     state_histogram = np.zeros(m, dtype=np.int64)
-    c2_sum = 0.0
 
-    row = memory.row(tilted).tolist()
-    ka = sum(row)
+    rows = memory.row(tilted)
+    ka = rows @ ones
     # k counts the steps after burn-in, from 0 at step burnin + 1.
-    for k, u in enumerate(_uniforms(rng.generator(), steps), start=-burnin):
-        x = u * ka
-        nxt = 0
-        while nxt < m - 1 and x >= row[nxt]:
-            x -= row[nxt]
-            nxt += 1
+    for k in range(-burnin, post):
+        nxt = _search(rows, gen.random(N_CHAINS) * ka)
+        np.minimum(nxt, m - 1, out=nxt)
         memory.push(nxt)
-        row = memory.row(tilted).tolist()
-        ka = sum(row)
+        rows = memory.row(tilted)
+        ka = rows @ ones
         if k >= 0:
-            c2 = math.log(ka) - log_av[nxt]
-            c2_sum += c2
-            batch_sums[k * N_BATCHES // post] += c2
-            state_histogram[nxt] += 1
+            chain_sums += np.log(ka) - log_av[nxt]
+            state_histogram += np.bincount(nxt, minlength=m)
             if k % thin == 0:
-                theta = memory.row(np.eye(m))
-                theta_samples[k // thin] = theta / theta.sum()
-                c2_running[k // thin] = c2_sum / (k + 1)
+                theta = memory.row(eye)
+                theta_samples[k // thin] = theta / theta.sum(axis=1, keepdims=True)
+                c2_running[k // thin] = chain_sums.sum() / (N_CHAINS * (k + 1))
 
-    # Batch b holds the k with k * N_BATCHES // post == b, from ceil(b post / N_BATCHES) on.
-    edges = -(-np.arange(N_BATCHES + 1) * post // N_BATCHES)
-    means = batch_sums / np.maximum(np.diff(edges), 1)
+    means = chain_sums / post
     return WeightedChainStats(
-        theta_samples=theta_samples,
-        sample_steps=burnin + 1 + thin * np.arange(len(theta_samples)),
-        c2_running=c2_running,
-        c2_mean=c2_sum / post,
-        c2_se=float(means.std(ddof=1) / math.sqrt(N_BATCHES)),
-        batch_means=means,
+        theta_samples=theta_samples.reshape(-1, m),
+        sample_steps=np.repeat(burnin + 1 + thin * np.arange(len(c2_running)), N_CHAINS),
+        c2_running=np.repeat(c2_running, N_CHAINS),
+        c2_mean=float(means.mean()),
+        c2_se=float(means.std(ddof=1) / math.sqrt(N_CHAINS)),
+        chain_means=means,
         state_histogram=state_histogram,
         burnin=burnin,
         steps=steps,

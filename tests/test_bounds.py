@@ -166,6 +166,19 @@ def test_c2_two_point_matches_dense_oracle(sigma_fig):
     assert oracle <= math.log(r_bold)
 
 
+def test_c2_se_is_calibrated(sigma_fig):
+    # The between-chain standard error covers the dense stationary average of
+    # the integrand at the 3-se level in at least 18 of 20 seeds.
+    h = rc.perron_triple(sigma_fig).h
+    law = rc.RelocationLaw.explicit([0.5, 0.5])
+    oracle = weighted_chain_c2_oracle(sigma_fig, h)
+    hits = 0
+    for rep in range(20):
+        est = rc.c2_bound_estimate(sigma_fig, law, h, steps=40_000, rng=rc.RngSpec(500, rep))
+        hits += abs(est.value - oracle) <= 3 * est.se
+    assert hits >= 18
+
+
 def test_c2_scale_invariance(sigma_fig):
     h = rc.perron_triple(sigma_fig).h
     law = rc.RelocationLaw.explicit([0.5, 0.5])

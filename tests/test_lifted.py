@@ -63,6 +63,19 @@ def test_state_cap_far_point_mass(sigma_fig):
     assert "m = 2, d = 1000000000" in str(err.value)
 
 
+
+@pytest.mark.parametrize(
+    "raw, error",
+    [([[-0.5, 0.2], [0.1, 0.3]], rc.NegativeEntryError), ([[0.5, 0.2, 0.1], [0.1, 0.3, 0.2]], ValueError)],
+    ids=["negative", "not-square"],
+)
+def test_raw_matrices_pass_the_entry_check(raw, error):
+    # Raw arrays go through the same entry check as perron_triple.
+    with pytest.raises(error):
+        rc.build_lifted(raw, rc.RelocationLaw.dirac(0))
+    with pytest.raises(error):
+        rc.defective_kernel_row(rc.HistoryWindow((0,)), raw, rc.RelocationLaw.dirac(0))
+
 def test_radius_dirac_matches_benchmark(sigma_fig):
     for d in range(4):
         chain = rc.build_lifted(sigma_fig, rc.RelocationLaw.dirac(d))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import relochain as rc
-from relochain.simulate import _Memory
+from relochain.cli import main as cli_main
+from relochain.simulate import N_CHAINS, _Memory
 
 from conftest import R_CLOSED, cycle_matrix_200
 
@@ -83,7 +84,7 @@ def test_weighted_chain_dirac0_with_h_is_constant(sigma_fig):
         sigma_fig, rc.RelocationLaw.dirac(0), h, steps=20_000, burnin=500, thin=10, rng=rc.RngSpec(4)
     )
     assert stats.c2_mean == pytest.approx(math.log(R_CLOSED), abs=1e-12)
-    assert np.abs(stats.batch_means - math.log(R_CLOSED)).max() <= 1e-12
+    assert np.abs(stats.chain_means - math.log(R_CLOSED)).max() <= 1e-12
     assert stats.c2_se <= 1e-12
 
 
@@ -232,14 +233,11 @@ def test_short_run_memory_matches_full_ring(sigma_fig, law, pushes):
     paths = rng.integers(0, 2, size=(3, pushes))
     full = _Memory(law, init, 2, replicas=3)
     short = _Memory(law, init, 2, replicas=3, pushes=pushes)
-    one = _Memory(law, init, 2, pushes=pushes)
     for n in range(pushes + 1):
         np.testing.assert_allclose(short.row(sigma_fig.entries), full.row(sigma_fig.entries), rtol=1e-15)
-        np.testing.assert_allclose(one.row(sigma_fig.entries), full.row(sigma_fig.entries)[0], rtol=1e-15)
         if n < pushes:
             for memory in (full, short):
                 memory.push(paths[:, n])
-            one.push(int(paths[0, n]))
 
 
 @pytest.mark.parametrize(
@@ -253,7 +251,6 @@ def test_memory_row_matches_depth_definition(sigma_fig, law):
     rng = np.random.default_rng(3)
     init = rc.HistoryWindow((1, 0))
     paths = rng.integers(0, 2, size=(4, 12))
-    one = _Memory(law, init, 2)
     many = _Memory(law, init, 2, replicas=4)
     for n in range(12):
         if n == 6:
@@ -264,9 +261,7 @@ def test_memory_row_matches_depth_definition(sigma_fig, law):
         for r, path in enumerate(paths):
             window = rc.HistoryWindow(tuple(int(s) for s in path[:n][::-1]) + init.states)
             np.testing.assert_allclose(rows[r], rc.defective_kernel_row(window, sigma_fig, law), atol=1e-14)
-        np.testing.assert_allclose(one.row(sigma_fig.entries), rows[0], atol=1e-15)
         np.testing.assert_allclose(many.row(sigma_fig.entries @ np.ones(2)), rows.sum(axis=1), atol=1e-15)
-        one.push(int(paths[0, n]))
         many.push(paths[:, n])
 
 
@@ -284,3 +279,43 @@ def test_memory_row_holds_at_most_two_replica_arrays():
         tracemalloc.stop()
     assert peak <= 2.5 * replicas * m * 8
     np.testing.assert_allclose(row, np.tile(0.2 * mat[3] + 0.3 * mat[150] + 0.5 * mat[199], (replicas, 1)))
+
+
+def test_far_ring_is_built_without_a_slot_table():
+    # The ring of 210,001 states per chain is the only large array: slots are
+    # computed per row, not tabulated per ring position.
+    law = rc.RelocationLaw.dirac(10**6)
+    tracemalloc.start()
+    try:
+        memory = _Memory(law, rc.HistoryWindow.constant(0), 2, replicas=20, pushes=210_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * memory._ring.nbytes
+
+
+def test_weighted_chain_layout(sigma_fig, tmp_path):
+    steps, burnin, thin = 2_050, 50, 7
+    post = (steps - burnin) // N_CHAINS
+    stats = rc.run_weighted_chain(
+        sigma_fig, rc.RelocationLaw.explicit([0.2, 0.3, 0.5]), np.ones(2),
+        steps=steps, burnin=burnin, thin=thin, rng=rc.RngSpec(17),
+    )
+    sampled = (post - 1) // thin + 1
+    assert stats.theta_samples.shape == (sampled * N_CHAINS, 2)
+    assert len(stats.sample_steps) == len(stats.c2_running) == sampled * N_CHAINS
+    assert (np.diff(stats.sample_steps) >= 0).all()
+    values, counts = np.unique(stats.sample_steps, return_counts=True)
+    np.testing.assert_array_equal(values, burnin + 1 + thin * np.arange(sampled))
+    assert (counts == N_CHAINS).all()
+    assert stats.state_histogram.sum() == N_CHAINS * post
+    assert stats.steps == steps
+    assert stats.c2_se == stats.chain_means.std(ddof=1) / math.sqrt(N_CHAINS)
+
+    with pytest.raises(ValueError):
+        rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.dirac(0), np.ones(2), steps=69, burnin=50)
+    code = cli_main(
+        ["weighted-run", "--tau", "dirac 0", "--steps", "69", "--burnin", "50", "--out", str(tmp_path / "w.csv")]
+    )
+    assert code == 2
+
