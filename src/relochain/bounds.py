@@ -4,25 +4,26 @@ The dispersed-relocation objective J(a) = r_a exp(-rho_a log a) is
 maximized by Nelder-Mead over log-weights with one coordinate gauge-fixed
 (the objective is invariant under scaling of a, so an unconstrained search
 would wander along rays), from three starts: the flat weight, the benchmark
-Perron vector h, and one seeded Gaussian draw. The rate functions are
-Legendre transforms of the logarithmic spectral radii of tilted chains:
-I from the benchmark matrix, its lifted counterpart from the window chain.
-Each transform has one solver: BFGS on the exact gradient nu - rho h for the
-benchmark, Brent's method on the one free tilt of a two-state window chain.
-The benchmark transform is also evaluated at the lifted maximizer, which
-makes the ordering lifted <= benchmark hold by construction.
+Perron vector h, and one seeded Gaussian draw. The rate functions I and
+I_bold are Legendre transforms of the log spectral radii of the tilted
+benchmark and window chain. One BFGS solver computes both, for any number
+of states, on the exact gradient: the newest-state marginal of rho h. The
+benchmark transform is also evaluated at the lifted maximizer, so
+I_bold <= I holds by construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
-from .lifted import build_lifted, lifted_spectral_radius
-from .matrices import SubStochasticMatrix, perron_triple, tilt, tilt_vector
+from .errors import NoConvergenceError
+from .lifted import build_lifted
+from .matrices import SubStochasticMatrix, _perron_triple, perron_triple, tilt, tilt_vector
 from .relocation import RelocationLaw
 from .simulate import RngSpec, run_weighted_chain
 
@@ -170,27 +171,32 @@ def _vertex_rate(sigma: SubStochasticMatrix, nu: np.ndarray) -> float | None:
     return RATE_INF if diag == 0.0 else -math.log(diag)
 
 
-def _benchmark_transform(sigma: SubStochasticMatrix, nu: np.ndarray, witness=None) -> float:
-    """sup over lambda of nu lambda - log r(exp lambda), gauge lambda(last) = 0.
+def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarray]:
+    """(value, maximizer) of sup over lambda of nu lambda - log r(exp lambda), gauge lambda(last) = 0.
 
-    The objective is concave with the exact gradient nu - rho h of the tilted
-    Perron triple (normalized rho @ h = 1), so BFGS maximizes it from the
-    flat tilt, where it equals -log r; the line search never lowers it below
-    that value. A `witness` tilt in the same gauge bounds the result from
-    below.
+    `triple_at(a)` is the Perron triple of the tilt by a of the benchmark or of
+    a window chain (windows indexed newest state first). By first-order
+    perturbation, d log r / d lambda_t sums rho h over the windows a move
+    toward t enters, those with newest state t. BFGS maximizes the concave
+    objective on that exact gradient from the flat tilt, where it is -log r.
+    A `witness` tilt bounds the value from below.
     """
 
     def neg_objective(x):
         lam = np.append(x, 0.0)
-        triple = perron_triple(tilt(sigma, np.exp(lam)))
-        return math.log(triple.r) - float(nu @ lam), (triple.rho * triple.h - nu)[:-1]
+        with np.errstate(over="ignore"):
+            a = np.exp(lam)
+        if not (np.isfinite(a).all() and (a > 0.0).all()):  # the maximizing tilt runs to infinity
+            raise NoConvergenceError(f"Legendre transform at nu = {nu.tolist()}: the supremum is not attained")
+        triple = triple_at(a)
+        grad = (triple.rho * triple.h).reshape(len(nu), -1).sum(axis=1) - nu
+        return math.log(triple.r) - float(nu @ lam), grad[:-1]
 
     # At a gradient of 1e-8 the value sits within about 1e-16 of the optimum.
-    res = minimize(neg_objective, np.zeros(sigma.m - 1), jac=True, method="BFGS", options={"gtol": 1e-8})
-    best = -res.fun
+    res = minimize(neg_objective, np.zeros(len(nu) - 1), jac=True, method="BFGS", options={"gtol": 1e-8})
     if witness is not None:
-        best = max(best, -neg_objective(witness)[0])
-    return best
+        return max(-res.fun, -neg_objective(witness)[0]), res.x
+    return -res.fun, res.x
 
 
 def rate_function_I(sigma: SubStochasticMatrix, nu) -> float:
@@ -203,52 +209,39 @@ def rate_function_I(sigma: SubStochasticMatrix, nu) -> float:
     """
     nu = np.asarray(nu, dtype=float)
     at_vertex = _vertex_rate(sigma, nu)
-    return at_vertex if at_vertex is not None else _benchmark_transform(sigma, nu)
+    return at_vertex if at_vertex is not None else _legendre(lambda a: perron_triple(tilt(sigma, a)), nu)[0]
 
 
-def rate_function_lifted(
-    sigma: SubStochasticMatrix,
-    law: RelocationLaw,
-    grid_points: int = 101,
-) -> RateFunctionTable:
+def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_points: int = 101) -> RateFunctionTable:
     """Tabulate the benchmark and lifted rate functions on a simplex grid.
 
-    Requires two states and a bounded law; the grid is nu = (x, 1 - x) at
-    `grid_points` evenly spaced x in [0, 1]. Both columns are exact at the
-    two vertices. Elsewhere the lifted transform, nu_1 x - log r_lifted(e^x, 1),
-    is maximized by Brent's method, bracketed at the previous grid point's
-    maximizer x_bold, and the benchmark transform by the BFGS search of
-    `rate_function_I`, which also evaluates its objective at x_bold. Since
-    the lifted radius dominates the benchmark radius at every tilt,
-    I_bold = lifted(x_bold) <= benchmark(x_bold) <= I holds by construction.
+    Requires a bounded law. The grid is every nu with coordinates in
+    multiples of 1/(grid_points - 1), lexicographic in nu_1..nu_{m-1}: for two
+    states nu = (x, 1 - x) with x rising. Both columns are exact at the
+    vertices; elsewhere `_legendre` maximizes the lifted transform, then the
+    benchmark one, also evaluated at the lifted maximizer lambda_bold. The
+    lifted radius dominates the benchmark one at every tilt, so
+    I_bold = lifted(lambda_bold) <= benchmark(lambda_bold) <= I by construction.
     """
     if not law.bounded:
         raise ValueError("rate_function_lifted needs a bounded relocation law")
-    if sigma.m != 2:
-        raise ValueError("the rate-function grid covers two states only")
-    xs = np.linspace(0.0, 1.0, grid_points)
-    nu_grid = np.column_stack([xs, 1.0 - xs])
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
+    m, k = sigma.m, grid_points - 1
+    # Stars and bars: lexicographic bar positions give k * nu lexicographic.
+    bars = np.array(list(itertools.combinations(range(k + m - 1), m - 1)), dtype=float)
+    nu_grid = (np.diff(bars, axis=1, prepend=-1.0, append=k + m - 1.0) - 1.0) / k
 
-    def neg_lifted(x, nu):
-        chain = build_lifted(tilt(sigma, np.exp([x, 0.0])), law, mode="exact")
-        return math.log(lifted_spectral_radius(chain).radius) - nu[0] * x
+    def window_triple(a):
+        chain = build_lifted(tilt(sigma, a), law)
+        return _perron_triple(chain.operator, chain.n_states, chain.m)
 
-    k = nu_grid.shape[0]
-    i_vals = np.empty(k)
-    i_bold = np.empty(k)
-    x_bold = 0.0
+    i_vals, i_bold = np.empty((2, len(nu_grid)))
     for idx, nu in enumerate(nu_grid):
         at_vertex = _vertex_rate(sigma, nu)
         if at_vertex is not None:
             i_vals[idx] = i_bold[idx] = at_vertex
             continue
-        # The maximizer grows with nu_1 along the grid.
-        res = minimize_scalar(neg_lifted, bracket=(x_bold, x_bold + 1.0), args=(nu,))
-        x_bold = float(res.x)
-        i_bold[idx] = -res.fun
-        i_vals[idx] = _benchmark_transform(sigma, nu, witness=np.array([x_bold]))
-
-    violations = i_bold > i_vals + 1e-8
-    return RateFunctionTable(
-        nu_grid=nu_grid, i_values=i_vals, i_lifted=i_bold, violations=violations
-    )
+        i_bold[idx], lam_bold = _legendre(window_triple, nu)
+        i_vals[idx] = _legendre(lambda a: perron_triple(tilt(sigma, a)), nu, witness=lam_bold)[0]
+    return RateFunctionTable(nu_grid=nu_grid, i_values=i_vals, i_lifted=i_bold, violations=i_bold > i_vals + 1e-8)

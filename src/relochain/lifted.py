@@ -139,10 +139,12 @@ def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
             best_d=best,
         )
 
-    tau = np.zeros(d + 1)
+    if m == 1:  # one window whatever d is, of weight sum_i tau(i) sigma[0, 0]
+        depths, masses = [0], [sum(masses)]
+    tau = np.zeros(depths[-1] + 1)
     tau[depths] = masses
-    weights = tau[d] * entries
-    for i in range(d - 1, -1, -1):
+    weights = tau[-1] * entries
+    for i in range(len(tau) - 2, -1, -1):
         weights = (tau[i] * entries[:, None, :] + weights[None]).reshape(-1, m)
     if mode == UPPER and tail_mass > 0.0:
         weights += tail_mass * entries.max(axis=0)[None, :]
@@ -193,7 +195,7 @@ def lifted_structure_check(chain: LiftedChain) -> tuple[bool, bool]:
 
 def _affordable_depth(m: int, d: int) -> int:
     """Largest depth at most d whose m**(depth+1) windows fit STATE_CAP (-1 if none)."""
-    best = -1
+    best = d if m == 1 else -1  # one window at every depth
     while best < d and m ** (best + 2) <= STATE_CAP:
         best += 1
     return best

@@ -317,13 +317,22 @@ def perron_triple(matrix) -> PerronTriple:
     a = _nonnegative_entries(matrix)
     # Validation has already proved a SubStochasticMatrix irreducible.
     irreducible = isinstance(matrix, SubStochasticMatrix) or structure_flags(a)[0]
-    m = a.shape[0]
     if not irreducible or not a.any():  # a 1x1 zero passes the digraph test
         raise ReducibleError("matrix is reducible or zero; Perron data is not well defined here")
+    return _perron_triple(a, a.shape[0])
 
+
+def _perron_triple(a, n: int, terms: int | None = None) -> PerronTriple:
+    """Perron triple of an irreducible n x n operator, a dense or scipy sparse array.
+
+    `terms` counts the summands per row of `a` and `a.T` (n when omitted): m for a
+    window operator, as every window has m successors and m predecessors.
+    """
+    if sparse.issparse(a) and n <= DENSE_MAX_STATES:
+        a = a.toarray()  # densified once for both eigensolves
     at = a.T
-    v = _certified_perron(a.dot, m, lambda: a).right_vector
-    u = _certified_perron(at.dot, m, lambda: at).right_vector
+    v = _certified_perron(a.dot, n, lambda: a, terms).right_vector
+    u = _certified_perron(at.dot, n, lambda: at, terms).right_vector
 
     rho = u / u.sum()
     # Two-sided Rayleigh estimate: error is quadratic in the vector residuals.

@@ -5,8 +5,14 @@ import pytest
 from scipy.optimize import minimize, minimize_scalar
 
 import relochain as rc
+from relochain.bounds import _legendre
+from relochain.matrices import _perron_triple
 
 from conftest import R_CLOSED, largest_eigenvalue, window_matrix
+
+
+# A strictly positive three-state matrix with unequal row sums.
+SIGMA3 = [[0.5, 0.2, 0.1], [0.1, 0.6, 0.2], [0.3, 0.1, 0.4]]
 
 
 def weighted_chain_c2_oracle(sigma, h):
@@ -267,3 +273,97 @@ def test_rate_table_lifted_vertices_match_dense_tilts(sigma_fig, masses):
             gaps.append(at_vertex - (x - math.log(largest_eigenvalue(window_matrix(tilted, masses)))))
         assert gaps[0] > gaps[1] > gaps[2] >= -1e-12
         assert gaps[2] <= 5e-10
+
+
+def dense_window_data(tilted, masses):
+    """Perron radius and newest-state marginal of l * v / (l . v) of the enumerated window matrix."""
+    mat = window_matrix(tilted, masses)
+    vals, right = np.linalg.eig(mat)
+    vals_t, left = np.linalg.eig(mat.T)
+    v = np.abs(right[:, np.argmax(vals.real)].real)
+    ell = np.abs(left[:, np.argmax(vals_t.real)].real)
+    m = tilted.shape[0]
+    return float(vals.real.max()), (ell * v).reshape(m, -1).sum(axis=1) / (ell @ v)
+
+
+@pytest.mark.parametrize(
+    "sigma, masses",
+    [
+        (rc.benchmark_matrix().entries, [0.1, 0, 0, 0, 0, 0, 0.9]),  # N = 128
+        (SIGMA3, [0.5, 0.5]),  # N = 9
+        (SIGMA3, [0.3, 0.3, 0.2, 0.2]),  # N = 81
+    ],
+    ids=["m2-N128", "m3-N9", "m3-N81"],
+)
+def test_window_gradient_matches_dense_differences(sigma, masses):
+    # d log r_bold / d lambda_t is the newest-state marginal of rho h; central
+    # differences of the enumerated window matrix check it. At step 1e-5 the
+    # truncation error is about 2e-11 and the eigenvalue rounding of the
+    # 128-window matrix about 6e-10.
+    sigma = np.asarray(sigma, dtype=float)
+    m = sigma.shape[0]
+    law = rc.RelocationLaw.explicit(masses)
+    rng = np.random.default_rng(11)
+    step = 1e-5
+    for _ in range(3):
+        lam = rng.normal(size=m)
+        chain = rc.build_lifted(rc.tilt(sigma, np.exp(lam)), law)
+        triple = _perron_triple(chain.operator, chain.n_states, chain.m)
+        marginal = (triple.rho * triple.h).reshape(m, -1).sum(axis=1)
+        r_dense = largest_eigenvalue(window_matrix(sigma * np.exp(lam)[None, :], masses))
+        assert triple.r == pytest.approx(r_dense, rel=1e-12)
+        assert marginal.sum() == pytest.approx(1.0, abs=1e-12)
+        for t in range(m):
+            shift = np.zeros(m)
+            shift[t] = step
+            up = largest_eigenvalue(window_matrix(sigma * np.exp(lam + shift)[None, :], masses))
+            down = largest_eigenvalue(window_matrix(sigma * np.exp(lam - shift)[None, :], masses))
+            assert marginal[t] == pytest.approx((math.log(up) - math.log(down)) / (2 * step), abs=2e-9)
+
+
+def test_rate_function_lifted_duality_three_states():
+    # The lifted twin of the benchmark duality test: at the tilt lambda the
+    # gradient of log r_bold is the newest-state marginal pi of the dense
+    # eigenvectors, so the lifted transform at pi is pi . lambda - log r_bold.
+    sigma = rc.validate_substochastic(SIGMA3)
+    law = rc.RelocationLaw.explicit([0.5, 0.5])
+
+    def window_triple(a):
+        chain = rc.build_lifted(rc.tilt(sigma, a), law)
+        return _perron_triple(chain.operator, chain.n_states, chain.m)
+
+    rng = np.random.default_rng(32)
+    for _ in range(4):
+        lam = rng.normal(size=3)
+        r_bold, pi = dense_window_data(sigma.entries * np.exp(lam)[None, :], [0.5, 0.5])
+        value = _legendre(window_triple, pi)[0]
+        assert value == pytest.approx(float(pi @ lam) - math.log(r_bold), abs=1e-9)
+
+
+def test_rate_table_three_states():
+    sigma = rc.validate_substochastic(SIGMA3)
+    table = rc.rate_function_lifted(sigma, rc.RelocationLaw.explicit([0.5, 0.5]), grid_points=5)
+    assert table.nu_grid.shape == (15, 3)
+    np.testing.assert_allclose(table.nu_grid.sum(axis=1), 1.0, atol=1e-15)
+    assert not table.violations.any()
+    assert (table.i_lifted <= table.i_values + 1e-8).all()
+    vertices = np.flatnonzero(table.nu_grid.max(axis=1) == 1.0)
+    assert len(vertices) == 3
+    for row in vertices:
+        v = int(np.argmax(table.nu_grid[row]))
+        assert table.i_values[row] == table.i_lifted[row] == -math.log(SIGMA3[v][v])
+
+
+@pytest.mark.parametrize("grid_points", [1, 0])
+def test_rate_table_needs_two_grid_points(sigma_fig, grid_points):
+    with pytest.raises(ValueError):
+        rc.rate_function_lifted(sigma_fig, rc.RelocationLaw.dirac(0), grid_points=grid_points)
+
+
+def test_rate_function_I_unattained_supremum_raises():
+    # State 0 cannot repeat, so a visit fraction above 1/2 is outside the
+    # effective domain and the maximizing tilt runs off to infinity.
+    zero_diag = rc.validate_substochastic([[0.0, 0.9], [0.4, 0.3]])
+    with pytest.raises(rc.NoConvergenceError):
+        rc.rate_function_I(zero_diag, [0.6, 0.4])
+    assert math.isfinite(rc.rate_function_I(zero_diag, [0.3, 0.7]))

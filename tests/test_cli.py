@@ -131,6 +131,28 @@ def test_rate_function_command_prints_infinite_vertex(tmp_path, capsys):
     assert lines[-1] == "1,0,inf,inf"
     assert lines[1].split(",")[2] == lines[1].split(",")[3] == f"{-math.log(0.3):.12g}"
 
+def test_rate_function_command_three_states(tmp_path, capsys):
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text(rc.write_matrix_text(np.array([[0.5, 0.2, 0.1], [0.1, 0.6, 0.2], [0.3, 0.1, 0.4]])))
+    code, out, _ = run_cli(
+        capsys, "rate-function", "--sigma", str(sigma), "--tau", "explicit 0.5 0.5", "--grid", "5"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "nu_1,nu_2,nu_3,I,I_bold"
+    assert len(lines) == 16
+
+
+def test_rate_function_command_unattained_supremum_exits_1(tmp_path, capsys):
+    # Past nu_1 = 1/2 the zero diagonal puts nu outside the effective domain:
+    # a numerical failure, not a usage error.
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text(rc.write_matrix_text(np.array([[0.0, 0.9], [0.4, 0.3]])))
+    code, _, err = run_cli(capsys, "rate-function", "--sigma", str(sigma), "--tau", "dirac 0", "--grid", "11")
+    assert code == 1
+    assert "not attained" in err
+
+
 def test_float_format_is_12_significant_digits(tmp_path, capsys):
     out_path = tmp_path / "surv.csv"
     run_cli(

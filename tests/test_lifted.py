@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -61,6 +62,15 @@ def test_state_cap_far_point_mass(sigma_fig):
         rc.build_lifted(sigma_fig, rc.RelocationLaw.dirac(10**9))
     assert err.value.best_d == 20
     assert "m = 2, d = 1000000000" in str(err.value)
+
+
+def test_build_one_state_is_constant_time():
+    # One state has one window at every depth; its weight is sum_i tau(i) sigma[0, 0].
+    start = time.perf_counter()
+    chain = rc.build_lifted(np.array([[0.5]]), rc.RelocationLaw.dirac(10**6))
+    assert time.perf_counter() - start < 0.1
+    np.testing.assert_array_equal(chain.weights, [[0.5]])
+    assert rc.survival_exact(chain, rc.HistoryWindow.constant(0), 3) == 0.125
 
 
 
