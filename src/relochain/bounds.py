@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NoConvergenceError
 from .lifted import build_lifted
-from .matrices import SubStochasticMatrix, _perron_triple, perron_triple, tilt, tilt_vector
+from .matrices import DENSE_MAX_STATES, SubStochasticMatrix, _perron_triple, perron_triple, tilt, tilt_vector
 from .relocation import RelocationLaw
 from .simulate import RngSpec, run_weighted_chain
 
@@ -98,6 +97,8 @@ def optimize_j(sigma: SubStochasticMatrix, rng: RngSpec = RngSpec(0)) -> Optimiz
     solver tolerance. A best point with a large log-weight norm is reported
     as boundary drift rather than treated as an attained supremum.
     """
+    from scipy.optimize import minimize  # deferred: 0.5 s to import, scipy.sparse included
+
     m = sigma.m
     j_one = j_objective(sigma, np.ones(m)).j_value
     h = perron_triple(sigma).h
@@ -181,6 +182,7 @@ def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarra
     objective on that exact gradient from the flat tilt, where it is -log r.
     A `witness` tilt bounds the value from below.
     """
+    from scipy.optimize import minimize  # deferred: 0.5 s to import, scipy.sparse included
 
     def neg_objective(x):
         lam = np.append(x, 0.0)
@@ -234,7 +236,8 @@ def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_po
 
     def window_triple(a):
         chain = build_lifted(tilt(sigma, a), law)
-        return _perron_triple(chain.operator, chain.n_states, chain.m)
+        n = chain.n_states
+        return _perron_triple(chain.dense() if n <= DENSE_MAX_STATES else chain.operator, n, chain.m)
 
     i_vals, i_bold = np.empty((2, len(nu_grid)))
     for idx, nu in enumerate(nu_grid):

@@ -6,24 +6,29 @@ recent state most significant, so the successor of window index w under a
 new state t is t * m**d + w // m: an integer shift-and-add, no lookup
 tables. The kernel weight from window w toward t is
 sum_i mass(i) * sigma[w_i, t]; the N x m array of these weights is the
-stored object, and `LiftedChain.operator` views it as the N x N sparse
-window operator (m entries per row, int32 indices), the one place the
-successor map is written. Power sweeps, survival products and the support
-check all run on that operator; it is densified only for the eigensolve of
-chains with at most DENSE_MAX_STATES windows.
+stored object, and `LiftedChain.successors` is the one place the successor
+map is written. `LiftedChain.operator` views the weights as the N x N sparse
+window operator (m entries per row, int32 indices); power sweeps, survival
+products and the support check run on it. Chains of at most
+DENSE_MAX_STATES windows are solved on `LiftedChain.dense`, which scatters
+the weights straight into an N x N array, so their solves never build the
+sparse form. scipy.sparse is imported only when `operator` is first built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import StateCapExceededError
 from .matrices import SpectralResult, SubStochasticMatrix, _certified_perron, _digraph_structure, _nonnegative_entries
 from .relocation import HistoryWindow, RelocationLaw, TruncationResult, truncate_law
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 STATE_CAP = 2**21  # largest window count a chain may have
 
@@ -36,8 +41,10 @@ UPPER = "upper"
 class LiftedChain:
     """Sub-stochastic chain on the m**(d+1) memory windows.
 
-    `weights[w, t]` is the transition weight from window w toward state t;
-    the successor window index is t * m**d + w // m.
+    `weights[w, t]` is the transition weight from window w toward state t,
+    whose successor window is `successors[w, t]` = t * m**d + w // m.
+    `operator` (sparse, cached) and `dense()` are two views of the same
+    N x N window operator.
     """
 
     m: int
@@ -49,26 +56,54 @@ class LiftedChain:
         return self.m ** (self.d + 1)
 
     def window_index(self, window: HistoryWindow) -> int:
-        digits = window.truncated(self.d + 1)
+        """Mixed-radix index of the window's first d + 1 entries, most recent most significant.
+
+        Only the stored entries are folded; the k repeats of the oldest entry
+        s that pad the window to d + 1 entries add s * (m**k - 1) / (m - 1),
+        so the cost does not grow with d.
+        """
+        digits = window.states[: self.d + 1]
         if any(s >= self.m for s in digits):
             raise ValueError("window entry outside the state space")
+        m = self.m
+        if m == 1:  # one window
+            return 0
         idx = 0
         for s in digits:
-            idx = idx * self.m + s
-        return idx
+            idx = idx * m + s
+        pad = m ** (self.d + 1 - len(digits))
+        return idx * pad + digits[-1] * (pad - 1) // (m - 1)
+
+    @cached_property
+    def successors(self) -> np.ndarray:
+        """N x m successor indices: entry (w, t) is t * m**d + w // m, int32 below 2**31 entries."""
+        n, m = self.n_states, self.m
+        index = np.int32 if n * m < 2**31 else np.int64
+        return np.arange(m, dtype=index) * (n // m) + (np.arange(n, dtype=index) // m)[:, None]
 
     @cached_property
     def operator(self) -> sparse.csr_array:
-        """N x N window operator: row w holds weights[w, t] in column t * m**d + w // m.
+        """N x N sparse window operator: row w holds weights[w, t] in column successors[w, t].
 
         `data` is a view of `weights`; columns rise with t, so the CSR form
         is canonical and a matvec sums each row in the order t = 0..m-1.
         """
+        from scipy import sparse
+
         n, m = self.n_states, self.m
-        index = np.int32 if n * m < 2**31 else np.int64
-        cols = np.arange(m, dtype=index) * (n // m) + (np.arange(n, dtype=index) // m)[:, None]
-        indptr = np.arange(0, n * m + 1, m, dtype=index)
-        return sparse.csr_array((self.weights.reshape(-1), cols.reshape(-1), indptr), shape=(n, n))
+        indptr = np.arange(0, n * m + 1, m, dtype=self.successors.dtype)
+        return sparse.csr_array((self.weights.reshape(-1), self.successors.reshape(-1), indptr), shape=(n, n))
+
+    def dense(self) -> np.ndarray:
+        """The window operator as an N x N array, for chains of at most DENSE_MAX_STATES windows.
+
+        The successors of a window are distinct, so the scatter writes each
+        weight once and equals `operator.toarray()` exactly.
+        """
+        n = self.n_states
+        a = np.zeros((n, n))
+        a[np.arange(n)[:, None], self.successors] = self.weights
+        return a
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """One sub-stochastic sweep u(w) = sum_t weights[w, t] * v(succ(w, t))."""
@@ -163,12 +198,12 @@ def lifted_spectral_radius(chain: LiftedChain) -> SpectralResult:
     """Certified Perron radius of the window operator.
 
     Chains of at most DENSE_MAX_STATES windows are solved by a dense
-    eigensolve of the explicit N x N matrix; larger ones, and small ones
+    eigensolve of `chain.dense()`; larger ones, and small ones
     whose eigenvector fails the Collatz-Wielandt check, by a shifted power
     iteration over `chain.apply` (O(m**(d+2)) per sweep, O(m**(d+1)) memory
     per vector). `lower` and `upper` enclose the radius to 1e-12 relative.
     """
-    return _certified_perron(chain.apply, chain.n_states, chain.operator.toarray, terms=chain.m)
+    return _certified_perron(chain.apply, chain.n_states, chain.dense, terms=chain.m)
 
 
 def survival_exact(chain: LiftedChain, init: HistoryWindow, n: int) -> float:

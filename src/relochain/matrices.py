@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DegenerateImageError,
@@ -124,8 +123,9 @@ def _digraph_structure(graph) -> tuple[bool, bool]:
     edges (u, v), with unweighted shortest-path depths from state 0. A
     reducible digraph gives (False, False).
     """
-    # Deferred: csgraph adds about 1 MB of RSS, and strictly positive
-    # matrices never need it.
+    # Deferred: scipy.sparse costs about 0.2 s to import and csgraph about
+    # 1 MB of RSS, and strictly positive matrices never need them.
+    from scipy import sparse
     from scipy.sparse import csgraph
 
     # Positive entries only: csgraph reads a stored zero as an edge.
@@ -323,12 +323,14 @@ def perron_triple(matrix) -> PerronTriple:
 
 
 def _perron_triple(a, n: int, terms: int | None = None) -> PerronTriple:
-    """Perron triple of an irreducible n x n operator, a dense or scipy sparse array.
+    """Perron triple of an irreducible n x n operator, a numpy array or a scipy sparse array.
 
-    `terms` counts the summands per row of `a` and `a.T` (n when omitted): m for a
-    window operator, as every window has m successors and m predecessors.
+    A sparse operator of at most DENSE_MAX_STATES states is densified once
+    for both eigensolves. `terms` counts the summands per row of `a` and
+    `a.T` (n when omitted): m for a window operator, as every window has m
+    successors and m predecessors.
     """
-    if sparse.issparse(a) and n <= DENSE_MAX_STATES:
+    if not isinstance(a, np.ndarray) and n <= DENSE_MAX_STATES:
         a = a.toarray()  # densified once for both eigensolves
     at = a.T
     v = _certified_perron(a.dot, n, lambda: a, terms).right_vector

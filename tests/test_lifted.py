@@ -74,6 +74,58 @@ def test_build_one_state_is_constant_time():
 
 
 
+def test_window_index_matches_digit_fold():
+    # Oracle: pad the window to d + 1 digits with its oldest entry and fold them all.
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 3):
+        for d in range(7):
+            chain = rc.build_lifted(np.full((m, m), 0.5 / m), rc.RelocationLaw.dirac(d))
+            for _ in range(30):
+                window = rc.HistoryWindow(tuple(rng.integers(0, m, size=rng.integers(1, d + 4)).tolist()))
+                idx = 0
+                for s in window.truncated(d + 1):
+                    idx = idx * m + s
+                assert chain.window_index(window) == idx, (m, d, window)
+    with pytest.raises(ValueError, match="outside the state space"):
+        chain.window_index(rc.HistoryWindow((3,)))
+
+
+def test_window_index_is_constant_in_depth():
+    # One state at depth 10**6: the index is 0 without padding the window to 10**6 + 1 digits.
+    chain = rc.build_lifted(np.array([[0.5]]), rc.RelocationLaw.dirac(10**6))
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        assert rc.survival_exact(chain, rc.HistoryWindow((0,)), 3) == 0.125
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.02
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_dense_scatter_equals_sparse_operator(m, d):
+    rng = np.random.default_rng(10 * m + d)
+    sigma = rng.uniform(0.0, 1.0 / m, size=(m, m))
+    chain = rc.build_lifted(sigma, rc.RelocationLaw.explicit(rng.dirichlet(np.ones(d + 1))))
+    np.testing.assert_array_equal(chain.dense(), chain.operator.toarray())
+
+
+def test_small_window_solves_never_build_the_sparse_operator(sigma_fig, monkeypatch):
+    chain = rc.build_lifted(sigma_fig, two_point_law())
+    res = rc.lifted_spectral_radius(chain)
+    assert res.iterations == 0 and "operator" not in chain.__dict__
+    # The rate table's window chains have 4 windows each.
+    built = []
+
+    def recording_build(*args, **kwargs):
+        built.append(rc.build_lifted(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr("relochain.bounds.build_lifted", recording_build)
+    rc.rate_function_lifted(sigma_fig, two_point_law(), grid_points=5)
+    assert built and not any("operator" in c.__dict__ for c in built)
+
+
 @pytest.mark.parametrize(
     "raw, error",
     [([[-0.5, 0.2], [0.1, 0.3]], rc.NegativeEntryError), ([[0.5, 0.2, 0.1], [0.1, 0.3, 0.2]], ValueError)],

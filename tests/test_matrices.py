@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -104,18 +105,62 @@ def test_structure_flags_examples(sigma_fig):
     assert not irreducible
 
 
+def _fresh_interpreter(code):
+    """Run `code` in a new interpreter from the repository root with PYTHONPATH=src."""
+    src = os.path.dirname(os.path.dirname(rc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=os.path.dirname(src), env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_strictly_positive_run_never_imports_csgraph():
     # csgraph is imported on the first support check of a matrix with a zero
     # entry; validating and solving a strictly positive one must not load it.
-    src = os.path.dirname(os.path.dirname(rc.__file__))
-    path = os.path.join(os.path.dirname(src), "configs", "benchmark2.txt")
     code = (
         "import sys, relochain as rc\n"
-        "rc.perron_triple(rc.load_matrix(sys.argv[1]))\n"
+        "rc.perron_triple(rc.load_matrix('configs/benchmark2.txt'))\n"
         "sys.exit('scipy.sparse.csgraph' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code, path], env=env, timeout=120).returncode == 0
+    assert _fresh_interpreter(code).returncode == 0
+
+
+# Exits with the names of the loaded scipy modules, if any.
+_NO_SCIPY = "sys.exit(' '.join(sorted(k for k in sys.modules if k.startswith('scipy'))) or None)\n"
+
+
+def test_solves_without_optimizer_or_large_chain_never_import_scipy():
+    # Perron solves, the killed chain and small window chains need numpy only.
+    code = (
+        "import sys, relochain as rc\n"
+        "sigma = rc.load_matrix('configs/benchmark2.txt')\n"
+        "rc.perron_triple(sigma)\n"
+        "law = rc.parse_relocation_law('explicit 0.5 0.5')\n"
+        "rc.run_killed_chain(sigma, law, rc.HistoryWindow((0,)), 20, 1000, rc.RngSpec(0))\n"
+        "rc.lifted_spectral_radius(rc.build_lifted(sigma, law))\n" + _NO_SCIPY
+    )
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_perron_never_imports_scipy():
+    code = "import sys, relochain.cli\nrelochain.cli.main(['perron'])\n" + _NO_SCIPY
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["r"] == pytest.approx(R_CLOSED, rel=1e-12)
+
+
+def test_optimize_j_imports_the_optimizer_on_first_use():
+    code = (
+        "import sys, relochain as rc\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "res = rc.optimize_j(rc.load_matrix('configs/benchmark2.txt'))\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+        "print(res.j_star)\n"
+    )
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(0.790329, abs=1e-6)
 
 
 def test_perron_closed_form(sigma_fig, triple_closed):
