@@ -17,6 +17,7 @@ sparse form. scipy.sparse is imported only when `operator` is first built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -122,6 +123,10 @@ class RadiusBracket:
     always-valid analytic envelopes (the Collatz-Wielandt lower bound of the
     benchmark radius from below, the largest benchmark row sum from above),
     which carry the certificate when the affordable truncation is loose.
+    A lift field is then tight to 1e-12 only when it carries its end of the
+    bracket: a power solve stops as soon as its lift is proved to lose to
+    the envelope, and the field keeps the valid but possibly loose bound at
+    which it stopped.
     """
 
     lo: float
@@ -203,7 +208,12 @@ def lifted_spectral_radius(chain: LiftedChain) -> SpectralResult:
     iteration over `chain.apply` (O(m**(d+2)) per sweep, O(m**(d+1)) memory
     per vector). `lower` and `upper` enclose the radius to 1e-12 relative.
     """
-    return _certified_perron(chain.apply, chain.n_states, chain.dense, terms=chain.m)
+    return _solve_lift(chain)
+
+
+def _solve_lift(chain: LiftedChain, envelope: tuple[float, float] | None = None) -> SpectralResult:
+    """`lifted_spectral_radius`, stopped early once the radius is proved outside `envelope`."""
+    return _certified_perron(chain.apply, chain.n_states, chain.dense, terms=chain.m, envelope=envelope)
 
 
 def survival_exact(chain: LiftedChain, init: HistoryWindow, n: int) -> float:
@@ -253,6 +263,12 @@ def bracket_radius(
     Collatz-Wielandt lower bound of the benchmark radius, the largest
     benchmark row sum) tighten whatever the truncation left loose. A law
     with no mass within the affordable depth gets exactly that envelope.
+
+    The envelope is computed first, and each lift's power solve stops once
+    its interval lies on the envelope's side of it (the conservative lift at
+    or below r_bench, the majorized one at or above the row sum), since the
+    envelope then carries that end whatever the solve would have reached:
+    `lo` and `hi` are those of full solves, bit for bit.
     """
     m = sigma.m
     d_cap = _affordable_depth(m, d_max)
@@ -273,18 +289,17 @@ def bracket_radius(
             cap_reached=False,
         )
 
+    entries = sigma.entries
+    r_bench = _certified_perron(entries.dot, m, lambda: entries).lower
+    row_max = float(sigma.row_sums().max())
     trunc = truncate_law(law, delta_tail, d_cap)
     # With no mass retained the conservative lift is the zero operator, of radius 0.
     lo_lift = 0.0
     if trunc.masses.any():
-        lo_lift = lifted_spectral_radius(build_lifted(sigma, trunc, mode=LOWER)).lower
-    hi_lift = lifted_spectral_radius(build_lifted(sigma, trunc, mode=UPPER)).upper
-
-    entries = sigma.entries
-    r_bench = _certified_perron(entries.dot, m, lambda: entries).lower
+        lo_lift = _solve_lift(build_lifted(sigma, trunc, mode=LOWER), (r_bench, math.inf)).lower
+    hi_lift = _solve_lift(build_lifted(sigma, trunc, mode=UPPER), (-math.inf, row_max)).upper
     lo = max(lo_lift, r_bench)
-    hi = min(hi_lift, float(sigma.row_sums().max()))
-    hi = max(hi, lo)
+    hi = max(min(hi_lift, row_max), lo)
     return RadiusBracket(
         lo=lo,
         hi=hi,

@@ -227,7 +227,9 @@ class SpectralResult:
     upper: float
 
 
-def _certified_perron(matvec, n: int, dense, terms: int | None = None) -> SpectralResult:
+def _certified_perron(
+    matvec, n: int, dense, terms: int | None = None, envelope: tuple[float, float] | None = None
+) -> SpectralResult:
     """Perron radius and right vector, stopped by a Collatz-Wielandt gap.
 
     For any strictly positive v, min (Av)/v <= r <= max (Av)/v; a result is
@@ -240,6 +242,12 @@ def _certified_perron(matvec, n: int, dense, terms: int | None = None) -> Spectr
     operator, a sup-normalized power iteration over `matvec` runs on
     A + shift I. The shift is a tenth of the largest row sum, so periodic
     supports converge too; the gap is read once every CHECK_EVERY sweeps.
+
+    With `envelope` = (below, above), the power iteration also returns as
+    soon as its widened interval lies at or below `below` or at or above
+    `above`: the radius is then proved to sit on that side, and the result
+    carries the still-valid, possibly wide, bounds at which it stopped. The
+    first check is at v = 1, where A v is the row sums.
     """
     if n <= DENSE_MAX_STATES:
         a = dense()
@@ -253,12 +261,17 @@ def _certified_perron(matvec, n: int, dense, terms: int | None = None) -> Spectr
             if hi - lo <= CW_RTOL * hi:
                 return _cw_result(float(vals[k].real), v, av, 0, lo, hi)
 
+    terms = n if terms is None else terms
+    below, above = (-math.inf, math.inf) if envelope is None else envelope
     v = np.ones(n)
     av = matvec(v)
     shift = 0.1 * float(av.max())  # a tenth of the largest row sum
     if not shift > 0.0:
         raise ValueError("zero operator has no Perron radius")
     sweeps = 1
+    lo, hi = _cw_bounds(av, terms)  # v = 1: the ratios are the row sums
+    if hi <= below or lo >= above:
+        return _cw_result(0.5 * (lo + hi), v, av, sweeps, lo, hi)
     while sweeps < MAX_SWEEPS:
         v = av + shift * v
         if sweeps % NORM_EVERY == 0:
@@ -269,8 +282,8 @@ def _certified_perron(matvec, n: int, dense, terms: int | None = None) -> Spectr
             if not v.min() > 0.0:
                 # A Perron vector with zero entries (reducible operator) underflows.
                 raise NoConvergenceError("power iterate lost strict positivity; no certificate exists")
-            lo, hi = _cw_bounds(av / v, n if terms is None else terms)
-            if hi - lo <= CW_RTOL * hi:
+            lo, hi = _cw_bounds(av / v, terms)
+            if hi - lo <= CW_RTOL * hi or hi <= below or lo >= above:
                 peak = v.max()
                 return _cw_result(0.5 * (lo + hi), v / peak, av / peak, sweeps, lo, hi)
     raise NoConvergenceError(f"power iteration did not certify in {MAX_SWEEPS} sweeps")

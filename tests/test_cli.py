@@ -328,6 +328,9 @@ def test_fig2_rows_and_bounds(tmp_path, capsys):
         assert bench == pytest.approx(log_r, abs=1e-12)
         assert hi <= jstar + 0.02
     assert rc.verify_manifest(outdir)
+    # The one-off optimizer import is timed apart from the optimize_j stage.
+    stages = json.loads((outdir / "manifest.json").read_text())["stage_seconds"]
+    assert {"import scipy.optimize", "optimize_j"} <= set(stages)
 
 
 def test_conjecture_scan(tmp_path, capsys):
@@ -344,6 +347,8 @@ def test_conjecture_scan(tmp_path, capsys):
         _, r, j_star, r_bold, violated = line.split(",")
         assert float(r) <= float(r_bold) + 1e-12
         assert violated in ("0", "1")
+    stages = json.loads((outdir / "manifest.json").read_text())["stage_seconds"]
+    assert set(stages) == {"import scipy.optimize", "scan"}
 
 
 def test_conjecture_scan_empty(tmp_path, capsys):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import relochain as rc
 from relochain.errors import StateCapExceededError
-from relochain.matrices import DENSE_MAX_STATES
+from relochain.config import FIG2_EPSILONS
+from relochain.matrices import DENSE_MAX_STATES, _certified_perron
 
 from conftest import R_CLOSED, largest_eigenvalue, window_matrix
 
@@ -262,13 +263,18 @@ def test_bracket_geometric(sigma_fig):
 
 
 def test_bracket_lower_lift_monotone_in_depth(sigma_fig):
+    # The bracket's lo_lift may be a stopped bound, so the property is read
+    # off full solves of the conservative lift: each certified interval lies
+    # strictly above the one of the shallower truncation.
     law = rc.RelocationLaw.geometric(0.25)
     prev = 0.0
     for d in (4, 6, 8, 10):
+        trunc = rc.truncate_law(law, 1e-300, d_max=d)
+        res = rc.lifted_spectral_radius(rc.build_lifted(sigma_fig, trunc, mode="lower"))
+        assert res.lower > prev
+        prev = res.upper
         br = rc.bracket_radius(sigma_fig, law, delta_tail=1e-300, d_max=d)
-        assert br.lo_lift >= prev - 1e-12
         assert br.lo >= R_CLOSED - 1e-12
-        prev = br.lo_lift
 
 
 def test_tilted_lift_dominates_tilted_benchmark(sigma_fig):
@@ -299,9 +305,16 @@ def test_exact_radius_dominates_own_truncations(sigma_fig):
         assert exact >= lower - 1e-12
 
 
-@pytest.mark.parametrize("d_max", [3, 7])
-def test_truncated_bracket_contains_enumerated_radii(sigma_fig, d_max):
-    law = rc.RelocationLaw.geometric(0.25)
+@pytest.mark.parametrize(
+    "eps, d_max, ends",
+    [
+        pytest.param(0.25, 3, "dense", id="3"),
+        pytest.param(0.25, 7, "envelope", id="7"),
+        pytest.param(0.75, 7, "lifts", id="7-lifts-carry"),
+    ],
+)
+def test_truncated_bracket_contains_enumerated_radii(sigma_fig, eps, d_max, ends):
+    law = rc.RelocationLaw.geometric(eps)
     br = rc.bracket_radius(sigma_fig, law, delta_tail=1e-6, d_max=d_max)
     assert not br.exact and br.d_used == d_max
     # d_max 3 gives 16 windows (dense eigensolve), d_max 7 gives 256 (power sweeps).
@@ -312,10 +325,84 @@ def test_truncated_bracket_contains_enumerated_radii(sigma_fig, d_max):
     lam_upper = largest_eigenvalue(
         window_matrix(sigma, trunc.masses, extra=trunc.tail_mass * sigma.max(axis=0))
     )
+    # Stopped early or not, the lift fields are valid Collatz-Wielandt bounds.
     assert br.lo_lift <= lam_lower * (1 + ORACLE_RTOL)
     assert lam_upper <= br.hi_lift * (1 + ORACLE_RTOL)
-    assert lam_lower - br.lo_lift <= 2e-12 * lam_lower
-    assert br.hi_lift - lam_upper <= 2e-12 * lam_upper
+    if ends == "envelope":
+        # Both power solves stopped once the radius was proved outside
+        # [r_bench, max row sum]; the oracle radii lie on that side.
+        assert br.lo_lift < br.lo and br.hi < br.hi_lift
+        assert br.hi == sigma.sum(axis=1).max()
+        assert lam_lower <= br.lo * (1 + ORACLE_RTOL)
+        assert lam_upper >= br.hi * (1 - ORACLE_RTOL)
+    else:
+        # The dense eigensolve certifies to 1e-12 whatever the envelope, and
+        # a power solve whose lift carries its end of the bracket runs to its certificate.
+        if ends == "lifts":
+            assert (br.lo, br.hi) == (br.lo_lift, br.hi_lift)
+        assert lam_lower - br.lo_lift <= 2e-12 * lam_lower
+        assert br.hi_lift - lam_upper <= 2e-12 * lam_upper
+
+
+def _envelope(sigma):
+    """(r_bench, max row sum): the analytic ends a truncated bracket folds in."""
+    entries = sigma.entries
+    return _certified_perron(entries.dot, sigma.m, lambda: entries).lower, float(sigma.row_sums().max())
+
+
+def assert_envelope_stop_is_exact(sigma, law, d_max):
+    """(lo, hi) equal those of full solves of both lifts, bit for bit.
+
+    Where the envelope carries an end, the lift's radius lies on the
+    envelope's side: by np.linalg.eigvals of the enumerated window matrix up
+    to 256 windows, by the full certified solve beyond (eigvals takes about
+    1.6 s at 1024 windows). Where the lift carries its end, the bracket's
+    lift field is the full solve's.
+    """
+    br = rc.bracket_radius(sigma, law, delta_tail=1e-6, d_max=d_max)
+    assert not br.exact
+    r_bench, row_max = _envelope(sigma)
+    trunc = rc.truncate_law(law, 1e-6, d_max)
+    entries = sigma.entries
+    extra = {"lower": None, "upper": trunc.tail_mass * entries.max(axis=0)}
+    full = {mode: rc.lifted_spectral_radius(rc.build_lifted(sigma, trunc, mode=mode)) for mode in extra}
+    lo = max(full["lower"].lower, r_bench)
+    assert (br.lo, br.hi) == (lo, max(min(full["upper"].upper, row_max), lo))
+
+    def radius(mode):
+        if sigma.m ** (trunc.d + 1) <= 256:
+            return largest_eigenvalue(window_matrix(entries, trunc.masses, extra=extra[mode]))
+        return full[mode].upper if mode == "lower" else full[mode].lower
+
+    if br.lo_lift < r_bench:
+        assert radius("lower") <= r_bench * (1 + ORACLE_RTOL)
+    else:
+        assert br.lo_lift == full["lower"].lower
+    if br.hi_lift > row_max:
+        assert radius("upper") >= row_max * (1 - ORACLE_RTOL)
+    else:
+        assert br.hi_lift == full["upper"].upper
+    return br
+
+
+@pytest.mark.parametrize("d_max", [3, 7, 9])
+def test_bracket_envelope_stop_matches_full_lift_solves(sigma_fig, d_max):
+    # 16 windows take the dense eigensolve; 256 and 1024 the power sweeps.
+    for eps in FIG2_EPSILONS:
+        br = assert_envelope_stop_is_exact(sigma_fig, rc.RelocationLaw.geometric(eps), d_max)
+        # At these depths the envelope carries the lower end for every eps of the grid.
+        assert br.lo_lift < br.lo
+
+
+@pytest.mark.parametrize("m, d_max", [(2, 3), (2, 7), (3, 2), (3, 4)])
+def test_bracket_envelope_stop_random_matrices(m, d_max):
+    rng = np.random.default_rng(97 + 10 * m + d_max)
+    for _ in range(3):
+        raw = rng.uniform(0.05, 1.0, size=(m, m))
+        raw = raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.3, 0.98, size=(m, 1))
+        sigma = rc.validate_substochastic(raw)
+        for eps in (0.9, 0.5, 0.05):
+            assert_envelope_stop_is_exact(sigma, rc.RelocationLaw.geometric(eps), d_max)
 
 
 def assert_certified(res, mat):

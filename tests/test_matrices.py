@@ -307,6 +307,35 @@ def test_perron_residuals_random(m, seed, scale):
     assert abs(t.rho @ t.h - 1.0) <= 1e-12
 
 
+def test_envelope_stop_keeps_a_valid_enclosure():
+    # 100 states take the power path; a lazy cycle converges slowly. An
+    # envelope the row sums already decide stops at v = 1 with no further
+    # sweep; a tighter one stops before the full certificate. Each stopped
+    # interval still encloses the radius, on the envelope's side.
+    rng = np.random.default_rng(5)
+    n = 100
+    a = 0.3 * np.eye(n) + 0.6 * np.roll(np.eye(n), 1, axis=1) + 0.001 * rng.uniform(size=(n, n))
+    a *= rng.uniform(0.8, 1.0, size=(n, 1))
+    oracle = largest_eigenvalue(a)
+    full = _certified_perron(a.dot, n, None)
+    unbounded = _certified_perron(a.dot, n, None, envelope=(-math.inf, math.inf))
+    assert (unbounded.lower, unbounded.upper, unbounded.iterations) == (full.lower, full.upper, full.iterations)
+    sums = a.sum(axis=1)
+    for below, above, at_ones in (
+        (sums.max() * 1.01, math.inf, True),
+        (-math.inf, sums.min() * 0.99, True),
+        (oracle * (1 + 1e-4), math.inf, False),
+        (-math.inf, oracle * (1 - 1e-4), False),
+    ):
+        res = _certified_perron(a.dot, n, None, envelope=(below, above))
+        assert res.upper <= below or res.lower >= above
+        assert res.lower - 1e-14 * oracle <= oracle <= res.upper + 1e-14 * oracle
+        if at_ones:
+            assert res.iterations == 1
+        else:
+            assert 1 < res.iterations < full.iterations
+
+
 def test_spectral_radius_rejects_zero_perron_entries():
     # Reducible: the right vector of r = 0.5 is (1, 0), and no strictly
     # positive vector certifies r, so the solver must fail loudly.
