@@ -11,7 +11,12 @@ truncation, and for a law on {0..d} a ring of the last d+1 states, or fewer
 when the run is too short to push states past the start window. All three
 samplers run replicas side by side in numpy arrays through that one memory:
 the killed chain and the Feynman-Kac estimator as many as asked for, the
-weighted chain N_CHAINS independent chains.
+weighted chain N_CHAINS independent chains. A step of the weighted chain
+costs a few numpy calls on N_CHAINS x m arrays, so its loop runs in blocks
+of _BLOCK steps: one draw of uniforms per block, and the per-step chain sums,
+running means and state counts folded once per block, in step order, so
+every output is bit for bit that of a loop folding one step at a time. The
+two samplers that never kill search only the first m - 1 columns of a row.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .relocation import HistoryWindow, RelocationLaw, occupation_measure
 
 LOG_OVERFLOW_LIMIT = 690.0  # log(1e300), unreachable for sub-stochastic weights
 N_CHAINS = 20  # independent weighted chains behind the standard error of c2
+_BLOCK = 256  # weighted-chain steps per block of uniforms and of folded statistics
 
 
 @dataclass(frozen=True)
@@ -151,10 +157,19 @@ class _Memory:
 
 
 def _search(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per replica, the first column whose running row sum exceeds x; m when none does."""
-    acc = np.zeros(len(x))
-    k = np.zeros(len(x), dtype=np.intp)
-    for col in rows.T:
+    """Per replica, the number of columns whose running row sum is at most x.
+
+    That is the first column whose running sum exceeds x, or the column count
+    when none does. Rows are non-negative, so the running sums are monotone
+    and the columns counted form a prefix: searching only the first m - 1
+    columns of a row gives min(k, m - 1), the draw of a sampler that never
+    kills, while the killed chain searches all m and reads m as death.
+    """
+    if not rows.shape[1]:
+        return np.zeros(len(x), dtype=np.intp)
+    acc = rows[:, 0].copy()
+    k = (acc <= x).astype(np.intp)
+    for col in rows.T[1:]:
         acc += col
         k += acc <= x
     return k
@@ -235,9 +250,19 @@ def run_weighted_chain(
     running mean are recorded. K a is the sum of the row the next step draws
     from, and a is read at the state just entered, so a point-mass law at 0
     with a equal to the right Perron vector yields a constant sequence.
-    c2_se is the standard error of the N_CHAINS chain means.
+    c2_se is the standard error of the N_CHAINS chain means. A law whose
+    nearest atom lies at depth `steps` or beyond never reads a pushed state,
+    so its rows never change and the default burn-in is 0.
+
+    Steps run in blocks of _BLOCK: one draw of uniforms per block, the same
+    PCG64 stream as one draw per step, and the chain sums, running means and
+    state counts folded after the block by a sequential cumsum, so every
+    output is bit for bit that of a loop that folds each step as it goes.
     """
-    if burnin is None:
+    if burnin is None and law.bounded and law.depths[0] >= steps:
+        # No push is ever read, so every row is the start window's: nothing mixes.
+        burnin = 0
+    elif burnin is None:
         # The memory-horizon rule, capped so short diagnostic runs stay legal.
         burnin = min(default_burnin(law), steps // 2)
     if burnin < 0 or thin < 1 or steps - burnin < N_CHAINS:
@@ -258,22 +283,40 @@ def run_weighted_chain(
     chain_sums = np.zeros(N_CHAINS)
     state_histogram = np.zeros(m, dtype=np.int64)
 
+    nxt_block = np.empty((_BLOCK, N_CHAINS), dtype=np.intp)
+    d_block = np.empty((_BLOCK, N_CHAINS))
     rows = memory.row(tilted)
     ka = rows @ ones
-    # k counts the steps after burn-in, from 0 at step burnin + 1.
-    for k in range(-burnin, post):
-        nxt = _search(rows, gen.random(N_CHAINS) * ka)
-        np.minimum(nxt, m - 1, out=nxt)
-        memory.push(nxt)
-        rows = memory.row(tilted)
-        ka = rows @ ones
-        if k >= 0:
-            chain_sums += np.log(ka) - log_av[nxt]
-            state_histogram += np.bincount(nxt, minlength=m)
-            if k % thin == 0:
+    # k counts the steps after burn-in, from 0 at step burnin + 1; one block
+    # of uniforms drives the steps k0 <= k < k0 + size.
+    for k0 in range(-burnin, post, _BLOCK):
+        size = min(_BLOCK, post - k0)
+        uniforms = gen.random((size, N_CHAINS))
+        for j in range(size):
+            nxt = _search(rows[:, :-1], uniforms[j] * ka)
+            memory.push(nxt)
+            rows = memory.row(tilted)
+            ka = rows @ ones
+            nxt_block[j] = nxt
+            d_block[j] = ka
+            k = k0 + j
+            if k >= 0 and k % thin == 0:
                 theta = memory.row(eye)
                 theta_samples[k // thin] = theta / theta.sum(axis=1, keepdims=True)
-                c2_running[k // thin] = chain_sums.sum() / (N_CHAINS * (k + 1))
+        # Fold the block's post-burn-in steps: row j of d becomes the chain
+        # sums after that step, added in step order as one step at a time would.
+        skip = max(-k0, 0)
+        if skip < size:
+            nxt, d = nxt_block[skip:size], d_block[skip:size]
+            np.log(d, out=d)
+            d -= log_av[nxt]
+            d[0] += chain_sums
+            np.cumsum(d, axis=0, out=d)
+            chain_sums[:] = d[-1]
+            state_histogram += np.bincount(nxt.ravel(), minlength=m)
+            first = -(k0 + skip) % thin
+            ks = np.arange(k0 + skip + first, k0 + size, thin)
+            c2_running[ks // thin] = d[first::thin].sum(axis=1) / (N_CHAINS * (ks + 1))
 
     means = chain_sums / post
     return WeightedChainStats(
@@ -319,9 +362,8 @@ def fk_survival_estimate(
     for _ in range(n):
         rows = memory.row(tilted)
         ka = rows @ ones
-        nxt = _search(rows, gen.random(replicas) * ka)
+        nxt = _search(rows[:, :-1], gen.random(replicas) * ka)
         del rows  # so the next (R, m) row is not built while this one is held
-        np.minimum(nxt, m - 1, out=nxt)
         log_w += np.log(ka) - log_av[nxt]
         memory.push(nxt)
 

@@ -1,12 +1,16 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import relochain as rc
 from relochain.cli import main as cli_main
-from relochain.simulate import N_CHAINS, _Memory
+from relochain.matrices import tilt_vector
+from relochain.simulate import _BLOCK, N_CHAINS, _Memory, _search
 
 from conftest import R_CLOSED, cycle_matrix_200
 
@@ -319,3 +323,201 @@ def test_weighted_chain_layout(sigma_fig, tmp_path):
     )
     assert code == 2
 
+
+
+# Reference samplers: the per-step loops the blocked weighted chain and the
+# (m - 1)-column search replaced, kept verbatim as oracles for bit equality.
+
+
+def _reference_search(rows, x):
+    acc = np.zeros(len(x))
+    k = np.zeros(len(x), dtype=np.intp)
+    for col in rows.T:
+        acc += col
+        k += acc <= x
+    return k
+
+
+def _reference_weighted_chain(sigma, law, a, steps, burnin=None, thin=20, rng=rc.RngSpec(0)):
+    if burnin is None:
+        burnin = min(rc.default_burnin(law), steps // 2)
+    av = tilt_vector(a)
+    gen = rng.generator()
+    m = sigma.m
+    tilted = sigma.entries * av
+    log_av = np.log(av)
+    ones, eye = np.ones(m), np.eye(m)
+    post = (steps - burnin) // N_CHAINS
+    memory = _Memory(law, rc.HistoryWindow.constant(0), m, N_CHAINS, pushes=burnin + post)
+
+    theta_samples = np.empty(((post - 1) // thin + 1, N_CHAINS, m))
+    c2_running = np.empty(len(theta_samples))
+    chain_sums = np.zeros(N_CHAINS)
+    state_histogram = np.zeros(m, dtype=np.int64)
+
+    rows = memory.row(tilted)
+    ka = rows @ ones
+    for k in range(-burnin, post):
+        nxt = _reference_search(rows, gen.random(N_CHAINS) * ka)
+        np.minimum(nxt, m - 1, out=nxt)
+        memory.push(nxt)
+        rows = memory.row(tilted)
+        ka = rows @ ones
+        if k >= 0:
+            chain_sums += np.log(ka) - log_av[nxt]
+            state_histogram += np.bincount(nxt, minlength=m)
+            if k % thin == 0:
+                theta = memory.row(eye)
+                theta_samples[k // thin] = theta / theta.sum(axis=1, keepdims=True)
+                c2_running[k // thin] = chain_sums.sum() / (N_CHAINS * (k + 1))
+
+    means = chain_sums / post
+    return rc.WeightedChainStats(
+        theta_samples=theta_samples.reshape(-1, m),
+        sample_steps=np.repeat(burnin + 1 + thin * np.arange(len(c2_running)), N_CHAINS),
+        c2_running=np.repeat(c2_running, N_CHAINS),
+        c2_mean=float(means.mean()),
+        c2_se=float(means.std(ddof=1) / math.sqrt(N_CHAINS)),
+        chain_means=means,
+        state_histogram=state_histogram,
+        burnin=burnin,
+        steps=steps,
+    )
+
+
+def _reference_fk(sigma, law, a, init, n, replicas, rng):
+    gen = rng.generator()
+    av = tilt_vector(a)
+    m = sigma.m
+    tilted = sigma.entries * av
+    log_av = np.log(av)
+    ones = np.ones(m)
+    memory = _Memory(law, init, m, replicas, pushes=n)
+    log_w = np.zeros(replicas)
+    for _ in range(n):
+        rows = memory.row(tilted)
+        ka = rows @ ones
+        nxt = _reference_search(rows, gen.random(replicas) * ka)
+        np.minimum(nxt, m - 1, out=nxt)
+        log_w += np.log(ka) - log_av[nxt]
+        memory.push(nxt)
+    w = np.exp(log_w)
+    value = float(w.mean())
+    se = float(w.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
+    return rc.FkEstimate(value=value, se=se, n=n, replicas=replicas)
+
+
+def _assert_same_bits(got, want):
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), field.name
+        elif isinstance(w, float):
+            assert g.hex() == w.hex(), field.name
+        else:
+            assert g == w, field.name
+
+
+SIGMA_3 = [[0.5, 0.2, 0.1], [0.1, 0.6, 0.2], [0.3, 0.1, 0.4]]
+ORACLE_LAWS = {
+    "geometric 0.3": rc.RelocationLaw.geometric(0.3),
+    "geometric 0.01": rc.RelocationLaw.geometric(0.01),
+    "dirac 0": rc.RelocationLaw.dirac(0),
+    "explicit 0.2 0.3 0.5": rc.RelocationLaw.explicit([0.2, 0.3, 0.5]),
+    "far atom": rc.RelocationLaw((0, 3, 10**6), (0.5, 0.2, 0.3)),
+}
+
+
+def _oracle_sigma(m):
+    return rc.benchmark_matrix() if m == 2 else rc.validate_substochastic(np.array(SIGMA_3))
+
+
+def _oracle_tilt(m, flat):
+    return np.ones(m) if flat else np.array([1.0, 2.5, 0.4][:m])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "tilted"])
+@pytest.mark.parametrize("law", list(ORACLE_LAWS), ids=list(ORACLE_LAWS))
+def test_weighted_chain_matches_per_step_loop_across_laws(law, flat, m):
+    sigma, a = _oracle_sigma(m), _oracle_tilt(m, flat)
+    args = (sigma, ORACLE_LAWS[law], a)
+    # Burn-in ends one step into the second block; three blocks fold statistics.
+    kwargs = dict(steps=_BLOCK + 1 + N_CHAINS * 2 * _BLOCK, burnin=_BLOCK + 1, thin=7, rng=rc.RngSpec(41, m))
+    _assert_same_bits(rc.run_weighted_chain(*args, **kwargs), _reference_weighted_chain(*args, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "burnin, post, thin",
+    [
+        (0, 300, 1),
+        (_BLOCK - 1, 300, 7),
+        (_BLOCK, 300, 20),
+        (_BLOCK + 1, 300, 7),
+        (_BLOCK - 1, 5, 7),  # post < thin: one sample
+        (_BLOCK, 2 * _BLOCK, 20),  # post a multiple of the block
+        (0, 2 * _BLOCK, 1),  # whole blocks, burn-in none
+        (3 * _BLOCK + 10, 2 * _BLOCK + 5, 20),  # several blocks of burn-in alone
+        (None, 600, 20),  # the default burn-in, min(100 (d+1), steps // 2)
+    ],
+)
+@pytest.mark.parametrize("law", ["geometric 0.3", "explicit 0.2 0.3 0.5"])
+def test_weighted_chain_matches_per_step_loop_across_block_edges(law, burnin, post, thin):
+    sigma, a = _oracle_sigma(2), _oracle_tilt(2, flat=False)
+    # The default burn-in, at most steps // 2, leaves at least post steps per chain.
+    steps = 2 * N_CHAINS * post if burnin is None else burnin + N_CHAINS * post + N_CHAINS - 1
+    kwargs = dict(steps=steps, burnin=burnin, thin=thin, rng=rc.RngSpec(43))
+    got = rc.run_weighted_chain(sigma, ORACLE_LAWS[law], a, **kwargs)
+    want = _reference_weighted_chain(sigma, ORACLE_LAWS[law], a, **kwargs)
+    assert got.state_histogram.sum() == N_CHAINS * ((steps - got.burnin) // N_CHAINS)
+    _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "tilted"])
+@pytest.mark.parametrize("law", list(ORACLE_LAWS), ids=list(ORACLE_LAWS))
+def test_fk_matches_per_step_loop(law, flat, m):
+    sigma, a = _oracle_sigma(m), _oracle_tilt(m, flat)
+    init = rc.HistoryWindow((1, 0))
+    args = (sigma, ORACLE_LAWS[law], a, init, 25, 300, rc.RngSpec(47, m))
+    _assert_same_bits(rc.fk_survival_estimate(*args), _reference_fk(*args))
+
+
+def _rows_and_targets(draw):
+    replicas = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    zeros = draw(st.integers(0, m))  # trailing zero columns
+    entry = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.1, 0.2, 0.3, 1e-300])
+    rows = np.array(draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=replicas, max_size=replicas)))
+    rows[:, m - zeros :] = 0.0
+    partial = np.cumsum(rows, axis=1)
+    x = np.empty(replicas)
+    for r in range(replicas):
+        if draw(st.booleans()):
+            x[r] = partial[r, draw(st.integers(0, m - 1))]  # exactly a running sum
+        else:
+            x[r] = draw(st.floats(0.0, 1.0, exclude_max=True)) * partial[r, -1]
+    return rows, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.composite(_rows_and_targets)())
+@example((np.array([[0.3, 0.0, 0.0], [0.3, 0.2, 0.0]]), np.array([0.3, 0.5])))
+@example((np.array([[0.0, 0.0], [0.7, 0.1]]), np.array([0.0, 0.79])))
+@example((np.array([[0.4]]), np.array([0.2])))
+def test_search_on_m_minus_one_columns_is_the_clamped_full_search(data):
+    rows, x = data
+    m = rows.shape[1]
+    np.testing.assert_array_equal(_search(rows[:, :-1], x), np.minimum(_reference_search(rows, x), m - 1))
+    np.testing.assert_array_equal(_search(rows, x), _reference_search(rows, x))
+
+
+def test_deep_law_needs_no_burnin(sigma_fig):
+    # dirac 10**4 never reads a state pushed in a 5,000-step run, so every row is
+    # sigma[0] (sum 0.8) from the first step on and the default burns in nothing.
+    stats = rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.dirac(10**4), np.ones(2), steps=5_000)
+    assert stats.burnin == 0
+    assert stats.state_histogram.sum() == 5_000
+    assert np.abs(stats.chain_means - math.log(0.8)).max() <= 1e-12
+    near = rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.dirac(4_999), np.ones(2), steps=5_000)
+    assert near.burnin == 2_500
