@@ -74,11 +74,9 @@ from .simulate import (
     run_weighted_chain,
 )
 from .bounds import (
-    C2Estimate,
     ObjectiveEval,
     OptimizeJResult,
     RateFunctionTable,
-    c2_bound_estimate,
     j_objective,
     optimize_j,
     rate_function_I,

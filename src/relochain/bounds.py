@@ -22,15 +22,14 @@ import numpy as np
 
 from .errors import NoConvergenceError
 from .lifted import build_lifted
-from .matrices import DENSE_MAX_STATES, SubStochasticMatrix, _perron_triple, perron_triple, tilt, tilt_vector
+from .matrices import DENSE_MAX_STATES, PerronTriple, SubStochasticMatrix, _perron_triple, perron_triple, tilt_vector
 from .relocation import RelocationLaw
-from .simulate import RngSpec, run_weighted_chain
+from .simulate import RngSpec
 
 BOUNDARY_DRIFT_NORM = 20.0
 # Nelder-Mead fatol of optimize_j. The product is one ulp above the literal
 # 1e-12; it stays the product so that optimizer outputs do not move.
 J_FATOL = 1e-9 * 1e-3
-RATE_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -53,17 +52,6 @@ class OptimizeJResult:
 
 
 @dataclass(frozen=True)
-class C2Estimate:
-    """Monte Carlo lower-bound estimate for the persistence log-rate."""
-
-    value: float
-    se: float
-    chain_means: np.ndarray
-    steps: int
-    burnin: int
-
-
-@dataclass(frozen=True)
 class RateFunctionTable:
     """Benchmark and lifted rate functions on a simplex grid.
 
@@ -79,10 +67,24 @@ class RateFunctionTable:
     violations: np.ndarray
 
 
+def _tilt_triple(sigma: SubStochasticMatrix, a: np.ndarray) -> PerronTriple:
+    """Perron triple of sigma diag(a), unchecked: a positive tilt keeps the support validation proved irreducible."""
+    return _perron_triple(sigma.entries * a, sigma.m)
+
+
+def _window_triple(sigma: SubStochasticMatrix, law: RelocationLaw, a: np.ndarray) -> PerronTriple:
+    """Perron triple of the window chain of sigma diag(a): dense up to DENSE_MAX_STATES windows, sparse above."""
+    chain = build_lifted(sigma.entries * a, law)
+    n = chain.n_states
+    return _perron_triple(chain.dense() if n <= DENSE_MAX_STATES else chain.operator, n, chain.m)
+
+
 def j_objective(sigma: SubStochasticMatrix, a) -> ObjectiveEval:
-    """J(a) = r_a exp(-rho_a log a) for a positive weight vector a."""
+    """J(a) = r_a exp(-rho_a log a) for a validated sigma and a positive weight vector a."""
     av = tilt_vector(a)
-    triple = perron_triple(tilt(sigma, av))
+    if av.shape[0] != sigma.m:
+        raise ValueError("tilt vector length does not match the matrix")
+    triple = _tilt_triple(sigma, av)
     j = triple.r * math.exp(-float(triple.rho @ np.log(av)))
     return ObjectiveEval(a=av, r_a=triple.r, rho_a=triple.rho, j_value=j)
 
@@ -90,12 +92,13 @@ def j_objective(sigma: SubStochasticMatrix, a) -> ObjectiveEval:
 def optimize_j(sigma: SubStochasticMatrix, rng: RngSpec = RngSpec(0)) -> OptimizeJResult:
     """Nelder-Mead maximization of J over log a with a(last) = 1, from three starts.
 
-    The starts are log a = 0, the gauge-fixed log h, and one standard
-    Gaussian draw from `rng`: J is not known to be unimodal, and the draw is
-    a cheap hedge against a second local maximum. The returned value is the
-    best evaluation seen, so it never falls below J(1) or J(h) by more than
-    solver tolerance. A best point with a large log-weight norm is reported
-    as boundary drift rather than treated as an attained supremum.
+    `sigma` is a validated SubStochasticMatrix. The starts are log a = 0, the
+    gauge-fixed log h, and one standard Gaussian draw from `rng`: J is not
+    known to be unimodal, and the draw is a cheap hedge against a second
+    local maximum. The returned value is the best evaluation seen, so it
+    never falls below J(1) or J(h) by more than solver tolerance. A best
+    point with a large log-weight norm is reported as boundary drift rather
+    than treated as an attained supremum.
     """
     from scipy.optimize import minimize  # deferred: 0.5 s to import, scipy.sparse included
 
@@ -125,32 +128,6 @@ def optimize_j(sigma: SubStochasticMatrix, rng: RngSpec = RngSpec(0)) -> Optimiz
     return OptimizeJResult(a_star=a_star, j_star=best, j_at_one=j_one, j_at_h=j_h, boundary_drift=drift)
 
 
-def c2_bound_estimate(
-    sigma: SubStochasticMatrix,
-    law: RelocationLaw,
-    a,
-    steps: int = 1_500_000,
-    burnin: int | None = None,
-    rng: RngSpec = RngSpec(0),
-) -> C2Estimate:
-    """Ergodic-average estimate of the persistence lower bound for weight a.
-
-    Runs N_CHAINS independent weighted chains and averages log(K a / a)
-    along them; the standard error comes from the spread of the chain means,
-    each taken after its own burn-in, so it needs no mixing-time estimate.
-    Every law of the closed-form families has a finite mean, so the time
-    average has a unique limit.
-    """
-    stats = run_weighted_chain(sigma, law, a, steps=steps, burnin=burnin, rng=rng)
-    return C2Estimate(
-        value=stats.c2_mean,
-        se=stats.c2_se,
-        chain_means=stats.chain_means,
-        steps=stats.steps,
-        burnin=stats.burnin,
-    )
-
-
 def _vertex_rate(sigma: SubStochasticMatrix, nu: np.ndarray) -> float | None:
     """-log sigma[v, v] when nu is the vertex e_v of the simplex, else None.
 
@@ -169,7 +146,7 @@ def _vertex_rate(sigma: SubStochasticMatrix, nu: np.ndarray) -> float | None:
     if nu[vertex] < 1.0 - 1e-15:
         return None
     diag = float(sigma.entries[vertex, vertex])
-    return RATE_INF if diag == 0.0 else -math.log(diag)
+    return math.inf if diag == 0.0 else -math.log(diag)
 
 
 def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarray]:
@@ -202,7 +179,7 @@ def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarra
 
 
 def rate_function_I(sigma: SubStochasticMatrix, nu) -> float:
-    """Benchmark rate function at a simplex point, by the Legendre route.
+    """Benchmark rate function of a validated sigma at a simplex point, by the Legendre route.
 
     At simplex vertices the supremum has the closed form -log sigma[s, s],
     returned exactly (infinite when the diagonal entry vanishes). Elsewhere
@@ -211,19 +188,20 @@ def rate_function_I(sigma: SubStochasticMatrix, nu) -> float:
     """
     nu = np.asarray(nu, dtype=float)
     at_vertex = _vertex_rate(sigma, nu)
-    return at_vertex if at_vertex is not None else _legendre(lambda a: perron_triple(tilt(sigma, a)), nu)[0]
+    return at_vertex if at_vertex is not None else _legendre(lambda a: _tilt_triple(sigma, a), nu)[0]
 
 
 def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_points: int = 101) -> RateFunctionTable:
     """Tabulate the benchmark and lifted rate functions on a simplex grid.
 
-    Requires a bounded law. The grid is every nu with coordinates in
-    multiples of 1/(grid_points - 1), lexicographic in nu_1..nu_{m-1}: for two
-    states nu = (x, 1 - x) with x rising. Both columns are exact at the
-    vertices; elsewhere `_legendre` maximizes the lifted transform, then the
-    benchmark one, also evaluated at the lifted maximizer lambda_bold. The
-    lifted radius dominates the benchmark one at every tilt, so
-    I_bold = lifted(lambda_bold) <= benchmark(lambda_bold) <= I by construction.
+    Requires a validated sigma and a bounded law. The grid is every nu with
+    coordinates in multiples of 1/(grid_points - 1), lexicographic in
+    nu_1..nu_{m-1}: for two states nu = (x, 1 - x) with x rising. Both
+    columns are exact at the vertices; elsewhere `_legendre` maximizes the
+    lifted transform, then the benchmark one, also evaluated at the lifted
+    maximizer lambda_bold. The lifted radius dominates the benchmark one at
+    every tilt, so I_bold = lifted(lambda_bold) <= benchmark(lambda_bold) <= I
+    by construction.
     """
     if not law.bounded:
         raise ValueError("rate_function_lifted needs a bounded relocation law")
@@ -234,17 +212,12 @@ def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_po
     bars = np.array(list(itertools.combinations(range(k + m - 1), m - 1)), dtype=float)
     nu_grid = (np.diff(bars, axis=1, prepend=-1.0, append=k + m - 1.0) - 1.0) / k
 
-    def window_triple(a):
-        chain = build_lifted(tilt(sigma, a), law)
-        n = chain.n_states
-        return _perron_triple(chain.dense() if n <= DENSE_MAX_STATES else chain.operator, n, chain.m)
-
     i_vals, i_bold = np.empty((2, len(nu_grid)))
     for idx, nu in enumerate(nu_grid):
         at_vertex = _vertex_rate(sigma, nu)
         if at_vertex is not None:
             i_vals[idx] = i_bold[idx] = at_vertex
             continue
-        i_bold[idx], lam_bold = _legendre(window_triple, nu)
-        i_vals[idx] = _legendre(lambda a: perron_triple(tilt(sigma, a)), nu, witness=lam_bold)[0]
+        i_bold[idx], lam_bold = _legendre(lambda a: _window_triple(sigma, law, a), nu)
+        i_vals[idx] = _legendre(lambda a: _tilt_triple(sigma, a), nu, witness=lam_bold)[0]
     return RateFunctionTable(nu_grid=nu_grid, i_values=i_vals, i_lifted=i_bold, violations=i_bold > i_vals + 1e-8)

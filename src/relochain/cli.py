@@ -25,9 +25,9 @@ from .errors import (
     StateCapExceededError,
     UnknownExperimentError,
 )
-from .experiments import benchmark_matrix, run_config, write_csv
-from .lifted import bracket_radius
-from .matrices import load_matrix, perron_triple
+from .experiments import _load_sigma, run_config, write_csv
+from .lifted import D_MAX, bracket_radius
+from .matrices import perron_triple
 from .relocation import HistoryWindow, parse_relocation_law
 from .simulate import RngSpec, run_killed_chain, run_weighted_chain
 
@@ -37,10 +37,6 @@ def _sigma_arg(parser):
         "--sigma",
         help="matrix text file (first line m, then m rows); defaults to the built-in two-state benchmark",
     )
-
-
-def _get_sigma(args):
-    return load_matrix(args.sigma) if args.sigma else benchmark_matrix()
 
 
 def _parse_a(spec, sigma):
@@ -66,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     _sigma_arg(p)
     p.add_argument("--tau", required=True, help="relocation law: 'dirac d' | 'geometric eps' | 'explicit p0 ...'")
     p.add_argument("--dtail", type=float, default=1e-6)
-    p.add_argument("--dmax", type=int, default=16)
+    p.add_argument("--dmax", type=int, default=D_MAX)
 
     p = sub.add_parser("simulate-survival", help="Monte Carlo survival curve of the killed chain")
     _sigma_arg(p)
@@ -122,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_perron(args):
-    triple = perron_triple(_get_sigma(args))
+    triple = perron_triple(_load_sigma(args.sigma))
     json.dump(
         {"r": triple.r, "h": [float(x) for x in triple.h], "rho": [float(x) for x in triple.rho]},
         sys.stdout,
@@ -131,7 +127,7 @@ def _cmd_perron(args):
 
 
 def _cmd_lifted_radius(args):
-    sigma = _get_sigma(args)
+    sigma = _load_sigma(args.sigma)
     law = parse_relocation_law(args.tau)
     bracket = bracket_radius(sigma, law, delta_tail=args.dtail, d_max=args.dmax)
     json.dump(
@@ -147,7 +143,7 @@ def _cmd_lifted_radius(args):
 
 
 def _cmd_simulate_survival(args):
-    sigma = _get_sigma(args)
+    sigma = _load_sigma(args.sigma)
     law = parse_relocation_law(args.tau)
     result = run_killed_chain(
         sigma, law, HistoryWindow.constant(args.init_state), args.n, args.replicas,
@@ -159,7 +155,7 @@ def _cmd_simulate_survival(args):
 
 
 def _cmd_weighted_run(args):
-    sigma = _get_sigma(args)
+    sigma = _load_sigma(args.sigma)
     law = parse_relocation_law(args.tau)
     a = _parse_a(args.a, sigma)
     stats = run_weighted_chain(
@@ -172,7 +168,7 @@ def _cmd_weighted_run(args):
 
 
 def _cmd_bound_c3(args):
-    sigma = _get_sigma(args)
+    sigma = _load_sigma(args.sigma)
     result = optimize_j(sigma, RngSpec(args.seed))
     json.dump(
         {
@@ -187,7 +183,7 @@ def _cmd_bound_c3(args):
 
 
 def _cmd_rate_function(args):
-    sigma = _get_sigma(args)
+    sigma = _load_sigma(args.sigma)
     law = parse_relocation_law(args.tau)
     table = rate_function_lifted(sigma, law, grid_points=args.grid)
     header = [*(f"nu_{i+1}" for i in range(sigma.m)), "I", "I_bold"]

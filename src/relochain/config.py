@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigParseError, UnknownExperimentError
+from .lifted import D_MAX
 
 # The keys each experiment reads, besides `experiment` itself.
 EXPERIMENT_KEYS = {
@@ -40,7 +41,7 @@ class ExperimentConfig:
     outdir: str = "out"
     emit_svg: bool = False
     dtail: float = 1e-6
-    dmax: int = 16
+    dmax: int = D_MAX
     count: int = 20
     m: int = 2
 

@@ -72,10 +72,9 @@ def benchmark_matrix() -> SubStochasticMatrix:
     return validate_substochastic(np.array(BENCHMARK_ENTRIES))
 
 
-def _load_sigma(config: ExperimentConfig) -> SubStochasticMatrix:
-    if config.sigma_path:
-        return load_matrix(config.sigma_path)
-    return benchmark_matrix()
+def _load_sigma(path) -> SubStochasticMatrix:
+    """The matrix in the text file at `path`, or the benchmark when no path is given."""
+    return load_matrix(path) if path else benchmark_matrix()
 
 
 def _eps_name(eps: float) -> str:
@@ -90,7 +89,7 @@ def run_fig1(config: ExperimentConfig):
     step, and the summary collects mean and spread of the first coordinate
     against the benchmark quasi-stationary mass.
     """
-    sigma = _load_sigma(config)
+    sigma = _load_sigma(config.sigma_path)
     rho1 = float(perron_triple(sigma).rho[0])
     os.makedirs(config.outdir, exist_ok=True)
     ones = np.ones(sigma.m)
@@ -109,11 +108,8 @@ def run_fig1(config: ExperimentConfig):
         name = f"fig1_eps{_eps_name(eps)}.csv"
         path = os.path.join(config.outdir, name)
         theta_cols = [f"theta_{i+1}" for i in range(sigma.m)]
-        rows = [
-            [int(j), *theta, c2]
-            for j, theta, c2 in zip(stats.sample_steps, stats.theta_samples, stats.c2_running)
-        ]
-        write_csv(path, ["j", *theta_cols, "c2_running"], [[str(r[0]), *r[1:]] for r in rows])
+        rows = zip(stats.sample_steps, stats.theta_samples, stats.c2_running)
+        write_csv(path, ["j", *theta_cols, "c2_running"], ([str(j), *theta, c2] for j, theta, c2 in rows))
         outputs.append(path)
         theta1 = stats.theta_samples[:, 0]
         summary_rows.append([_eps_name(eps), float(theta1.mean()), float(theta1.std(ddof=1)), rho1])
@@ -149,7 +145,7 @@ def run_fig2(config: ExperimentConfig):
     Each row holds the certified bracket of the relocation-chain radius, the
     benchmark radius, and the optimized objective, all in log scale.
     """
-    sigma = _load_sigma(config)
+    sigma = _load_sigma(config.sigma_path)
     os.makedirs(config.outdir, exist_ok=True)
     stages = {}
     _import_optimizer(stages)

@@ -25,13 +25,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import StateCapExceededError
-from .matrices import SpectralResult, SubStochasticMatrix, _certified_perron, _digraph_structure, _nonnegative_entries
+from .matrices import ROW_SUM_TOL, SpectralResult, SubStochasticMatrix
+from .matrices import _certified_perron, _digraph_structure, _nonnegative_entries
 from .relocation import HistoryWindow, RelocationLaw, TruncationResult, truncate_law
 
 if TYPE_CHECKING:
     from scipy import sparse
 
 STATE_CAP = 2**21  # largest window count a chain may have
+D_MAX = 16  # default truncation depth cap of a radius bracket
 
 EXACT = "exact"
 LOWER = "lower"
@@ -193,7 +195,7 @@ def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
     # validated benchmark; tilted matrices may legitimately exceed it.
     if mode != UPPER and isinstance(sigma, SubStochasticMatrix):
         sums = weights.sum(axis=1)
-        if (sums > 1.0 + 1e-12).any():
+        if (sums > 1.0 + ROW_SUM_TOL).any():
             raise ValueError("lifted row sums exceed 1; input masses are not sub-stochastic")
     weights.setflags(write=False)
     return LiftedChain(m=m, d=d, weights=weights)
@@ -250,7 +252,7 @@ def bracket_radius(
     sigma: SubStochasticMatrix,
     law: RelocationLaw,
     delta_tail: float = 1e-6,
-    d_max: int = 20,
+    d_max: int = D_MAX,
 ) -> RadiusBracket:
     """Two-sided certified enclosure of the relocation-chain spectral radius.
 

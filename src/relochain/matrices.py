@@ -10,7 +10,6 @@ contraction coefficients.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -97,22 +96,13 @@ def structure_flags(raw) -> tuple[bool, bool, bool]:
     """(irreducible, aperiodic, strictly_positive) of the support digraph.
 
     Irreducibility is strong connectivity; aperiodicity is period 1, and a
-    reducible support is reported as not aperiodic. Results are memoized
-    per support, since every tilt of a matrix keeps its support.
+    reducible support is reported as not aperiodic.
     """
     a = _as_square_array(raw)
-    support = a > 0.0
-    if support.all():
+    if (a > 0.0).all():
         # A complete digraph with self-loops: strongly connected, period 1.
         return True, True, True
-    m = a.shape[0]
-    return (*_support_structure(m, np.packbits(support).tobytes()), False)
-
-
-@functools.lru_cache(maxsize=64)
-def _support_structure(m: int, packed: bytes) -> tuple[bool, bool]:
-    support = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=m * m).reshape(m, m)
-    return _digraph_structure(support)
+    return (*_digraph_structure(a), False)
 
 
 def _digraph_structure(graph) -> tuple[bool, bool]:
@@ -336,15 +326,13 @@ def perron_triple(matrix) -> PerronTriple:
 
 
 def _perron_triple(a, n: int, terms: int | None = None) -> PerronTriple:
-    """Perron triple of an irreducible n x n operator, a numpy array or a scipy sparse array.
+    """Unchecked Perron triple of an irreducible nonnegative n x n operator.
 
-    A sparse operator of at most DENSE_MAX_STATES states is densified once
-    for both eigensolves. `terms` counts the summands per row of `a` and
+    `a` is a numpy array, or a scipy sparse array of more than
+    DENSE_MAX_STATES states. `terms` counts the summands per row of `a` and
     `a.T` (n when omitted): m for a window operator, as every window has m
     successors and m predecessors.
     """
-    if not isinstance(a, np.ndarray) and n <= DENSE_MAX_STATES:
-        a = a.toarray()  # densified once for both eigensolves
     at = a.T
     v = _certified_perron(a.dot, n, lambda: a, terms).right_vector
     u = _certified_perron(at.dot, n, lambda: at, terms).right_vector

@@ -251,20 +251,20 @@ def run_weighted_chain(
     from, and a is read at the state just entered, so a point-mass law at 0
     with a equal to the right Perron vector yields a constant sequence.
     c2_se is the standard error of the N_CHAINS chain means. A law whose
-    nearest atom lies at depth `steps` or beyond never reads a pushed state,
-    so its rows never change and the default burn-in is 0.
+    nearest atom lies at or past the b + (steps - b) // N_CHAINS states each
+    chain pushes with the default burn-in b never reads one: burn-in is 0.
 
     Steps run in blocks of _BLOCK: one draw of uniforms per block, the same
     PCG64 stream as one draw per step, and the chain sums, running means and
     state counts folded after the block by a sequential cumsum, so every
     output is bit for bit that of a loop that folds each step as it goes.
     """
-    if burnin is None and law.bounded and law.depths[0] >= steps:
-        # No push is ever read, so every row is the start window's: nothing mixes.
-        burnin = 0
-    elif burnin is None:
+    if burnin is None:
         # The memory-horizon rule, capped so short diagnostic runs stay legal.
         burnin = min(default_burnin(law), steps // 2)
+        if law.bounded and law.depths[0] >= burnin + (steps - burnin) // N_CHAINS:
+            # No push is ever read, so every row is the start window's: nothing mixes.
+            burnin = 0
     if burnin < 0 or thin < 1 or steps - burnin < N_CHAINS:
         raise ValueError(f"need burnin >= 0, thin >= 1 and steps - burnin >= {N_CHAINS}, one step per chain")
     av = tilt_vector(a)

@@ -5,8 +5,8 @@ import pytest
 from scipy.optimize import minimize, minimize_scalar
 
 import relochain as rc
-from relochain.bounds import _legendre
-from relochain.matrices import _perron_triple
+from relochain import matrices
+from relochain.bounds import _legendre, _window_triple
 
 from conftest import R_CLOSED, largest_eigenvalue, window_matrix
 
@@ -151,19 +151,19 @@ def test_optimize_j_gauge_invariance(sigma_fig):
 
 def test_c2_dirac0_exact(sigma_fig):
     h = rc.perron_triple(sigma_fig).h
-    est = rc.c2_bound_estimate(
+    est = rc.run_weighted_chain(
         sigma_fig, rc.RelocationLaw.dirac(0), h, steps=30_000, burnin=500, rng=rc.RngSpec(44)
     )
-    assert est.value == pytest.approx(math.log(R_CLOSED), abs=1e-12)
+    assert est.c2_mean == pytest.approx(math.log(R_CLOSED), abs=1e-12)
 
 
 def test_c2_two_point_matches_dense_oracle(sigma_fig):
     h = rc.perron_triple(sigma_fig).h
     oracle = weighted_chain_c2_oracle(sigma_fig, h)
-    est = rc.c2_bound_estimate(
+    est = rc.run_weighted_chain(
         sigma_fig, rc.RelocationLaw.explicit([0.5, 0.5]), h, steps=400_000, rng=rc.RngSpec(45)
     )
-    assert abs(est.value - oracle) <= 4 * est.se
+    assert abs(est.c2_mean - oracle) <= 4 * est.c2_se
     # strictly between the benchmark rate and the lifted rate
     assert oracle > math.log(R_CLOSED)
     r_bold = rc.lifted_spectral_radius(
@@ -180,17 +180,17 @@ def test_c2_se_is_calibrated(sigma_fig):
     oracle = weighted_chain_c2_oracle(sigma_fig, h)
     hits = 0
     for rep in range(20):
-        est = rc.c2_bound_estimate(sigma_fig, law, h, steps=40_000, rng=rc.RngSpec(500, rep))
-        hits += abs(est.value - oracle) <= 3 * est.se
+        est = rc.run_weighted_chain(sigma_fig, law, h, steps=40_000, rng=rc.RngSpec(500, rep))
+        hits += abs(est.c2_mean - oracle) <= 3 * est.c2_se
     assert hits >= 18
 
 
 def test_c2_scale_invariance(sigma_fig):
     h = rc.perron_triple(sigma_fig).h
     law = rc.RelocationLaw.explicit([0.5, 0.5])
-    one = rc.c2_bound_estimate(sigma_fig, law, h, steps=50_000, rng=rc.RngSpec(46))
-    two = rc.c2_bound_estimate(sigma_fig, law, 2.0 * h, steps=50_000, rng=rc.RngSpec(46))
-    assert abs(one.value - two.value) <= 1e-10
+    one = rc.run_weighted_chain(sigma_fig, law, h, steps=50_000, rng=rc.RngSpec(46))
+    two = rc.run_weighted_chain(sigma_fig, law, 2.0 * h, steps=50_000, rng=rc.RngSpec(46))
+    assert abs(one.c2_mean - two.c2_mean) <= 1e-10
 
 
 def test_rate_function_I_properties(sigma_fig, triple_closed):
@@ -300,15 +300,14 @@ def test_window_gradient_matches_dense_differences(sigma, masses):
     # differences of the enumerated window matrix check it. At step 1e-5 the
     # truncation error is about 2e-11 and the eigenvalue rounding of the
     # 128-window matrix about 6e-10.
-    sigma = np.asarray(sigma, dtype=float)
-    m = sigma.shape[0]
+    validated = rc.validate_substochastic(sigma)
+    sigma, m = validated.entries, validated.m
     law = rc.RelocationLaw.explicit(masses)
     rng = np.random.default_rng(11)
     step = 1e-5
     for _ in range(3):
         lam = rng.normal(size=m)
-        chain = rc.build_lifted(rc.tilt(sigma, np.exp(lam)), law)
-        triple = _perron_triple(chain.operator, chain.n_states, chain.m)
+        triple = _window_triple(validated, law, np.exp(lam))
         marginal = (triple.rho * triple.h).reshape(m, -1).sum(axis=1)
         r_dense = largest_eigenvalue(window_matrix(sigma * np.exp(lam)[None, :], masses))
         assert triple.r == pytest.approx(r_dense, rel=1e-12)
@@ -328,15 +327,11 @@ def test_rate_function_lifted_duality_three_states():
     sigma = rc.validate_substochastic(SIGMA3)
     law = rc.RelocationLaw.explicit([0.5, 0.5])
 
-    def window_triple(a):
-        chain = rc.build_lifted(rc.tilt(sigma, a), law)
-        return _perron_triple(chain.operator, chain.n_states, chain.m)
-
     rng = np.random.default_rng(32)
     for _ in range(4):
         lam = rng.normal(size=3)
         r_bold, pi = dense_window_data(sigma.entries * np.exp(lam)[None, :], [0.5, 0.5])
-        value = _legendre(window_triple, pi)[0]
+        value = _legendre(lambda a: _window_triple(sigma, law, a), pi)[0]
         assert value == pytest.approx(float(pi @ lam) - math.log(r_bold), abs=1e-9)
 
 
@@ -367,3 +362,41 @@ def test_rate_function_I_unattained_supremum_raises():
     with pytest.raises(rc.NoConvergenceError):
         rc.rate_function_I(zero_diag, [0.6, 0.4])
     assert math.isfinite(rc.rate_function_I(zero_diag, [0.3, 0.7]))
+
+
+@pytest.mark.parametrize(
+    "entries, grid_points",
+    [(rc.benchmark_matrix().entries, 11), ([[0.0, 0.9], [0.4, 0.3]], 3)],
+    ids=["sigma_fig", "zero_diag"],
+)
+def test_tilts_of_a_validated_matrix_are_not_checked_again(monkeypatch, entries, grid_points):
+    # A positive tilt keeps the support validation proved irreducible, so the
+    # optimizer and the rate functions never ask for the structure again, and
+    # their results do not change when asking would fail.
+    sigma = rc.validate_substochastic(entries)
+    law = rc.RelocationLaw.explicit([0.5, 0.5])
+
+    def run():
+        opt = rc.optimize_j(sigma)
+        table = rc.rate_function_lifted(sigma, law, grid_points=grid_points)
+        return opt.a_star, opt.j_star, rc.rate_function_I(sigma, [0.3, 0.7]), table.i_values, table.i_lifted
+
+    want = run()
+
+    def refuse(raw):
+        raise AssertionError("structure_flags called on a tilt")
+
+    monkeypatch.setattr(matrices, "structure_flags", refuse)
+    for got, expected in zip(run(), want):
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_outside_input_keeps_its_checks(sigma_fig):
+    with pytest.raises(rc.ReducibleError):
+        rc.perron_triple([[0.5, 0.0], [0.2, 0.3]])
+    with pytest.raises(rc.NegativeEntryError):
+        rc.perron_triple([[0.5, -0.1], [0.2, 0.3]])
+    with pytest.raises(ValueError, match="length"):
+        rc.j_objective(sigma_fig, np.ones(3))
+    with pytest.raises(rc.NonPositiveInputError):
+        rc.j_objective(sigma_fig, [1.0, 0.0])

@@ -1,5 +1,6 @@
 import argparse
 import glob
+import inspect
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import relochain as rc
 from relochain.cli import build_parser, main
 from relochain.config import EXPERIMENT_KEYS, config_from_values, load_config, parse_config_text
 from relochain.errors import ConfigParseError, UnknownExperimentError
+from relochain.lifted import D_MAX
 
 from conftest import R_CLOSED, cycle_matrix_200
 
@@ -433,3 +435,11 @@ def test_manifest_records_the_keys_its_experiment_reads(tmp_path, values):
     assert config["outdir"] == str(outdir)
     if "sigma" in config:
         assert config["sigma"] is None
+
+
+def test_dmax_defaults_agree():
+    # One depth cap for the library, the lifted-radius flag and the fig2 config key.
+    library = inspect.signature(rc.bracket_radius).parameters["d_max"].default
+    flag = build_parser().parse_args(["lifted-radius", "--tau", "dirac 0"]).dmax
+    key = config_from_values({"experiment": "fig2"}).dmax
+    assert library == flag == key == D_MAX == 16

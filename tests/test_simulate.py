@@ -519,5 +519,14 @@ def test_deep_law_needs_no_burnin(sigma_fig):
     assert stats.burnin == 0
     assert stats.state_histogram.sum() == 5_000
     assert np.abs(stats.chain_means - math.log(0.8)).max() <= 1e-12
-    near = rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.dirac(4_999), np.ones(2), steps=5_000)
+
+
+def test_deep_law_burnin_rule_reads_the_pushed_depth(sigma_fig):
+    # With the capped default burn-in of 2,500 steps each chain pushes
+    # 2,500 + 2,500 // 20 = 2,625 states, so an atom at depth 2,625 is never
+    # read and needs no burn-in, while one at 2,624 reads the last push.
+    far = rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.dirac(2_625), np.ones(2), steps=5_000)
+    assert far.burnin == 0
+    assert np.abs(far.chain_means - math.log(0.8)).max() <= 1e-12
+    near = rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.dirac(2_624), np.ones(2), steps=5_000)
     assert near.burnin == 2_500
