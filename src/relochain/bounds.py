@@ -1,15 +1,21 @@
 """Variational objectives, optimizers, and rate functions.
 
 The dispersed-relocation objective J(a) = r_a exp(-rho_a log a) is
-maximized by Nelder-Mead over log-weights with one coordinate gauge-fixed
+maximized over log-weights lambda = log a with one coordinate gauge-fixed
 (the objective is invariant under scaling of a, so an unconstrained search
 would wander along rays), from three starts: the flat weight, the benchmark
 Perron vector h, and one seeded Gaussian draw. The rate functions I and
 I_bold are Legendre transforms of the log spectral radii of the tilted
-benchmark and window chain. One BFGS solver computes both, for any number
-of states, on the exact gradient: the newest-state marginal of rho h. The
-benchmark transform is also evaluated at the lifted maximizer, so
-I_bold <= I holds by construction.
+benchmark and window chain. One BFGS solver serves all three, for any
+number of states, on exact gradients. For the transforms the gradient is
+the newest-state marginal of rho h. For log J = log r - rho lambda it is
+rho h minus the derivative of rho lambda, which takes one bordered solve
+with the tilted matrix A: [[A - rI, h], [rho, 0]] (x, mu) =
+(lambda - (rho lambda) 1, 0) gives d(rho lambda)/d lambda_t =
+rho_t + r rho_t h_t (rho x) - r rho_t x_t (derivatives of Perron vectors:
+Golub and Meyer, SIAM J. Algebraic Discrete Methods 7, 1986; Meyer and
+Stewart, SIAM J. Numer. Anal. 25, 1988). The benchmark transform is also
+evaluated at the lifted maximizer, so I_bold <= I holds by construction.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ from .relocation import RelocationLaw
 from .simulate import RngSpec
 
 BOUNDARY_DRIFT_NORM = 20.0
-# Nelder-Mead fatol of optimize_j. The product is one ulp above the literal
-# 1e-12; it stays the product so that optimizer outputs do not move.
-J_FATOL = 1e-9 * 1e-3
+# A search never asks for a Perron solve at log-weights that spread wider
+# than this, so the tilted entries span at most e^100 (about 1e43), far
+# inside double range. Without the bound, a line search toward an unattained
+# supremum asks for tilts so large that the power iteration overflows.
+MAX_TILT_SPREAD = 100.0
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,7 @@ class OptimizeJResult:
     j_at_one: float
     j_at_h: float
     boundary_drift: bool
+    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -89,43 +98,117 @@ def j_objective(sigma: SubStochasticMatrix, a) -> ObjectiveEval:
     return ObjectiveEval(a=av, r_a=triple.r, rho_a=triple.rho, j_value=j)
 
 
+@dataclass(frozen=True)
+class _Descent:
+    """End of one BFGS search; `bounded` is False when a step left MAX_TILT_SPREAD."""
+
+    x: np.ndarray  # lambda without its gauge-fixed last coordinate
+    value: float
+    evaluations: int
+    bounded: bool
+
+
+class _OffScale(Exception):
+    """A search step asked for log-weights that spread wider than MAX_TILT_SPREAD."""
+
+
+def _bfgs(objective, x0: np.ndarray, gtol: float) -> _Descent:
+    """BFGS minimum of `objective` over lambda with lambda(last) = 0, started at lambda[:-1] = x0.
+
+    `objective(lam)` returns the value and the full gradient at the tilt
+    exp(lam). A step to log-weights that spread wider than MAX_TILT_SPREAD
+    stops the search before its Perron solve; the result is then the best
+    point evaluated, with `bounded` False.
+    """
+    from scipy.optimize import minimize  # deferred: 0.5 s to import, scipy.sparse included
+
+    best_value, best_x, evaluations = math.inf, x0, 0
+
+    def gauged(x):
+        nonlocal best_value, best_x, evaluations
+        lam = np.append(x, 0.0)
+        if not lam.max() - lam.min() <= MAX_TILT_SPREAD:  # also catches NaN
+            raise _OffScale
+        value, grad = objective(lam)
+        evaluations += 1
+        if value < best_value:
+            best_value, best_x = value, lam[:-1]
+        return value, grad[:-1]
+
+    try:
+        res = minimize(gauged, x0, jac=True, method="BFGS", options={"gtol": gtol})
+    except _OffScale:
+        return _Descent(x=best_x, value=best_value, evaluations=evaluations, bounded=False)
+    return _Descent(x=res.x, value=float(res.fun), evaluations=evaluations, bounded=True)
+
+
+def _neg_log_j(sigma: SubStochasticMatrix, lam: np.ndarray) -> tuple[float, np.ndarray]:
+    """-log J and its exact gradient at log-weights lam, for a validated sigma.
+
+    With A = sigma diag(exp(lam)) and its Perron triple (r, h, rho),
+    log J = log r - rho lam and d log r / d lam_t = rho_t h_t. The bordered
+    system [[A - rI, h], [rho, 0]] (x, mu) = (lam - (rho lam) 1, 0) is
+    nonsingular because r is simple, and d(rho lam)/d lam_t =
+    rho_t + r rho_t h_t (rho x) - r rho_t x_t for any solution x of its
+    first block (the border fixes rho x = 0).
+    """
+    m = sigma.m
+    a = np.exp(lam)
+    triple = _tilt_triple(sigma, a)
+    r, h, rho = triple.r, triple.h, triple.rho
+    mean = float(rho @ lam)
+    border = np.zeros((m + 1, m + 1))
+    border[:m, :m] = sigma.entries * a - r * np.eye(m)
+    border[:m, m] = h
+    border[m, :m] = rho
+    x = np.linalg.solve(border, np.append(lam - mean, 0.0))[:m]
+    d_mean = rho + r * rho * h * float(rho @ x) - r * rho * x
+    return mean - math.log(r), d_mean - rho * h
+
+
 def optimize_j(sigma: SubStochasticMatrix, rng: RngSpec = RngSpec(0)) -> OptimizeJResult:
-    """Nelder-Mead maximization of J over log a with a(last) = 1, from three starts.
+    """Maximize J over log a with a(last) = 1 by BFGS on the exact gradient, from three starts.
 
     `sigma` is a validated SubStochasticMatrix. The starts are log a = 0, the
     gauge-fixed log h, and one standard Gaussian draw from `rng`: J is not
     known to be unimodal, and the draw is a cheap hedge against a second
-    local maximum. The returned value is the best evaluation seen, so it
-    never falls below J(1) or J(h) by more than solver tolerance. A best
-    point with a large log-weight norm is reported as boundary drift rather
-    than treated as an attained supremum.
+    local maximum. Each search minimizes -log J on the gradient of
+    `_neg_log_j` (one bordered (m+1) x (m+1) solve per evaluation) to a
+    gradient of 1e-10. Some searches end on scipy's precision-loss status at
+    that tolerance; their end points are kept. Each end point is re-scored
+    by `j_objective`, and the result is the best of those values and J(1),
+    so it never falls below J(1) or J(h) by more than solver tolerance. A
+    search that steps past MAX_TILT_SPREAD keeps its best finite point. That,
+    or a best point with a log-weight norm above BOUNDARY_DRIFT_NORM, is
+    reported as boundary drift rather than treated as an attained supremum.
+    `evaluations` counts every evaluation of J, each one Perron solve: J(1),
+    J(h), the steps of the three searches and the re-scoring of their ends.
     """
-    from scipy.optimize import minimize  # deferred: 0.5 s to import, scipy.sparse included
-
     m = sigma.m
     j_one = j_objective(sigma, np.ones(m)).j_value
     h = perron_triple(sigma).h
     j_h = j_objective(sigma, h).j_value
     if m == 1:
-        return OptimizeJResult(a_star=np.ones(1), j_star=j_one, j_at_one=j_one, j_at_h=j_h, boundary_drift=False)
-
-    def expand(x):
-        return np.exp(np.append(x, 0.0))
-
-    def neg_j(x):
-        return -j_objective(sigma, expand(x)).j_value
+        return OptimizeJResult(
+            a_star=np.ones(1), j_star=j_one, j_at_one=j_one, j_at_h=j_h, boundary_drift=False, evaluations=2
+        )
 
     log_h = np.log(h)
     starts = [np.zeros(m - 1), (log_h - log_h[-1])[:-1], rng.generator().normal(size=m - 1)]
 
-    best_x, best = starts[0], j_one
+    best_x, best, evaluations, drift = starts[0], j_one, 2, False
     for x0 in starts:
-        res = minimize(neg_j, x0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": J_FATOL, "maxiter": 500 * m})
-        if -res.fun > best:
-            best, best_x = -res.fun, res.x
-    a_star = expand(best_x)
-    drift = bool(np.abs(np.log(a_star)).max() > BOUNDARY_DRIFT_NORM)
-    return OptimizeJResult(a_star=a_star, j_star=best, j_at_one=j_one, j_at_h=j_h, boundary_drift=drift)
+        run = _bfgs(lambda lam: _neg_log_j(sigma, lam), x0, gtol=1e-10)
+        j = j_objective(sigma, np.exp(np.append(run.x, 0.0))).j_value
+        evaluations += run.evaluations + 1
+        drift = drift or not run.bounded
+        if j > best:
+            best, best_x = j, run.x
+    a_star = np.exp(np.append(best_x, 0.0))
+    drift = drift or bool(np.abs(np.log(a_star)).max() > BOUNDARY_DRIFT_NORM)
+    return OptimizeJResult(
+        a_star=a_star, j_star=best, j_at_one=j_one, j_at_h=j_h, boundary_drift=drift, evaluations=evaluations
+    )
 
 
 def _vertex_rate(sigma: SubStochasticMatrix, nu: np.ndarray) -> float | None:
@@ -157,25 +240,23 @@ def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarra
     perturbation, d log r / d lambda_t sums rho h over the windows a move
     toward t enters, those with newest state t. BFGS maximizes the concave
     objective on that exact gradient from the flat tilt, where it is -log r.
-    A `witness` tilt bounds the value from below.
+    A search that steps past MAX_TILT_SPREAD follows a maximizing tilt that
+    runs to infinity and raises NoConvergenceError. A `witness` tilt bounds
+    the value from below.
     """
-    from scipy.optimize import minimize  # deferred: 0.5 s to import, scipy.sparse included
 
-    def neg_objective(x):
-        lam = np.append(x, 0.0)
-        with np.errstate(over="ignore"):
-            a = np.exp(lam)
-        if not (np.isfinite(a).all() and (a > 0.0).all()):  # the maximizing tilt runs to infinity
-            raise NoConvergenceError(f"Legendre transform at nu = {nu.tolist()}: the supremum is not attained")
-        triple = triple_at(a)
+    def objective(lam):
+        triple = triple_at(np.exp(lam))
         grad = (triple.rho * triple.h).reshape(len(nu), -1).sum(axis=1) - nu
-        return math.log(triple.r) - float(nu @ lam), grad[:-1]
+        return math.log(triple.r) - float(nu @ lam), grad
 
     # At a gradient of 1e-8 the value sits within about 1e-16 of the optimum.
-    res = minimize(neg_objective, np.zeros(len(nu) - 1), jac=True, method="BFGS", options={"gtol": 1e-8})
+    run = _bfgs(objective, np.zeros(len(nu) - 1), gtol=1e-8)
+    if not run.bounded:
+        raise NoConvergenceError(f"Legendre transform at nu = {nu.tolist()}: the supremum is not attained")
     if witness is not None:
-        return max(-res.fun, -neg_objective(witness)[0]), res.x
-    return -res.fun, res.x
+        return max(-run.value, -objective(np.append(witness, 0.0))[0]), run.x
+    return -run.value, run.x
 
 
 def rate_function_I(sigma: SubStochasticMatrix, nu) -> float:

@@ -6,7 +6,8 @@ from scipy.optimize import minimize, minimize_scalar
 
 import relochain as rc
 from relochain import matrices
-from relochain.bounds import _legendre, _window_triple
+from relochain import bounds
+from relochain.bounds import _legendre, _neg_log_j, _window_triple
 
 from conftest import R_CLOSED, largest_eigenvalue, window_matrix
 
@@ -147,6 +148,69 @@ def test_optimize_j_gauge_invariance(sigma_fig):
     res = rc.optimize_j(sigma_fig)
     res_swapped = rc.optimize_j(swapped)
     assert res.j_star == pytest.approx(res_swapped.j_star, abs=1e-9)
+
+
+def dense_log_j(entries, lam):
+    """log J(exp(lam)) = log r - rho . lam from a dense eigensolve of the tilted transpose."""
+    vals, vecs = np.linalg.eig((entries * np.exp(lam)[None, :]).T)
+    k = int(np.argmax(vals.real))
+    rho = np.real(vecs[:, k])
+    rho /= rho.sum()
+    return math.log(vals[k].real) - float(rho @ lam)
+
+
+@pytest.mark.parametrize("m, zeros", [(2, False), (3, False), (4, False), (3, True), (4, True)])
+def test_log_j_gradient_matches_dense_differences(m, zeros):
+    # The bordered-solve gradient against central differences of log J from
+    # np.linalg.eig. At step 1e-5 the truncation error is about 1e-11 and the
+    # rounding of the differences about 1e-11.
+    rng = np.random.default_rng(90 + 10 * m + zeros)
+    cases = [random_substochastic(rng, m, zeros) for _ in range(3)]
+    if m == 3 and zeros:
+        cases.append(rc.validate_substochastic([[0.3, 0.6, 0.0], [0.0, 0.0, 0.9], [0.8, 0.0, 0.0]]))
+    step = 1e-5
+    for sigma in cases:
+        assert not zeros or (sigma.entries == 0.0).any()
+        for _ in range(3):
+            lam = np.append(rng.normal(size=m - 1), 0.0)
+            value, grad = _neg_log_j(sigma, lam)
+            assert -value == pytest.approx(dense_log_j(sigma.entries, lam), rel=1e-12, abs=1e-13)
+            differences = np.empty(m)
+            for t in range(m):
+                shift = np.zeros(m)
+                shift[t] = step
+                up, down = dense_log_j(sigma.entries, lam + shift), dense_log_j(sigma.entries, lam - shift)
+                differences[t] = (up - down) / (2 * step)
+            assert np.abs(-grad - differences).max() <= 1e-7 * np.linalg.norm(differences)
+
+
+def test_optimize_j_reports_its_evaluations(sigma_fig):
+    # BFGS on the exact gradient needs 68 evaluations of J here, counting
+    # J(1), J(h) and the re-scored end points; Nelder-Mead needed 237.
+    res = rc.optimize_j(sigma_fig)
+    assert 3 <= res.evaluations < 120
+
+
+def test_optimize_j_keeps_its_best_point_when_a_search_leaves_the_spread(monkeypatch, sigma_fig):
+    # The maximizer of J on the benchmark has log-weight spread 0.133. Below
+    # that bound each search stops, keeps the best point it evaluated and
+    # reports boundary drift; the result is still a certified value of J.
+    free = rc.optimize_j(sigma_fig)
+    monkeypatch.setattr(bounds, "MAX_TILT_SPREAD", 0.1)
+    res = rc.optimize_j(sigma_fig)
+    assert res.boundary_drift
+    assert res.j_at_one <= res.j_star < free.j_star
+    assert res.j_star == rc.j_objective(sigma_fig, res.a_star).j_value
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unattained_lifted_supremum_raises_before_any_overflow():
+    # State 0 cannot repeat, so grid points with nu_1 > 1/2 have no maximizing
+    # tilt. The search must stop at the spread bound, before a Perron solve of
+    # a tilt so large that the power iteration overflows.
+    zero_diag = rc.validate_substochastic([[0.0, 0.9], [0.4, 0.3]])
+    with pytest.raises(rc.NoConvergenceError, match="the supremum is not attained"):
+        rc.rate_function_lifted(zero_diag, rc.RelocationLaw.explicit([0.5, 0.5]), grid_points=5)
 
 
 def test_c2_dirac0_exact(sigma_fig):
