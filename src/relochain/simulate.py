@@ -5,18 +5,24 @@ moves to t with weight sum_i tau(i) sigma[w_i, t]; the deficit of that row
 from 1 is the killing probability. The row depends on the past only through
 the law-weighted occupation theta of the memory (the row is theta @ sigma),
 so every sampler draws its next state straight from the memory row and no
-relocation depth is ever drawn. `_Memory` keeps just what the row needs:
-theta itself for a geometric law, whose unbounded memory thus enters with no
-truncation, and for a law on {0..d} a ring of the last d+1 states, or fewer
-when the run is too short to push states past the start window. All three
-samplers run replicas side by side in numpy arrays through that one memory:
-the killed chain and the Feynman-Kac estimator as many as asked for, the
-weighted chain N_CHAINS independent chains. A step of the weighted chain
-costs a few numpy calls on N_CHAINS x m arrays, so its loop runs in blocks
-of _BLOCK steps: one draw of uniforms per block, and the per-step chain sums,
-running means and state counts folded once per block, in step order, so
-every output is bit for bit that of a loop folding one step at a time. The
-two samplers that never kill search only the first m - 1 columns of a row.
+relocation depth is ever drawn. Each sampler names the (m, k) per-state table
+it reads and `_Memory` gives its row, sum_i tau(i) table[w_i], per replica:
+the killed chain reads sigma, the Feynman-Kac estimator sigma diag(a), and
+the weighted chain [sigma diag(a) | K a | I], whose one row holds the draw
+row, K a and theta. For a geometric law theta moves by the affine map
+theta <- (1 - eps) theta + eps e_t, so the row moves by the same map and is
+the memory's whole state: the unbounded memory enters with no truncation
+and no per-step matmul. For a law on {0..d} the memory is a ring of the last
+d+1 states, or fewer when the run is too short to push states past the
+start window. All three samplers run replicas side by side in numpy arrays
+through that one memory: the killed chain and the Feynman-Kac estimator as
+many as asked for, the weighted chain N_CHAINS independent chains. A step of
+the weighted chain costs a few numpy calls on N_CHAINS x k arrays, so its
+loop runs in blocks of _BLOCK steps: one draw of uniforms per block, and the
+per-step chain sums, running means and state counts folded once per block,
+in step order, so every output is bit for bit that of a loop folding one
+step at a time. The two samplers that never kill search only the first
+m - 1 columns of a row.
 """
 
 from __future__ import annotations
@@ -91,28 +97,34 @@ class FkEstimate:
 
 
 class _Memory:
-    """What the next-state row depends on, for `replicas` paths side by side.
+    """The memory row sum_i tau(i) table[w_i] of `replicas` paths side by side.
 
-    `row(mat)` is sum_i tau(i) mat[w_i] per replica, where `mat` is a matrix
-    or a vector of per-state values and the start window extends by its
-    oldest entry. For a geometric law that is theta @ mat with theta (R, m),
-    and moving to t maps theta to (1 - eps) theta + eps e_t. A law on {0..d}
-    reads only w_0..w_d, kept in an (L, R) ring with L = min(d+1, pushes +
-    len(init)). Within `pushes` pushes every w_i with i >= L is the start
-    window's oldest entry, so the atoms there add one constant term, read
-    from a fixed slot L past the ring.
+    `table` is the (m, k) per-state table a sampler reads, and the start
+    window extends by its oldest entry. The row is theta @ table, theta the
+    law-weighted occupation of the memory. For a geometric law a move to t
+    maps theta to (1 - eps) theta + eps e_t, so the row moves by the same
+    affine map, row <- (1 - eps) row + eps table[t]: that (R, k) row is the
+    memory's whole state, kept with no theta and no matmul per step. `row()`
+    returns it read-only, since the next push writes it in place. A law on
+    {0..d} reads only w_0..w_d, kept in an (L, R) ring with L = min(d+1,
+    pushes + len(init)). Within `pushes` pushes every w_i with i >= L is the
+    start window's oldest entry, so the atoms there add one constant term,
+    read from a fixed slot L past the ring.
     """
 
-    def __init__(self, law: RelocationLaw, init: HistoryWindow, m: int, replicas: int, pushes: float = math.inf):
+    def __init__(
+        self, law: RelocationLaw, init: HistoryWindow, table: np.ndarray, replicas: int, pushes: float = math.inf
+    ):
+        m = len(table)
         if max(init.states) >= m:
             raise ValueError(f"start window names a state outside 0..{m - 1}")
         self._geometric = not law.bounded
         if self._geometric:
-            self._eps = law.eps
-            self.theta = np.tile(occupation_measure(init, law, m), (replicas, 1))
-            # Flat offset of each replica's theta row, for the scatter in push().
-            self._base = m * np.arange(replicas)
+            self._decay = 1.0 - law.eps
+            self._gain = law.eps * table
+            self._hold(np.tile(occupation_measure(init, law, m) @ table, (replicas, 1)))
         else:
+            self._table = table
             self._length = length = min(law.support_max + 1, pushes + len(init))
             near = bisect_left(law.depths, length)
             far = near < len(law.depths)
@@ -123,17 +135,22 @@ class _Memory:
             start = np.array(init.truncated(length) + init.states[-1:] * far, dtype=np.intp)
             self._ring = np.repeat(start[:, None], replicas, axis=1)
 
-    def row(self, mat: np.ndarray) -> np.ndarray:
+    def _hold(self, row: np.ndarray) -> None:
+        self._row = row
+        self._view = row.view()
+        self._view.flags.writeable = False
+
+    def row(self) -> np.ndarray:
         if self._geometric:
-            return self.theta @ mat
+            return self._view
         # Slot (ptr + i) mod L holds w_i. One term at a time, so at most two
-        # (R, m) arrays are alive.
-        length = self._length
+        # (R, k) arrays are alive.
+        table, length = self._table, self._length
         slots = [(self._ptr + i) % length if i < length else length for i in self._depths]
-        out = mat.take(self._ring[slots[0]], axis=0)
+        out = table.take(self._ring[slots[0]], axis=0)
         out *= self._weights[0]
         for slot, weight in zip(slots[1:], self._weights[1:]):
-            term = mat.take(self._ring[slot], axis=0)
+            term = table.take(self._ring[slot], axis=0)
             term *= weight
             out += term
             del term
@@ -141,8 +158,8 @@ class _Memory:
 
     def push(self, t) -> None:
         if self._geometric:
-            self.theta *= 1.0 - self._eps
-            self.theta.reshape(-1)[self._base + t] += self._eps
+            self._row *= self._decay
+            self._row += self._gain.take(t, axis=0)
         else:
             self._ptr = (self._ptr - 1) % self._length
             self._ring[self._ptr] = t
@@ -150,8 +167,7 @@ class _Memory:
     def keep(self, alive: np.ndarray) -> None:
         """Drop the replicas whose entry of the mask is False."""
         if self._geometric:
-            self.theta = self.theta[alive]
-            self._base = self._base[: len(self.theta)]
+            self._hold(self._row[alive])
         else:
             self._ring = self._ring[:, alive]
 
@@ -167,10 +183,12 @@ def _search(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     if not rows.shape[1]:
         return np.zeros(len(x), dtype=np.intp)
-    acc = rows[:, 0].copy()
+    # Column 0 is read in place; the first sum is a new array, so the caller's
+    # rows are never written.
+    acc = rows[:, 0]
     k = (acc <= x).astype(np.intp)
-    for col in rows.T[1:]:
-        acc += col
+    for j in range(1, rows.shape[1]):
+        acc = np.add(acc, rows[:, j], out=acc if j > 1 else None)
         k += acc <= x
     return k
 
@@ -202,7 +220,7 @@ def run_killed_chain(
         raise ValueError("replicas must be >= 1")
     gen = rng.generator()
     m = sigma.m
-    memory = _Memory(law, init, m, replicas, pushes=n_max)
+    memory = _Memory(law, init, sigma.entries, replicas, pushes=n_max)
 
     lifetimes = np.full(replicas, np.inf)
     active = np.arange(replicas)
@@ -212,7 +230,7 @@ def run_killed_chain(
     counts = np.zeros((replicas, m), dtype=np.int64) if check else None
 
     for n in range(1, n_max + 1):
-        nxt = _search(memory.row(sigma.entries), gen.random(active.size))
+        nxt = _search(memory.row(), gen.random(active.size))
         alive = nxt < m
         lifetimes[active[~alive]] = n - 1
         active, nxt = active[alive], nxt[alive]
@@ -274,9 +292,10 @@ def run_weighted_chain(
     m = sigma.m
     tilted = sigma.entries * av  # sigma diag(a)
     log_av = np.log(av)
-    ones, eye = np.ones(m), np.eye(m)
     post = (steps - burnin) // N_CHAINS
-    memory = _Memory(law, HistoryWindow.constant(0), m, N_CHAINS, pushes=burnin + post)
+    # One gather of [sigma diag(a) | K a | I] gives the draw row, K a and theta.
+    table = np.hstack([tilted, tilted.sum(axis=1, keepdims=True), np.eye(m)])
+    memory = _Memory(law, HistoryWindow.constant(0), table, N_CHAINS, pushes=burnin + post)
 
     theta_samples = np.empty(((post - 1) // thin + 1, N_CHAINS, m))
     c2_running = np.empty(len(theta_samples))
@@ -285,23 +304,21 @@ def run_weighted_chain(
 
     nxt_block = np.empty((_BLOCK, N_CHAINS), dtype=np.intp)
     d_block = np.empty((_BLOCK, N_CHAINS))
-    rows = memory.row(tilted)
-    ka = rows @ ones
+    rows = memory.row()
     # k counts the steps after burn-in, from 0 at step burnin + 1; one block
     # of uniforms drives the steps k0 <= k < k0 + size.
     for k0 in range(-burnin, post, _BLOCK):
         size = min(_BLOCK, post - k0)
         uniforms = gen.random((size, N_CHAINS))
         for j in range(size):
-            nxt = _search(rows[:, :-1], uniforms[j] * ka)
+            nxt = _search(rows[:, : m - 1], uniforms[j] * rows[:, m])
             memory.push(nxt)
-            rows = memory.row(tilted)
-            ka = rows @ ones
+            rows = memory.row()
             nxt_block[j] = nxt
-            d_block[j] = ka
+            d_block[j] = rows[:, m]
             k = k0 + j
             if k >= 0 and k % thin == 0:
-                theta = memory.row(eye)
+                theta = rows[:, m + 1 :]
                 theta_samples[k // thin] = theta / theta.sum(axis=1, keepdims=True)
         # Fold the block's post-burn-in steps: row j of d becomes the chain
         # sums after that step, added in step order as one step at a time would.
@@ -309,7 +326,7 @@ def run_weighted_chain(
         if skip < size:
             nxt, d = nxt_block[skip:size], d_block[skip:size]
             np.log(d, out=d)
-            d -= log_av[nxt]
+            d -= log_av.take(nxt)
             d[0] += chain_sums
             np.cumsum(d, axis=0, out=d)
             chain_sums[:] = d[-1]
@@ -353,18 +370,20 @@ def fk_survival_estimate(
     gen = rng.generator()
     av = tilt_vector(a)
     m = sigma.m
-    tilted = sigma.entries * av  # sigma diag(a)
     log_av = np.log(av)
     ones = np.ones(m)
-    memory = _Memory(law, init, m, replicas, pushes=n)
+    # K a = rows @ ones: at large R a gathered third column costs more than the matvec.
+    memory = _Memory(law, init, sigma.entries * av, replicas, pushes=n)
 
     log_w = np.zeros(replicas)
     for _ in range(n):
-        rows = memory.row(tilted)
+        rows = memory.row()
         ka = rows @ ones
         nxt = _search(rows[:, :-1], gen.random(replicas) * ka)
         del rows  # so the next (R, m) row is not built while this one is held
-        log_w += np.log(ka) - log_av[nxt]
+        np.log(ka, out=ka)
+        ka -= log_av.take(nxt)
+        log_w += ka
         memory.push(nxt)
 
     if (log_w > LOG_OVERFLOW_LIMIT).any():

@@ -235,10 +235,10 @@ def test_short_run_memory_matches_full_ring(sigma_fig, law, pushes):
     rng = np.random.default_rng(pushes)
     init = rc.HistoryWindow((1, 0))
     paths = rng.integers(0, 2, size=(3, pushes))
-    full = _Memory(law, init, 2, replicas=3)
-    short = _Memory(law, init, 2, replicas=3, pushes=pushes)
+    full = _Memory(law, init, sigma_fig.entries, replicas=3)
+    short = _Memory(law, init, sigma_fig.entries, replicas=3, pushes=pushes)
     for n in range(pushes + 1):
-        np.testing.assert_allclose(short.row(sigma_fig.entries), full.row(sigma_fig.entries), rtol=1e-15)
+        np.testing.assert_allclose(short.row(), full.row(), rtol=1e-15)
         if n < pushes:
             for memory in (full, short):
                 memory.push(paths[:, n])
@@ -251,21 +251,23 @@ def test_short_run_memory_matches_full_ring(sigma_fig, law, pushes):
 )
 def test_memory_row_matches_depth_definition(sigma_fig, law):
     # Oracle: the kernel row sum_i tau(i) sigma[w_i] of the full window that
-    # the path spells out, most recent first, ahead of the start window.
+    # the path spells out, most recent first, ahead of the start window. The
+    # table's last column is the row sum sigma 1, read by the same gather.
     rng = np.random.default_rng(3)
     init = rc.HistoryWindow((1, 0))
     paths = rng.integers(0, 2, size=(4, 12))
-    many = _Memory(law, init, 2, replicas=4)
+    many = _Memory(law, init, np.column_stack([sigma_fig.entries, sigma_fig.entries @ np.ones(2)]), replicas=4)
     for n in range(12):
         if n == 6:
             alive = np.array([True, False, True, True])
             many.keep(alive)
             paths = paths[alive]
-        rows = many.row(sigma_fig.entries)
+        row = many.row()
+        rows = row[:, :2]
         for r, path in enumerate(paths):
             window = rc.HistoryWindow(tuple(int(s) for s in path[:n][::-1]) + init.states)
             np.testing.assert_allclose(rows[r], rc.defective_kernel_row(window, sigma_fig, law), atol=1e-14)
-        np.testing.assert_allclose(many.row(sigma_fig.entries @ np.ones(2)), rows.sum(axis=1), atol=1e-15)
+        np.testing.assert_allclose(row[:, 2], rows.sum(axis=1), atol=1e-15)
         many.push(paths[:, n])
 
 
@@ -274,10 +276,10 @@ def test_memory_row_holds_at_most_two_replica_arrays():
     m, replicas = 200, 2000
     law = rc.RelocationLaw.explicit([0.2, 0.3, 0.5])
     mat = np.random.default_rng(4).uniform(size=(m, m))
-    memory = _Memory(law, rc.HistoryWindow((3, 150, 199)), m, replicas)
+    memory = _Memory(law, rc.HistoryWindow((3, 150, 199)), mat, replicas)
     tracemalloc.start()
     try:
-        row = memory.row(mat)
+        row = memory.row()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -289,9 +291,10 @@ def test_far_ring_is_built_without_a_slot_table():
     # The ring of 210,001 states per chain is the only large array: slots are
     # computed per row, not tabulated per ring position.
     law = rc.RelocationLaw.dirac(10**6)
+    table = np.eye(2)
     tracemalloc.start()
     try:
-        memory = _Memory(law, rc.HistoryWindow.constant(0), 2, replicas=20, pushes=210_000)
+        memory = _Memory(law, rc.HistoryWindow.constant(0), table, replicas=20, pushes=210_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -338,7 +341,7 @@ def _reference_search(rows, x):
     return k
 
 
-def _reference_weighted_chain(sigma, law, a, steps, burnin=None, thin=20, rng=rc.RngSpec(0)):
+def _reference_weighted_chain(sigma, law, a, steps, burnin=None, thin=20, rng=rc.RngSpec(0), memory=_Memory):
     if burnin is None:
         burnin = min(rc.default_burnin(law), steps // 2)
     av = tilt_vector(a)
@@ -346,28 +349,26 @@ def _reference_weighted_chain(sigma, law, a, steps, burnin=None, thin=20, rng=rc
     m = sigma.m
     tilted = sigma.entries * av
     log_av = np.log(av)
-    ones, eye = np.ones(m), np.eye(m)
     post = (steps - burnin) // N_CHAINS
-    memory = _Memory(law, rc.HistoryWindow.constant(0), m, N_CHAINS, pushes=burnin + post)
+    table = np.hstack([tilted, tilted.sum(axis=1, keepdims=True), np.eye(m)])
+    memory = memory(law, rc.HistoryWindow.constant(0), table, N_CHAINS, pushes=burnin + post)
 
     theta_samples = np.empty(((post - 1) // thin + 1, N_CHAINS, m))
     c2_running = np.empty(len(theta_samples))
     chain_sums = np.zeros(N_CHAINS)
     state_histogram = np.zeros(m, dtype=np.int64)
 
-    rows = memory.row(tilted)
-    ka = rows @ ones
+    rows = memory.row()
     for k in range(-burnin, post):
-        nxt = _reference_search(rows, gen.random(N_CHAINS) * ka)
+        nxt = _reference_search(rows[:, :m], gen.random(N_CHAINS) * rows[:, m])
         np.minimum(nxt, m - 1, out=nxt)
         memory.push(nxt)
-        rows = memory.row(tilted)
-        ka = rows @ ones
+        rows = memory.row()
         if k >= 0:
-            chain_sums += np.log(ka) - log_av[nxt]
+            chain_sums += np.log(rows[:, m]) - log_av[nxt]
             state_histogram += np.bincount(nxt, minlength=m)
             if k % thin == 0:
-                theta = memory.row(eye)
+                theta = rows[:, m + 1 :]
                 theta_samples[k // thin] = theta / theta.sum(axis=1, keepdims=True)
                 c2_running[k // thin] = chain_sums.sum() / (N_CHAINS * (k + 1))
 
@@ -385,17 +386,50 @@ def _reference_weighted_chain(sigma, law, a, steps, burnin=None, thin=20, rng=rc
     )
 
 
-def _reference_fk(sigma, law, a, init, n, replicas, rng):
+def _reference_killed_chain(sigma, law, init, n_max, replicas, rng, memory=_Memory):
+    gen = rng.generator()
+    m = sigma.m
+    memory = memory(law, init, sigma.entries, replicas, pushes=n_max)
+    lifetimes = np.full(replicas, np.inf)
+    active = np.arange(replicas)
+    for n in range(1, n_max + 1):
+        nxt = _reference_search(memory.row(), gen.random(active.size))
+        alive = nxt < m
+        lifetimes[active[~alive]] = n - 1
+        active, nxt = active[alive], nxt[alive]
+        memory.keep(alive)
+        memory.push(nxt)
+    return lifetimes
+
+
+class _ThetaMemory:
+    """A geometric law's memory kept as theta: theta <- (1 - eps) theta + eps e_t, row = theta @ table."""
+
+    def __init__(self, law, init, table, replicas, pushes=None):
+        self.eps, self.table = law.eps, table
+        self.theta = np.tile(rc.occupation_measure(init, law, len(table)), (replicas, 1))
+
+    def row(self):
+        return self.theta @ self.table
+
+    def push(self, t):
+        self.theta *= 1.0 - self.eps
+        self.theta[np.arange(len(self.theta)), t] += self.eps
+
+    def keep(self, alive):
+        self.theta = self.theta[alive]
+
+
+def _reference_fk(sigma, law, a, init, n, replicas, rng, memory=_Memory):
     gen = rng.generator()
     av = tilt_vector(a)
     m = sigma.m
-    tilted = sigma.entries * av
     log_av = np.log(av)
     ones = np.ones(m)
-    memory = _Memory(law, init, m, replicas, pushes=n)
+    memory = memory(law, init, sigma.entries * av, replicas, pushes=n)
     log_w = np.zeros(replicas)
     for _ in range(n):
-        rows = memory.row(tilted)
+        rows = memory.row()
         ka = rows @ ones
         nxt = _reference_search(rows, gen.random(replicas) * ka)
         np.minimum(nxt, m - 1, out=nxt)
@@ -483,6 +517,65 @@ def test_fk_matches_per_step_loop(law, flat, m):
     _assert_same_bits(rc.fk_survival_estimate(*args), _reference_fk(*args))
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("law", ["geometric 0.3", "geometric 0.01"])
+def test_affine_row_matches_theta_memory(law, m):
+    # Oracle: theta kept by its own recursion, the row rebuilt as theta @ table
+    # at every step. Rounding differs, so paths, state counts and theta samples
+    # must agree bit for bit and the sums of logs of K a to 1e-12.
+    sigma, a, law = _oracle_sigma(m), _oracle_tilt(m, flat=False), ORACLE_LAWS[law]
+    init = rc.HistoryWindow((1, 0))
+    args = (sigma, law, init, 20, 5_000, rc.RngSpec(53, m))
+    want = _reference_killed_chain(*args, memory=_ThetaMemory)
+    assert rc.run_killed_chain(*args).lifetimes.tobytes() == want.tobytes()
+
+    kwargs = dict(steps=_BLOCK + 1 + N_CHAINS * 2 * _BLOCK, burnin=_BLOCK + 1, thin=7, rng=rc.RngSpec(41, m))
+    got = rc.run_weighted_chain(sigma, law, a, **kwargs)
+    want = _reference_weighted_chain(sigma, law, a, memory=_ThetaMemory, **kwargs)
+    assert got.state_histogram.tobytes() == want.state_histogram.tobytes()
+    assert got.theta_samples.tobytes() == want.theta_samples.tobytes()
+    assert got.c2_mean == pytest.approx(want.c2_mean, rel=1e-12, abs=0)
+    np.testing.assert_allclose(got.c2_running, want.c2_running, rtol=1e-12, atol=0)
+
+    args = (sigma, law, a, init, 25, 300, rc.RngSpec(47, m))
+    want = _reference_fk(*args, memory=_ThetaMemory)
+    assert rc.fk_survival_estimate(*args).value == pytest.approx(want.value, rel=1e-12, abs=0)
+
+
+def test_affine_row_does_not_drift():
+    # Each push rounds the row, and the factor 1 - eps damps what it rounded
+    # before: after 200,000 pushes at eps = 1e-3 the row is still theta @ table.
+    law = rc.RelocationLaw.geometric(1e-3)
+    table = np.array(SIGMA_3) * _oracle_tilt(3, flat=False)
+    init = rc.HistoryWindow((1, 0))
+    path = np.random.default_rng(5).integers(0, 3, size=(200_000, 4))
+    affine, theta = _Memory(law, init, table, replicas=4), _ThetaMemory(law, init, table, replicas=4)
+    for t in path:
+        affine.push(t)
+        theta.push(t)
+    np.testing.assert_allclose(affine.row(), theta.row(), rtol=1e-12, atol=0)
+
+
+def test_geometric_push_holds_at_most_two_replica_arrays():
+    # The row is the memory's state and a push adds one gathered (R, m) term;
+    # no theta and no second row are kept.
+    m, replicas, eps = 200, 2000, 0.1
+    mat = np.random.default_rng(4).uniform(size=(m, m))
+    tracemalloc.start()
+    try:
+        memory = _Memory(rc.RelocationLaw.geometric(eps), rc.HistoryWindow((3, 150, 199)), mat, replicas)
+        memory.push(np.full(replicas, 7))
+        row = memory.row()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * replicas * m * 8
+    theta0 = np.zeros(m)
+    theta0[[3, 150, 199]] = eps, eps * (1 - eps), (1 - eps) ** 2
+    np.testing.assert_allclose(row, np.tile((1 - eps) * theta0 @ mat + eps * mat[7], (replicas, 1)), rtol=1e-14)
+    assert not row.flags.writeable
+
+
 def _rows_and_targets(draw):
     replicas = draw(st.integers(1, 6))
     m = draw(st.integers(1, 5))
@@ -507,6 +600,7 @@ def _rows_and_targets(draw):
 @example((np.array([[0.4]]), np.array([0.2])))
 def test_search_on_m_minus_one_columns_is_the_clamped_full_search(data):
     rows, x = data
+    rows.setflags(write=False)  # the search reads a sampler's row and never writes it
     m = rows.shape[1]
     np.testing.assert_array_equal(_search(rows[:, :-1], x), np.minimum(_reference_search(rows, x), m - 1))
     np.testing.assert_array_equal(_search(rows, x), _reference_search(rows, x))
