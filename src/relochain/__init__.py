@@ -84,7 +84,6 @@ from .bounds import (
 )
 from .config import ExperimentConfig, load_config, parse_config_text
 from .experiments import (
-    RunManifest,
     benchmark_matrix,
     run_config,
     run_fig1,

@@ -90,9 +90,7 @@ def _window_triple(sigma: SubStochasticMatrix, law: RelocationLaw, a: np.ndarray
 
 def j_objective(sigma: SubStochasticMatrix, a) -> ObjectiveEval:
     """J(a) = r_a exp(-rho_a log a) for a validated sigma and a positive weight vector a."""
-    av = tilt_vector(a)
-    if av.shape[0] != sigma.m:
-        raise ValueError("tilt vector length does not match the matrix")
+    av = tilt_vector(a, sigma.m)
     triple = _tilt_triple(sigma, av)
     j = triple.r * math.exp(-float(triple.rho @ np.log(av)))
     return ObjectiveEval(a=av, r_a=triple.r, rho_a=triple.rho, j_value=j)

@@ -25,7 +25,7 @@ from .errors import (
     StateCapExceededError,
     UnknownExperimentError,
 )
-from .experiments import _load_sigma, run_config, write_csv
+from .experiments import _load_sigma, run_config, write_csv, write_weighted_csv
 from .lifted import D_MAX, bracket_radius
 from .matrices import perron_triple
 from .relocation import HistoryWindow, parse_relocation_law
@@ -56,25 +56,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("perron", help="spectral elements of a benchmark matrix")
+    p.set_defaults(handler=_cmd_perron)
     _sigma_arg(p)
 
     p = sub.add_parser("lifted-radius", help="certified radius bracket for a relocation law")
+    p.set_defaults(handler=_cmd_lifted_radius)
     _sigma_arg(p)
     p.add_argument("--tau", required=True, help="relocation law: 'dirac d' | 'geometric eps' | 'explicit p0 ...'")
     p.add_argument("--dtail", type=float, default=1e-6)
     p.add_argument("--dmax", type=int, default=D_MAX)
 
     p = sub.add_parser("simulate-survival", help="Monte Carlo survival curve of the killed chain")
+    p.set_defaults(handler=_cmd_simulate_survival)
     _sigma_arg(p)
     p.add_argument("--tau", required=True)
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--replicas", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--stream", type=int, default=0)
     p.add_argument("--init-state", type=int, default=0)
     p.add_argument("--out", help="CSV output path (default stdout)")
 
     p = sub.add_parser("weighted-run", help="20 chains of the conservative weighted chain")
+    p.set_defaults(handler=_cmd_weighted_run)
     _sigma_arg(p)
     p.add_argument("--tau", required=True)
     p.add_argument("--a", default="ones", help="'ones' | 'h' | comma-separated positive weights")
@@ -82,14 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burnin", type=int, default=None)
     p.add_argument("--thin", type=int, default=20)
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--stream", type=int, default=0)
     p.add_argument("--out", help="CSV output path (default stdout)")
 
     p = sub.add_parser("bound-c3", help="optimize the dispersed-relocation objective")
+    p.set_defaults(handler=_cmd_bound_c3)
     _sigma_arg(p)
     p.add_argument("--seed", type=int, default=12345)
 
     p = sub.add_parser("rate-function", help="benchmark and lifted rate functions on a grid")
+    p.set_defaults(handler=_cmd_rate_function)
     _sigma_arg(p)
     p.add_argument("--tau", required=True, help="bounded relocation law")
     p.add_argument("--grid", type=int, default=101)
@@ -102,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         # Flags default to None so that only the flags given override --config.
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=_cmd_experiment)
         p.add_argument("--config", help="config file; the flags given override its values")
         if "sigma" in EXPERIMENT_KEYS[name]:
             _sigma_arg(p)
@@ -112,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--emit-svg", action="store_true", default=None)
 
     p = sub.add_parser("run", help="run an experiment described by a config file")
+    p.set_defaults(handler=_cmd_run)
     p.add_argument("--config", required=True)
 
     return parser
@@ -119,35 +125,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_perron(args):
     triple = perron_triple(_load_sigma(args.sigma))
-    json.dump(
-        {"r": triple.r, "h": [float(x) for x in triple.h], "rho": [float(x) for x in triple.rho]},
-        sys.stdout,
-    )
-    sys.stdout.write("\n")
+    print(json.dumps({"r": triple.r, "h": [float(x) for x in triple.h], "rho": [float(x) for x in triple.rho]}))
 
 
 def _cmd_lifted_radius(args):
     sigma = _load_sigma(args.sigma)
     law = parse_relocation_law(args.tau)
     bracket = bracket_radius(sigma, law, delta_tail=args.dtail, d_max=args.dmax)
-    json.dump(
-        {
-            "lo": bracket.lo,
-            "hi": bracket.hi,
-            "d_used": bracket.d_used,
-            "tail_mass": bracket.tail_mass,
-        },
-        sys.stdout,
-    )
-    sys.stdout.write("\n")
+    print(json.dumps({"lo": bracket.lo, "hi": bracket.hi, "d_used": bracket.d_used, "tail_mass": bracket.tail_mass}))
 
 
 def _cmd_simulate_survival(args):
     sigma = _load_sigma(args.sigma)
     law = parse_relocation_law(args.tau)
     result = run_killed_chain(
-        sigma, law, HistoryWindow.constant(args.init_state), args.n, args.replicas,
-        RngSpec(args.seed, args.stream),
+        sigma, law, HistoryWindow.constant(args.init_state), args.n, args.replicas, RngSpec(args.seed)
     )
     curve = result.curve
     rows = zip(curve.ns, curve.p_hat, curve.se)
@@ -159,27 +151,20 @@ def _cmd_weighted_run(args):
     law = parse_relocation_law(args.tau)
     a = _parse_a(args.a, sigma)
     stats = run_weighted_chain(
-        sigma, law, a, steps=args.steps, burnin=args.burnin, thin=args.thin,
-        rng=RngSpec(args.seed, args.stream),
+        sigma, law, a, steps=args.steps, burnin=args.burnin, thin=args.thin, rng=RngSpec(args.seed)
     )
-    header = ["j", *(f"theta_{i+1}" for i in range(sigma.m)), "c2_running"]
-    rows = zip(stats.sample_steps, stats.theta_samples, stats.c2_running)
-    write_csv(args.out, header, ([str(j), *theta, c2] for j, theta, c2 in rows))
+    write_weighted_csv(args.out, stats)
 
 
 def _cmd_bound_c3(args):
     sigma = _load_sigma(args.sigma)
     result = optimize_j(sigma, RngSpec(args.seed))
-    json.dump(
-        {
-            "a_star": [float(x) for x in result.a_star],
-            "J_star": result.j_star,
-            "J_at_one": result.j_at_one,
-            "J_at_h": result.j_at_h,
-        },
-        sys.stdout,
-    )
-    sys.stdout.write("\n")
+    print(json.dumps({
+        "a_star": [float(x) for x in result.a_star],
+        "J_star": result.j_star,
+        "J_at_one": result.j_at_one,
+        "J_at_h": result.j_at_h,
+    }))
 
 
 def _cmd_rate_function(args):
@@ -191,8 +176,9 @@ def _cmd_rate_function(args):
     write_csv(args.out, header, ([*nu, iv, ib] for nu, iv, ib in rows))
 
 
-def _experiment_config(args, name):
-    """The --config values, if any, with the flags given laid over them."""
+def _cmd_experiment(args):
+    """Run the subcommand's experiment: the --config values, if any, with the flags given laid over them."""
+    name = args.command
     values = {"experiment": name}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -200,34 +186,20 @@ def _experiment_config(args, name):
         if values.get("experiment") != name:
             raise UnknownExperimentError(f"config names {values.get('experiment')!r}, expected {name!r}")
     flags = {k: str(v) for k, v in vars(args).items() if k in EXPERIMENT_KEYS[name] and v is not None}
-    return config_from_values({**values, **flags})
+    run_config(config_from_values({**values, **flags}))
+
+
+def _cmd_run(args):
+    run_config(load_config(args.config))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "perron":
-            _cmd_perron(args)
-        elif args.command == "lifted-radius":
-            _cmd_lifted_radius(args)
-        elif args.command == "simulate-survival":
-            _cmd_simulate_survival(args)
-        elif args.command == "weighted-run":
-            _cmd_weighted_run(args)
-        elif args.command == "bound-c3":
-            _cmd_bound_c3(args)
-        elif args.command == "rate-function":
-            _cmd_rate_function(args)
-        elif args.command in EXPERIMENT_KEYS:
-            run_config(_experiment_config(args, args.command))
-        elif args.command == "run":
-            run_config(load_config(args.config))
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command!r}")
+        args.handler(args)
     except (NoConvergenceError, StateCapExceededError, OverflowGuardError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

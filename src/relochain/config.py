@@ -17,9 +17,9 @@ from .lifted import D_MAX
 
 # The keys each experiment reads, besides `experiment` itself.
 EXPERIMENT_KEYS = {
-    "fig1": ("sigma", "epsilons", "steps", "burnin", "thin", "seed", "stream", "outdir", "emit_svg"),
-    "fig2": ("sigma", "epsilons", "dtail", "dmax", "seed", "stream", "outdir", "emit_svg"),
-    "conjecture-scan": ("count", "m", "seed", "stream", "outdir"),
+    "fig1": ("sigma", "epsilons", "steps", "burnin", "thin", "seed", "outdir", "emit_svg"),
+    "fig2": ("sigma", "epsilons", "dtail", "dmax", "seed", "outdir", "emit_svg"),
+    "conjecture-scan": ("count", "m", "seed", "outdir"),
 }
 _ALL_KEYS = {"experiment"}.union(*EXPERIMENT_KEYS.values())
 
@@ -37,7 +37,6 @@ class ExperimentConfig:
     burnin: int | None = None
     thin: int = 20
     seed: int = 12345
-    stream: int = 0
     outdir: str = "out"
     emit_svg: bool = False
     dtail: float = 1e-6
@@ -127,7 +126,7 @@ def config_from_values(values: dict) -> ExperimentConfig:
         outdir=values.get("outdir", DEFAULT_OUTDIRS[experiment]),
     )
     for key, conv in (
-        ("steps", int), ("thin", int), ("seed", int), ("stream", int), ("dmax", int),
+        ("steps", int), ("thin", int), ("seed", int), ("dmax", int),
         ("count", int), ("m", int), ("burnin", int), ("dtail", float),
     ):
         if key in values:

@@ -16,14 +16,14 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .bounds import optimize_j
 from .config import EXPERIMENT_KEYS, ExperimentConfig
-from .errors import UnknownExperimentError
+from .errors import PeriodicError, ReducibleError, UnknownExperimentError
 from .lifted import bracket_radius, build_lifted, lifted_spectral_radius
 from .matrices import (
     SubStochasticMatrix,
@@ -32,18 +32,10 @@ from .matrices import (
     validate_substochastic,
 )
 from .relocation import RelocationLaw
-from .simulate import RngSpec, run_weighted_chain
+from .simulate import RngSpec, WeightedChainStats, run_weighted_chain
 from . import svg
 
 BENCHMARK_ENTRIES = ((0.72, 0.08), (0.18, 0.58))
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config: dict
-    version: str
-    stage_seconds: dict
-    outputs: tuple  # of (relative path, sha256 hex digest)
 
 
 def fmt(x) -> str:
@@ -57,6 +49,17 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(cell if isinstance(cell, str) else fmt(cell) for cell in row) + "\n")
+
+
+def write_weighted_csv(path, stats: WeightedChainStats) -> None:
+    """The rows j, theta_1..theta_m, c2_running of a weighted run, one per chain and sampled step."""
+    m = stats.theta_samples.shape[1]
+    rows = zip(stats.sample_steps, stats.theta_samples, stats.c2_running)
+    write_csv(
+        path,
+        ["j", *(f"theta_{i+1}" for i in range(m)), "c2_running"],
+        ([str(j), *theta, c2] for j, theta, c2 in rows),
+    )
 
 
 def sha256_of(path) -> str:
@@ -81,6 +84,14 @@ def _eps_name(eps: float) -> str:
     return f"{eps:g}"
 
 
+@contextlib.contextmanager
+def _stage(stages: dict, name: str):
+    """Record the wall-clock of the enclosed block as stages[name], in seconds to the millisecond."""
+    t0 = time.perf_counter()
+    yield
+    stages[name] = round(time.perf_counter() - t0, 3)
+
+
 def run_fig1(config: ExperimentConfig):
     """Occupation-measure concentration for geometric laws at decreasing eps.
 
@@ -98,23 +109,18 @@ def run_fig1(config: ExperimentConfig):
     summary_rows = []
     panel_data = []
     for k, eps in enumerate(config.epsilons):
-        t0 = time.perf_counter()
-        law = RelocationLaw.geometric(eps)
-        stats = run_weighted_chain(
-            sigma, law, ones,
-            steps=config.steps, burnin=config.burnin, thin=config.thin,
-            rng=RngSpec(config.seed, config.stream + k),
-        )
-        name = f"fig1_eps{_eps_name(eps)}.csv"
-        path = os.path.join(config.outdir, name)
-        theta_cols = [f"theta_{i+1}" for i in range(sigma.m)]
-        rows = zip(stats.sample_steps, stats.theta_samples, stats.c2_running)
-        write_csv(path, ["j", *theta_cols, "c2_running"], ([str(j), *theta, c2] for j, theta, c2 in rows))
-        outputs.append(path)
-        theta1 = stats.theta_samples[:, 0]
-        summary_rows.append([_eps_name(eps), float(theta1.mean()), float(theta1.std(ddof=1)), rho1])
-        panel_data.append((f"eps={_eps_name(eps)}", theta1))
-        stages[f"eps {_eps_name(eps)}"] = round(time.perf_counter() - t0, 3)
+        with _stage(stages, f"eps {_eps_name(eps)}"):
+            stats = run_weighted_chain(
+                sigma, RelocationLaw.geometric(eps), ones,
+                steps=config.steps, burnin=config.burnin, thin=config.thin,
+                rng=RngSpec(config.seed, k),
+            )
+            path = os.path.join(config.outdir, f"fig1_eps{_eps_name(eps)}.csv")
+            write_weighted_csv(path, stats)
+            outputs.append(path)
+            theta1 = stats.theta_samples[:, 0]
+            summary_rows.append([_eps_name(eps), float(theta1.mean()), float(theta1.std(ddof=1)), rho1])
+            panel_data.append((f"eps={_eps_name(eps)}", theta1))
     summary = os.path.join(config.outdir, "fig1_summary.csv")
     write_csv(summary, ["eps", "mean_theta_1", "std_theta_1", "rho_1"], summary_rows)
     outputs.append(summary)
@@ -133,10 +139,8 @@ def _import_optimizer(stages: dict) -> None:
     The first import costs about 0.5 s (scipy.sparse included); timed apart,
     it does not inflate the stage whose solver happens to trigger it.
     """
-    t0 = time.perf_counter()
-    import scipy.optimize  # noqa: F401
-
-    stages["import scipy.optimize"] = round(time.perf_counter() - t0, 3)
+    with _stage(stages, "import scipy.optimize"):
+        import scipy.optimize  # noqa: F401
 
 
 def run_fig2(config: ExperimentConfig):
@@ -149,19 +153,16 @@ def run_fig2(config: ExperimentConfig):
     os.makedirs(config.outdir, exist_ok=True)
     stages = {}
     _import_optimizer(stages)
-    t0 = time.perf_counter()
-    opt = optimize_j(sigma, RngSpec(config.seed, config.stream))
-    log_jstar = math.log(opt.j_star)
-    log_r = math.log(perron_triple(sigma).r)
-    stages["optimize_j"] = round(time.perf_counter() - t0, 3)
+    with _stage(stages, "optimize_j"):
+        log_jstar = math.log(optimize_j(sigma, RngSpec(config.seed)).j_star)
+        log_r = math.log(perron_triple(sigma).r)
 
     rows = []
     for eps in config.epsilons:
-        t0 = time.perf_counter()
-        law = RelocationLaw.geometric(eps)
-        bracket = bracket_radius(sigma, law, delta_tail=config.dtail, d_max=config.dmax)
-        rows.append([_eps_name(eps), math.log(bracket.lo), math.log(bracket.hi), log_r, log_jstar])
-        stages[f"eps {_eps_name(eps)}"] = round(time.perf_counter() - t0, 3)
+        with _stage(stages, f"eps {_eps_name(eps)}"):
+            law = RelocationLaw.geometric(eps)
+            bracket = bracket_radius(sigma, law, delta_tail=config.dtail, d_max=config.dmax)
+            rows.append([_eps_name(eps), math.log(bracket.lo), math.log(bracket.hi), log_r, log_jstar])
     path = os.path.join(config.outdir, "fig2.csv")
     write_csv(path, ["eps", "log_r_lo", "log_r_hi", "log_r_benchmark", "log_Jstar"], rows)
     outputs = [path]
@@ -186,7 +187,10 @@ def run_fig2(config: ExperimentConfig):
 
 
 def _random_substochastic(gen, m):
-    """Rejection-sample a validated matrix: uniform entries, rows scaled below 1."""
+    """Rejection-sample a validated matrix: uniform entries, rows scaled below 1.
+
+    Only a reducible or periodic draw is redrawn; any other error is raised.
+    """
     while True:
         raw = gen.random((m, m))
         targets = gen.uniform(0.2, 0.98, size=m)
@@ -195,7 +199,7 @@ def _random_substochastic(gen, m):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 return validate_substochastic(raw)
-        except Exception:
+        except (ReducibleError, PeriodicError):
             continue
 
 
@@ -212,25 +216,24 @@ def run_conjecture_scan(config: ExperimentConfig):
     whether the ceiling binds for every relocation law is open.
     """
     os.makedirs(config.outdir, exist_ok=True)
-    gen = RngSpec(config.seed, config.stream).generator()
+    gen = RngSpec(config.seed).generator()
     rows = []
     violations = 0
     stages = {}
     _import_optimizer(stages)
-    t0 = time.perf_counter()
-    for case in range(config.count):
-        sigma = _random_substochastic(gen, config.m)
-        law = _random_bounded_law(gen)
-        r = perron_triple(sigma).r
-        chain = build_lifted(sigma, law, mode="exact")
-        r_bold = lifted_spectral_radius(chain).radius
-        j_star = optimize_j(sigma, RngSpec(config.seed, case + 1)).j_star
-        violated = int(r_bold > j_star + 1e-6)
-        violations += violated
-        rows.append([str(case), r, j_star, r_bold, str(violated)])
-    path = os.path.join(config.outdir, "conjecture.csv")
-    write_csv(path, ["case_id", "r", "J_star", "r_bold", "violated"], rows)
-    stages["scan"] = round(time.perf_counter() - t0, 3)
+    with _stage(stages, "scan"):
+        for case in range(config.count):
+            sigma = _random_substochastic(gen, config.m)
+            law = _random_bounded_law(gen)
+            r = perron_triple(sigma).r
+            chain = build_lifted(sigma, law, mode="exact")
+            r_bold = lifted_spectral_radius(chain).radius
+            j_star = optimize_j(sigma, RngSpec(config.seed, case + 1)).j_star
+            violated = int(r_bold > j_star + 1e-6)
+            violations += violated
+            rows.append([str(case), r, j_star, r_bold, str(violated)])
+        path = os.path.join(config.outdir, "conjecture.csv")
+        write_csv(path, ["case_id", "r", "J_star", "r_bold", "violated"], rows)
     print(f"conjecture scan: {violations} violation(s) in {config.count} case(s)")
     return [path], stages
 
@@ -242,34 +245,22 @@ _EXPERIMENTS = {
 }
 
 
-def run_config(config: ExperimentConfig) -> RunManifest:
-    """Dispatch the named experiment and write manifest.json beside its outputs."""
+def run_config(config: ExperimentConfig) -> dict:
+    """Run the named experiment, write manifest.json beside its outputs and return the manifest."""
     runner = _EXPERIMENTS.get(config.experiment)
     if runner is None:
         raise UnknownExperimentError(f"unknown experiment {config.experiment!r}")
     outputs, stages = runner(config)
-    entries = tuple((os.path.basename(p), sha256_of(p)) for p in outputs)
     fields = asdict(config)
     fields["sigma"] = fields.pop("sigma_path")
-    manifest = RunManifest(
-        config={key: fields[key] for key in ("experiment", *EXPERIMENT_KEYS[config.experiment])},
-        version=__version__,
-        stage_seconds=stages,
-        outputs=entries,
-    )
-    path = os.path.join(config.outdir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            {
-                "config": manifest.config,
-                "version": manifest.version,
-                "stage_seconds": manifest.stage_seconds,
-                "outputs": [{"path": p, "sha256": d} for p, d in manifest.outputs],
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+    manifest = {
+        "config": {key: fields[key] for key in ("experiment", *EXPERIMENT_KEYS[config.experiment])},
+        "version": __version__,
+        "stage_seconds": stages,
+        "outputs": [{"path": os.path.basename(p), "sha256": sha256_of(p)} for p in outputs],
+    }
+    with open(os.path.join(config.outdir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
 

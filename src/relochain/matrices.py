@@ -177,11 +177,13 @@ def validate_substochastic(raw) -> SubStochasticMatrix:
     )
 
 
-def tilt_vector(a) -> np.ndarray:
-    """Validate a strictly positive, finite weight vector and return a copy."""
+def tilt_vector(a, m: int) -> np.ndarray:
+    """Validate a strictly positive, finite weight vector on m states and return a copy."""
     v = np.asarray(a, dtype=float).copy()
     if v.ndim != 1:
         raise ValueError("tilt vector must be one-dimensional")
+    if v.shape[0] != m:
+        raise ValueError(f"tilt vector has length {v.shape[0]}, expected one weight per state, {m}")
     if not np.isfinite(v).all() or (v <= 0).any():
         raise NonPositiveInputError("tilt vector coordinates must be positive and finite")
     return v
@@ -193,10 +195,7 @@ def tilt(sigma, a) -> np.ndarray:
     Support is unchanged, so irreducibility and aperiodicity carry over.
     """
     entries = sigma.entries if isinstance(sigma, SubStochasticMatrix) else _as_square_array(sigma)
-    v = tilt_vector(a)
-    if v.shape[0] != entries.shape[0]:
-        raise ValueError("tilt vector length does not match the matrix")
-    return entries * v[None, :]
+    return entries * tilt_vector(a, entries.shape[0])[None, :]
 
 
 @dataclass(frozen=True)

@@ -242,9 +242,8 @@ def biased_kernel_row(window: HistoryWindow, sigma, law: RelocationLaw, a) -> np
     with probability proportional to mass(i) * (sigma a)(w_i) and then moves
     by the a-biased transition matrix.
     """
-    v = tilt_vector(a)
     row = defective_kernel_row(window, sigma, law)
-    weighted = row * v
+    weighted = row * tilt_vector(a, row.shape[0])
     total = weighted.sum()
     if total <= 0.0:
         raise ValueError("biased kernel row degenerated; sigma must be irreducible and a positive")

@@ -216,8 +216,11 @@ def run_killed_chain(
     past the row sum kills the replica. p_hat[n] is the fraction of
     replicas whose first n transitions all succeeded.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    if n_max < 0 or replicas < 1:
+        raise ValueError(f"need n_max >= 0 and replicas >= 1, got n_max = {n_max}, replicas = {replicas}")
+    check = set(int(c) for c in checkpoints)
+    if check and not 1 <= min(check) <= max(check) <= n_max:
+        raise ValueError(f"checkpoints must lie in 1..{n_max}, got {sorted(check)}")
     gen = rng.generator()
     m = sigma.m
     memory = _Memory(law, init, sigma.entries, replicas, pushes=n_max)
@@ -226,7 +229,6 @@ def run_killed_chain(
     active = np.arange(replicas)
     alive_counts = np.full(n_max + 1, replicas, dtype=np.int64)
     empirical: dict[int, np.ndarray] = {}
-    check = set(int(c) for c in checkpoints)
     counts = np.zeros((replicas, m), dtype=np.int64) if check else None
 
     for n in range(1, n_max + 1):
@@ -285,9 +287,7 @@ def run_weighted_chain(
             burnin = 0
     if burnin < 0 or thin < 1 or steps - burnin < N_CHAINS:
         raise ValueError(f"need burnin >= 0, thin >= 1 and steps - burnin >= {N_CHAINS}, one step per chain")
-    av = tilt_vector(a)
-    if av.shape[0] != sigma.m:
-        raise ValueError("tilt vector length must match the state count")
+    av = tilt_vector(a, sigma.m)
     gen = rng.generator()
     m = sigma.m
     tilted = sigma.entries * av  # sigma diag(a)
@@ -365,10 +365,10 @@ def fk_survival_estimate(
     log(K a) - log a(next), where K a is that row's sum. The estimate is the
     plain mean of the exponentiated weights.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    if n < 0 or replicas < 1:
+        raise ValueError(f"need n >= 0 and replicas >= 1, got n = {n}, replicas = {replicas}")
     gen = rng.generator()
-    av = tilt_vector(a)
+    av = tilt_vector(a, sigma.m)
     m = sigma.m
     log_av = np.log(av)
     ones = np.ones(m)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import relochain as rc
+from relochain import experiments
 from relochain.cli import build_parser, main
 from relochain.config import EXPERIMENT_KEYS, config_from_values, load_config, parse_config_text
 from relochain.errors import ConfigParseError, UnknownExperimentError
@@ -233,7 +234,8 @@ def test_run_config_malformed_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "experiment,key,value",
     [("fig1", "dmax", "3"), ("fig2", "steps", "5000"), ("conjecture-scan", "sigma", "x.txt"),
-     ("conjecture-scan", "emit_svg", "true"), ("fig2", "restarts", "8"), ("conjecture-scan", "restarts", "6")],
+     ("conjecture-scan", "emit_svg", "true"), ("fig2", "restarts", "8"), ("conjecture-scan", "restarts", "6"),
+     ("fig1", "stream", "1"), ("fig2", "stream", "1"), ("conjecture-scan", "stream", "1")],
 )
 def test_config_key_not_read_by_experiment(experiment, key, value, tmp_path, capsys):
     text = f"experiment = {experiment}\nseed = 3\n{key} = {value}\n"
@@ -353,6 +355,28 @@ def test_conjecture_scan(tmp_path, capsys):
     assert set(stages) == {"import scipy.optimize", "scan"}
 
 
+def test_conjecture_scan_redraws_only_reducible_or_periodic_matrices(tmp_path, monkeypatch):
+    # The redraw loop once caught every exception, so a fault inside validation would loop forever.
+    validate = experiments.validate_substochastic
+    for error, redrawn in ((rc.ReducibleError, True), (rc.PeriodicError, True), (TypeError, False)):
+        raised = []
+
+        def flaky(raw):
+            if not raised:
+                raised.append(error)
+                raise error("injected")
+            return validate(raw)
+
+        monkeypatch.setattr(experiments, "validate_substochastic", flaky)
+        config = config_from_values({"experiment": "conjecture-scan", "count": "1", "outdir": str(tmp_path)})
+        if redrawn:
+            rc.run_config(config)
+        else:
+            with pytest.raises(TypeError, match="injected"):
+                rc.run_config(config)
+        assert raised == [error]
+
+
 def test_conjecture_scan_empty(tmp_path, capsys):
     outdir = tmp_path / "cj0"
     code, _, _ = run_cli(capsys, "conjecture-scan", "--count", "0", "--outdir", str(outdir))
@@ -407,6 +431,25 @@ def test_usage_error_exit_code(capsys):
     argv = ["simulate-survival", "--tau", "explicit nan 1", "--n", "3", "--replicas", "1000"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "finite" in err
+
+
+def test_negative_step_count_exit_code(capsys):
+    # --n -1 once exited 0 after printing only the header.
+    code, out, err = run_cli(capsys, "simulate-survival", "--tau", "dirac 0", "--n", "-1", "--replicas", "100")
+    assert code == 2 and out == "" and "n_max >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate-survival", "--tau", "dirac 0"], ["weighted-run", "--tau", "dirac 0"], ["fig1"], ["fig2"],
+     ["conjecture-scan"]],
+    ids=lambda argv: argv[0],
+)
+def test_no_stream_flag(argv, capsys):
+    # The seed alone names the PCG64 stream.
+    build_parser().parse_args(argv)
+    code, out, _ = run_cli(capsys, *argv, "--stream", "1")
+    assert code == 2 and out == ""
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -247,6 +247,13 @@ def test_biased_row_examples(sigma_fig):
     )
 
 
+@pytest.mark.parametrize("a", [[5.0], [1.0, 1.0, 1.0]], ids=["short", "long"])
+def test_biased_row_rejects_a_tilt_of_the_wrong_length(sigma_fig, a):
+    # [5.0] once broadcast to the a = 1 row [0.5769, 0.4231] without an error.
+    with pytest.raises(ValueError, match="length"):
+        rc.biased_kernel_row(rc.HistoryWindow((0, 1)), sigma_fig, rc.RelocationLaw.explicit([0.5, 0.5]), a)
+
+
 def test_biased_row_simplex_and_decomposition(sigma_fig):
     rng = np.random.default_rng(17)
     entries = sigma_fig.entries

@@ -344,7 +344,7 @@ def _reference_search(rows, x):
 def _reference_weighted_chain(sigma, law, a, steps, burnin=None, thin=20, rng=rc.RngSpec(0), memory=_Memory):
     if burnin is None:
         burnin = min(rc.default_burnin(law), steps // 2)
-    av = tilt_vector(a)
+    av = tilt_vector(a, sigma.m)
     gen = rng.generator()
     m = sigma.m
     tilted = sigma.entries * av
@@ -422,7 +422,7 @@ class _ThetaMemory:
 
 def _reference_fk(sigma, law, a, init, n, replicas, rng, memory=_Memory):
     gen = rng.generator()
-    av = tilt_vector(a)
+    av = tilt_vector(a, sigma.m)
     m = sigma.m
     log_av = np.log(av)
     ones = np.ones(m)
@@ -624,3 +624,34 @@ def test_deep_law_burnin_rule_reads_the_pushed_depth(sigma_fig):
     assert np.abs(far.chain_means - math.log(0.8)).max() <= 1e-12
     near = rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.dirac(2_624), np.ones(2), steps=5_000)
     assert near.burnin == 2_500
+
+
+@pytest.mark.parametrize("a", [[1.0], [1.0, 1.0, 1.0]], ids=["short", "long"])
+def test_tilt_of_the_wrong_length_is_a_value_error(sigma_fig, a):
+    # A length-1 tilt once failed with IndexError, a length-3 one with a broadcast error.
+    init = rc.HistoryWindow((0,))
+    with pytest.raises(ValueError, match="length"):
+        rc.fk_survival_estimate(sigma_fig, rc.RelocationLaw.geometric(0.3), a, init, 3, 100, rc.RngSpec(1))
+    with pytest.raises(ValueError, match="length"):
+        rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.geometric(0.3), a, steps=1000)
+
+
+def test_negative_step_counts_are_rejected(sigma_fig):
+    # n = -2 once returned value 1.0, n_max = -1 an empty curve.
+    law, init = rc.RelocationLaw.geometric(0.3), rc.HistoryWindow((0,))
+    with pytest.raises(ValueError, match="n >= 0"):
+        rc.fk_survival_estimate(sigma_fig, law, np.ones(2), init, -2, 100, rc.RngSpec(1))
+    with pytest.raises(ValueError, match="n_max >= 0"):
+        rc.run_killed_chain(sigma_fig, law, init, -1, 100, rc.RngSpec(1))
+    assert rc.fk_survival_estimate(sigma_fig, law, np.ones(2), init, 0, 100, rc.RngSpec(1)).value == 1.0
+    assert rc.run_killed_chain(sigma_fig, law, init, 0, 100, rc.RngSpec(1)).curve.p_hat.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("checkpoints", [(5,), (0, 2), (-1,), (1, 4)])
+def test_checkpoints_outside_the_run_are_rejected(sigma_fig, checkpoints):
+    # A checkpoint past n_max once returned no empirical measure and no error.
+    with pytest.raises(ValueError, match="checkpoints"):
+        rc.run_killed_chain(
+            sigma_fig, rc.RelocationLaw.geometric(0.3), rc.HistoryWindow((0,)), 3, 100, rc.RngSpec(1),
+            checkpoints=checkpoints,
+        )
