@@ -45,6 +45,12 @@ class ExperimentConfig:
     m: int = 2
 
     def __post_init__(self):
+        if self.dmax < 0:
+            raise ValueError(f"dmax must be nonnegative, got {self.dmax}")
+        if self.count < 0:
+            raise ValueError(f"count must be nonnegative, got {self.count}")
+        if self.m < 1:
+            raise ValueError(f"m must be at least 1, got {self.m}")
         if self.epsilons:
             eps = np.asarray(self.epsilons)
             if (eps <= 0).any() or (eps >= 1).any():

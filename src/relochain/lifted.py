@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import StateCapExceededError
-from .matrices import ROW_SUM_TOL, SpectralResult, SubStochasticMatrix
-from .matrices import _certified_perron, _digraph_structure, _nonnegative_entries
+from .matrices import DENSE_MAX_STATES, ROW_SUM_TOL, SpectralResult, SubStochasticMatrix
+from .matrices import _certified_perron, _cw_bounds, _digraph_structure, _nonnegative_entries
 from .relocation import HistoryWindow, RelocationLaw, TruncationResult, truncate_law
 
 if TYPE_CHECKING:
@@ -128,7 +128,9 @@ class RadiusBracket:
     A lift field is then tight to 1e-12 only when it carries its end of the
     bracket: a power solve stops as soon as its lift is proved to lose to
     the envelope, and the field keeps the valid but possibly loose bound at
-    which it stopped.
+    which it stopped. A lift of more than DENSE_MAX_STATES windows whose
+    closed-form row sums already lose is not built at all, and its field
+    holds that widened row-sum bound (the Collatz-Wielandt bound at v = 1).
     """
 
     lo: float
@@ -266,12 +268,19 @@ def bracket_radius(
     benchmark row sum) tighten whatever the truncation left loose. A law
     with no mass within the affordable depth gets exactly that envelope.
 
-    The envelope is computed first, and each lift's power solve stops once
-    its interval lies on the envelope's side of it (the conservative lift at
-    or below r_bench, the majorized one at or above the row sum), since the
-    envelope then carries that end whatever the solve would have reached:
-    `lo` and `hi` are those of full solves, bit for bit.
+    The envelope is computed first. A lift of more than DENSE_MAX_STATES
+    windows is decided before it is built when its closed-form row sums
+    (`_lift_row_sums`) already lie on the envelope's side (the conservative
+    lift's largest at or below r_bench, the majorized lift's least at or
+    above the row sum); the lift field then holds the other, widened row-sum
+    bound. Any other lift is built, and its power solve stops once its
+    interval lies on the envelope's side. Either way the envelope carries
+    that end whatever a full solve would have reached: `lo` and `hi` are
+    those of full solves, bit for bit. Smaller lifts are always built, as
+    their dense eigensolve certifies the lift fields to 1e-12.
     """
+    if d_max < 0:
+        raise ValueError(f"d_max must be nonnegative, got {d_max}")
     m = sigma.m
     d_cap = _affordable_depth(m, d_max)
     if d_cap < 0:
@@ -295,11 +304,20 @@ def bracket_radius(
     r_bench = _certified_perron(entries.dot, m, lambda: entries).lower
     row_max = float(sigma.row_sums().max())
     trunc = truncate_law(law, delta_tail, d_cap)
-    # With no mass retained the conservative lift is the zero operator, of radius 0.
-    lo_lift = 0.0
-    if trunc.masses.any():
+    # Lifts the dense eigensolve certifies to 1e-12 are always built.
+    decidable = m ** (trunc.d + 1) > DENSE_MAX_STATES
+    # With no mass retained the conservative lift is the zero operator, of
+    # radius 0, and its closed-form least row sum is exactly 0.0.
+    low, high = _lift_row_sums(sigma, trunc, LOWER)
+    if not trunc.masses.any() or (decidable and high <= r_bench):
+        lo_lift = low
+    else:
         lo_lift = _solve_lift(build_lifted(sigma, trunc, mode=LOWER), (r_bench, math.inf)).lower
-    hi_lift = _solve_lift(build_lifted(sigma, trunc, mode=UPPER), (-math.inf, row_max)).upper
+    low, high = _lift_row_sums(sigma, trunc, UPPER)
+    if decidable and low >= row_max:
+        hi_lift = high
+    else:
+        hi_lift = _solve_lift(build_lifted(sigma, trunc, mode=UPPER), (-math.inf, row_max)).upper
     lo = max(lo_lift, r_bench)
     hi = max(min(hi_lift, row_max), lo)
     return RadiusBracket(
@@ -312,3 +330,25 @@ def bracket_radius(
         exact=False,
         cap_reached=trunc.cap_reached,
     )
+
+
+def _lift_row_sums(sigma: SubStochasticMatrix, trunc: TruncationResult, mode: str) -> tuple[float, float]:
+    """Least and largest row sums of a truncated lift, from their closed form, widened outward.
+
+    Window w's row sum is sum_i tau(i) s(w_i), with s the row sums of sigma,
+    and every digit tuple is a window, so the extremes are kept * min s and
+    kept * max s with kept = sum_i tau(i); the majorized lift adds
+    tail_mass * sum_t max_u sigma[u, t] to every row. The widening encloses
+    the row sums of the exact lift and of the one `build_lifted` rounds: a
+    built weight (d + 1 products summed, plus the majorizing term) is within
+    (d + 2) * 2**-53 relative of its exact value, and the extremes here
+    within (d + m + 1) * 2**-53 (kept sums d + 1 masses, s and the
+    majorizing sum m terms each, then two products and one sum).
+    `_cw_bounds` with 3d + m + 4 terms widens by (3d + m + 6) * 2**-53 and
+    one ulp, d + 3 units above that first-order (2d + m + 3) * 2**-53.
+    """
+    sums = sigma.row_sums()
+    kept = float(trunc.masses.sum())
+    extra = trunc.tail_mass * float(sigma.entries.max(axis=0).sum()) if mode == UPPER else 0.0
+    extremes = np.array([kept * float(sums.min()) + extra, kept * float(sums.max()) + extra])
+    return _cw_bounds(extremes, 3 * trunc.d + sigma.m + 4)

@@ -13,6 +13,7 @@ from relochain import experiments
 from relochain.cli import build_parser, main
 from relochain.config import EXPERIMENT_KEYS, config_from_values, load_config, parse_config_text
 from relochain.errors import ConfigParseError, UnknownExperimentError
+from relochain.experiments import CSV_CHUNK
 from relochain.lifted import D_MAX
 
 from conftest import R_CLOSED, cycle_matrix_200
@@ -486,3 +487,69 @@ def test_dmax_defaults_agree():
     flag = build_parser().parse_args(["lifted-radius", "--tau", "dirac 0"]).dmax
     key = config_from_values({"experiment": "fig2"}).dmax
     assert library == flag == key == D_MAX == 16
+
+
+def test_negative_dmax_exit_code(tmp_path, capsys):
+    # lifted-radius --dmax -1 once exited 1 with "state cap too small".
+    code, out, err = run_cli(capsys, "lifted-radius", "--dmax", "-1", "--tau", "geometric 0.5")
+    assert code == 2 and out == "" and "d_max must be nonnegative" in err
+    outdir = tmp_path / "fig2"
+    code, _, err = run_cli(capsys, "fig2", "--dmax", "-1", "--outdir", str(outdir))
+    assert code == 2 and "dmax must be nonnegative" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message", [("--count", "-3", "count must be nonnegative"), ("--m", "0", "m must be at least 1")]
+)
+def test_conjecture_scan_rejects_negative_count_and_empty_state_space(flag, value, message, tmp_path, capsys):
+    # --count -3 once exited 0 with a header-only CSV and a manifest; both
+    # are now rejected when the config is built, before the outdir is made.
+    outdir = tmp_path / "neg"
+    code, out, err = run_cli(capsys, "conjecture-scan", flag, value, "--outdir", str(outdir))
+    assert code == 2 and out == "" and message in err
+    assert not outdir.exists()
+
+
+def per_cell_csv(header, rows):
+    """Reference writer: each cell on its own, strings as given, numbers as f"{x:.12g}"."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else f"{float(c):.12g}" for c in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+# Row counts on either side of one and of four chunks.
+@pytest.mark.parametrize("n_rows", [0, 1, *(k * CSV_CHUNK + j for k in (1, 4) for j in (-1, 0, 1)), 600])
+def test_write_csv_matches_per_cell_formatting(n_rows, tmp_path, capsys):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16, 0.1 + 0.2, 2.5e-300, 123456789012345.0]
+    rng = np.random.default_rng(n_rows)
+    rows = []
+    for i in range(n_rows):
+        x = specials[i % len(specials)]
+        rows.append([str(i), x, np.float64(rng.normal() * 10.0 ** rng.integers(-20, 20)), i, f"s{i}"])
+    header = ["j", "x", "y", "k", "label"]
+    expected = per_cell_csv(header, rows)
+    path = tmp_path / "t.csv"
+    experiments.write_csv(str(path), header, iter(rows))
+    assert path.read_text() == expected
+    experiments.write_csv(None, header, rows)
+    assert capsys.readouterr().out == expected
+
+
+def test_write_weighted_csv_matches_per_cell_formatting(tmp_path):
+    stats = rc.run_weighted_chain(
+        rc.benchmark_matrix(), rc.RelocationLaw.geometric(0.1), np.ones(2), steps=30_000, rng=rc.RngSpec(3)
+    )
+    assert len(stats.sample_steps) > 2 * CSV_CHUNK
+    path = tmp_path / "w.csv"
+    experiments.write_weighted_csv(str(path), stats)
+    rows = zip(stats.sample_steps, stats.theta_samples, stats.c2_running)
+    expected = per_cell_csv(["j", "theta_1", "theta_2", "c2_running"], ([str(j), *t, c] for j, t, c in rows))
+    assert path.read_text() == expected
+
+
+def test_write_csv_rejects_a_column_mixing_strings_and_numbers(tmp_path):
+    with pytest.raises(TypeError):
+        experiments.write_csv(str(tmp_path / "a.csv"), ["x"], [[1.0], ["a"]])
+    with pytest.raises(TypeError, match="mixes"):
+        experiments.write_csv(str(tmp_path / "b.csv"), ["x"], [["a"], [1.0]])

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import relochain as rc
 from relochain.errors import StateCapExceededError
 from relochain.config import FIG2_EPSILONS
+from relochain.lifted import _lift_row_sums
 from relochain.matrices import DENSE_MAX_STATES, _certified_perron
 
 from conftest import R_CLOSED, largest_eigenvalue, window_matrix
@@ -394,13 +396,17 @@ def test_bracket_envelope_stop_matches_full_lift_solves(sigma_fig, d_max):
         assert br.lo_lift < br.lo
 
 
+def random_validated(rng, m):
+    """Uniform entries on [0.05, 1], rows scaled to sums uniform on [0.3, 0.98]."""
+    raw = rng.uniform(0.05, 1.0, size=(m, m))
+    return rc.validate_substochastic(raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.3, 0.98, size=(m, 1)))
+
+
 @pytest.mark.parametrize("m, d_max", [(2, 3), (2, 7), (3, 2), (3, 4)])
 def test_bracket_envelope_stop_random_matrices(m, d_max):
     rng = np.random.default_rng(97 + 10 * m + d_max)
     for _ in range(3):
-        raw = rng.uniform(0.05, 1.0, size=(m, m))
-        raw = raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.3, 0.98, size=(m, 1))
-        sigma = rc.validate_substochastic(raw)
+        sigma = random_validated(rng, m)
         for eps in (0.9, 0.5, 0.05):
             assert_envelope_stop_is_exact(sigma, rc.RelocationLaw.geometric(eps), d_max)
 
@@ -461,3 +467,116 @@ def test_badly_scaled_lift_falls_back_to_power_sweeps(sigma_fig):
     res = rc.lifted_spectral_radius(rc.build_lifted(tilted, two_point_law()))
     assert res.iterations > 0  # the dense eigenvector failed its certificate
     assert_certified(res, window_matrix(tilted, [0.5, 0.5]))
+
+
+def test_bracket_rejects_negative_depth_cap(sigma_fig, monkeypatch):
+    # A negative cap is a usage error, raised before any truncation or lift.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called for a negative d_max")
+
+    monkeypatch.setattr(rc.lifted, "truncate_law", forbidden)
+    monkeypatch.setattr(rc.lifted, "build_lifted", forbidden)
+    with pytest.raises(ValueError, match="d_max must be nonnegative") as err:
+        rc.bracket_radius(sigma_fig, rc.RelocationLaw.geometric(0.5), d_max=-1)
+    assert not isinstance(err.value, StateCapExceededError)
+
+
+def record_builds(monkeypatch):
+    """Patch the build_lifted that bracket_radius calls; the returned list collects each call's mode."""
+    modes = []
+    build = rc.lifted.build_lifted
+
+    def recording(sigma, law, mode="exact"):
+        modes.append(mode)
+        return build(sigma, law, mode)
+
+    monkeypatch.setattr(rc.lifted, "build_lifted", recording)
+    return modes
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_closed_form_row_sums_enclose_built_lifts(m):
+    # Oracle: the row sums of the lift build_lifted assembles, and the exact
+    # rational extremes sum_i tau(i) * min/max s (+ tail * sum_t max_u sigma).
+    rng = np.random.default_rng(300 + m)
+    for d in range(7):
+        sigma = random_validated(rng, m)
+        trunc = rc.truncate_law(rc.RelocationLaw.explicit(rng.dirichlet(np.ones(d + 3))), 1e-300, d_max=d)
+        assert trunc.d == d and trunc.tail_mass > 0.0
+        sums = [sum(map(Fraction, row)) for row in sigma.entries.tolist()]
+        kept = sum(map(Fraction, trunc.masses.tolist()))
+        for mode in ("lower", "upper"):
+            low, high = _lift_row_sums(sigma, trunc, mode)
+            built = rc.build_lifted(sigma, trunc, mode=mode).weights.sum(axis=1)
+            extra = Fraction(trunc.tail_mass) * sum(map(Fraction, sigma.entries.max(axis=0).tolist()))
+            extra = extra if mode == "upper" else 0
+            assert low <= built.min() and built.max() <= high
+            assert low <= kept * min(sums) + extra and kept * max(sums) + extra <= high
+            # The widening is a few dozen ulps, not a loose bound.
+            assert high - built.max() <= 1e-14 * high and built.min() - low <= 1e-14 * high
+
+
+def test_decided_lifts_bound_their_dense_radii(sigma_fig, monkeypatch):
+    # 256 windows: above the dense limit, so lifts that lose to the envelope
+    # are decided from their row sums, yet small enough for np.linalg.eigvals.
+    built = record_builds(monkeypatch)
+    sigma = sigma_fig.entries
+    decided = {"lower": 0, "upper": 0}
+    for eps in FIG2_EPSILONS:
+        built.clear()
+        br = rc.bracket_radius(sigma_fig, rc.RelocationLaw.geometric(eps), delta_tail=1e-6, d_max=7)
+        trunc = rc.truncate_law(rc.RelocationLaw.geometric(eps), 1e-6, 7)
+        assert 2 ** (trunc.d + 1) == 256 > DENSE_MAX_STATES
+        if "lower" not in built:
+            decided["lower"] += 1
+            assert br.lo_lift <= largest_eigenvalue(window_matrix(sigma, trunc.masses)) * (1 + ORACLE_RTOL)
+        if "upper" not in built:
+            decided["upper"] += 1
+            extra = trunc.tail_mass * sigma.max(axis=0)
+            lam_upper = largest_eigenvalue(window_matrix(sigma, trunc.masses, extra=extra))
+            assert lam_upper <= br.hi_lift * (1 + ORACLE_RTOL)
+    assert decided["lower"] > 0 and decided["upper"] > 0
+
+
+def test_fig2_builds_five_of_its_lifts(sigma_fig, monkeypatch):
+    # fig2's twelve geometric laws at depth cap 14: 19 of the 24 truncated
+    # lifts are decided from their closed-form row sums and never built.
+    built = record_builds(monkeypatch)
+    for eps in FIG2_EPSILONS:
+        rc.bracket_radius(sigma_fig, rc.RelocationLaw.geometric(eps), delta_tail=1e-6, d_max=14)
+    # 10 conservative and 9 majorized lifts decided.
+    assert (built.count("lower"), built.count("upper")) == (2, 3)
+
+
+def full_solve_bracket(sigma, law, delta_tail, d_max):
+    """(lo, hi, d_used, tail_mass, exact, cap_reached) with both lifts always built and fully solved.
+
+    d_max must fit the state cap; the envelope folds in as lo = max(lift, r_bench),
+    hi = max(min(lift, row sum), lo).
+    """
+    if law.bounded and law.support_max <= d_max:
+        res = rc.lifted_spectral_radius(rc.build_lifted(sigma, law))
+        return res.lower, res.upper, law.support_max, 0.0, True, False
+    r_bench, row_max = _envelope(sigma)
+    trunc = rc.truncate_law(law, delta_tail, d_max)
+    lo_lift = 0.0
+    if trunc.masses.any():
+        lo_lift = rc.lifted_spectral_radius(rc.build_lifted(sigma, trunc, mode="lower")).lower
+    hi_lift = rc.lifted_spectral_radius(rc.build_lifted(sigma, trunc, mode="upper")).upper
+    lo = max(lo_lift, r_bench)
+    return lo, max(min(hi_lift, row_max), lo), trunc.d, trunc.tail_mass, False, trunc.cap_reached
+
+
+@pytest.mark.parametrize("m, d_maxes", [(2, (0, 3, 6, 8, 11, 14)), (3, (0, 2, 4, 6, 8)), (4, (0, 2, 4, 6))])
+def test_bracket_matches_full_solves_bit_for_bit(m, d_maxes):
+    # 14 geometric laws over eps in [0.001, 0.9] and one bounded law of depth
+    # 3, so that deep caps take the exact path: 225 cases in all.
+    rng = np.random.default_rng(500 + m)
+    sigma = rc.benchmark_matrix() if m == 2 else random_validated(rng, m)
+    laws = [rc.RelocationLaw.geometric(eps) for eps in np.geomspace(0.9, 0.001, 14)]
+    laws.append(rc.RelocationLaw.explicit(rng.dirichlet(np.ones(4))))
+    for d_max in d_maxes:
+        for law in laws:
+            br = rc.bracket_radius(sigma, law, delta_tail=1e-6, d_max=d_max)
+            got = (br.lo, br.hi, br.d_used, br.tail_mass, br.exact, br.cap_reached)
+            assert got == full_solve_bracket(sigma, law, 1e-6, d_max)
