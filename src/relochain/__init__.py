@@ -83,11 +83,4 @@ from .bounds import (
     rate_function_lifted,
 )
 from .config import ExperimentConfig, load_config, parse_config_text
-from .experiments import (
-    benchmark_matrix,
-    run_config,
-    run_fig1,
-    run_fig2,
-    run_conjecture_scan,
-    verify_manifest,
-)
+from .experiments import benchmark_matrix, run_config, verify_manifest

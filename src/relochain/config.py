@@ -8,12 +8,15 @@ does not read is an error, never silently ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigParseError, UnknownExperimentError
 from .lifted import D_MAX
+from .relocation import RelocationLaw
+from .simulate import _burnin
 
 # The keys each experiment reads, besides `experiment` itself.
 EXPERIMENT_KEYS = {
@@ -23,21 +26,28 @@ EXPERIMENT_KEYS = {
 }
 _ALL_KEYS = {"experiment"}.union(*EXPERIMENT_KEYS.values())
 
-DEFAULT_OUTDIRS = {"fig1": "out_fig1", "fig2": "out_fig2", "conjecture-scan": "out_conjecture"}
 FIG1_EPSILONS = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 FIG2_EPSILONS = tuple(float(x) for x in np.geomspace(0.5, 0.001, 12))
+# The values a config of each experiment takes for the fields it leaves None.
+_DEFAULTS = {
+    "fig1": {"epsilons": FIG1_EPSILONS, "outdir": "out_fig1"},
+    "fig2": {"epsilons": FIG2_EPSILONS, "outdir": "out_fig2"},
+    "conjecture-scan": {"outdir": "out_conjecture"},
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings, checked when built so that a bad value fails before any output exists."""
+
     experiment: str
     sigma_path: str | None = None
-    epsilons: tuple[float, ...] = ()
+    epsilons: tuple[float, ...] | None = None
     steps: int = 400_000
     burnin: int | None = None
     thin: int = 20
     seed: int = 12345
-    outdir: str = "out"
+    outdir: str | None = None
     emit_svg: bool = False
     dtail: float = 1e-6
     dmax: int = D_MAX
@@ -45,18 +55,34 @@ class ExperimentConfig:
     m: int = 2
 
     def __post_init__(self):
+        if self.experiment not in EXPERIMENT_KEYS:
+            known = ", ".join(EXPERIMENT_KEYS)
+            raise UnknownExperimentError(f"unknown experiment {self.experiment!r}; expected one of {known}")
+        for key, value in _DEFAULTS[self.experiment].items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not 0.0 < self.dtail < math.inf:
+            raise ValueError(f"dtail must be positive and finite, got {self.dtail}")
         if self.dmax < 0:
             raise ValueError(f"dmax must be nonnegative, got {self.dmax}")
         if self.count < 0:
             raise ValueError(f"count must be nonnegative, got {self.count}")
         if self.m < 1:
             raise ValueError(f"m must be at least 1, got {self.m}")
-        if self.epsilons:
-            eps = np.asarray(self.epsilons)
-            if (eps <= 0).any() or (eps >= 1).any():
+        if self.epsilons is not None:
+            eps = np.asarray(self.epsilons, dtype=float)
+            if eps.size == 0:
+                raise ValueError("epsilons must name at least one value")
+            if not ((eps > 0) & (eps < 1)).all():
                 raise ValueError("epsilon values must lie in (0, 1)")
             if (np.diff(eps) >= 0).any():
                 raise ValueError("epsilon values must be strictly decreasing")
+        if self.experiment == "fig1":
+            # The weighted run's own rule, per law, so that no run it accepts is refused.
+            for eps in self.epsilons:
+                _burnin(RelocationLaw.geometric(eps), self.steps, self.burnin, self.thin)
 
 
 def _check_keys(values: dict, where: dict) -> None:
@@ -107,38 +133,20 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
+def _parse_floats(s: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in s.replace(",", " ").split())
+
+
 def config_from_values(values: dict) -> ExperimentConfig:
     """Build the config of the named experiment from raw string values."""
-    experiment = values.get("experiment")
-    if experiment not in EXPERIMENT_KEYS:
-        known = ", ".join(EXPERIMENT_KEYS)
-        raise UnknownExperimentError(f"unknown experiment {experiment!r}; expected one of {known}")
     _check_keys(values, {})
-
-    eps: tuple[float, ...]
-    if "epsilons" in values:
-        eps = tuple(float(tok) for tok in values["epsilons"].replace(",", " ").split())
-    elif experiment == "fig1":
-        eps = FIG1_EPSILONS
-    elif experiment == "fig2":
-        eps = FIG2_EPSILONS
-    else:
-        eps = ()
-
-    kwargs = dict(
-        experiment=experiment,
-        sigma_path=values.get("sigma"),
-        epsilons=eps,
-        outdir=values.get("outdir", DEFAULT_OUTDIRS[experiment]),
-    )
+    kwargs = {"experiment": values.get("experiment"), "sigma_path": values.get("sigma")}
     for key, conv in (
-        ("steps", int), ("thin", int), ("seed", int), ("dmax", int),
-        ("count", int), ("m", int), ("burnin", int), ("dtail", float),
+        ("epsilons", _parse_floats), ("outdir", str), ("steps", int), ("thin", int), ("seed", int),
+        ("dmax", int), ("count", int), ("m", int), ("burnin", int), ("dtail", float), ("emit_svg", _parse_bool),
     ):
         if key in values:
             kwargs[key] = conv(values[key])
-    if "emit_svg" in values:
-        kwargs["emit_svg"] = _parse_bool(values["emit_svg"])
     return ExperimentConfig(**kwargs)
 
 

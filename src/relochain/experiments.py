@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bounds import optimize_j
 from .config import EXPERIMENT_KEYS, ExperimentConfig
-from .errors import PeriodicError, ReducibleError, UnknownExperimentError
+from .errors import PeriodicError, ReducibleError
 from .lifted import bracket_radius, build_lifted, lifted_spectral_radius
 from .matrices import (
     SubStochasticMatrix,
@@ -42,18 +42,13 @@ BENCHMARK_ENTRIES = ((0.72, 0.08), (0.18, 0.58))
 CSV_CHUNK = 64  # rows per printf template; 256 rows added 0.4 MB to the peak RSS of a fig1 unit, 64 rows 0.2 MB
 
 
-def fmt(x) -> str:
-    """One CSV float cell: 12 significant digits, the text '%.12g' % x gives."""
-    return f"{float(x):.12g}"
-
-
 def write_csv(path, header, rows):
     """Write a CSV to `path`, or to stdout when it is None.
 
     Rows are rendered CSV_CHUNK at a time by one printf template, built from
-    the cell types of the chunk's first row: %s for strings, %.12g (the text
-    of `fmt`) for any other cell. A column must hold strings in every row
-    or in none; a chunk that mixes them raises TypeError.
+    the cell types of the chunk's first row: %s for strings, %.12g (12
+    significant digits) for any other cell. A column must hold strings in
+    every row or in none; a chunk that mixes them raises TypeError.
     """
     stream = open(path, "w", encoding="utf-8", newline="\n") if path else contextlib.nullcontext(sys.stdout)
     rows = iter(rows)
@@ -266,10 +261,7 @@ _EXPERIMENTS = {
 
 def run_config(config: ExperimentConfig) -> dict:
     """Run the named experiment, write manifest.json beside its outputs and return the manifest."""
-    runner = _EXPERIMENTS.get(config.experiment)
-    if runner is None:
-        raise UnknownExperimentError(f"unknown experiment {config.experiment!r}")
-    outputs, stages = runner(config)
+    outputs, stages = _EXPERIMENTS[config.experiment](config)
     fields = asdict(config)
     fields["sigma"] = fields.pop("sigma_path")
     manifest = {

@@ -321,17 +321,18 @@ def perron_triple(matrix) -> PerronTriple:
     irreducible = isinstance(matrix, SubStochasticMatrix) or structure_flags(a)[0]
     if not irreducible or not a.any():  # a 1x1 zero passes the digraph test
         raise ReducibleError("matrix is reducible or zero; Perron data is not well defined here")
-    return _perron_triple(a, a.shape[0])
+    return _perron_triple(a)
 
 
-def _perron_triple(a, n: int, terms: int | None = None) -> PerronTriple:
-    """Unchecked Perron triple of an irreducible nonnegative n x n operator.
+def _perron_triple(a, terms: int | None = None) -> PerronTriple:
+    """Unchecked Perron triple of an irreducible nonnegative square operator.
 
     `a` is a numpy array, or a scipy sparse array of more than
     DENSE_MAX_STATES states. `terms` counts the summands per row of `a` and
-    `a.T` (n when omitted): m for a window operator, as every window has m
-    successors and m predecessors.
+    `a.T` (the order of `a` when omitted): m for a window operator, as every
+    window has m successors and m predecessors.
     """
+    n = a.shape[0]
     at = a.T
     v = _certified_perron(a.dot, n, lambda: a, terms).right_vector
     u = _certified_perron(at.dot, n, lambda: at, terms).right_vector

@@ -200,6 +200,19 @@ def default_burnin(law: RelocationLaw) -> int:
     return 100 * (law.support_max + 1)
 
 
+def _burnin(law: RelocationLaw, steps: int, burnin: int | None, thin: int) -> int:
+    """The burn-in of `run_weighted_chain`; ValueError when the run would be empty."""
+    if burnin is None:
+        # The memory-horizon rule, capped so short diagnostic runs stay legal.
+        burnin = min(default_burnin(law), steps // 2)
+        if law.bounded and law.depths[0] >= burnin + (steps - burnin) // N_CHAINS:
+            # No push is ever read, so every row is the start window's: nothing mixes.
+            burnin = 0
+    if burnin < 0 or thin < 1 or steps - burnin < N_CHAINS:
+        raise ValueError(f"need burnin >= 0, thin >= 1 and steps - burnin >= {N_CHAINS}, one step per chain")
+    return burnin
+
+
 def run_killed_chain(
     sigma: SubStochasticMatrix,
     law: RelocationLaw,
@@ -279,14 +292,7 @@ def run_weighted_chain(
     state counts folded after the block by a sequential cumsum, so every
     output is bit for bit that of a loop that folds each step as it goes.
     """
-    if burnin is None:
-        # The memory-horizon rule, capped so short diagnostic runs stay legal.
-        burnin = min(default_burnin(law), steps // 2)
-        if law.bounded and law.depths[0] >= burnin + (steps - burnin) // N_CHAINS:
-            # No push is ever read, so every row is the start window's: nothing mixes.
-            burnin = 0
-    if burnin < 0 or thin < 1 or steps - burnin < N_CHAINS:
-        raise ValueError(f"need burnin >= 0, thin >= 1 and steps - burnin >= {N_CHAINS}, one step per chain")
+    burnin = _burnin(law, steps, burnin, thin)
     av = tilt_vector(a, sigma.m)
     gen = rng.generator()
     m = sigma.m

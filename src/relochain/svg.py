@@ -34,6 +34,20 @@ def _axes(title, xlabel, ylabel, xlo, xhi, ylo, yhi):
     return parts
 
 
+def _write_chart(path, parts, px, curves, stroke_width):
+    """Draw each (label, y pixels) curve over the x pixels `px` with its legend entry, then write the SVG."""
+    for k, (label, py) in enumerate(curves):
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+        color = _COLORS[k % len(_COLORS)]
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{stroke_width}"/>')
+        parts.append(
+            f'<text x="{W-MARGIN+4}" y="{MARGIN+14*k}" font-size="11" fill="{color}" text-anchor="end">{label}</text>'
+        )
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
 def line_chart(path, xs, series, title="", xlabel="", ylabel=""):
     """Write a polyline chart; `series` is a list of (label, y-array)."""
     xs = np.asarray(xs, dtype=float)
@@ -42,41 +56,18 @@ def line_chart(path, xs, series, title="", xlabel="", ylabel=""):
     ylo, yhi = float(ys_all.min()), float(ys_all.max())
     pad = 0.05 * (yhi - ylo or 1.0)
     ylo, yhi = ylo - pad, yhi + pad
+    curves = [(label, _scale(ys, ylo, yhi, H - MARGIN, MARGIN)) for label, ys in series]
     parts = _axes(title, xlabel, ylabel, xlo, xhi, ylo, yhi)
-    for k, (label, ys) in enumerate(series):
-        px = _scale(xs, xlo, xhi, MARGIN, W - MARGIN)
-        py = _scale(ys, ylo, yhi, H - MARGIN, MARGIN)
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
-        color = _COLORS[k % len(_COLORS)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>')
-        parts.append(
-            f'<text x="{W-MARGIN+4}" y="{MARGIN+14*k}" font-size="11" fill="{color}" text-anchor="end">{label}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_chart(path, parts, _scale(xs, xlo, xhi, MARGIN, W - MARGIN), curves, "1.6")
 
 
 def histogram_panel(path, datasets, title="", xlabel=""):
     """Write outline histograms (40 bins) of several sample sets of simplex coordinates in [0, 1]."""
     lo, hi = 0.0, 1.0
     edges = np.linspace(lo, hi, 41)
-    all_counts = []
-    for _, samples in datasets:
-        counts, _ = np.histogram(np.asarray(samples, dtype=float), bins=edges, density=True)
-        all_counts.append(counts)
+    all_counts = [np.histogram(np.asarray(s, dtype=float), bins=edges, density=True)[0] for _, s in datasets]
     ymax = max(float(c.max()) for c in all_counts) or 1.0
-    parts = _axes(title, xlabel, "density", lo, hi, 0.0, ymax)
+    curves = [(label, _scale(c, 0.0, ymax, H - MARGIN, MARGIN)) for (label, _), c in zip(datasets, all_counts)]
     centers = 0.5 * (edges[:-1] + edges[1:])
-    for k, ((label, _), counts) in enumerate(zip(datasets, all_counts)):
-        px = _scale(centers, lo, hi, MARGIN, W - MARGIN)
-        py = _scale(counts, 0.0, ymax, H - MARGIN, MARGIN)
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
-        color = _COLORS[k % len(_COLORS)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"/>')
-        parts.append(
-            f'<text x="{W-MARGIN+4}" y="{MARGIN+14*k}" font-size="11" fill="{color}" text-anchor="end">{label}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    parts = _axes(title, xlabel, "density", lo, hi, 0.0, ymax)
+    _write_chart(path, parts, _scale(centers, lo, hi, MARGIN, W - MARGIN), curves, "1.4")

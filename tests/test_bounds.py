@@ -191,6 +191,21 @@ def test_optimize_j_reports_its_evaluations(sigma_fig):
     assert 3 <= res.evaluations < 120
 
 
+@pytest.mark.filterwarnings("ignore::relochain.ProportionalToStochasticWarning")  # every 1x1 matrix
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_j_at_one_is_the_benchmark_radius_bit_for_bit(m):
+    # J(1) = r exp(-rho . log 1) = r, so optimize_j reads J(1) and h off one
+    # Perron triple of sigma; the value equals j_objective's at a = 1 exactly.
+    rng = np.random.default_rng(300 + m)
+    for _ in range(20):
+        raw = rng.uniform(0.05, 1.0, size=(m, m))
+        sigma = rc.validate_substochastic(raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.3, 0.98, (m, 1)))
+        j_one = rc.j_objective(sigma, np.ones(m)).j_value
+        assert j_one == rc.perron_triple(sigma).r
+        if m <= 2:
+            assert rc.optimize_j(sigma).j_at_one == j_one
+
+
 def test_optimize_j_keeps_its_best_point_when_a_search_leaves_the_spread(monkeypatch, sigma_fig):
     # The maximizer of J on the benchmark has log-weight spread 0.133. Below
     # that bound each search stops, keeps the best point it evaluated and

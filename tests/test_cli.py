@@ -11,7 +11,14 @@ import pytest
 import relochain as rc
 from relochain import experiments
 from relochain.cli import build_parser, main
-from relochain.config import EXPERIMENT_KEYS, config_from_values, load_config, parse_config_text
+from relochain.config import (
+    EXPERIMENT_KEYS,
+    FIG1_EPSILONS,
+    FIG2_EPSILONS,
+    config_from_values,
+    load_config,
+    parse_config_text,
+)
 from relochain.errors import ConfigParseError, UnknownExperimentError
 from relochain.experiments import CSV_CHUNK
 from relochain.lifted import D_MAX
@@ -553,3 +560,74 @@ def test_write_csv_rejects_a_column_mixing_strings_and_numbers(tmp_path):
         experiments.write_csv(str(tmp_path / "a.csv"), ["x"], [[1.0], ["a"]])
     with pytest.raises(TypeError, match="mixes"):
         experiments.write_csv(str(tmp_path / "b.csv"), ["x"], [["a"], [1.0]])
+
+
+BAD_VALUES = [
+    ("fig1", "thin", "0", "thin >= 1"),
+    ("fig1", "burnin", "-5", "burnin >= 0"),
+    ("fig1", "steps", "10", "steps - burnin >= 20"),
+    ("fig1", "seed", "-1", "seed must be nonnegative"),
+    ("fig2", "dtail", "-1", "dtail must be positive and finite"),
+    ("fig2", "dtail", "nan", "dtail must be positive and finite"),
+    ("fig1", "epsilons", "nan", "epsilon values must lie in (0, 1)"),
+    ("fig1", "epsilons", "", "epsilons must name at least one value"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value, message", BAD_VALUES, ids=[f"{e}-{k}={v}" for e, k, v, _ in BAD_VALUES]
+)
+def test_bad_config_value_exits_2_before_any_output(experiment, key, value, message, tmp_path, capsys, monkeypatch):
+    # Each once failed only inside the run, after the outdir was made; a
+    # fig2 dtail of -1 first spent a second in optimize_j, and an empty
+    # epsilons list exited 0 with a header-only CSV.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("optimize_j ran")
+
+    monkeypatch.setattr(experiments, "optimize_j", no_solve)
+    outdir = tmp_path / "out"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"experiment = {experiment}\n{key} = {value}\noutdir = {outdir}\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2 and out == "" and message in err
+    assert not outdir.exists()
+
+
+def test_fig1_config_accepts_exactly_the_step_budgets_the_sampler_runs():
+    # The config applies the weighted run's own burn-in rule to each law.
+    sigma, ones = rc.benchmark_matrix(), np.ones(2)
+    for steps in range(30, 50):
+        for burnin in (None, 0, 15):
+            runs = True
+            for eps in (0.3, 0.05):
+                try:
+                    rc.run_weighted_chain(sigma, rc.RelocationLaw.geometric(eps), ones, steps, burnin=burnin)
+                except ValueError:
+                    runs = False
+            try:
+                rc.ExperimentConfig("fig1", epsilons=(0.3, 0.05), steps=steps, burnin=burnin)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == runs, (steps, burnin)
+
+
+def test_config_fills_its_experiment_defaults():
+    # run_config(ExperimentConfig("fig1")) once ran zero laws and wrote a header-only summary.
+    defaults = {"fig1": (FIG1_EPSILONS, "out_fig1"), "fig2": (FIG2_EPSILONS, "out_fig2"),
+                "conjecture-scan": (None, "out_conjecture")}
+    for name, (eps, outdir) in defaults.items():
+        config = rc.ExperimentConfig(name)
+        assert (config.epsilons, config.outdir) == (eps, outdir)
+        assert config == config_from_values({"experiment": name})
+    assert rc.ExperimentConfig("fig1", epsilons=(0.5,), outdir="x").epsilons == (0.5,)
+    with pytest.raises(UnknownExperimentError):
+        rc.ExperimentConfig("fig3")
+
+
+def test_run_config_of_a_bare_fig1_config_runs_every_default_law(tmp_path):
+    outdir = tmp_path / "f1"
+    rc.run_config(rc.ExperimentConfig("fig1", steps=2000, outdir=str(outdir)))
+    assert sorted(p.name for p in outdir.glob("fig1_eps*.csv")) == sorted(f"fig1_eps{e:g}.csv" for e in FIG1_EPSILONS)
+    assert len((outdir / "fig1_summary.csv").read_text().splitlines()) == 1 + len(FIG1_EPSILONS)
+    assert rc.verify_manifest(outdir)
