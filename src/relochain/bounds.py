@@ -76,11 +76,6 @@ class RateFunctionTable:
     violations: np.ndarray
 
 
-def _tilt_triple(sigma: SubStochasticMatrix, a: np.ndarray) -> PerronTriple:
-    """Perron triple of sigma diag(a), unchecked: a positive tilt keeps the support validation proved irreducible."""
-    return _perron_triple(sigma.entries * a)
-
-
 def _window_triple(sigma: SubStochasticMatrix, law: RelocationLaw, a: np.ndarray) -> PerronTriple:
     """Perron triple of the window chain of sigma diag(a): dense up to DENSE_MAX_STATES windows, sparse above."""
     chain = build_lifted(sigma.entries * a, law)
@@ -91,7 +86,8 @@ def _window_triple(sigma: SubStochasticMatrix, law: RelocationLaw, a: np.ndarray
 def j_objective(sigma: SubStochasticMatrix, a) -> ObjectiveEval:
     """J(a) = r_a exp(-rho_a log a) for a validated sigma and a positive weight vector a."""
     av = tilt_vector(a, sigma.m)
-    triple = _tilt_triple(sigma, av)
+    # Unchecked: a positive tilt keeps the support that validation proved irreducible.
+    triple = _perron_triple(sigma.entries * av)
     j = triple.r * math.exp(-float(triple.rho @ np.log(av)))
     return ObjectiveEval(a=av, r_a=triple.r, rho_a=triple.rho, j_value=j)
 
@@ -152,7 +148,7 @@ def _neg_log_j(sigma: SubStochasticMatrix, lam: np.ndarray) -> tuple[float, np.n
     """
     m = sigma.m
     a = np.exp(lam)
-    triple = _tilt_triple(sigma, a)
+    triple = _perron_triple(sigma.entries * a)
     r, h, rho = triple.r, triple.h, triple.rho
     mean = float(rho @ lam)
     border = np.zeros((m + 1, m + 1))
@@ -268,7 +264,7 @@ def rate_function_I(sigma: SubStochasticMatrix, nu) -> float:
     """
     nu = np.asarray(nu, dtype=float)
     at_vertex = _vertex_rate(sigma, nu)
-    return at_vertex if at_vertex is not None else _legendre(lambda a: _tilt_triple(sigma, a), nu)[0]
+    return at_vertex if at_vertex is not None else _legendre(lambda a: _perron_triple(sigma.entries * a), nu)[0]
 
 
 def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_points: int = 101) -> RateFunctionTable:
@@ -299,5 +295,5 @@ def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_po
             i_vals[idx] = i_bold[idx] = at_vertex
             continue
         i_bold[idx], lam_bold = _legendre(lambda a: _window_triple(sigma, law, a), nu)
-        i_vals[idx] = _legendre(lambda a: _tilt_triple(sigma, a), nu, witness=lam_bold)[0]
+        i_vals[idx] = _legendre(lambda a: _perron_triple(sigma.entries * a), nu, witness=lam_bold)[0]
     return RateFunctionTable(nu_grid=nu_grid, i_values=i_vals, i_lifted=i_bold, violations=i_bold > i_vals + 1e-8)

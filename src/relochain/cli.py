@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import optimize_j, rate_function_lifted
-from .config import EXPERIMENT_KEYS, config_from_values, load_config, parse_config_text
+from .config import EXPERIMENT_KEYS, config_from_values, parse_config_text
 from .errors import (
     ConfigParseError,
     NoConvergenceError,
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--emit-svg", action="store_true", default=None)
 
     p = sub.add_parser("run", help="run an experiment described by a config file")
-    p.set_defaults(handler=_cmd_run)
+    p.set_defaults(handler=_cmd_experiment)
     p.add_argument("--config", required=True)
 
     return parser
@@ -177,20 +177,16 @@ def _cmd_rate_function(args):
 
 
 def _cmd_experiment(args):
-    """Run the subcommand's experiment: the --config values, if any, with the flags given laid over them."""
+    """Run the subcommand's experiment (for `run`, the one its config names) with the flags given laid over --config."""
     name = args.command
     values = {"experiment": name}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             values = parse_config_text(fh.read())
-        if values.get("experiment") != name:
+        if name != "run" and values.get("experiment") != name:
             raise UnknownExperimentError(f"config names {values.get('experiment')!r}, expected {name!r}")
-    flags = {k: str(v) for k, v in vars(args).items() if k in EXPERIMENT_KEYS[name] and v is not None}
+    flags = {k: str(v) for k, v in vars(args).items() if k in EXPERIMENT_KEYS.get(name, ()) and v is not None}
     run_config(config_from_values({**values, **flags}))
-
-
-def _cmd_run(args):
-    run_config(load_config(args.config))
 
 
 def main(argv=None) -> int:

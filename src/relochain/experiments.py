@@ -168,8 +168,8 @@ def run_fig2(config: ExperimentConfig):
     stages = {}
     _import_optimizer(stages)
     with _stage(stages, "optimize_j"):
-        log_jstar = math.log(optimize_j(sigma, RngSpec(config.seed)).j_star)
-        log_r = math.log(perron_triple(sigma).r)
+        opt = optimize_j(sigma, RngSpec(config.seed))
+        log_jstar, log_r = math.log(opt.j_star), math.log(opt.j_at_one)  # J(1) = r
 
     rows = []
     for eps in config.epsilons:
@@ -239,13 +239,12 @@ def run_conjecture_scan(config: ExperimentConfig):
         for case in range(config.count):
             sigma = _random_substochastic(gen, config.m)
             law = _random_bounded_law(gen)
-            r = perron_triple(sigma).r
             chain = build_lifted(sigma, law, mode="exact")
             r_bold = lifted_spectral_radius(chain).radius
-            j_star = optimize_j(sigma, RngSpec(config.seed, case + 1)).j_star
-            violated = int(r_bold > j_star + 1e-6)
+            opt = optimize_j(sigma, RngSpec(config.seed, case + 1))  # J(1) = r
+            violated = int(r_bold > opt.j_star + 1e-6)
             violations += violated
-            rows.append([str(case), r, j_star, r_bold, str(violated)])
+            rows.append([str(case), opt.j_at_one, opt.j_star, r_bold, str(violated)])
         path = os.path.join(config.outdir, "conjecture.csv")
         write_csv(path, ["case_id", "r", "J_star", "r_bold", "violated"], rows)
     print(f"conjecture scan: {violations} violation(s) in {config.count} case(s)")

@@ -61,21 +61,17 @@ class LiftedChain:
     def window_index(self, window: HistoryWindow) -> int:
         """Mixed-radix index of the window's first d + 1 entries, most recent most significant.
 
-        Only the stored entries are folded; the k repeats of the oldest entry
-        s that pad the window to d + 1 entries add s * (m**k - 1) / (m - 1),
-        so the cost does not grow with d.
+        A window shorter than d + 1 is padded with its oldest entry.
         """
-        digits = window.states[: self.d + 1]
-        if any(s >= self.m for s in digits):
-            raise ValueError("window entry outside the state space")
         m = self.m
-        if m == 1:  # one window
+        if any(s >= m for s in window.states[: self.d + 1]):
+            raise ValueError("window entry outside the state space")
+        if m == 1:  # one window, whatever d is
             return 0
         idx = 0
-        for s in digits:
+        for s in window.truncated(self.d + 1):
             idx = idx * m + s
-        pad = m ** (self.d + 1 - len(digits))
-        return idx * pad + digits[-1] * (pad - 1) // (m - 1)
+        return idx
 
     @cached_property
     def successors(self) -> np.ndarray:
@@ -281,6 +277,8 @@ def bracket_radius(
     """
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
+    if not delta_tail > 0:  # checked here too, as a law that fits uncut is never truncated
+        raise ValueError(f"delta_tail must be positive, got {delta_tail}")
     m = sigma.m
     d_cap = _affordable_depth(m, d_max)
     if d_cap < 0:

@@ -229,38 +229,38 @@ def _certified_perron(
     `dense()` builds; when its eigenvector fails the
     certificate (badly scaled or reducible operators), and for every larger
     operator, a sup-normalized power iteration over `matvec` runs on
-    A + shift I. The shift is a tenth of the largest row sum, so periodic
-    supports converge too; the gap is read once every CHECK_EVERY sweeps.
+    A + shift I, so periodic supports converge too; the gap is read once
+    every CHECK_EVERY sweeps. The shift is a tenth of the eigensolve's
+    leading eigenvalue when that is positive (a row sum far above the radius
+    would shrink the shifted gap), else a tenth of the largest row sum.
 
-    With `envelope` = (below, above), the power iteration also returns as
-    soon as its widened interval lies at or below `below` or at or above
-    `above`: the radius is then proved to sit on that side, and the result
-    carries the still-valid, possibly wide, bounds at which it stopped. The
-    first check is at v = 1, where A v is the row sums.
+    With `envelope` = (below, above), the power iteration also returns at a
+    gap check as soon as its widened interval lies at or below `below` or at
+    or above `above`: the radius is then proved to sit on that side, and the
+    result carries the still-valid, possibly wide, bounds at which it stopped.
     """
+    top = 0.0
     if n <= DENSE_MAX_STATES:
         a = dense()
         vals, vecs = np.linalg.eig(a)
         k = int(np.argmax(vals.real))
+        top = float(vals[k].real)
         v = vecs[:, k].real
         v = v / v[np.argmax(np.abs(v))]
         if (v > 0.0).all():
             av = a @ v
             lo, hi = _cw_bounds(av / v, n)
             if hi - lo <= CW_RTOL * hi:
-                return _cw_result(float(vals[k].real), v, av, 0, lo, hi)
+                return _cw_result(top, v, av, 0, lo, hi)
 
     terms = n if terms is None else terms
     below, above = (-math.inf, math.inf) if envelope is None else envelope
     v = np.ones(n)
     av = matvec(v)
-    shift = 0.1 * float(av.max())  # a tenth of the largest row sum
+    shift = 0.1 * (top if top > 0.0 else float(av.max()))
     if not shift > 0.0:
         raise ValueError("zero operator has no Perron radius")
     sweeps = 1
-    lo, hi = _cw_bounds(av, terms)  # v = 1: the ratios are the row sums
-    if hi <= below or lo >= above:
-        return _cw_result(0.5 * (lo + hi), v, av, sweeps, lo, hi)
     while sweeps < MAX_SWEEPS:
         v = av + shift * v
         if sweeps % NORM_EVERY == 0:

@@ -180,8 +180,8 @@ def truncate_law(law: RelocationLaw, delta_tail: float, d_max: int) -> Truncatio
     Hitting the cap is reported through `cap_reached` and the achieved
     `tail_mass` rather than by failing.
     """
-    if delta_tail <= 0:
-        raise ValueError("delta_tail must be positive")
+    if not delta_tail > 0:  # also catches NaN
+        raise ValueError(f"delta_tail must be positive, got {delta_tail}")
     d = _smallest_depth(law, delta_tail)
     cap_reached = d > d_max
     if cap_reached:
@@ -203,6 +203,8 @@ def _smallest_depth(law: RelocationLaw, delta_tail: float) -> int:
             suffix += Fraction(mass)
             if float(suffix) > delta_tail:
                 return depth
+        return 0
+    if delta_tail >= 1.0:  # tail(1) = 1 - eps < 1; also keeps inf out of the logarithm
         return 0
     # Geometric: closed-form first guess, then exact adjustment at the float boundary.
     n = max(1, math.ceil(math.log(delta_tail) / math.log1p(-law.eps)))

@@ -9,12 +9,18 @@ W, H = 720, 440
 MARGIN = 60
 
 
+def _escape(text: str) -> str:
+    """Text with &, < and > escaped for XML; xml.sax.saxutils would also import urllib, http.client and ssl."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _scale(values, lo, hi, out_lo, out_hi):
     span = hi - lo if hi > lo else 1.0
     return out_lo + (np.asarray(values, dtype=float) - lo) / span * (out_hi - out_lo)
 
 
 def _axes(title, xlabel, ylabel, xlo, xhi, ylo, yhi):
+    title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" viewBox="0 0 {W} {H}">',
         f'<rect width="{W}" height="{H}" fill="white"/>',
@@ -41,7 +47,8 @@ def _write_chart(path, parts, px, curves, stroke_width):
         color = _COLORS[k % len(_COLORS)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{stroke_width}"/>')
         parts.append(
-            f'<text x="{W-MARGIN+4}" y="{MARGIN+14*k}" font-size="11" fill="{color}" text-anchor="end">{label}</text>'
+            f'<text x="{W-MARGIN+4}" y="{MARGIN+14*k}" font-size="11" fill="{color}" text-anchor="end">'
+            f"{_escape(label)}</text>"
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -414,6 +414,32 @@ def test_rate_function_lifted_duality_three_states():
         assert value == pytest.approx(float(pi @ lam) - math.log(r_bold), abs=1e-9)
 
 
+# Tilted by exp(-S) on state 0, the window chain of this matrix has a radius
+# far below its largest row sum (6.09e-5 against about 0.9 at S = 45).
+BADLY_SCALED = [[0.3, 0.6, 0.0], [0.0, 0.0, 0.9], [0.8, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("spread", [45, 60, 90])
+def test_badly_scaled_window_chain_certifies(spread):
+    # The dense eigenvector fails the certificate here. Shifted by a tenth of
+    # the largest row sum, the power iteration's eigenvalue ratio sits about
+    # 1e-8 below 1 and 100,000 sweeps do not certify; shifted by a tenth of
+    # the dense eigenvalue, it does.
+    sigma = rc.validate_substochastic(BADLY_SCALED)
+    a = np.exp([-spread, 0.0, 0.0])
+    triple = _window_triple(sigma, rc.RelocationLaw.explicit([0.5, 0.5]), a)
+    r_dense = largest_eigenvalue(window_matrix(sigma.entries * a[None, :], [0.5, 0.5]))
+    assert triple.r == pytest.approx(r_dense, rel=1e-12)
+
+
+def test_badly_scaled_rate_table_reports_the_unattained_supremum():
+    # Every Perron solve on the way certifies, so the table stops with the
+    # documented error at nu = (0, 0.25, 0.75), whose support {1, 2} carries no cycle.
+    sigma = rc.validate_substochastic(BADLY_SCALED)
+    with pytest.raises(rc.NoConvergenceError, match="the supremum is not attained"):
+        rc.rate_function_lifted(sigma, rc.RelocationLaw.explicit([0.5, 0.5]), grid_points=5)
+
+
 def test_rate_table_three_states():
     sigma = rc.validate_substochastic(SIGMA3)
     table = rc.rate_function_lifted(sigma, rc.RelocationLaw.explicit([0.5, 0.5]), grid_points=5)

@@ -64,6 +64,21 @@ def test_lifted_radius_past_the_cap_prints_the_envelope(capsys):
     assert (data["d_used"], data["tail_mass"]) == (2, 1.0)
 
 
+@pytest.mark.parametrize("tau, d_used, tail_mass", [("geometric 0.5", 0, 0.5), ("explicit 0.2 0.3 0.5", 2, 0.0)])
+def test_lifted_radius_takes_an_infinite_dtail_and_rejects_nan(tau, d_used, tail_mass, capsys):
+    # Every tail is at most 1, so an infinite bound truncates a geometric law
+    # at depth 0, where its bracket is the envelope; a bounded law that fits
+    # uncut is solved exactly whatever the bound.
+    code, out, _ = run_cli(capsys, "lifted-radius", "--tau", tau, "--dtail", "inf")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["d_used"], data["tail_mass"]) == (d_used, tail_mass)
+    assert R_CLOSED <= data["hi"] <= rc.benchmark_matrix().row_sums().max()
+    code, out, err = run_cli(capsys, "lifted-radius", "--tau", tau, "--dtail", "nan")
+    assert (code, out) == (2, "")
+    assert "delta_tail must be positive, got nan" in err
+
+
 def test_simulate_survival_csv(tmp_path, capsys):
     out_path = tmp_path / "surv.csv"
     code, _, _ = run_cli(
@@ -361,6 +376,20 @@ def test_conjecture_scan(tmp_path, capsys):
         assert violated in ("0", "1")
     stages = json.loads((outdir / "manifest.json").read_text())["stage_seconds"]
     assert set(stages) == {"import scipy.optimize", "scan"}
+
+
+def test_fig2_and_scan_read_the_benchmark_radius_from_optimize_j(tmp_path, monkeypatch):
+    # J(1) = r bit for bit, so neither experiment solves the benchmark triple a second time.
+    def refuse(matrix):
+        raise AssertionError("second Perron solve of the benchmark")
+
+    monkeypatch.setattr(experiments, "perron_triple", refuse)
+    rc.run_config(rc.ExperimentConfig("fig2", epsilons=(0.5, 0.1), dmax=6, outdir=str(tmp_path / "f2")))
+    log_r = f"{math.log(rc.perron_triple(rc.benchmark_matrix()).r):.12g}"
+    rows = (tmp_path / "f2" / "fig2.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == [log_r, log_r]
+    rc.run_config(rc.ExperimentConfig("conjecture-scan", count=2, outdir=str(tmp_path / "cj")))
+    assert len((tmp_path / "cj" / "conjecture.csv").read_text().splitlines()) == 3
 
 
 def test_conjecture_scan_redraws_only_reducible_or_periodic_matrices(tmp_path, monkeypatch):

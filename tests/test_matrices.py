@@ -25,7 +25,7 @@ from relochain.errors import (
     RowSumExceedsOneError,
     ZeroRowError,
 )
-from relochain.matrices import _certified_perron
+from relochain.matrices import CHECK_EVERY, _certified_perron
 
 from conftest import R_CLOSED, largest_eigenvalue
 
@@ -309,9 +309,9 @@ def test_perron_residuals_random(m, seed, scale):
 
 def test_envelope_stop_keeps_a_valid_enclosure():
     # 100 states take the power path; a lazy cycle converges slowly. An
-    # envelope the row sums already decide stops at v = 1 with no further
-    # sweep; a tighter one stops before the full certificate. Each stopped
-    # interval still encloses the radius, on the envelope's side.
+    # envelope the row sums already decide stops at the first gap check; a
+    # tighter one stops before the full certificate. Each stopped interval
+    # still encloses the radius, on the envelope's side.
     rng = np.random.default_rng(5)
     n = 100
     a = 0.3 * np.eye(n) + 0.6 * np.roll(np.eye(n), 1, axis=1) + 0.001 * rng.uniform(size=(n, n))
@@ -321,7 +321,7 @@ def test_envelope_stop_keeps_a_valid_enclosure():
     unbounded = _certified_perron(a.dot, n, None, envelope=(-math.inf, math.inf))
     assert (unbounded.lower, unbounded.upper, unbounded.iterations) == (full.lower, full.upper, full.iterations)
     sums = a.sum(axis=1)
-    for below, above, at_ones in (
+    for below, above, first_check in (
         (sums.max() * 1.01, math.inf, True),
         (-math.inf, sums.min() * 0.99, True),
         (oracle * (1 + 1e-4), math.inf, False),
@@ -330,8 +330,8 @@ def test_envelope_stop_keeps_a_valid_enclosure():
         res = _certified_perron(a.dot, n, None, envelope=(below, above))
         assert res.upper <= below or res.lower >= above
         assert res.lower - 1e-14 * oracle <= oracle <= res.upper + 1e-14 * oracle
-        if at_ones:
-            assert res.iterations == 1
+        if first_check:
+            assert res.iterations == CHECK_EVERY
         else:
             assert 1 < res.iterations < full.iterations
 

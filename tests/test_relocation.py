@@ -145,6 +145,18 @@ def test_truncate_far_point_mass_at_once():
     np.testing.assert_array_equal(trunc.masses, [0.0])
 
 
+@pytest.mark.parametrize(
+    "law", [rc.RelocationLaw.geometric(0.5), rc.RelocationLaw.explicit([0.2, 0.3, 0.5])], ids=["geometric", "bounded"]
+)
+def test_truncate_law_takes_an_infinite_tail_bound_and_rejects_nan(law):
+    # Every tail is at most 1, so any bound of at least 1 keeps depth 0 only.
+    for delta in (1.0, 2.0, math.inf):
+        trunc = rc.truncate_law(law, delta, d_max=4)
+        assert (trunc.d, trunc.tail_mass, trunc.cap_reached) == (0, law.tail(1), False)
+    with pytest.raises(ValueError, match="delta_tail must be positive, got nan"):
+        rc.truncate_law(law, math.nan, d_max=4)
+
+
 def dense_truncation_depth(p, delta_tail):
     """The smallest-depth rule walked one depth at a time over the dense mass vector."""
     d = len(p) - 1

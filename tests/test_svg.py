@@ -6,6 +6,7 @@ legend and file code must leave every chart unchanged.
 """
 
 import hashlib
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -56,3 +57,13 @@ def test_histogram_panel_bytes(case, tmp_path):
     path = tmp_path / "panel.svg"
     svg.histogram_panel(path, datasets, title="occupation", xlabel="theta_1")
     assert sha256_hex(path) == digest
+
+
+def test_text_is_escaped(tmp_path):
+    # Markup characters in titles, axis labels and legend labels must leave a well-formed file.
+    chart, panel = tmp_path / "chart.svg", tmp_path / "panel.svg"
+    svg.line_chart(chart, [0.0, 1.0], [("a & <b>", [1.0, 2.0])], title="t <1>", xlabel="x & y", ylabel="<y>")
+    svg.histogram_panel(panel, [("a & <b>", [0.5])], title="t <1>", xlabel="x & y")
+    for path, texts in ((chart, {"t <1>", "x & y", "<y>", "a & <b>"}), (panel, {"t <1>", "x & y", "a & <b>"})):
+        nodes = minidom.parse(str(path)).getElementsByTagName("text")
+        assert texts <= {node.firstChild.data for node in nodes}
