@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import StateCapExceededError
-from .matrices import DENSE_MAX_STATES, ROW_SUM_TOL, SpectralResult, SubStochasticMatrix
+from .matrices import ROW_SUM_TOL, SpectralResult, SubStochasticMatrix
 from .matrices import _certified_perron, _cw_bounds, _digraph_structure, _nonnegative_entries
 from .relocation import HistoryWindow, RelocationLaw, TruncationResult, truncate_law
 
@@ -122,11 +122,11 @@ class RadiusBracket:
     benchmark radius from below, the largest benchmark row sum from above),
     which carry the certificate when the affordable truncation is loose.
     A lift field is then tight to 1e-12 only when it carries its end of the
-    bracket: a power solve stops as soon as its lift is proved to lose to
-    the envelope, and the field keeps the valid but possibly loose bound at
-    which it stopped. A lift of more than DENSE_MAX_STATES windows whose
-    closed-form row sums already lose is not built at all, and its field
-    holds that widened row-sum bound (the Collatz-Wielandt bound at v = 1).
+    bracket, and is otherwise a valid bound on the envelope's side: a lift
+    whose closed-form row sums already lose is not built, and its field
+    holds that widened row-sum bound (the Collatz-Wielandt bound at v = 1);
+    a built lift's solve stops as soon as it is proved to lose, and the
+    field keeps the bound at which it stopped.
     """
 
     lo: float
@@ -264,16 +264,17 @@ def bracket_radius(
     benchmark row sum) tighten whatever the truncation left loose. A law
     with no mass within the affordable depth gets exactly that envelope.
 
-    The envelope is computed first. A lift of more than DENSE_MAX_STATES
-    windows is decided before it is built when its closed-form row sums
-    (`_lift_row_sums`) already lie on the envelope's side (the conservative
-    lift's largest at or below r_bench, the majorized lift's least at or
-    above the row sum); the lift field then holds the other, widened row-sum
-    bound. Any other lift is built, and its power solve stops once its
-    interval lies on the envelope's side. Either way the envelope carries
-    that end whatever a full solve would have reached: `lo` and `hi` are
-    those of full solves, bit for bit. Smaller lifts are always built, as
-    their dense eigensolve certifies the lift fields to 1e-12.
+    The envelope is computed first. A lift is decided before it is built
+    when its closed-form row sums (`_lift_row_sums`) already lie on the
+    envelope's side (the conservative lift's largest at or below r_bench,
+    the majorized lift's least at or above the row sum); the lift field then
+    holds the other, widened row-sum bound. A conservative lift that keeps
+    no mass (the zero operator) has widened row sums 0.0 and 5e-324, at or
+    below any certified r_bench, so it is never solved and lo_lift = 0.0.
+    Any other lift is built, and its power solve stops once its interval
+    lies on the envelope's side. Either way the envelope carries that end
+    whatever a full solve would have reached: `lo` and `hi` are those of
+    full solves, bit for bit.
     """
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
@@ -302,17 +303,13 @@ def bracket_radius(
     r_bench = _certified_perron(entries.dot, m, lambda: entries).lower
     row_max = float(sigma.row_sums().max())
     trunc = truncate_law(law, delta_tail, d_cap)
-    # Lifts the dense eigensolve certifies to 1e-12 are always built.
-    decidable = m ** (trunc.d + 1) > DENSE_MAX_STATES
-    # With no mass retained the conservative lift is the zero operator, of
-    # radius 0, and its closed-form least row sum is exactly 0.0.
     low, high = _lift_row_sums(sigma, trunc, LOWER)
-    if not trunc.masses.any() or (decidable and high <= r_bench):
+    if high <= r_bench:
         lo_lift = low
     else:
         lo_lift = _solve_lift(build_lifted(sigma, trunc, mode=LOWER), (r_bench, math.inf)).lower
     low, high = _lift_row_sums(sigma, trunc, UPPER)
-    if decidable and low >= row_max:
+    if low >= row_max:
         hi_lift = high
     else:
         hi_lift = _solve_lift(build_lifted(sigma, trunc, mode=UPPER), (-math.inf, row_max)).upper

@@ -204,14 +204,14 @@ class SpectralResult:
 
     `lower` and `upper` are min and max of (A v)/v, widened outward by the
     rounding of their evaluation, so they enclose the radius of the operator;
-    `iterations` counts power sweeps (0 when the dense eigensolve certified);
-    `residual` is max |A v - radius v|.
+    `iterations` counts power sweeps (0 when the dense eigensolve certified).
+    As v is sup-normalized and the radius lies in [lower, upper],
+    max |A v - radius v| <= upper - lower.
     """
 
     radius: float
     right_vector: np.ndarray
     iterations: int
-    residual: float
     lower: float
     upper: float
 
@@ -248,10 +248,9 @@ def _certified_perron(
         v = vecs[:, k].real
         v = v / v[np.argmax(np.abs(v))]
         if (v > 0.0).all():
-            av = a @ v
-            lo, hi = _cw_bounds(av / v, n)
+            lo, hi = _cw_bounds(a @ v / v, n)
             if hi - lo <= CW_RTOL * hi:
-                return _cw_result(top, v, av, 0, lo, hi)
+                return _cw_result(top, v, 0, lo, hi)
 
     terms = n if terms is None else terms
     below, above = (-math.inf, math.inf) if envelope is None else envelope
@@ -273,8 +272,7 @@ def _certified_perron(
                 raise NoConvergenceError("power iterate lost strict positivity; no certificate exists")
             lo, hi = _cw_bounds(av / v, terms)
             if hi - lo <= CW_RTOL * hi or hi <= below or lo >= above:
-                peak = v.max()
-                return _cw_result(0.5 * (lo + hi), v / peak, av / peak, sweeps, lo, hi)
+                return _cw_result(0.5 * (lo + hi), v / v.max(), sweeps, lo, hi)
     raise NoConvergenceError(f"power iteration did not certify in {MAX_SWEEPS} sweeps")
 
 
@@ -294,17 +292,10 @@ def _cw_bounds(ratio: np.ndarray, terms: int) -> tuple[float, float]:
     )
 
 
-def _cw_result(radius, v, av, sweeps, lower, upper) -> SpectralResult:
-    """Certificate of a strictly positive, sup-normalized v, given av = A v."""
+def _cw_result(radius, v, sweeps, lower, upper) -> SpectralResult:
+    """Certificate of a strictly positive, sup-normalized v."""
     v.setflags(write=False)
-    return SpectralResult(
-        radius=radius,
-        right_vector=v,
-        iterations=sweeps,
-        residual=float(np.abs(av - radius * v).max()),
-        lower=lower,
-        upper=upper,
-    )
+    return SpectralResult(radius=radius, right_vector=v, iterations=sweeps, lower=lower, upper=upper)
 
 
 def perron_triple(matrix) -> PerronTriple:

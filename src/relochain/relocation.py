@@ -169,7 +169,6 @@ class TruncationResult:
 
     masses: np.ndarray
     d: int
-    retained: float
     tail_mass: float
     cap_reached: bool
 
@@ -189,9 +188,7 @@ def truncate_law(law: RelocationLaw, delta_tail: float, d_max: int) -> Truncatio
     masses = np.array([law.mass(i) for i in range(d + 1)], dtype=float)
     tail_mass = law.tail(d + 1)
     masses.setflags(write=False)
-    return TruncationResult(
-        masses=masses, d=d, retained=1.0 - tail_mass, tail_mass=tail_mass, cap_reached=cap_reached
-    )
+    return TruncationResult(masses=masses, d=d, tail_mass=tail_mass, cap_reached=cap_reached)
 
 
 def _smallest_depth(law: RelocationLaw, delta_tail: float) -> int:

@@ -146,7 +146,8 @@ def test_radius_dirac_matches_benchmark(sigma_fig):
         chain = rc.build_lifted(sigma_fig, rc.RelocationLaw.dirac(d))
         res = rc.lifted_spectral_radius(chain)
         assert abs(res.radius - R_CLOSED) <= 1e-10
-        assert res.residual <= 1e-10 * res.radius
+        # So max |A v - radius v| <= upper - lower <= 1e-12 * upper for the sup-normalized v.
+        assert res.upper - res.lower <= 1e-12 * res.upper
 
 
 def test_radius_two_point_oracle(sigma_fig):
@@ -310,7 +311,7 @@ def test_exact_radius_dominates_own_truncations(sigma_fig):
 @pytest.mark.parametrize(
     "eps, d_max, ends",
     [
-        pytest.param(0.25, 3, "dense", id="3"),
+        pytest.param(0.25, 3, "envelope", id="3"),
         pytest.param(0.25, 7, "envelope", id="7"),
         pytest.param(0.75, 7, "lifts", id="7-lifts-carry"),
     ],
@@ -319,8 +320,8 @@ def test_truncated_bracket_contains_enumerated_radii(sigma_fig, eps, d_max, ends
     law = rc.RelocationLaw.geometric(eps)
     br = rc.bracket_radius(sigma_fig, law, delta_tail=1e-6, d_max=d_max)
     assert not br.exact and br.d_used == d_max
-    # d_max 3 gives 16 windows (dense eigensolve), d_max 7 gives 256 (power sweeps).
-    assert 2**4 <= DENSE_MAX_STATES < 2**8
+    # d_max 3 gives 16 windows, whose lifts are both decided from their row
+    # sums; d_max 7 gives 256, solved by power sweeps where they are built.
     trunc = rc.truncate_law(law, 1e-6, d_max)
     sigma = sigma_fig.entries
     lam_lower = largest_eigenvalue(window_matrix(sigma, trunc.masses))
@@ -331,17 +332,15 @@ def test_truncated_bracket_contains_enumerated_radii(sigma_fig, eps, d_max, ends
     assert br.lo_lift <= lam_lower * (1 + ORACLE_RTOL)
     assert lam_upper <= br.hi_lift * (1 + ORACLE_RTOL)
     if ends == "envelope":
-        # Both power solves stopped once the radius was proved outside
-        # [r_bench, max row sum]; the oracle radii lie on that side.
+        # Both lifts were proved to lose to [r_bench, max row sum], unbuilt or
+        # by a power solve stopped early; the oracle radii lie on that side.
         assert br.lo_lift < br.lo and br.hi < br.hi_lift
         assert br.hi == sigma.sum(axis=1).max()
         assert lam_lower <= br.lo * (1 + ORACLE_RTOL)
         assert lam_upper >= br.hi * (1 - ORACLE_RTOL)
     else:
-        # The dense eigensolve certifies to 1e-12 whatever the envelope, and
-        # a power solve whose lift carries its end of the bracket runs to its certificate.
-        if ends == "lifts":
-            assert (br.lo, br.hi) == (br.lo_lift, br.hi_lift)
+        # A power solve whose lift carries its end of the bracket runs to its certificate.
+        assert (br.lo, br.hi) == (br.lo_lift, br.hi_lift)
         assert lam_lower - br.lo_lift <= 2e-12 * lam_lower
         assert br.hi_lift - lam_upper <= 2e-12 * lam_upper
 
@@ -516,17 +515,18 @@ def test_closed_form_row_sums_enclose_built_lifts(m):
             assert high - built.max() <= 1e-14 * high and built.min() - low <= 1e-14 * high
 
 
-def test_decided_lifts_bound_their_dense_radii(sigma_fig, monkeypatch):
-    # 256 windows: above the dense limit, so lifts that lose to the envelope
-    # are decided from their row sums, yet small enough for np.linalg.eigvals.
+@pytest.mark.parametrize("d_max", [3, 7])
+def test_decided_lifts_bound_their_dense_radii(sigma_fig, monkeypatch, d_max):
+    # 16 and 256 windows: lifts that lose to the envelope are decided from
+    # their row sums at every size, and both sizes fit np.linalg.eigvals.
     built = record_builds(monkeypatch)
     sigma = sigma_fig.entries
     decided = {"lower": 0, "upper": 0}
     for eps in FIG2_EPSILONS:
         built.clear()
-        br = rc.bracket_radius(sigma_fig, rc.RelocationLaw.geometric(eps), delta_tail=1e-6, d_max=7)
-        trunc = rc.truncate_law(rc.RelocationLaw.geometric(eps), 1e-6, 7)
-        assert 2 ** (trunc.d + 1) == 256 > DENSE_MAX_STATES
+        br = rc.bracket_radius(sigma_fig, rc.RelocationLaw.geometric(eps), delta_tail=1e-6, d_max=d_max)
+        trunc = rc.truncate_law(rc.RelocationLaw.geometric(eps), 1e-6, d_max)
+        assert trunc.d == d_max
         if "lower" not in built:
             decided["lower"] += 1
             assert br.lo_lift <= largest_eigenvalue(window_matrix(sigma, trunc.masses)) * (1 + ORACLE_RTOL)

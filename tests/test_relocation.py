@@ -130,7 +130,7 @@ def test_truncate_geometric_depth():
 def test_truncate_dirac_noop():
     trunc = rc.truncate_law(rc.RelocationLaw.dirac(3), 1e-12, d_max=10)
     assert trunc.d == 3
-    assert trunc.retained == 1.0
+    assert 1.0 - trunc.tail_mass == 1.0
     np.testing.assert_array_equal(trunc.masses, [0, 0, 0, 1])
 
 
@@ -193,7 +193,7 @@ def test_truncate_capped_conservative():
     trunc = rc.truncate_law(rc.RelocationLaw.geometric(0.5), 1e-12, d_max=1)
     assert trunc.cap_reached
     np.testing.assert_allclose(trunc.masses, [0.5, 0.25])
-    assert trunc.retained == pytest.approx(0.75)
+    assert 1.0 - trunc.tail_mass == pytest.approx(0.75)
     assert trunc.tail_mass == pytest.approx(0.25)
 
 
@@ -299,8 +299,9 @@ def test_conservative_truncation_identity(sigma_fig):
     # raw truncated sums: the identity behind the certified lower bound.
     law = rc.RelocationLaw.geometric(0.3)
     trunc = rc.truncate_law(law, 1e-9, d_max=4)
-    tau_renorm = rc.RelocationLaw.explicit(np.asarray(trunc.masses) / trunc.retained)
-    sigma_shrunk = trunc.retained * sigma_fig.entries
+    retained = 1.0 - trunc.tail_mass
+    tau_renorm = rc.RelocationLaw.explicit(np.asarray(trunc.masses) / retained)
+    sigma_shrunk = retained * sigma_fig.entries
     rng = np.random.default_rng(23)
     for _ in range(50):
         w = rc.HistoryWindow(tuple(rng.integers(0, 2, size=trunc.d + 1)))
