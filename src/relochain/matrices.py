@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DegenerateImageError,
@@ -37,7 +38,8 @@ CHECK_EVERY = 16  # power sweeps between Collatz-Wielandt checks
 NORM_EVERY = 4  # defer sup-normalization; growth over 4 steps stays in range
 # Largest operator solved by a dense eigensolve. Measured per solve on
 # window chains with CSR power sweeps (2-core Xeon VM, one BLAS thread): eig
-# 0.7 vs power 3.0 ms at N=32, 3.4 vs 3.4 ms at N=64, 20 vs 3.6 ms at N=128.
+# 0.6 vs power 2.1 ms at N=32, 2.8 vs 2.5 ms at N=64, 18 vs 3.0 ms at N=128.
+# N=64 sits at the crossover; a lower limit would change the bits of its radii.
 DENSE_MAX_STATES = 64
 
 
@@ -83,11 +85,17 @@ def _as_square_array(raw) -> np.ndarray:
 
 
 def _nonnegative_entries(matrix) -> np.ndarray:
-    """Entries of a validated matrix, or a raw square array without negative entries."""
+    """Entries of a validated matrix, or a raw square array of finite nonnegative entries.
+
+    The happy path is one min and one max reduction: a NaN fails the min test
+    as a negative entry does, so the two are told apart only on failure.
+    """
     if isinstance(matrix, SubStochasticMatrix):
         return matrix.entries
     a = _as_square_array(matrix)
-    if (a < 0).any():
+    if not (a.min() >= 0.0 and a.max() < math.inf):
+        if not np.isfinite(a).all():
+            raise NonFiniteEntryError("matrix has an entry that is not finite")
         raise NegativeEntryError("matrix has a negative entry")
     return a
 
@@ -225,8 +233,11 @@ def _certified_perron(
     returned only once that interval, widened for rounding (`_cw_bounds`),
     is at most CW_RTOL * r wide. `terms` is the number of summands per row
     of `matvec` (n when omitted). Operators with at most DENSE_MAX_STATES
-    states are solved first by np.linalg.eig on the n x n matrix that
-    `dense()` builds; when its eigenvector fails the
+    states are solved first by LAPACK's dgeev on the n x n matrix that
+    `dense()` builds, through the gufunc that np.linalg.eig wraps: the same
+    bits without the wrapper's per-call checks, so the matrix must be finite
+    (callers pass validated or `_nonnegative_entries` entries). When dgeev does
+    not converge (non-finite eigenvalues), when its eigenvector fails the
     certificate (badly scaled or reducible operators), and for every larger
     operator, a sup-normalized power iteration over `matvec` runs on
     A + shift I, so periodic supports converge too; the gap is read once
@@ -242,12 +253,13 @@ def _certified_perron(
     top = 0.0
     if n <= DENSE_MAX_STATES:
         a = dense()
-        vals, vecs = np.linalg.eig(a)
-        k = int(np.argmax(vals.real))
+        with np.errstate(all="ignore"):  # non-convergence shows as NaN, read below
+            vals, vecs = _umath_linalg.eig(a, signature="d->DD")
+        k = int(np.argmax(vals.real))  # a NaN, if any, is the argmax
         top = float(vals[k].real)
         v = vecs[:, k].real
         v = v / v[np.argmax(np.abs(v))]
-        if (v > 0.0).all():
+        if math.isfinite(top) and (v > 0.0).all():
             lo, hi = _cw_bounds(a @ v / v, n)
             if hi - lo <= CW_RTOL * hi:
                 return _cw_result(top, v, 0, lo, hi)

@@ -1,7 +1,12 @@
 import math
+import warnings
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 import relochain as rc
@@ -182,6 +187,92 @@ def test_log_j_gradient_matches_dense_differences(m, zeros):
                 up, down = dense_log_j(sigma.entries, lam + shift), dense_log_j(sigma.entries, lam - shift)
                 differences[t] = (up - down) / (2 * step)
             assert np.abs(-grad - differences).max() <= 1e-7 * np.linalg.norm(differences)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=8),
+    zeros=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    spread=st.floats(min_value=0.0, max_value=bounds.MAX_TILT_SPREAD),
+)
+def test_bordered_solve_keeps_the_bits_of_np_linalg_solve(m, zeros, seed, spread):
+    # The gradient's bordered system goes straight to the gufunc that
+    # np.linalg.solve wraps; value and gradient must be the wrapper's, bit for bit.
+    rng = np.random.default_rng(seed)
+    sigma = random_substochastic(rng, m, zeros)
+    lam = np.append(rng.uniform(-0.5, 0.5, size=m - 1) * spread, 0.0)
+    value, grad = _neg_log_j(sigma, lam)
+    wrapper = SimpleNamespace(solve1=lambda a, b, signature: np.linalg.solve(a, b))
+    with mock.patch.object(bounds, "_umath_linalg", wrapper):
+        wrapped_value, wrapped_grad = _neg_log_j(sigma, lam)
+    assert (value.hex(), grad.tobytes()) == (wrapped_value.hex(), wrapped_grad.tobytes())
+
+
+def test_singular_bordered_system_raises_linalgerror(monkeypatch, sigma_fig):
+    # dgesv marks a singular system with NaN and the invalid flag. As with
+    # np.linalg.solve, that is a LinAlgError, before any NaN gradient reaches
+    # BFGS, and no RuntimeWarning leaks out.
+    solve1 = bounds._umath_linalg.solve1
+
+    def singular(a, b, signature):
+        return solve1(np.zeros_like(a), b, signature=signature)
+
+    monkeypatch.setattr(bounds, "_umath_linalg", SimpleNamespace(solve1=singular))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            _neg_log_j(sigma_fig, np.zeros(2))
+        with pytest.raises(np.linalg.LinAlgError):
+            rc.optimize_j(sigma_fig)
+
+
+def _no_reuse(triple_at, keep=None):
+    return triple_at
+
+
+@pytest.mark.parametrize("three_states", [False, True])
+def test_reused_triples_change_no_bit(monkeypatch, sigma_fig, three_states):
+    # optimize_j and the rate table serve repeated tilts from solved triples;
+    # every field must be what fresh solves give.
+    sigma = rc.validate_substochastic(SIGMA3) if three_states else sigma_fig
+    law = rc.RelocationLaw.explicit([0.5, 0.5])
+
+    def bits():
+        opt = rc.optimize_j(sigma, rc.RngSpec(3))
+        table = rc.rate_function_lifted(sigma, law, grid_points=11)
+        scalars = [x.hex() for x in (opt.j_star, opt.j_at_one, opt.j_at_h)]
+        arrays = [x.tobytes() for x in (opt.a_star, table.i_values, table.i_lifted, table.violations)]
+        return scalars, arrays, opt.boundary_drift, opt.evaluations
+
+    reused = bits()
+    monkeypatch.setattr(bounds, "_reuse", _no_reuse)
+    assert bits() == reused
+
+
+def test_optimize_j_solves_each_distinct_tilt_once(monkeypatch, sigma_fig):
+    # Every Perron solve in optimize_j is of a tilted sigma. Fresh solves
+    # show which tilts one call asks for; with reuse, each distinct tilt is
+    # solved once, and a second call pays its solves again.
+    tilted = []
+    perron_triple = bounds._perron_triple
+
+    def recording(a, *args):
+        tilted.append(a.tobytes())
+        return perron_triple(a, *args)
+
+    monkeypatch.setattr(bounds, "_perron_triple", recording)
+    for sigma in (sigma_fig, rc.validate_substochastic(SIGMA3)):
+        with monkeypatch.context() as fresh:
+            fresh.setattr(bounds, "_reuse", _no_reuse)
+            tilted.clear()
+            rc.optimize_j(sigma)
+        asked = list(tilted)
+        assert len(set(asked)) < len(asked)
+        for _ in range(2):
+            tilted.clear()
+            rc.optimize_j(sigma)
+            assert sorted(tilted) == sorted(set(asked))
 
 
 def test_optimize_j_reports_its_evaluations(sigma_fig):

@@ -131,11 +131,16 @@ def test_small_window_solves_never_build_the_sparse_operator(sigma_fig, monkeypa
 
 @pytest.mark.parametrize(
     "raw, error",
-    [([[-0.5, 0.2], [0.1, 0.3]], rc.NegativeEntryError), ([[0.5, 0.2, 0.1], [0.1, 0.3, 0.2]], ValueError)],
-    ids=["negative", "not-square"],
+    [
+        ([[-0.5, 0.2], [0.1, 0.3]], rc.NegativeEntryError),
+        ([[math.nan, 0.5], [0.5, 0.2]], rc.NonFiniteEntryError),
+        ([[0.5, 0.2, 0.1], [0.1, 0.3, 0.2]], ValueError),
+    ],
+    ids=["negative", "nan", "not-square"],
 )
 def test_raw_matrices_pass_the_entry_check(raw, error):
-    # Raw arrays go through the same entry check as perron_triple.
+    # Raw arrays go through the same entry check as perron_triple. A NaN is
+    # not negative, and once passed it into NaN window weights.
     with pytest.raises(error):
         rc.build_lifted(raw, rc.RelocationLaw.dirac(0))
     with pytest.raises(error):

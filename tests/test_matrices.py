@@ -6,10 +6,12 @@ import sys
 import tempfile
 import warnings
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relochain as rc
@@ -25,7 +27,8 @@ from relochain.errors import (
     RowSumExceedsOneError,
     ZeroRowError,
 )
-from relochain.matrices import CHECK_EVERY, _certified_perron
+from relochain import matrices
+from relochain.matrices import CHECK_EVERY, CW_RTOL, DENSE_MAX_STATES, _certified_perron, _cw_bounds
 
 from conftest import R_CLOSED, largest_eigenvalue
 
@@ -350,6 +353,116 @@ def test_spectral_radius_rejects_negative_entries():
     for raw in ([[-2.0, 0.0], [0.0, 1.0]], [[0.5, -1e-3], [0.2, 0.3]]):
         with pytest.raises(NegativeEntryError):
             rc.spectral_radius(np.array(raw))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_raw_matrix_solvers_reject_non_finite_entries(bad):
+    # Named where the entries enter, not left to numpy's LinAlgError (which
+    # is no RelochainError) or, for -inf, reported as a negative entry.
+    raw = np.array([[bad, 0.5], [0.5, 0.2]])
+    for solve in (rc.spectral_radius, rc.perron_triple):
+        with pytest.raises(NonFiniteEntryError):
+            solve(raw)
+
+
+def test_power_path_rejects_a_nan_entry():
+    # 65 states skip the dense eigensolve; a NaN made the power iteration's
+    # row-sum shift NaN, reported as "zero operator has no Perron radius".
+    raw = np.full((DENSE_MAX_STATES + 1, DENSE_MAX_STATES + 1), 0.01)
+    raw[3, 7] = math.nan
+    with pytest.raises(NonFiniteEntryError):
+        rc.spectral_radius(raw)
+
+
+def wrapper_dense_step(a):
+    """The dense step of `_certified_perron` written on np.linalg.eig: (radius, v, lower, upper), or None to fall through."""
+    vals, vecs = np.linalg.eig(a)
+    k = int(np.argmax(vals.real))
+    top = float(vals[k].real)
+    v = vecs[:, k].real
+    v = v / v[np.argmax(np.abs(v))]
+    if (v > 0.0).all():
+        lo, hi = _cw_bounds(a @ v / v, a.shape[0])
+        if hi - lo <= CW_RTOL * hi:
+            return top, v, lo, hi
+    return None
+
+
+def dense_test_matrix(kind, n, seed):
+    """A nonnegative n x n matrix of the given kind; a window matrix of at most 64 windows for "window"."""
+    rng = np.random.default_rng(seed)
+    if kind == "window":
+        m = int(rng.integers(2, 5))
+        d = int(rng.integers(0, {2: 6, 3: 3, 4: 2}[m]))  # m**(d+1) <= DENSE_MAX_STATES
+        raw = rng.uniform(0.05, 1.0, size=(m, m))
+        sigma = raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.3, 0.98, size=(m, 1))
+        return rc.build_lifted(sigma * rng.lognormal(0.0, 2.0, size=m), rng.dirichlet(np.ones(d + 1))).dense()
+    a = rng.uniform(0.0, 1.0, size=(n, n))
+    if kind == "zeros":
+        a[rng.random((n, n)) < 0.6] = 0.0
+    elif kind == "periodic":  # a weighted n-cycle: every eigenvalue has modulus r
+        a = a * np.roll(np.eye(n), 1, axis=1)
+    elif kind == "scaled":  # a badly scaled tilt, whose small eigenvector entries eig resolves loosely
+        a = a * rng.lognormal(0.0, 4.0, size=n)
+    return a
+
+
+def solver_outcome(a):
+    """The certificate of `_certified_perron` on `a`, in bits, or the type of the error it raised."""
+    try:
+        res = _certified_perron(a.dot, a.shape[0], lambda: a)
+    except (ValueError, NoConvergenceError) as exc:
+        return type(exc)
+    return res.radius.hex(), res.lower.hex(), res.upper.hex(), res.right_vector.tobytes(), res.iterations
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["positive", "zeros", "periodic", "scaled", "window"]),
+    n=st.integers(min_value=1, max_value=DENSE_MAX_STATES),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    transpose=st.booleans(),
+)
+@example(kind="scaled", n=13, seed=76, transpose=False)  # these three fall through to the power path
+@example(kind="periodic", n=35, seed=34, transpose=False)
+@example(kind="zeros", n=3, seed=2, transpose=False)
+def test_dense_step_keeps_the_bits_of_np_linalg_eig(kind, n, seed, transpose):
+    # The solver calls the gufunc np.linalg.eig wraps; every certificate it
+    # gives must be the one the wrapper gave, bit for bit, on C-ordered
+    # matrices and on the F-ordered transposes that _perron_triple passes.
+    # Where the wrapper's step did not certify, the power iterations must
+    # match too, as the eigensolve's leading eigenvalue picks the shift.
+    a = dense_test_matrix(kind, n, seed)
+    if transpose:
+        a = a.T
+    wrapped = wrapper_dense_step(a)
+    outcome = solver_outcome(a)
+    if wrapped is not None:
+        radius, v, lower, upper = wrapped
+        assert outcome == (radius.hex(), lower.hex(), upper.hex(), v.tobytes(), 0)
+    else:
+        wrapper = SimpleNamespace(eig=lambda x, signature: np.linalg.eig(x))
+        with mock.patch.object(matrices, "_umath_linalg", wrapper):
+            assert outcome == solver_outcome(a)
+
+
+def test_unconverged_eigensolve_falls_back_to_power_iteration(monkeypatch, sigma_fig):
+    # dgeev's failure leaves NaN eigenvalues and raises the invalid flag; the
+    # solver must take the power path, even beside a vector that would
+    # certify, and let no RuntimeWarning out.
+    def unconverged(a, signature):
+        nan = np.full(a.shape[0], np.inf) - np.inf  # sets the invalid flag, as the gufunc does
+        return nan.astype(complex), np.linalg.eig(a)[1].astype(complex)
+
+    monkeypatch.setattr(matrices, "_umath_linalg", SimpleNamespace(eig=unconverged))
+    a = sigma_fig.entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _certified_perron(a.dot, 2, lambda: a)
+        triple = rc.perron_triple(sigma_fig)
+    assert res.iterations > 0
+    assert res.lower <= R_CLOSED <= res.upper
+    assert triple.r == pytest.approx(R_CLOSED, rel=1e-12)
 
 
 def test_matrix_text_roundtrip(sigma_fig):
