@@ -306,9 +306,13 @@ def rate_function_I(sigma: SubStochasticMatrix, nu) -> float:
     At simplex vertices the supremum has the closed form -log sigma[s, s],
     returned exactly (infinite when the diagonal entry vanishes). Elsewhere
     the concave transform is maximized by BFGS on its exact gradient, started
-    at the flat tilt, so the result never falls below -log r.
+    at the flat tilt, so the result never falls below -log r. nu must be a
+    probability vector on the m states: off the simplex the transform is
+    infinite, and the gauge lambda(last) = 0 would hide that behind a finite value.
     """
     nu = np.asarray(nu, dtype=float)
+    if nu.shape != (sigma.m,) or not (nu.min() >= 0.0 and abs(nu.sum() - 1.0) <= 1e-12):
+        raise ValueError(f"nu must be a probability vector on {sigma.m} states, got {nu.tolist()}")
     at_vertex = _vertex_rate(sigma, nu)
     return at_vertex if at_vertex is not None else _legendre(lambda a: _benchmark_triple(sigma, a), nu)[0]
 

@@ -263,6 +263,7 @@ def bracket_radius(
     Collatz-Wielandt lower bound of the benchmark radius, the largest
     benchmark row sum) tighten whatever the truncation left loose. A law
     with no mass within the affordable depth gets exactly that envelope.
+    The law is truncated, and so delta_tail checked, before the exact branch.
 
     The envelope is computed first. A lift is decided before it is built
     when its closed-form row sums (`_lift_row_sums`) already lie on the
@@ -278,12 +279,11 @@ def bracket_radius(
     """
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
-    if not delta_tail > 0:  # checked here too, as a law that fits uncut is never truncated
-        raise ValueError(f"delta_tail must be positive, got {delta_tail}")
     m = sigma.m
     d_cap = _affordable_depth(m, d_max)
     if d_cap < 0:
         raise StateCapExceededError("state cap too small for even a single-step window", best_d=None)
+    trunc = truncate_law(law, delta_tail, d_cap)
 
     if law.bounded and law.support_max <= d_cap:
         chain = build_lifted(sigma, law, mode=EXACT)
@@ -302,7 +302,6 @@ def bracket_radius(
     entries = sigma.entries
     r_bench = _certified_perron(entries.dot, m, lambda: entries).lower
     row_max = float(sigma.row_sums().max())
-    trunc = truncate_law(law, delta_tail, d_cap)
     low, high = _lift_row_sums(sigma, trunc, LOWER)
     if high <= r_bench:
         lo_lift = low

@@ -87,16 +87,20 @@ def _as_square_array(raw) -> np.ndarray:
 def _nonnegative_entries(matrix) -> np.ndarray:
     """Entries of a validated matrix, or a raw square array of finite nonnegative entries.
 
-    The happy path is one min and one max reduction: a NaN fails the min test
-    as a negative entry does, so the two are told apart only on failure.
+    Every public function that takes a raw matrix reads it through here. The
+    happy path is one min and one max reduction: a NaN fails the min test as a
+    negative entry does, and only a failure looks for the entry and names it.
     """
     if isinstance(matrix, SubStochasticMatrix):
         return matrix.entries
     a = _as_square_array(matrix)
     if not (a.min() >= 0.0 and a.max() < math.inf):
-        if not np.isfinite(a).all():
-            raise NonFiniteEntryError("matrix has an entry that is not finite")
-        raise NegativeEntryError("matrix has a negative entry")
+        bad = ~np.isfinite(a)
+        if bad.any():
+            s, t = np.argwhere(bad)[0]
+            raise NonFiniteEntryError(f"entry ({s}, {t}) is not finite: {float(a[s, t])!r}")
+        s, t = np.unravel_index(np.argmin(a), a.shape)
+        raise NegativeEntryError(f"entry ({s}, {t}) is negative: {a[s, t]!r}")
     return a
 
 
@@ -106,7 +110,7 @@ def structure_flags(raw) -> tuple[bool, bool, bool]:
     Irreducibility is strong connectivity; aperiodicity is period 1, and a
     reducible support is reported as not aperiodic.
     """
-    a = _as_square_array(raw)
+    a = _nonnegative_entries(raw)
     if (a > 0.0).all():
         # A complete digraph with self-loops: strongly connected, period 1.
         return True, True, True
@@ -139,20 +143,14 @@ def _digraph_structure(graph) -> tuple[bool, bool]:
 def validate_substochastic(raw) -> SubStochasticMatrix:
     """Validate entries and structure, clamp rounding noise, and build the matrix.
 
-    Rows summing to slightly more than 1 (within 1e-12) are rescaled onto the
-    simplex boundary; text-format inputs routinely carry that much noise.
-    A matrix proportional to a stochastic one is legal but triggers a warning,
-    since uniform killing makes the relocation comparison trivial.
+    Entries within 1e-15 below zero become +0.0, and `_nonnegative_entries` names
+    any other negative or non-finite one. Rows summing within 1e-12 above 1, as
+    text inputs routinely do, are rescaled onto the simplex boundary. A matrix
+    proportional to a stochastic one warns: uniform killing makes the comparison trivial.
     """
     a = _as_square_array(raw).copy()
-
-    if not np.isfinite(a).all():
-        s, t = np.argwhere(~np.isfinite(a))[0]
-        raise NonFiniteEntryError(f"entry ({s}, {t}) is not finite: {float(a[s, t])!r}")
-    if (a < -NEGATIVE_NOISE_TOL).any():
-        s, t = np.unravel_index(np.argmin(a), a.shape)
-        raise NegativeEntryError(f"entry ({s}, {t}) is negative: {a[s, t]!r}")
-    np.clip(a, 0.0, None, out=a)
+    np.clip(a, 0.0, None, out=a, where=a >= -NEGATIVE_NOISE_TOL)
+    _nonnegative_entries(a)
 
     sums = a.sum(axis=1)
     if (sums > 1.0 + ROW_SUM_TOL).any():
@@ -186,14 +184,14 @@ def validate_substochastic(raw) -> SubStochasticMatrix:
 
 
 def tilt_vector(a, m: int) -> np.ndarray:
-    """Validate a strictly positive, finite weight vector on m states and return a copy."""
+    """Check m positive finite coordinates (a tilt, a `hilbert_distance` point) and return a copy."""
     v = np.asarray(a, dtype=float).copy()
     if v.ndim != 1:
-        raise ValueError("tilt vector must be one-dimensional")
+        raise ValueError("expected a one-dimensional vector")
     if v.shape[0] != m:
-        raise ValueError(f"tilt vector has length {v.shape[0]}, expected one weight per state, {m}")
+        raise ValueError(f"vector has length {v.shape[0]}, expected {m}")
     if not np.isfinite(v).all() or (v <= 0).any():
-        raise NonPositiveInputError("tilt vector coordinates must be positive and finite")
+        raise NonPositiveInputError("coordinates must be positive and finite")
     return v
 
 
@@ -202,7 +200,7 @@ def tilt(sigma, a) -> np.ndarray:
 
     Support is unchanged, so irreducibility and aperiodicity carry over.
     """
-    entries = sigma.entries if isinstance(sigma, SubStochasticMatrix) else _as_square_array(sigma)
+    entries = _nonnegative_entries(sigma)
     return entries * tilt_vector(a, entries.shape[0])[None, :]
 
 
@@ -362,8 +360,11 @@ def spectral_radius(matrix) -> float:
 
 def phi_map(p, sigma_a) -> np.ndarray:
     """Normalized right action of a tilted matrix on the simplex: p sigma_a / (p sigma_a 1)."""
+    entries = _nonnegative_entries(sigma_a)
     p = np.asarray(p, dtype=float)
-    w = p @ np.asarray(sigma_a, dtype=float)
+    if p.shape != entries.shape[:1] or not (p.min() >= 0.0 and p.max() < math.inf):
+        raise ValueError(f"p must be {entries.shape[0]} finite nonnegative weights, got {p.tolist()}")
+    w = p @ entries
     total = w.sum()
     if total <= 0.0:
         raise DegenerateImageError("image p @ sigma_a vanished; input outside the admissible cone")
@@ -371,11 +372,9 @@ def phi_map(p, sigma_a) -> np.ndarray:
 
 
 def hilbert_distance(x, y) -> float:
-    """Projective distance log max(x/y) - log min(x/y) between positive vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if (x <= 0).any() or (y <= 0).any():
-        raise NonPositiveInputError("hilbert_distance requires strictly positive coordinates")
+    """Projective distance log max(x/y) - log min(x/y) between positive vectors of one length."""
+    x = tilt_vector(x, np.size(x))
+    y = tilt_vector(y, x.shape[0])
     ratio = x / y
     return float(np.log(ratio.max()) - np.log(ratio.min()))
 

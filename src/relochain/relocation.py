@@ -176,11 +176,14 @@ class TruncationResult:
 def truncate_law(law: RelocationLaw, delta_tail: float, d_max: int) -> TruncationResult:
     """Smallest d with tail(d+1) <= delta_tail, capped at d_max.
 
+    delta_tail must be positive (NaN is rejected) and d_max nonnegative.
     Hitting the cap is reported through `cap_reached` and the achieved
     `tail_mass` rather than by failing.
     """
     if not delta_tail > 0:  # also catches NaN
         raise ValueError(f"delta_tail must be positive, got {delta_tail}")
+    if d_max < 0:
+        raise ValueError(f"d_max must be nonnegative, got {d_max}")
     d = _smallest_depth(law, delta_tail)
     cap_reached = d > d_max
     if cap_reached:
@@ -216,10 +219,13 @@ def occupation_measure(window: HistoryWindow, law: RelocationLaw, m: int) -> np.
     """Law-weighted histogram of the window over the m states, renormalized onto the simplex.
 
     Mass at indices beyond the window is carried by the oldest entry, so the
-    total assigned mass is exactly 1 up to rounding.
+    total assigned mass is exactly 1 up to rounding. A window entry of m or
+    more raises ValueError.
     """
-    weights = np.zeros(m, dtype=float)
     s = window.states
+    if max(s) >= m:
+        raise ValueError("window entry outside the state space")
+    weights = np.zeros(m, dtype=float)
     k = len(s)
     for i in range(k - 1):
         weights[s[i]] += law.mass(i)

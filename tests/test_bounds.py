@@ -551,6 +551,18 @@ def test_rate_table_needs_two_grid_points(sigma_fig, grid_points):
         rc.rate_function_lifted(sigma_fig, rc.RelocationLaw.dirac(0), grid_points=grid_points)
 
 
+@pytest.mark.parametrize(
+    "nu", [[0.7, 0.7], [math.nan, 1.0], [-0.2, 1.2], [math.inf, 0.0], [1.0], [0.2, 0.3, 0.5]],
+    ids=["sum-1.4", "nan", "negative", "inf", "one-entry", "three-entries"],
+)
+def test_rate_function_I_takes_only_probability_vectors(sigma_fig, nu):
+    # Off the simplex the transform is infinite, but the gauge lambda(last) = 0
+    # hid that: the first three gave 0.2385, 0.3285 and 0.5447, and the wrong
+    # lengths a bare numpy error.
+    with pytest.raises(ValueError, match="probability vector on 2 states"):
+        rc.rate_function_I(sigma_fig, nu)
+
+
 def test_rate_function_I_unattained_supremum_raises():
     # State 0 cannot repeat, so a visit fraction above 1/2 is outside the
     # effective domain and the maximizing tilt runs off to infinity.

@@ -460,6 +460,35 @@ def test_svg_emission(tmp_path, capsys):
     assert svg_text.startswith("<svg") and "polyline" in svg_text
 
 
+def test_fig2_svg_is_written_and_listed_in_the_manifest(tmp_path, capsys):
+    outdir = tmp_path / "f2"
+    code, _, _ = run_cli(capsys, "fig2", "--dmax", "3", "--emit-svg", "--outdir", str(outdir))
+    assert code == 0
+    assert (outdir / "fig2_rates.svg").read_text().startswith("<svg")
+    listed = [o["path"] for o in json.loads((outdir / "manifest.json").read_text())["outputs"]]
+    assert listed == ["fig2.csv", "fig2_rates.svg"]
+    assert rc.verify_manifest(outdir)
+
+
+def test_weighted_run_takes_explicit_weights(capsys):
+    # Burn-in 0 for dirac 0, so 2,000 steps give 5 samples of 20 chains, the first at j = 101.
+    code, out, _ = run_cli(capsys, "weighted-run", "--tau", "dirac 0", "--a", "0.5,1", "--steps", "2000")
+    rows = out.splitlines()
+    assert code == 0 and len(rows) == 101 and rows[1].split(",")[0] == "101"
+    code, _, err = run_cli(capsys, "weighted-run", "--tau", "dirac 0", "--a", "0.5,-1", "--steps", "2000")
+    assert code == 2 and "positive and finite" in err
+
+
+def test_experiment_subcommand_refuses_another_experiments_config(capsys):
+    code, out, err = run_cli(capsys, "fig2", "--config", os.path.join(REPO_ROOT, "configs", "conjecture.cfg"))
+    assert code == 2 and out == "" and "config names 'conjecture-scan', expected 'fig2'" in err
+
+
+def test_emit_svg_reads_the_config_booleans():
+    for text, value in (("on", True), ("off", False), ("No", False), ("1", True)):
+        assert config_from_values({"experiment": "fig2", "emit_svg": text}).emit_svg is value
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["lifted-radius"]) == 2  # --tau missing
     code, _, _ = run_cli(capsys, "perron", "--sigma", "/nonexistent/file.txt")
@@ -600,6 +629,7 @@ BAD_VALUES = [
     ("fig2", "dtail", "nan", "dtail must be positive and finite"),
     ("fig1", "epsilons", "nan", "epsilon values must lie in (0, 1)"),
     ("fig1", "epsilons", "", "epsilons must name at least one value"),
+    ("fig2", "emit_svg", "maybe", "expected a boolean, got 'maybe'"),
 ]
 
 

@@ -140,11 +140,36 @@ def test_small_window_solves_never_build_the_sparse_operator(sigma_fig, monkeypa
 )
 def test_raw_matrices_pass_the_entry_check(raw, error):
     # Raw arrays go through the same entry check as perron_triple. A NaN is
-    # not negative, and once passed it into NaN window weights.
+    # not negative, and once passed it into NaN window weights; tilt returned
+    # it, and structure_flags called a negative 2x2 irreducible and aperiodic.
     with pytest.raises(error):
         rc.build_lifted(raw, rc.RelocationLaw.dirac(0))
     with pytest.raises(error):
         rc.defective_kernel_row(rc.HistoryWindow((0,)), raw, rc.RelocationLaw.dirac(0))
+    with pytest.raises(error):
+        rc.tilt(raw, [1.0, 1.0])
+    with pytest.raises(error):
+        rc.structure_flags(raw)
+    with pytest.raises(error):
+        rc.phi_map([0.5, 0.5], raw)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([[math.nan, 0.5], [0.5, 0.2]], "entry (0, 0) is not finite: nan"),
+        ([[0.5, 0.2], [-math.inf, 0.2]], "entry (1, 0) is not finite: -inf"),
+        ([[0.5, 0.2], [0.1, -0.5]], "entry (1, 1) is negative"),
+    ],
+    ids=["nan", "-inf", "negative"],
+)
+def test_the_entry_check_names_the_entry_as_validation_does(raw, message):
+    # The positioned message of validate_substochastic, now for raw arrays too.
+    for check in (rc.validate_substochastic, rc.spectral_radius, rc.structure_flags):
+        with pytest.raises(ValueError) as err:
+            check(raw)
+        assert str(err.value).startswith(message)
+
 
 def test_radius_dirac_matches_benchmark(sigma_fig):
     for d in range(4):

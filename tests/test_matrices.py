@@ -60,6 +60,16 @@ def test_validate_negative_entry():
         rc.validate_substochastic([[0.5, -0.1], [0.2, 0.3]])
 
 
+def test_validate_clamps_rounding_noise_to_positive_zero():
+    # Entries within 1e-15 below zero, -0.0 included, become +0.0 (a masked
+    # assignment would keep -0.0); anything further below is an error.
+    v = rc.validate_substochastic([[0.5, 0.2, -0.0], [-1e-15, 0.3, 0.4], [0.2, 0.2, 0.2]])
+    assert v.entries[0, 2] == v.entries[1, 0] == 0.0
+    assert not np.signbit(v.entries).any()
+    with pytest.raises(NegativeEntryError, match=r"entry \(1, 0\) is negative"):
+        rc.validate_substochastic([[0.5, 0.2, 0.0], [-2e-15, 0.3, 0.4], [0.2, 0.2, 0.2]])
+
+
 def test_validate_row_sum_error_and_clamp():
     with pytest.raises(RowSumExceedsOneError):
         rc.validate_substochastic([[0.7, 0.4], [0.2, 0.3]])
@@ -228,12 +238,37 @@ def test_phi_map_examples(sigma_fig):
         )
 
 
+@pytest.mark.parametrize("p", [[-1.0, 2.0], [math.inf, 1.0], [math.nan, 1.0], [1.0], [0.2, 0.3, 0.5]])
+def test_phi_map_takes_finite_nonnegative_weights_on_the_states(sigma_fig, p):
+    # [-1, 2] gave [-0.5, 1.5] and [inf, 1] a NaN with a RuntimeWarning.
+    with pytest.raises(ValueError, match="p must be 2 finite nonnegative weights"):
+        rc.phi_map(p, sigma_fig.entries)
+
+
 def test_hilbert_distance_examples():
     assert rc.hilbert_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert rc.hilbert_distance([1.0, 1.0], [2.0, 2.0]) == 0.0
     assert rc.hilbert_distance([1.0, 2.0], [2.0, 1.0]) == pytest.approx(math.log(4.0), rel=1e-14)
     with pytest.raises(NonPositiveInputError):
         rc.hilbert_distance([1.0, 0.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "x, y, error",
+    [
+        ([math.nan, 1.0], [1.0, 1.0], NonPositiveInputError),
+        ([1.0, 1.0], [math.inf, 1.0], NonPositiveInputError),
+        ([1.0, 2.0], [1.0], ValueError),
+        ([[1.0, 2.0]], [1.0, 2.0], ValueError),
+    ],
+    ids=["nan", "inf", "lengths", "two-dimensional"],
+)
+def test_hilbert_distance_rejects_what_tilt_vector_rejects(x, y, error):
+    # These returned nan, inf (or -inf) and a broadcast 0.693 (log 2).
+    with pytest.raises(error):
+        rc.hilbert_distance(x, y)
+    with pytest.raises(error):
+        rc.hilbert_distance(y, x)
 
 
 def test_hilbert_triangle_inequality():

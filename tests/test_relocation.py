@@ -157,6 +157,13 @@ def test_truncate_law_takes_an_infinite_tail_bound_and_rejects_nan(law):
         rc.truncate_law(law, math.nan, d_max=4)
 
 
+def test_truncate_law_rejects_a_negative_depth_cap():
+    # It returned d = -1 with no masses, where bracket_radius rejects the same cap.
+    for law in (rc.RelocationLaw.geometric(0.5), rc.RelocationLaw.dirac(0)):
+        with pytest.raises(ValueError, match="d_max must be nonnegative, got -1"):
+            rc.truncate_law(law, 1e-6, d_max=-1)
+
+
 def dense_truncation_depth(p, delta_tail):
     """The smallest-depth rule walked one depth at a time over the dense mass vector."""
     d = len(p) - 1
@@ -209,6 +216,17 @@ def test_occupation_examples():
         rc.occupation_measure(rc.HistoryWindow((0, 1)), rc.RelocationLaw.explicit([0.5, 0.5]), 2),
         [0.5, 0.5],
     )
+
+
+def test_window_states_outside_the_matrix_are_a_value_error(sigma_fig):
+    # State 2 of a two-state matrix raised IndexError, which the CLI does not map to exit 2.
+    window, law = rc.HistoryWindow((0, 2)), rc.RelocationLaw.explicit([0.5, 0.5])
+    with pytest.raises(ValueError, match="outside the state space"):
+        rc.occupation_measure(window, law, 2)
+    with pytest.raises(ValueError, match="outside the state space"):
+        rc.defective_kernel_row(window, sigma_fig, law)
+    with pytest.raises(ValueError, match="outside the state space"):
+        rc.biased_kernel_row(window, sigma_fig, law, [1.0, 1.0])
 
 
 def test_window_extension_rule():
