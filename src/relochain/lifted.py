@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import StateCapExceededError
-from .matrices import ROW_SUM_TOL, SpectralResult, SubStochasticMatrix
+from .matrices import SpectralResult, SubStochasticMatrix
 from .matrices import _certified_perron, _cw_bounds, _digraph_structure, _nonnegative_entries
 from .relocation import HistoryWindow, RelocationLaw, TruncationResult, truncate_law
 
@@ -47,7 +47,7 @@ class LiftedChain:
     `weights[w, t]` is the transition weight from window w toward state t,
     whose successor window is `successors[w, t]` = t * m**d + w // m.
     `operator` (sparse, cached) and `dense()` are two views of the same
-    N x N window operator.
+    N x N window operator. Construct through :func:`build_lifted`.
     """
 
     m: int
@@ -140,23 +140,20 @@ class RadiusBracket:
 
 
 def _finite_masses(law_or_trunc) -> tuple[list[int], list[float], float]:
-    """(depths, masses, tail_mass) of a bounded law, a truncation, or a raw mass sequence."""
-    if isinstance(law_or_trunc, RelocationLaw):
-        if not law_or_trunc.bounded:
-            raise ValueError("unbounded law: truncate first, or use bracket_radius")
+    """(depths, masses, tail_mass) of the two accepted forms: a bounded law or a `truncate_law` result."""
+    if isinstance(law_or_trunc, RelocationLaw) and law_or_trunc.bounded:
         return list(law_or_trunc.depths), list(law_or_trunc.masses), 0.0
     if isinstance(law_or_trunc, TruncationResult):
-        masses, tail_mass = law_or_trunc.masses, law_or_trunc.tail_mass
-    else:
-        masses, tail_mass = np.asarray(law_or_trunc, dtype=float), 0.0
-    return list(range(len(masses))), masses.tolist(), tail_mass
+        return list(range(law_or_trunc.d + 1)), law_or_trunc.masses.tolist(), law_or_trunc.tail_mass
+    raise ValueError("law must be a bounded RelocationLaw or a truncate_law result")
 
 
 def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
-    """Assemble the window chain for a finite-support mass vector.
+    """Assemble the window chain of sigma under a law of finite support.
 
-    `law` may be a bounded RelocationLaw, a TruncationResult, or a raw mass
-    sequence. Modes: exact uses the masses as given; lower is the
+    `sigma` may be a raw array; `law` is a bounded RelocationLaw or a
+    `truncate_law` result, and any other law, geometric included, raises
+    ValueError. Modes: exact uses the masses as given; lower is the
     conservative truncation (row deficits realize the discarded tail as
     killing); upper adds tail_mass * max_u sigma[u, t] to every weight toward
     t, which dominates the true kernel pointwise.
@@ -189,12 +186,6 @@ def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
     if mode == UPPER and tail_mass > 0.0:
         weights += tail_mass * entries.max(axis=0)[None, :]
 
-    # The sub-stochastic invariant only binds for chains built from a
-    # validated benchmark; tilted matrices may legitimately exceed it.
-    if mode != UPPER and isinstance(sigma, SubStochasticMatrix):
-        sums = weights.sum(axis=1)
-        if (sums > 1.0 + ROW_SUM_TOL).any():
-            raise ValueError("lifted row sums exceed 1; input masses are not sub-stochastic")
     weights.setflags(write=False)
     return LiftedChain(m=m, d=d, weights=weights)
 

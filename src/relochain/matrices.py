@@ -100,7 +100,7 @@ def _nonnegative_entries(matrix) -> np.ndarray:
             s, t = np.argwhere(bad)[0]
             raise NonFiniteEntryError(f"entry ({s}, {t}) is not finite: {float(a[s, t])!r}")
         s, t = np.unravel_index(np.argmin(a), a.shape)
-        raise NegativeEntryError(f"entry ({s}, {t}) is negative: {a[s, t]!r}")
+        raise NegativeEntryError(f"entry ({s}, {t}) is negative: {float(a[s, t])!r}")
     return a
 
 
@@ -184,10 +184,15 @@ def validate_substochastic(raw) -> SubStochasticMatrix:
 
 
 def tilt_vector(a, m: int) -> np.ndarray:
-    """Check m positive finite coordinates (a tilt, a `hilbert_distance` point) and return a copy."""
+    """Copy of a vector of m >= 1 positive finite coordinates (a tilt, a `hilbert_distance` point).
+
+    A bad shape raises ValueError, a bad coordinate NonPositiveInputError.
+    """
     v = np.asarray(a, dtype=float).copy()
     if v.ndim != 1:
         raise ValueError("expected a one-dimensional vector")
+    if v.shape[0] == 0:
+        raise ValueError("expected at least one coordinate")
     if v.shape[0] != m:
         raise ValueError(f"vector has length {v.shape[0]}, expected {m}")
     if not np.isfinite(v).all() or (v <= 0).any():

@@ -23,9 +23,9 @@ class RelocationLaw:
     """Probability law on the nonnegative integers governing relocation depth.
 
     A bounded law is stored as its increasing depths of positive mass and
-    their masses, so `dirac(d)` and `explicit([0] * d + [1])` are one law
-    and a point mass far out is a single atom. A geometric law has no atoms
-    and mass(k) = eps (1-eps)^k.
+    their masses (summing to 1), so `dirac(d)` and `explicit([0] * d + [1])`
+    are one law and a point mass far out is a single atom. A geometric law
+    has eps in (0, 1), no atoms and mass(k) = eps (1-eps)^k.
     """
 
     depths: tuple[int, ...] = ()
@@ -34,6 +34,8 @@ class RelocationLaw:
 
     def __post_init__(self):
         if self.eps is not None:
+            if self.depths or self.masses:
+                raise ValueError("a geometric law has no atoms: give eps or depths and masses, not both")
             if not 0.0 < self.eps < 1.0:
                 raise ValueError("geometric law needs eps in (0, 1)")
             return
@@ -41,7 +43,7 @@ class RelocationLaw:
         if len(p) == 0 or len(p) != len(self.depths):
             raise ValueError("a bounded law needs one mass per depth and at least one")
         if not (np.isfinite(p).all() and (p > 0).all()):
-            raise ValueError("explicit masses must be finite and nonnegative")
+            raise ValueError("explicit masses must be finite and positive")
         if self.depths[0] < 0 or (np.diff(self.depths) <= 0).any():
             raise ValueError("depths must be nonnegative and increasing")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -126,7 +128,7 @@ def parse_relocation_law(spec: str) -> RelocationLaw:
 
 @dataclass(frozen=True)
 class HistoryWindow:
-    """Finite memory window (s_0, ..., s_d) of state indices, most recent first.
+    """Nonempty memory window (s_0, ..., s_d) of integer state indices >= 0, most recent first.
 
     Indices past the stored window reuse the oldest entry, which realizes an
     eventually constant infinite memory.
@@ -137,8 +139,8 @@ class HistoryWindow:
     def __post_init__(self):
         if len(self.states) == 0:
             raise ValueError("history window must be nonempty")
-        if any(s < 0 for s in self.states):
-            raise ValueError("window entries are state indices, must be >= 0")
+        if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in self.states):
+            raise ValueError("window entries are state indices, must be integers >= 0")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -163,8 +165,8 @@ class HistoryWindow:
 class TruncationResult:
     """Law restricted to {0..d} with the unassigned tail accounted for.
 
-    The raw masses are kept (total below 1), so a chain built from them
-    realizes the discarded tail as extra killing.
+    The raw masses (total 1 - tail_mass) are kept, so a chain built from
+    them realizes the discarded tail as killing. Construct through `truncate_law`.
     """
 
     masses: np.ndarray

@@ -468,6 +468,11 @@ def test_fig2_svg_is_written_and_listed_in_the_manifest(tmp_path, capsys):
     listed = [o["path"] for o in json.loads((outdir / "manifest.json").read_text())["outputs"]]
     assert listed == ["fig2.csv", "fig2_rates.svg"]
     assert rc.verify_manifest(outdir)
+    svg = outdir / "fig2_rates.svg"
+    svg.write_text(svg.read_text() + "\n")
+    assert not rc.verify_manifest(outdir)
+    svg.unlink()
+    assert not rc.verify_manifest(outdir)
 
 
 def test_weighted_run_takes_explicit_weights(capsys):
@@ -630,6 +635,7 @@ BAD_VALUES = [
     ("fig1", "epsilons", "nan", "epsilon values must lie in (0, 1)"),
     ("fig1", "epsilons", "", "epsilons must name at least one value"),
     ("fig2", "emit_svg", "maybe", "expected a boolean, got 'maybe'"),
+    ("fig1", "", "5", "line 2, column 1: empty key"),
 ]
 
 

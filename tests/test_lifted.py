@@ -194,6 +194,25 @@ def test_survival_examples(sigma_fig):
     assert rc.survival_exact(chain0, w, 2) == pytest.approx(0.6368, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "law",
+    [[1.5, -0.5], [math.nan, 1.0], [0.3, 0.3], [], rc.RelocationLaw.geometric(0.5)],
+    ids=["negative", "nan", "deficient", "empty", "geometric"],
+)
+def test_build_lifted_takes_a_bounded_law_or_a_truncation_only(sigma_fig, law):
+    # Raw masses used to pass unchecked: [1.5, -0.5] got a Collatz-Wielandt
+    # "certified" radius of an operator with negative entries.
+    with pytest.raises(ValueError, match="bounded RelocationLaw or a truncate_law result"):
+        rc.build_lifted(sigma_fig, law)
+
+
+def test_lift_mode_and_survival_steps_are_checked(sigma_fig):
+    with pytest.raises(ValueError, match="unknown lift mode 'middle'"):
+        rc.build_lifted(sigma_fig, two_point_law(), mode="middle")
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        rc.survival_exact(rc.build_lifted(sigma_fig, two_point_law()), rc.HistoryWindow((0,)), -1)
+
+
 def test_survival_rate_converges_to_radius(sigma_fig):
     chain = rc.build_lifted(sigma_fig, two_point_law())
     p = rc.survival_exact(chain, rc.HistoryWindow((0, 0)), 2000)
@@ -253,13 +272,15 @@ def supports_and_laws(draw):
 # periodic two-cycle with an even-index law: the lift splits into two classes
 @example(case=(np.array([[False, True], [True, False]]), [True, False, True]))
 def test_structure_checks_match_dense_oracle(case):
-    support, law = case
+    support, atoms = case
     m = support.shape[0]
     sigma = support * (0.9 / m)
-    masses = np.array(law, dtype=float) / sum(law)
+    masses = np.array(atoms, dtype=float) / sum(atoms)
     assert rc.structure_flags(sigma) == (*dense_structure(sigma), bool(support.all()))
-    chain = rc.build_lifted(sigma, masses)
-    assert rc.lifted_structure_check(chain) == dense_structure(window_matrix(sigma, masses))
+    law = rc.RelocationLaw.explicit(masses)
+    chain = rc.build_lifted(sigma, law)
+    # explicit() drops trailing zero depths, so the lift keeps only the digits up to the last atom.
+    assert rc.lifted_structure_check(chain) == dense_structure(window_matrix(sigma, masses[: law.support_max + 1]))
 
 
 def test_bracket_exact_for_bounded(sigma_fig):

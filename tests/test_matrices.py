@@ -56,8 +56,11 @@ def test_validate_proportional_warns():
 
 
 def test_validate_negative_entry():
-    with pytest.raises(NegativeEntryError):
+    # The entry prints as a float, as a non-finite one does, not as np.float64(-0.1).
+    with pytest.raises(NegativeEntryError, match=r"^entry \(0, 1\) is negative: -0\.1$"):
         rc.validate_substochastic([[0.5, -0.1], [0.2, 0.3]])
+    with pytest.raises(ValueError, match="at least one state"):
+        rc.validate_substochastic(np.zeros((0, 0)))
 
 
 def test_validate_clamps_rounding_noise_to_positive_zero():
@@ -251,6 +254,9 @@ def test_hilbert_distance_examples():
     assert rc.hilbert_distance([1.0, 2.0], [2.0, 1.0]) == pytest.approx(math.log(4.0), rel=1e-14)
     with pytest.raises(NonPositiveInputError):
         rc.hilbert_distance([1.0, 0.0], [1.0, 1.0])
+    # This raised numpy's "zero-size array to reduction operation maximum".
+    with pytest.raises(ValueError, match="expected at least one coordinate"):
+        rc.hilbert_distance([], [])
 
 
 @pytest.mark.parametrize(
@@ -431,7 +437,8 @@ def dense_test_matrix(kind, n, seed):
         d = int(rng.integers(0, {2: 6, 3: 3, 4: 2}[m]))  # m**(d+1) <= DENSE_MAX_STATES
         raw = rng.uniform(0.05, 1.0, size=(m, m))
         sigma = raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.3, 0.98, size=(m, 1))
-        return rc.build_lifted(sigma * rng.lognormal(0.0, 2.0, size=m), rng.dirichlet(np.ones(d + 1))).dense()
+        tilted = sigma * rng.lognormal(0.0, 2.0, size=m)
+        return rc.build_lifted(tilted, rc.RelocationLaw.explicit(rng.dirichlet(np.ones(d + 1)))).dense()
     a = rng.uniform(0.0, 1.0, size=(n, n))
     if kind == "zeros":
         a[rng.random((n, n)) < 0.6] = 0.0
@@ -505,8 +512,13 @@ def test_matrix_text_roundtrip(sigma_fig):
     back = rc.read_matrix_text(text)
     np.testing.assert_array_equal(back, sigma_fig.entries)
     assert text.splitlines()[0] == "2"
-    with pytest.raises(ValueError):
-        rc.read_matrix_text("2\n0.5 0.5\n0.5")
+    for text, message in (
+        ("2\n0.5 0.5\n0.5", "expected 4 entries"),
+        ("", "empty matrix text"),
+        ("two\n0.5 0.5\n0.5 0.5", "first token must be the dimension"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            rc.read_matrix_text(text)
 
 
 def exact_root_2x2(a):

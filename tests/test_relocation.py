@@ -43,8 +43,11 @@ def test_parse_relocation_law():
     assert rc.parse_relocation_law("dirac 3") == rc.RelocationLaw.dirac(3)
     assert rc.parse_relocation_law("geometric 0.25") == rc.RelocationLaw.geometric(0.25)
     assert rc.parse_relocation_law("explicit 0.5 0.5") == rc.RelocationLaw.explicit([0.5, 0.5])
-    with pytest.raises(ValueError):
-        rc.parse_relocation_law("zipf 2")
+    for bad in (
+        "zipf 2", "", "explicit", "dirac", "dirac 1 2", "geometric", "geometric 0.1 0.2", "geometric 0", "geometric 1.5"
+    ):
+        with pytest.raises(ValueError):
+            rc.parse_relocation_law(bad)
     for law in (
         rc.RelocationLaw.dirac(2),
         rc.RelocationLaw.geometric(0.1),
@@ -81,6 +84,32 @@ def test_explicit_rejects_nonfinite_and_negative_masses(bad):
         rc.RelocationLaw.explicit([bad, 1.0])
     with pytest.raises(ValueError):
         rc.RelocationLaw.explicit([1.0, 0.0, bad])
+
+
+@pytest.mark.parametrize(
+    "depths, masses, eps, message",
+    [
+        ((), (), None, "at least one"),
+        ((0, 1), (1.0,), None, "one mass per depth"),
+        ((1, 0), (0.5, 0.5), None, "increasing"),
+        ((2, 2), (0.5, 0.5), None, "increasing"),
+        ((0, 1), (0.0, 1.0), None, "finite and positive"),
+        ((3,), (1.0,), 0.5, "not both"),
+    ],
+    ids=["empty", "depths-without-masses", "decreasing", "repeated", "zero-mass", "eps-with-atoms"],
+)
+def test_law_rejects_bad_atoms(depths, masses, eps, message):
+    # A zero mass was reported as negative, and eps with atoms built a
+    # geometric law that still carried depths == (3,).
+    with pytest.raises(ValueError, match=message):
+        rc.RelocationLaw(depths, masses, eps)
+
+
+@pytest.mark.parametrize("states", [(), (0.5, 1), (np.float64(1.0),), (0, -1)], ids=["empty", "half", "float", "negative"])
+def test_window_entries_are_integer_state_indices(states):
+    # (0.5, 1) used to build, and run_killed_chain then ran from state 0.
+    with pytest.raises(ValueError, match="nonempty|>= 0"):
+        rc.HistoryWindow(states)
 
 
 @st.composite
