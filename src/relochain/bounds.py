@@ -6,8 +6,9 @@ maximized over log-weights lambda = log a with one coordinate gauge-fixed
 would wander along rays), from three starts: the flat weight, the benchmark
 Perron vector h, and one seeded Gaussian draw. The rate functions I and
 I_bold are Legendre transforms of the log spectral radii of the tilted
-benchmark and window chain. One BFGS solver serves all three, for any
-number of states, on exact gradients. For the transforms the gradient is
+benchmark and window chain. One in-house BFGS search (`_bfgs`, numpy
+only: no part of the package imports scipy.optimize) serves all three, for
+any number of states, on exact gradients. For the transforms the gradient is
 the newest-state marginal of rho h. For log J = log r - rho lambda it is
 rho h minus the derivative of rho lambda, which takes one bordered solve
 with the tilted matrix A: [[A - rI, h], [rho, 0]] (x, mu) =
@@ -134,38 +135,58 @@ class _Descent:
     bounded: bool
 
 
-class _OffScale(Exception):
-    """A search step asked for log-weights that spread wider than MAX_TILT_SPREAD."""
-
-
 def _bfgs(objective, x0: np.ndarray, gtol: float) -> _Descent:
     """BFGS minimum of `objective` over lambda with lambda(last) = 0, started at lambda[:-1] = x0.
 
     `objective(lam)` returns the value and the full gradient at the tilt
-    exp(lam). A step to log-weights that spread wider than MAX_TILT_SPREAD
-    stops the search before its Perron solve; the result is then the best
-    point evaluated, with `bounded` False.
+    exp(lam). Each iteration moves along -H g, H the inverse-Hessian
+    estimate of the BFGS update (Nocedal and Wright, Numerical Optimization,
+    2006, ch. 6), by the first of the steps 1, 1/2, 1/4, ... that brings a
+    strict decrease of at least 1e-4 of the linear prediction (Armijo). The
+    search ends when max |g| <= gtol, after 200 iterations per coordinate
+    (scipy's default), or when the decrease a halved step predicts is lost
+    in the rounding of the value (the precision-loss end). A trial step to
+    log-weights that spread wider than MAX_TILT_SPREAD ends the search
+    before its Perron solve, with `bounded` False. Every end returns the
+    last accepted point, the lowest value the search has reached.
     """
-    from scipy.optimize import minimize  # deferred: 0.5 s to import, scipy.sparse included
-
-    best_value, best_x, evaluations = math.inf, x0, 0
+    evaluations = 0
 
     def gauged(x):
-        nonlocal best_value, best_x, evaluations
+        nonlocal evaluations
         lam = np.append(x, 0.0)
         if not lam.max() - lam.min() <= MAX_TILT_SPREAD:  # also catches NaN
-            raise _OffScale
+            return None
         value, grad = objective(lam)
         evaluations += 1
-        if value < best_value:
-            best_value, best_x = value, lam[:-1]
         return value, grad[:-1]
 
-    try:
-        res = minimize(gauged, x0, jac=True, method="BFGS", options={"gtol": gtol})
-    except _OffScale:
-        return _Descent(x=best_x, value=best_value, evaluations=evaluations, bounded=False)
-    return _Descent(x=res.x, value=float(res.fun), evaluations=evaluations, bounded=True)
+    x, start = x0, gauged(x0)
+    if start is None:
+        return _Descent(x=x0, value=math.inf, evaluations=0, bounded=False)
+    f, g = start
+    inv_hess = np.eye(len(x0))
+    for _ in range(200 * len(x0)):
+        if np.abs(g).max() <= gtol:
+            break
+        p = -inv_hess @ g
+        slope, step = float(g @ p), 1.0
+        while True:
+            trial = gauged(x + step * p)
+            if trial is None:
+                return _Descent(x=x, value=f, evaluations=evaluations, bounded=False)
+            if trial[0] < f and trial[0] <= f + 1e-4 * step * slope:
+                break
+            step /= 2
+            if f + step * slope >= f:
+                return _Descent(x=x, value=f, evaluations=evaluations, bounded=True)
+        s, y = step * p, trial[1] - g
+        x, (f, g) = x + s, trial
+        sy = float(s @ y)
+        if sy > 0.0:  # otherwise the update would lose positive definiteness
+            hy = inv_hess @ y
+            inv_hess += (sy + y @ hy) / sy**2 * np.outer(s, s) - (np.outer(hy, s) + np.outer(s, hy)) / sy
+    return _Descent(x=x, value=f, evaluations=evaluations, bounded=True)
 
 
 def _neg_log_j(sigma: SubStochasticMatrix, lam: np.ndarray, triple_at=None) -> tuple[float, np.ndarray]:
@@ -208,8 +229,9 @@ def optimize_j(sigma: SubStochasticMatrix, rng: RngSpec = RngSpec(0)) -> Optimiz
     known to be unimodal, and the draw is a cheap hedge against a second
     local maximum. Each search minimizes -log J on the gradient of
     `_neg_log_j` (one bordered (m+1) x (m+1) solve per evaluation) to a
-    gradient of 1e-10. Some searches end on scipy's precision-loss status at
-    that tolerance; their end points are kept. Each end point is re-scored
+    gradient of 1e-10. Some searches end first on `_bfgs`'s precision-loss
+    stop, where a step's predicted decrease is lost in the rounding of -log J;
+    their end points are kept. Each end point is re-scored
     as `j_objective` scores it, and the result is the best of those values
     and J(1), so it never falls below J(1) or J(h) by more than solver
     tolerance. A search that steps past MAX_TILT_SPREAD keeps its best finite
@@ -279,11 +301,14 @@ def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarra
     `triple_at(a)` is the Perron triple of the tilt by a of the benchmark or of
     a window chain (windows indexed newest state first). By first-order
     perturbation, d log r / d lambda_t sums rho h over the windows a move
-    toward t enters, those with newest state t. BFGS maximizes the concave
-    objective on that exact gradient from the flat tilt, where it is -log r.
-    A search that steps past MAX_TILT_SPREAD follows a maximizing tilt that
-    runs to infinity and raises NoConvergenceError. A `witness` tilt bounds
-    the value from below.
+    toward t enters, those with newest state t. `_bfgs` maximizes the
+    concave objective on that exact gradient from the flat tilt, where it is
+    -log r, to a gradient of 1e-8 or to its precision-loss stop. A search
+    that steps past MAX_TILT_SPREAD follows a maximizing tilt that runs to
+    infinity and raises NoConvergenceError. Where the supremum is not
+    attained but the objective flattens below rounding before the spread is
+    reached (some simplex edges), the search stops there and returns its
+    best value. A `witness` tilt bounds the value from below.
     """
 
     def objective(lam):

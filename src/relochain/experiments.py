@@ -147,16 +147,6 @@ def run_fig1(config: ExperimentConfig):
     return outputs, stages
 
 
-def _import_optimizer(stages: dict) -> None:
-    """Import scipy.optimize under a stage of its own.
-
-    The first import costs about 0.5 s (scipy.sparse included); timed apart,
-    it does not inflate the stage whose solver happens to trigger it.
-    """
-    with _stage(stages, "import scipy.optimize"):
-        import scipy.optimize  # noqa: F401
-
-
 def run_fig2(config: ExperimentConfig):
     """Radius brackets for geometric laws against the variational ceiling.
 
@@ -166,7 +156,6 @@ def run_fig2(config: ExperimentConfig):
     sigma = _load_sigma(config.sigma_path)
     os.makedirs(config.outdir, exist_ok=True)
     stages = {}
-    _import_optimizer(stages)
     with _stage(stages, "optimize_j"):
         opt = optimize_j(sigma, RngSpec(config.seed))
         log_jstar, log_r = math.log(opt.j_star), math.log(opt.j_at_one)  # J(1) = r
@@ -234,7 +223,6 @@ def run_conjecture_scan(config: ExperimentConfig):
     rows = []
     violations = 0
     stages = {}
-    _import_optimizer(stages)
     with _stage(stages, "scan"):
         for case in range(config.count):
             sigma = _random_substochastic(gen, config.m)

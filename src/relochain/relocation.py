@@ -166,13 +166,28 @@ class TruncationResult:
     """Law restricted to {0..d} with the unassigned tail accounted for.
 
     The raw masses (total 1 - tail_mass) are kept, so a chain built from
-    them realizes the discarded tail as killing. Construct through `truncate_law`.
+    them realizes the discarded tail as killing. Construct through
+    `truncate_law`; a hand-built one must hold d + 1 finite, nonnegative
+    masses and a tail_mass in [0, 1] that together sum to at most 1 (both
+    within 1e-12, the rounding a law's masses may carry), or raises
+    ValueError.
     """
 
     masses: np.ndarray
     d: int
     tail_mass: float
     cap_reached: bool
+
+    def __post_init__(self):
+        p = np.asarray(self.masses, dtype=float)
+        if self.d < 0 or p.shape != (self.d + 1,):
+            raise ValueError(f"a truncation to depth d = {self.d} needs d + 1 masses, got shape {p.shape}")
+        if not (np.isfinite(p).all() and (p >= 0).all()):
+            raise ValueError("truncated masses must be finite and nonnegative")
+        if not self.tail_mass >= 0.0:  # also catches NaN; the sum below bounds it above
+            raise ValueError(f"tail_mass must lie in [0, 1], got {self.tail_mass!r}")
+        if math.fsum(p) + self.tail_mass > 1.0 + 1e-12:  # a law's masses sum to 1 within 1e-12
+            raise ValueError(f"truncated masses and tail_mass sum to {math.fsum(p) + self.tail_mass!r}, above 1")
 
 
 def truncate_law(law: RelocationLaw, delta_tail: float, d_max: int) -> TruncationResult:

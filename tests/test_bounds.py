@@ -276,10 +276,64 @@ def test_optimize_j_solves_each_distinct_tilt_once(monkeypatch, sigma_fig):
 
 
 def test_optimize_j_reports_its_evaluations(sigma_fig):
-    # BFGS on the exact gradient needs 68 evaluations of J here, counting
-    # J(1), J(h) and the re-scored end points; Nelder-Mead needed 237.
+    # BFGS on the exact gradient needs 51 evaluations of J here, counting
+    # J(1), J(h) and the re-scored end points; scipy's BFGS needed 68 and
+    # Nelder-Mead 237.
     res = rc.optimize_j(sigma_fig)
     assert 3 <= res.evaluations < 120
+
+
+def _recorded(objective):
+    """`objective` on the gauged tilt lam, appending each lam it is asked for to the returned list."""
+    asked = []
+
+    def at(lam):
+        asked.append(lam.copy())
+        return objective(lam)
+
+    return at, asked
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bfgs_reaches_the_minimizer_of_a_convex_quadratic(n):
+    rng = np.random.default_rng(70 + n)
+    q = rng.normal(size=(n, n))
+    hess = q @ q.T + 0.1 * np.eye(n)
+    x_min = rng.normal(size=n)
+
+    def quadratic(lam):
+        grad = hess @ (lam[:-1] - x_min)
+        return 0.5 * float((lam[:-1] - x_min) @ grad), np.append(grad, 0.0)
+
+    run = bounds._bfgs(quadratic, np.zeros(n), gtol=1e-10)
+    assert run.bounded
+    assert np.abs(hess @ (run.x - x_min)).max() <= 1e-10
+    np.testing.assert_allclose(run.x, x_min, atol=1e-9)  # the least eigenvalue of hess is above 0.1
+
+
+def test_bfgs_ends_on_a_value_flat_to_rounding():
+    # The gradient promises a decrease the value cannot show: no step brings
+    # a strict one, so the search stops where it started once a halved step
+    # predicts a decrease below the rounding of 1.0 (37 evaluations).
+    objective, asked = _recorded(lambda lam: (1.0 + 1e-20 * lam[0], np.array([1e-3, -1e-3, 0.0])))
+    run = bounds._bfgs(objective, np.array([0.5, 0.0]), gtol=1e-10)
+    assert run.bounded
+    assert run.value == 1.0 and run.x.tolist() == [0.5, 0.0]
+    assert run.evaluations == len(asked) <= 40
+
+
+def test_bfgs_stops_at_the_spread_bound_on_a_linear_objective():
+    # -lam_0 + 2 lam_1 decreases without bound: the search takes full steps
+    # until the next one would spread the log-weights past MAX_TILT_SPREAD,
+    # and it never asks for that point.
+    slope = np.array([-1.0, 2.0, 0.0])
+    objective, asked = _recorded(lambda lam: (float(slope @ lam), slope))
+    run = bounds._bfgs(objective, np.zeros(2), gtol=1e-10)
+    assert not run.bounded
+    spreads = [lam.max() - lam.min() for lam in asked]
+    assert max(spreads) <= bounds.MAX_TILT_SPREAD < max(spreads) + 3.0
+    assert run.evaluations == len(asked)
+    assert run.value == min(float(slope @ lam) for lam in asked)
 
 
 @pytest.mark.filterwarnings("ignore::relochain.ProportionalToStochasticWarning")  # every 1x1 matrix

@@ -164,15 +164,22 @@ def test_cli_perron_never_imports_scipy():
     proc = _fresh_interpreter(code)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["r"] == pytest.approx(R_CLOSED, rel=1e-12)
+    # The searches of bound-c3 and of a rate table are numpy only too.
+    for argv, lines in (["bound-c3"], 1), (["rate-function", "--tau", "explicit 0.5 0.5", "--grid", "11"], 12):
+        proc = _fresh_interpreter(f"import sys, relochain.cli\nrelochain.cli.main({argv!r})\n" + _NO_SCIPY)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == lines
 
 
-def test_optimize_j_imports_the_optimizer_on_first_use():
+def test_optimizer_and_rate_functions_never_import_scipy():
+    # The BFGS search is numpy only: J*, I and an 11-point table of a
+    # two-window law (4 windows, dense) load no scipy module.
     code = (
         "import sys, relochain as rc\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
-        "res = rc.optimize_j(rc.load_matrix('configs/benchmark2.txt'))\n"
-        "assert 'scipy.optimize' in sys.modules\n"
-        "print(res.j_star)\n"
+        "sigma = rc.load_matrix('configs/benchmark2.txt')\n"
+        "print(rc.optimize_j(sigma).j_star)\n"
+        "rc.rate_function_I(sigma, [0.3, 0.7])\n"
+        "rc.rate_function_lifted(sigma, rc.RelocationLaw.explicit([0.5, 0.5]), grid_points=11)\n" + _NO_SCIPY
     )
     proc = _fresh_interpreter(code)
     assert proc.returncode == 0, proc.stderr

@@ -225,6 +225,46 @@ def test_truncate_bounded_law_matches_dense_walk(p, delta, d_max):
     np.testing.assert_array_equal(trunc.masses, np.append(p, np.zeros(d_max + 1))[: trunc.d + 1])
 
 
+@pytest.mark.parametrize(
+    "masses, d, tail_mass, message",
+    [
+        ([1.5, -0.5], 1, 0.0, "finite and nonnegative"),
+        ([0.5, math.nan], 1, 0.0, "finite and nonnegative"),
+        ([0.5, 0.5], 3, 0.0, "needs d \\+ 1 masses"),
+        ([], -1, 1.0, "needs d \\+ 1 masses"),
+        ([0.5, 0.4], 1, -0.1, r"tail_mass must lie in \[0, 1\]"),
+        ([0.5, 0.4], 1, math.nan, r"tail_mass must lie in \[0, 1\]"),
+        ([0.6, 0.5], 1, 0.0, "sum to 1.1, above 1"),
+        ([0.5, 0.4], 1, 0.2, "above 1"),
+        ([0.0, 0.0], 1, 1.5, "sum to 1.5, above 1"),
+    ],
+    ids=[
+        "negative", "nan", "short", "no-depth", "negative-tail", "nan-tail", "masses-above-1", "tail-above-1",
+        "tail-alone-above-1",
+    ],
+)
+def test_hand_built_truncation_is_checked(masses, d, tail_mass, message):
+    # [1.5, -0.5] got a "certified" window-chain radius of 0.788 and three
+    # depths with two masses numpy's broadcast error.
+    with pytest.raises(ValueError, match=message):
+        rc.build_lifted(
+            rc.benchmark_matrix(),
+            rc.TruncationResult(masses=np.array(masses), d=d, tail_mass=tail_mass, cap_reached=False),
+        )
+
+
+@pytest.mark.parametrize("eps", [0.999, 0.5, 0.1, 1e-3])
+@pytest.mark.parametrize("d_max", [0, 3, 200])
+def test_truncate_law_results_pass_the_truncation_checks(eps, d_max):
+    # A law's masses may sum to 1 + 5e-13, and a truncation at depth 0 of the
+    # last one carries all of that as its tail.
+    laws = [rc.RelocationLaw.geometric(eps), rc.RelocationLaw.explicit([eps, 0.0, 1.0 - eps])]
+    laws.append(rc.RelocationLaw.explicit([0.0, 1.0 - eps, eps + 5e-13]))
+    for law in laws:
+        trunc = rc.truncate_law(law, 1e-12, d_max=d_max)
+        assert math.fsum(trunc.masses) + trunc.tail_mass <= 1.0 + 1e-12
+
+
 def test_truncate_capped_conservative():
     trunc = rc.truncate_law(rc.RelocationLaw.geometric(0.5), 1e-12, d_max=1)
     assert trunc.cap_reached
