@@ -72,6 +72,7 @@ from .simulate import (
     fk_survival_estimate,
     run_killed_chain,
     run_weighted_chain,
+    run_weighted_chains,
 )
 from .bounds import (
     ObjectiveEval,

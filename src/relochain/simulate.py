@@ -16,13 +16,16 @@ and no per-step matmul. For a law on {0..d} the memory is a ring of the last
 d+1 states, or fewer when the run is too short to push states past the
 start window. All three samplers run replicas side by side in numpy arrays
 through that one memory: the killed chain and the Feynman-Kac estimator as
-many as asked for, the weighted chain N_CHAINS independent chains. A step of
-the weighted chain costs a few numpy calls on N_CHAINS x k arrays, so its
-loop runs in blocks of _BLOCK steps: one draw of uniforms per block, and the
-per-step chain sums, running means and state counts folded once per block,
-in step order, so every output is bit for bit that of a loop folding one
-step at a time. The two samplers that never kill search only the first
-m - 1 columns of a row.
+many as asked for, the weighted chain N_CHAINS independent chains per law.
+A step of the weighted chain costs a few numpy calls whatever the width of
+its arrays, so several geometric laws run side by side as one memory of
+L x N_CHAINS chains, and the loop costs the longest law's steps, not the sum
+of all laws' steps. The loop runs in blocks of _BLOCK steps: one draw of
+uniforms per law and block, and each law's per-step chain sums, running
+means and state counts folded once per block, in step order, so every
+output is bit for bit that of one law run alone in a loop folding one step
+at a time. The two samplers that never kill search only the first m - 1
+columns of a row.
 """
 
 from __future__ import annotations
@@ -110,19 +113,37 @@ class _Memory:
     pushes + len(init)). Within `pushes` pushes every w_i with i >= L is the
     start window's oldest entry, so the atoms there add one constant term,
     read from a fixed slot L past the ring.
+
+    `law` may also be a tuple of geometric laws, run side by side in one
+    affine row of L * replicas rows, law l in rows l * replicas onward. Each
+    row then decays by its own law's 1 - eps, held as a full (R, k) array (a
+    broadcast (R, 1) column doubles the multiply: 1.47 against 0.72 us at
+    R = 60, k = 5 on a 2-core VM), and the gains
+    stack to L * m rows, so a push of state t to a row of law l reads gain
+    row t + m * l. One law keeps a float decay and reads gain row t. A
+    bounded law runs alone.
     """
 
     def __init__(
-        self, law: RelocationLaw, init: HistoryWindow, table: np.ndarray, replicas: int, pushes: float = math.inf
+        self, law, init: HistoryWindow, table: np.ndarray, replicas: int, pushes: float = math.inf
     ):
+        laws = law if isinstance(law, tuple) else (law,)
         m = len(table)
         if max(init.states) >= m:
             raise ValueError(f"start window names a state outside 0..{m - 1}")
+        if len(laws) > 1 and any(one.bounded for one in laws):
+            raise ValueError("only geometric laws run side by side; a bounded law runs alone")
+        law = laws[0]
         self._geometric = not law.bounded
         if self._geometric:
-            self._decay = 1.0 - law.eps
-            self._gain = law.eps * table
-            self._hold(np.tile(occupation_measure(init, law, m) @ table, (replicas, 1)))
+            if len(laws) == 1:
+                self._decay, self._offsets = 1.0 - law.eps, None
+            else:
+                self._decay = np.repeat([[1.0 - one.eps] * table.shape[1] for one in laws], replicas, axis=0)
+                self._offsets = np.repeat(np.arange(0, m * len(laws), m), replicas)
+            self._gain = np.concatenate([one.eps * table for one in laws])
+            starts = [occupation_measure(init, one, m) @ table for one in laws]
+            self._hold(np.repeat(starts, replicas, axis=0))
         else:
             self._table = table
             self._length = length = min(law.support_max + 1, pushes + len(init))
@@ -159,13 +180,13 @@ class _Memory:
     def push(self, t) -> None:
         if self._geometric:
             self._row *= self._decay
-            self._row += self._gain.take(t, axis=0)
+            self._row += self._gain.take(t if self._offsets is None else t + self._offsets, axis=0)
         else:
             self._ptr = (self._ptr - 1) % self._length
             self._ring[self._ptr] = t
 
     def keep(self, alive: np.ndarray) -> None:
-        """Drop the replicas whose entry of the mask is False."""
+        """Drop the replicas whose entry of the mask is False (one law only)."""
         if self._geometric:
             self._hold(self._row[alive])
         else:
@@ -201,7 +222,7 @@ def default_burnin(law: RelocationLaw) -> int:
 
 
 def _burnin(law: RelocationLaw, steps: int, burnin: int | None, thin: int) -> int:
-    """The burn-in of `run_weighted_chain`; ValueError when the run would be empty."""
+    """The burn-in of a weighted run of `law`; ValueError when the run would be empty."""
     if burnin is None:
         # The memory-horizon rule, capped so short diagnostic runs stay legal.
         burnin = min(default_burnin(law), steps // 2)
@@ -247,9 +268,10 @@ def run_killed_chain(
     for n in range(1, n_max + 1):
         nxt = _search(memory.row(), gen.random(active.size))
         alive = nxt < m
-        lifetimes[active[~alive]] = n - 1
-        active, nxt = active[alive], nxt[alive]
-        memory.keep(alive)
+        if not alive.all():  # a step with no death copies no state
+            lifetimes[active[~alive]] = n - 1
+            active, nxt = active[alive], nxt[alive]
+            memory.keep(alive)
         memory.push(nxt)
         alive_counts[n] = active.size
         if check:
@@ -263,16 +285,16 @@ def run_killed_chain(
     return KilledChainResult(curve=curve, lifetimes=lifetimes, empirical=empirical)
 
 
-def run_weighted_chain(
+def run_weighted_chains(
     sigma: SubStochasticMatrix,
-    law: RelocationLaw,
+    laws,
     a,
     steps: int,
     burnin: int | None = None,
     thin: int = 20,
     rng: RngSpec = RngSpec(0),
-) -> WeightedChainStats:
-    """N_CHAINS independent paths of the conservative chain with weighted relocations.
+) -> list[WeightedChainStats]:
+    """N_CHAINS independent paths of the conservative chain with weighted relocations, per law.
 
     Per step each chain draws its next state from the tilted memory row
     sum_i tau(i) sigma[w_i, t] a(t), normalized by its sum K a. Every chain
@@ -287,72 +309,109 @@ def run_weighted_chain(
     nearest atom lies at or past the b + (steps - b) // N_CHAINS states each
     chain pushes with the default burn-in b never reads one: burn-in is 0.
 
-    Steps run in blocks of _BLOCK: one draw of uniforms per block, the same
-    PCG64 stream as one draw per step, and the chain sums, running means and
-    state counts folded after the block by a sequential cumsum, so every
-    output is bit for bit that of a loop that folds each step as it goes.
+    Law k draws from stream rng.stream + k and keeps its own burn-in, so each
+    returned stats is bit for bit that of the law run alone. The laws run
+    side by side, L * N_CHAINS chains through one memory and one step loop,
+    which costs the longest law's steps instead of the sum of all laws'
+    steps; so the laws must all be geometric, and a bounded law runs alone.
+    Steps run in blocks of _BLOCK: one draw of uniforms per law and block,
+    the same PCG64 stream as one draw per step (a law that has ended draws
+    and steps on unread), and each law's chain sums, running means and state
+    counts folded after the block by a sequential cumsum on its own chains,
+    so every output is bit for bit that of a loop that folds each step as it
+    goes.
     """
-    burnin = _burnin(law, steps, burnin, thin)
+    laws = tuple(laws)
+    if not laws:
+        raise ValueError("need at least one relocation law")
+    burnins = [_burnin(law, steps, burnin, thin) for law in laws]
+    ends = [b + (steps - b) // N_CHAINS for b in burnins]  # the steps each law's chains take
+    total = max(ends)
     av = tilt_vector(a, sigma.m)
-    gen = rng.generator()
+    gens = [RngSpec(rng.seed, rng.stream + k).generator() for k in range(len(laws))]
     m = sigma.m
     tilted = sigma.entries * av  # sigma diag(a)
     log_av = np.log(av)
-    post = (steps - burnin) // N_CHAINS
     # One gather of [sigma diag(a) | K a | I] gives the draw row, K a and theta.
     table = np.hstack([tilted, tilted.sum(axis=1, keepdims=True), np.eye(m)])
-    memory = _Memory(law, HistoryWindow.constant(0), table, N_CHAINS, pushes=burnin + post)
+    memory = _Memory(laws, HistoryWindow.constant(0), table, N_CHAINS, pushes=total)
+    chains = [slice(k * N_CHAINS, (k + 1) * N_CHAINS) for k in range(len(laws))]
 
-    theta_samples = np.empty(((post - 1) // thin + 1, N_CHAINS, m))
-    c2_running = np.empty(len(theta_samples))
-    chain_sums = np.zeros(N_CHAINS)
-    state_histogram = np.zeros(m, dtype=np.int64)
+    theta_samples = [np.empty(((end - b - 1) // thin + 1, N_CHAINS, m)) for b, end in zip(burnins, ends)]
+    c2_running = [np.empty(len(samples)) for samples in theta_samples]
+    chain_sums = np.zeros(len(laws) * N_CHAINS)
+    state_histograms = [np.zeros(m, dtype=np.int64) for _ in laws]
 
-    nxt_block = np.empty((_BLOCK, N_CHAINS), dtype=np.intp)
-    d_block = np.empty((_BLOCK, N_CHAINS))
+    nxt_block = np.empty((_BLOCK, len(chain_sums)), dtype=np.intp)
+    d_block = np.empty((_BLOCK, len(chain_sums)))
     rows = memory.row()
-    # k counts the steps after burn-in, from 0 at step burnin + 1; one block
-    # of uniforms drives the steps k0 <= k < k0 + size.
-    for k0 in range(-burnin, post, _BLOCK):
-        size = min(_BLOCK, post - k0)
-        uniforms = gen.random((size, N_CHAINS))
+    # s counts the steps from 0; law k's chains are past burn-in from step
+    # burnins[k] on, and one block of uniforms drives the steps s0 <= s < s0 + size.
+    for s0 in range(0, total, _BLOCK):
+        size = min(_BLOCK, total - s0)
+        uniforms = np.hstack([gen.random((size, N_CHAINS)) for gen in gens])
+        # Step j of the block -> the (law, sample) pairs whose theta it records.
+        due = {}
+        for k, (b, end) in enumerate(zip(burnins, ends)):
+            first = max(s0 - b, 0)
+            for n in range(-(-first // thin), -(-(min(s0 + size, end) - b) // thin)):
+                due.setdefault(b + n * thin - s0, []).append((k, n))
         for j in range(size):
             nxt = _search(rows[:, : m - 1], uniforms[j] * rows[:, m])
             memory.push(nxt)
             rows = memory.row()
             nxt_block[j] = nxt
             d_block[j] = rows[:, m]
-            k = k0 + j
-            if k >= 0 and k % thin == 0:
-                theta = rows[:, m + 1 :]
-                theta_samples[k // thin] = theta / theta.sum(axis=1, keepdims=True)
-        # Fold the block's post-burn-in steps: row j of d becomes the chain
-        # sums after that step, added in step order as one step at a time would.
-        skip = max(-k0, 0)
-        if skip < size:
-            nxt, d = nxt_block[skip:size], d_block[skip:size]
+            for k, n in due.get(j, ()):
+                theta = rows[chains[k], m + 1 :]
+                theta_samples[k][n] = theta / theta.sum(axis=1, keepdims=True)
+        # Fold each law's post-burn-in steps of the block: row j of d becomes
+        # its chain sums after that step, added in step order as one step at a
+        # time would; i counts the law's steps after burn-in, from i0.
+        for k, (b, end) in enumerate(zip(burnins, ends)):
+            i0 = s0 - b
+            skip, stop = max(-i0, 0), min(size, end - s0)
+            if skip >= stop:
+                continue
+            nxt, d = nxt_block[skip:stop, chains[k]], d_block[skip:stop, chains[k]]
             np.log(d, out=d)
             d -= log_av.take(nxt)
-            d[0] += chain_sums
+            d[0] += chain_sums[chains[k]]
             np.cumsum(d, axis=0, out=d)
-            chain_sums[:] = d[-1]
-            state_histogram += np.bincount(nxt.ravel(), minlength=m)
-            first = -(k0 + skip) % thin
-            ks = np.arange(k0 + skip + first, k0 + size, thin)
-            c2_running[ks // thin] = d[first::thin].sum(axis=1) / (N_CHAINS * (ks + 1))
+            chain_sums[chains[k]] = d[-1]
+            state_histograms[k] += np.bincount(nxt.ravel(), minlength=m)
+            first = -(i0 + skip) % thin
+            ks = np.arange(i0 + skip + first, i0 + stop, thin)
+            c2_running[k][ks // thin] = d[first::thin].sum(axis=1) / (N_CHAINS * (ks + 1))
 
-    means = chain_sums / post
-    return WeightedChainStats(
-        theta_samples=theta_samples.reshape(-1, m),
-        sample_steps=np.repeat(burnin + 1 + thin * np.arange(len(c2_running)), N_CHAINS),
-        c2_running=np.repeat(c2_running, N_CHAINS),
-        c2_mean=float(means.mean()),
-        c2_se=float(means.std(ddof=1) / math.sqrt(N_CHAINS)),
-        chain_means=means,
-        state_histogram=state_histogram,
-        burnin=burnin,
-        steps=steps,
-    )
+    runs = []
+    for k, (b, end) in enumerate(zip(burnins, ends)):
+        means = chain_sums[chains[k]] / (end - b)
+        runs.append(WeightedChainStats(
+            theta_samples=theta_samples[k].reshape(-1, m),
+            sample_steps=np.repeat(b + 1 + thin * np.arange(len(c2_running[k])), N_CHAINS),
+            c2_running=np.repeat(c2_running[k], N_CHAINS),
+            c2_mean=float(means.mean()),
+            c2_se=float(means.std(ddof=1) / math.sqrt(N_CHAINS)),
+            chain_means=means,
+            state_histogram=state_histograms[k],
+            burnin=b,
+            steps=steps,
+        ))
+    return runs
+
+
+def run_weighted_chain(
+    sigma: SubStochasticMatrix,
+    law: RelocationLaw,
+    a,
+    steps: int,
+    burnin: int | None = None,
+    thin: int = 20,
+    rng: RngSpec = RngSpec(0),
+) -> WeightedChainStats:
+    """N_CHAINS independent paths of the weighted chain: `run_weighted_chains` of the one law `law`."""
+    return run_weighted_chains(sigma, (law,), a, steps, burnin=burnin, thin=thin, rng=rng)[0]
 
 
 def fk_survival_estimate(

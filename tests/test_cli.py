@@ -20,7 +20,7 @@ from relochain.config import (
     parse_config_text,
 )
 from relochain.errors import ConfigParseError, UnknownExperimentError
-from relochain.experiments import CSV_CHUNK
+from relochain.experiments import CSV_CHUNK, write_weighted_csv
 from relochain.lifted import D_MAX
 
 from conftest import R_CLOSED, cycle_matrix_200
@@ -326,6 +326,23 @@ def test_fig1_outputs_and_manifest(tmp_path, capsys):
     assert len(rho_col) == 1
     assert float(rho_col.pop()) == pytest.approx(0.723111, abs=1e-5)
     assert rc.verify_manifest(outdir)
+    # One stage times the laws' joint run, one per eps each law's outputs.
+    stages = json.loads((outdir / "manifest.json").read_text())["stage_seconds"]
+    assert set(stages) == {"weighted chains", *(f"eps {line.split(',')[0]}" for line in summary[1:])}
+
+
+def test_fig1_law_k_is_the_lone_run_on_stream_k(tmp_path, capsys):
+    # The laws run side by side, and each CSV is the weighted run of its law alone.
+    outdir = tmp_path / "f1"
+    code, _, _ = run_cli(capsys, "fig1", "--steps", "3000", "--seed", "13", "--outdir", str(outdir))
+    assert code == 0
+    for k, eps in enumerate(FIG1_EPSILONS):
+        alone = tmp_path / f"alone{k}.csv"
+        stats = rc.run_weighted_chain(
+            rc.benchmark_matrix(), rc.RelocationLaw.geometric(eps), np.ones(2), 3000, rng=rc.RngSpec(13, k)
+        )
+        write_weighted_csv(alone, stats)
+        assert (outdir / f"fig1_eps{eps:g}.csv").read_bytes() == alone.read_bytes()
 
 
 def test_fig1_rerun_byte_identical(tmp_path, capsys):

@@ -386,12 +386,15 @@ def _reference_weighted_chain(sigma, law, a, steps, burnin=None, thin=20, rng=rc
     )
 
 
-def _reference_killed_chain(sigma, law, init, n_max, replicas, rng, memory=_Memory):
+def _reference_killed_chain(sigma, law, init, n_max, replicas, rng, memory=_Memory, checkpoints=()):
     gen = rng.generator()
     m = sigma.m
     memory = memory(law, init, sigma.entries, replicas, pushes=n_max)
     lifetimes = np.full(replicas, np.inf)
     active = np.arange(replicas)
+    alive_counts = [replicas]
+    counts = np.zeros((replicas, m), dtype=np.int64)
+    empirical = {}
     for n in range(1, n_max + 1):
         nxt = _reference_search(memory.row(), gen.random(active.size))
         alive = nxt < m
@@ -399,7 +402,11 @@ def _reference_killed_chain(sigma, law, init, n_max, replicas, rng, memory=_Memo
         active, nxt = active[alive], nxt[alive]
         memory.keep(alive)
         memory.push(nxt)
-    return lifetimes
+        alive_counts.append(active.size)
+        counts[active, nxt] += 1
+        if n in checkpoints:
+            empirical[n] = counts[active] / float(n)
+    return lifetimes, np.array(alive_counts) / float(replicas), empirical
 
 
 class _ThetaMemory:
@@ -507,6 +514,78 @@ def test_weighted_chain_matches_per_step_loop_across_block_edges(law, burnin, po
     _assert_same_bits(got, want)
 
 
+# Side by side, eps 0.3, 0.05 and 0.01 burn in 34, 200 and min(1000, steps // 2)
+# steps by default. At 6,440 steps their chains take 354, 512 and 1,272 steps:
+# the runs end in blocks 1, 2 and 4, the second exactly on a block edge.
+SIDE_BY_SIDE = tuple(rc.RelocationLaw.geometric(eps) for eps in (0.3, 0.05, 0.01))
+
+
+@pytest.mark.parametrize("burnin", [None, 300], ids=["default-burnin", "burnin-300"])
+@pytest.mark.parametrize("thin", [1, 7, 20])
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "tilted"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_laws_side_by_side_match_their_lone_runs(m, flat, thin, burnin):
+    sigma, a = _oracle_sigma(m), _oracle_tilt(m, flat)
+    kwargs = dict(steps=6_440, burnin=burnin, thin=thin)
+    runs = rc.run_weighted_chains(sigma, SIDE_BY_SIDE, a, rng=rc.RngSpec(59, 3), **kwargs)
+    assert len(runs) == len(SIDE_BY_SIDE)
+    if burnin is None:
+        assert [run.burnin + run.state_histogram.sum() // N_CHAINS for run in runs] == [354, 2 * _BLOCK, 1_272]
+    for k, (law, got) in enumerate(zip(SIDE_BY_SIDE, runs)):
+        # Law k draws from stream 3 + k, as its lone run would.
+        alone = rc.run_weighted_chain(sigma, law, a, rng=rc.RngSpec(59, 3 + k), **kwargs)
+        _assert_same_bits(got, alone)
+        _assert_same_bits(got, _reference_weighted_chain(sigma, law, a, rng=rc.RngSpec(59, 3 + k), **kwargs))
+
+
+@pytest.mark.parametrize("law", list(ORACLE_LAWS), ids=list(ORACLE_LAWS))
+def test_one_law_batch_is_the_lone_run(law):
+    sigma, a = _oracle_sigma(3), _oracle_tilt(3, flat=False)
+    kwargs = dict(steps=3 * _BLOCK + N_CHAINS * _BLOCK, burnin=3 * _BLOCK, thin=7, rng=rc.RngSpec(61))
+    (got,) = rc.run_weighted_chains(sigma, [ORACLE_LAWS[law]], a, **kwargs)
+    _assert_same_bits(got, rc.run_weighted_chain(sigma, ORACLE_LAWS[law], a, **kwargs))
+    _assert_same_bits(got, _reference_weighted_chain(sigma, ORACLE_LAWS[law], a, **kwargs))
+
+
+def test_side_by_side_needs_geometric_laws_and_a_step_budget(sigma_fig):
+    ones, geometric = np.ones(2), rc.RelocationLaw.geometric(0.3)
+    with pytest.raises(ValueError, match="a bounded law runs alone"):
+        rc.run_weighted_chains(sigma_fig, [geometric, rc.RelocationLaw.dirac(0)], ones, steps=1_000)
+    with pytest.raises(ValueError, match="a bounded law runs alone"):
+        rc.run_weighted_chains(sigma_fig, [rc.RelocationLaw.explicit([0.5, 0.5])] * 2, ones, steps=1_000)
+    with pytest.raises(ValueError, match="at least one"):
+        rc.run_weighted_chains(sigma_fig, [], ones, steps=1_000)
+    with pytest.raises(ValueError, match="steps - burnin >= 20"):
+        rc.run_weighted_chains(sigma_fig, [geometric, geometric], ones, steps=69, burnin=50)
+
+
+@pytest.mark.filterwarnings("ignore::relochain.ProportionalToStochasticWarning")
+@pytest.mark.parametrize("entries", [[[0.5, 0.5], [0.3, 0.7]], [[0.5, 0.5], [0.3, 0.6999]]],
+                         ids=["stochastic", "rare-deaths"])
+@pytest.mark.parametrize("law", ["geometric 0.3", "explicit 0.2 0.3 0.5"])
+def test_killed_chain_copies_no_state_on_steps_without_deaths(monkeypatch, entries, law):
+    # A step where every replica survives once copied the whole memory, the
+    # active indices and the draws. The memory is kept only on the steps with
+    # a death, and every output keeps its bits.
+    sigma, law = rc.validate_substochastic(np.array(entries)), ORACLE_LAWS[law]
+    args = (sigma, law, rc.HistoryWindow((1, 0)), 20, 500, rc.RngSpec(67))
+    lifetimes, p_hat, empirical = _reference_killed_chain(*args, checkpoints=(5, 20))
+    kept = []
+    keep = _Memory.keep
+    monkeypatch.setattr(_Memory, "keep", lambda self, alive: kept.append(1) or keep(self, alive))
+    got = rc.run_killed_chain(*args, checkpoints=(5, 20))
+    assert len(kept) == int((np.diff(p_hat) < 0).sum())
+    if entries[1][1] == 0.7:
+        assert kept == [] and p_hat[20] == 1.0
+    else:
+        assert 0 < len(kept) < 20
+    assert got.lifetimes.tobytes() == lifetimes.tobytes()
+    assert got.curve.p_hat.tobytes() == p_hat.tobytes()
+    assert sorted(got.empirical) == [5, 20]
+    for n in (5, 20):
+        assert got.empirical[n].tobytes() == empirical[n].tobytes()
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("flat", [True, False], ids=["flat", "tilted"])
 @pytest.mark.parametrize("law", list(ORACLE_LAWS), ids=list(ORACLE_LAWS))
@@ -526,7 +605,7 @@ def test_affine_row_matches_theta_memory(law, m):
     sigma, a, law = _oracle_sigma(m), _oracle_tilt(m, flat=False), ORACLE_LAWS[law]
     init = rc.HistoryWindow((1, 0))
     args = (sigma, law, init, 20, 5_000, rc.RngSpec(53, m))
-    want = _reference_killed_chain(*args, memory=_ThetaMemory)
+    want, _, _ = _reference_killed_chain(*args, memory=_ThetaMemory)
     assert rc.run_killed_chain(*args).lifetimes.tobytes() == want.tobytes()
 
     kwargs = dict(steps=_BLOCK + 1 + N_CHAINS * 2 * _BLOCK, burnin=_BLOCK + 1, thin=7, rng=rc.RngSpec(41, m))
