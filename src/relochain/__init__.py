@@ -42,12 +42,9 @@ from .matrices import (
 )
 from .relocation import (
     HistoryWindow,
-    HypothesisReport,
     RelocationLaw,
     TruncationResult,
-    biased_kernel_row,
     defective_kernel_row,
-    hypothesis_report,
     occupation_measure,
     parse_relocation_law,
     truncate_law,
@@ -59,7 +56,6 @@ from .lifted import (
     bracket_radius,
     build_lifted,
     lifted_spectral_radius,
-    lifted_structure_check,
     survival_exact,
 )
 from .simulate import (

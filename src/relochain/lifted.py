@@ -8,8 +8,8 @@ tables. The kernel weight from window w toward t is
 sum_i mass(i) * sigma[w_i, t]; the N x m array of these weights is the
 stored object, and `LiftedChain.successors` is the one place the successor
 map is written. `LiftedChain.operator` views the weights as the N x N sparse
-window operator (m entries per row, int32 indices); power sweeps, survival
-products and the support check run on it. Chains of at most
+window operator (m entries per row, int32 indices); power sweeps and survival
+products run on it. Chains of at most
 DENSE_MAX_STATES windows are solved on `LiftedChain.dense`, which scatters
 the weights straight into an N x N array, so their solves never build the
 sparse form. scipy.sparse is imported only when `operator` is first built.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import StateCapExceededError
 from .matrices import SpectralResult, SubStochasticMatrix
-from .matrices import _certified_perron, _cw_bounds, _digraph_structure, _nonnegative_entries
+from .matrices import _certified_perron, _cw_bounds, _nonnegative_entries
 from .relocation import HistoryWindow, RelocationLaw, TruncationResult, truncate_law
 
 if TYPE_CHECKING:
@@ -219,14 +219,6 @@ def survival_exact(chain: LiftedChain, init: HistoryWindow, n: int) -> float:
     for _ in range(n):
         v = chain.apply(v)
     return float(v[chain.window_index(init)])
-
-
-def lifted_structure_check(chain: LiftedChain) -> tuple[bool, bool]:
-    """(irreducible, aperiodic) of the support digraph of `chain.operator`.
-
-    A reducible support is reported as (False, False).
-    """
-    return _digraph_structure(chain.operator)
 
 
 def _affordable_depth(m: int, d: int) -> int:

@@ -107,37 +107,28 @@ def _nonnegative_entries(matrix) -> np.ndarray:
 def structure_flags(raw) -> tuple[bool, bool, bool]:
     """(irreducible, aperiodic, strictly_positive) of the support digraph.
 
-    Irreducibility is strong connectivity; aperiodicity is period 1, and a
+    Irreducibility is strong connectivity, from csgraph's strong components;
+    aperiodicity is period 1, the gcd of depth(u) + 1 - depth(v) over all
+    edges (u, v), with unweighted shortest-path depths from state 0. A
     reducible support is reported as not aperiodic.
     """
     a = _nonnegative_entries(raw)
     if (a > 0.0).all():
         # A complete digraph with self-loops: strongly connected, period 1.
         return True, True, True
-    return (*_digraph_structure(a), False)
-
-
-def _digraph_structure(graph) -> tuple[bool, bool]:
-    """(irreducible, aperiodic) of the digraph of the positive entries of a square array.
-
-    `graph` is a dense array or a scipy sparse array. Strong components come
-    from csgraph; the period is the gcd of depth(u) + 1 - depth(v) over all
-    edges (u, v), with unweighted shortest-path depths from state 0. A
-    reducible digraph gives (False, False).
-    """
     # Deferred: scipy.sparse costs about 0.2 s to import and csgraph about
     # 1 MB of RSS, and strictly positive matrices never need them.
     from scipy import sparse
     from scipy.sparse import csgraph
 
     # Positive entries only: csgraph reads a stored zero as an edge.
-    edges = sparse.csr_array(graph > 0)
+    edges = sparse.csr_array(a > 0)
     n_strong, _ = csgraph.connected_components(edges, directed=True, connection="strong")
     if n_strong > 1:
-        return False, False
+        return False, False, False
     depth = csgraph.dijkstra(edges, indices=0, unweighted=True).astype(np.int64)
     src, dst = edges.nonzero()
-    return True, bool(np.gcd.reduce(depth[src] + 1 - depth[dst]) == 1)
+    return True, bool(np.gcd.reduce(depth[src] + 1 - depth[dst]) == 1), False
 
 
 def validate_substochastic(raw) -> SubStochasticMatrix:

@@ -1,8 +1,8 @@
-"""Relocation laws, memory windows, occupation rows, and kernel rows.
+"""Relocation laws, memory windows, occupation rows, and the killed chain's kernel row.
 
 The law families are closed-form only (a bounded law given by its atoms,
-geometric), so tails and means are exact and the ergodicity hypothesis
-checks never need numerical truncation.
+geometric), so masses and tails are exact and never need numerical
+truncation.
 """
 
 from __future__ import annotations
@@ -11,18 +11,17 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
-from .matrices import SubStochasticMatrix, _nonnegative_entries, tilt_vector
+from .matrices import _nonnegative_entries
 
 
 @dataclass(frozen=True)
 class RelocationLaw:
     """Probability law on the nonnegative integers governing relocation depth.
 
-    A bounded law is stored as its increasing depths of positive mass and
+    A bounded law is stored as its increasing integer depths of positive mass and
     their masses (summing to 1), so `dirac(d)` and `explicit([0] * d + [1])`
     are one law and a point mass far out is a single atom. A geometric law
     has eps in (0, 1), no atoms and mass(k) = eps (1-eps)^k.
@@ -42,6 +41,9 @@ class RelocationLaw:
         p = np.asarray(self.masses, dtype=float)
         if len(p) == 0 or len(p) != len(self.depths):
             raise ValueError("a bounded law needs one mass per depth and at least one")
+        if not all(isinstance(k, (int, np.integer)) for k in self.depths):
+            raise ValueError(f"depths must be integers, got {self.depths!r}")
+        object.__setattr__(self, "depths", tuple(int(k) for k in self.depths))
         if not (np.isfinite(p).all() and (p > 0).all()):
             raise ValueError("explicit masses must be finite and positive")
         if self.depths[0] < 0 or (np.diff(self.depths) <= 0).any():
@@ -57,7 +59,7 @@ class RelocationLaw:
 
     @classmethod
     def dirac(cls, d: int) -> "RelocationLaw":
-        return cls((int(d),), (1.0,))
+        return cls((d,), (1.0,))
 
     @classmethod
     def geometric(cls, eps: float) -> "RelocationLaw":
@@ -74,14 +76,17 @@ class RelocationLaw:
 
     @property
     def is_dirac_mass(self) -> bool:
-        """True when the whole mass sits on one index."""
-        return len(self.depths) == 1
+        """True when the whole mass sits on one index.
 
-    @cached_property
-    def mean(self) -> float:
-        if not self.bounded:
-            return (1.0 - self.eps) / self.eps
-        return float(sum(i * p for i, p in zip(self.depths, self.masses)))
+        This decides the paper's strictness condition. Its ergodicity
+        hypotheses hold for every law here: route (i) needs a finite first
+        moment, which bounded and geometric laws have; route (ii) needs a
+        strictly positive matrix (`SubStochasticMatrix.strictly_positive`)
+        and a tail of order o(n^{-1/2}). Relocations then improve the
+        persistence rate strictly over the benchmark exactly when the law is
+        not a point mass.
+        """
+        return len(self.depths) == 1
 
     def mass(self, i: int) -> float:
         if not self.bounded:
@@ -96,13 +101,6 @@ class RelocationLaw:
         if not self.bounded:
             return (1.0 - self.eps) ** n
         return float(max(0.0, math.fsum(self.masses[bisect_left(self.depths, n):])))
-
-    def spec_string(self) -> str:
-        if not self.bounded:
-            return f"geometric {self.eps:.12g}"
-        if self.is_dirac_mass:
-            return f"dirac {self.depths[0]}"
-        return "explicit " + " ".join(f"{self.mass(i):.12g}" for i in range(self.support_max + 1))
 
 
 def parse_relocation_law(spec: str) -> RelocationLaw:
@@ -255,45 +253,3 @@ def defective_kernel_row(window: HistoryWindow, sigma, law: RelocationLaw) -> np
     """Sub-probability row sum_i mass(i) sigma[w_i, :]; the deficit from 1 is the killing probability."""
     entries = _nonnegative_entries(sigma)
     return occupation_measure(window, law, entries.shape[0]) @ entries
-
-
-def biased_kernel_row(window: HistoryWindow, sigma, law: RelocationLaw, a) -> np.ndarray:
-    """Conservative row: the defective row reweighted by a and normalized.
-
-    Equals the two-stage decomposition that first picks a relocation index
-    with probability proportional to mass(i) * (sigma a)(w_i) and then moves
-    by the a-biased transition matrix.
-    """
-    row = defective_kernel_row(window, sigma, law)
-    weighted = row * tilt_vector(a, row.shape[0])
-    total = weighted.sum()
-    if total <= 0.0:
-        raise ValueError("biased kernel row degenerated; sigma must be irreducible and a positive")
-    return weighted / total
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Whether the positive-matrix route applies, and whether strictness is available."""
-
-    sigma_positive: bool
-    law_is_dirac: bool
-    strict_improvement: bool
-
-
-def hypothesis_report(sigma: SubStochasticMatrix, law: RelocationLaw) -> HypothesisReport:
-    """Decide the ergodicity hypotheses analytically for the closed-form law families.
-
-    Route (i) needs a finite first moment of the law; route (ii) needs a
-    strictly positive matrix and a tail of order o(n^{-1/2}). Every law here
-    has bounded support or a geometric tail, so route (i) always applies and
-    the unique-ergodicity hypothesis always holds; `sigma_positive` says
-    whether route (ii) applies too. Strict improvement over the benchmark is
-    guaranteed exactly when the law is not a point mass.
-    """
-    dirac = law.is_dirac_mass
-    return HypothesisReport(
-        sigma_positive=bool(sigma.strictly_positive),
-        law_is_dirac=dirac,
-        strict_improvement=not dirac,
-    )

@@ -70,7 +70,6 @@ class SurvivalCurve:
 class KilledChainResult:
     curve: SurvivalCurve
     lifetimes: np.ndarray  # completed transitions; +inf when censored at n_max
-    empirical: dict  # checkpoint n -> (survivors, m) array of empirical measures
 
 
 @dataclass(frozen=True)
@@ -250,7 +249,6 @@ def run_killed_chain(
     n_max: int,
     replicas: int,
     rng: RngSpec,
-    checkpoints: tuple[int, ...] = (),
 ) -> KilledChainResult:
     """Replica-parallel simulation of the killed chain with relocations.
 
@@ -261,9 +259,6 @@ def run_killed_chain(
     """
     if n_max < 0 or replicas < 1:
         raise ValueError(f"need n_max >= 0 and replicas >= 1, got n_max = {n_max}, replicas = {replicas}")
-    check = set(int(c) for c in checkpoints)
-    if check and not 1 <= min(check) <= max(check) <= n_max:
-        raise ValueError(f"checkpoints must lie in 1..{n_max}, got {sorted(check)}")
     gen = rng.generator()
     m = sigma.m
     memory = _Memory(law, init, sigma.entries, replicas, pushes=n_max)
@@ -271,8 +266,6 @@ def run_killed_chain(
     lifetimes = np.full(replicas, np.inf)
     active = np.arange(replicas)
     alive_counts = np.full(n_max + 1, replicas, dtype=np.int64)
-    empirical: dict[int, np.ndarray] = {}
-    counts = np.zeros((replicas, m), dtype=np.int64) if check else None
 
     for n in range(1, n_max + 1):
         nxt = _search(memory.row(), gen.random(active.size))
@@ -283,15 +276,11 @@ def run_killed_chain(
             memory.keep(alive)
         memory.push(nxt)
         alive_counts[n] = active.size
-        if check:
-            counts[active, nxt] += 1
-        if n in check:
-            empirical[n] = counts[active] / float(n)
 
     p_hat = alive_counts / float(replicas)
     se = np.sqrt(p_hat * (1.0 - p_hat) / replicas)
     curve = SurvivalCurve(ns=np.arange(n_max + 1), p_hat=p_hat, se=se, replicas=replicas)
-    return KilledChainResult(curve=curve, lifetimes=lifetimes, empirical=empirical)
+    return KilledChainResult(curve=curve, lifetimes=lifetimes)
 
 
 def run_weighted_chains(

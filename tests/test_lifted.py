@@ -221,14 +221,14 @@ def test_survival_rate_converges_to_radius(sigma_fig):
 
 def test_structure_check(sigma_fig):
     chain = rc.build_lifted(sigma_fig, two_point_law())
-    assert rc.lifted_structure_check(chain) == (True, True)
+    assert rc.structure_flags(chain.dense())[:2] == (True, True)
     chain0 = rc.build_lifted(sigma_fig, rc.RelocationLaw.dirac(0))
-    assert rc.lifted_structure_check(chain0) == (True, True)
+    assert rc.structure_flags(chain0.dense())[:2] == (True, True)
     # periodic two-cycle support with an even-index law: the lift is reducible
     two_cycle = np.array([[0.0, 0.9], [0.9, 0.0]])
     even_law = rc.RelocationLaw.explicit([0.5, 0.0, 0.5])
     lifted = rc.build_lifted(two_cycle, even_law)
-    irreducible, _ = rc.lifted_structure_check(lifted)
+    irreducible = rc.structure_flags(lifted.dense())[0]
     assert not irreducible
 
 
@@ -280,7 +280,7 @@ def test_structure_checks_match_dense_oracle(case):
     law = rc.RelocationLaw.explicit(masses)
     chain = rc.build_lifted(sigma, law)
     # explicit() drops trailing zero depths, so the lift keeps only the digits up to the last atom.
-    assert rc.lifted_structure_check(chain) == dense_structure(window_matrix(sigma, masses[: law.support_max + 1]))
+    assert rc.structure_flags(chain.dense())[:2] == dense_structure(window_matrix(sigma, masses[: law.support_max + 1]))
 
 
 def test_bracket_exact_for_bounded(sigma_fig):

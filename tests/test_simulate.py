@@ -60,17 +60,6 @@ def test_killed_chain_decay_rate_at_least_benchmark(sigma_fig):
     assert slope >= math.log(R_CLOSED) - 3 * slope_se
 
 
-def test_killed_chain_empirical_measures(sigma_fig):
-    law = rc.RelocationLaw.explicit([0.5, 0.5])
-    res = rc.run_killed_chain(
-        sigma_fig, law, rc.HistoryWindow((0, 0)), 20, 20000, rc.RngSpec(3), checkpoints=(5, 10)
-    )
-    for n, block in res.empirical.items():
-        assert block.shape[1] == 2
-        np.testing.assert_allclose(block.sum(axis=1), 1.0, atol=1e-12)
-        assert len(block) == int(round(res.curve.p_hat[n] * 20000))
-
-
 def test_killed_chain_dirac_ratio_stabilizes(sigma_fig):
     # The scaled survival r^-n p(n) approaches a constant for point-mass laws;
     # check the ratio moves little between checkpoints relative to noise.
@@ -386,15 +375,13 @@ def _reference_weighted_chain(sigma, law, a, steps, burnin=None, thin=20, rng=rc
     )
 
 
-def _reference_killed_chain(sigma, law, init, n_max, replicas, rng, memory=_Memory, checkpoints=()):
+def _reference_killed_chain(sigma, law, init, n_max, replicas, rng, memory=_Memory):
     gen = rng.generator()
     m = sigma.m
     memory = memory(law, init, sigma.entries, replicas, pushes=n_max)
     lifetimes = np.full(replicas, np.inf)
     active = np.arange(replicas)
     alive_counts = [replicas]
-    counts = np.zeros((replicas, m), dtype=np.int64)
-    empirical = {}
     for n in range(1, n_max + 1):
         nxt = _reference_search(memory.row(), gen.random(active.size))
         alive = nxt < m
@@ -403,10 +390,7 @@ def _reference_killed_chain(sigma, law, init, n_max, replicas, rng, memory=_Memo
         memory.keep(alive)
         memory.push(nxt)
         alive_counts.append(active.size)
-        counts[active, nxt] += 1
-        if n in checkpoints:
-            empirical[n] = counts[active] / float(n)
-    return lifetimes, np.array(alive_counts) / float(replicas), empirical
+    return lifetimes, np.array(alive_counts) / float(replicas)
 
 
 class _ThetaMemory:
@@ -569,11 +553,11 @@ def test_killed_chain_copies_no_state_on_steps_without_deaths(monkeypatch, entri
     # a death, and every output keeps its bits.
     sigma, law = rc.validate_substochastic(np.array(entries)), ORACLE_LAWS[law]
     args = (sigma, law, rc.HistoryWindow((1, 0)), 20, 500, rc.RngSpec(67))
-    lifetimes, p_hat, empirical = _reference_killed_chain(*args, checkpoints=(5, 20))
+    lifetimes, p_hat = _reference_killed_chain(*args)
     kept = []
     keep = _Memory.keep
     monkeypatch.setattr(_Memory, "keep", lambda self, alive: kept.append(1) or keep(self, alive))
-    got = rc.run_killed_chain(*args, checkpoints=(5, 20))
+    got = rc.run_killed_chain(*args)
     assert len(kept) == int((np.diff(p_hat) < 0).sum())
     if entries[1][1] == 0.7:
         assert kept == [] and p_hat[20] == 1.0
@@ -581,9 +565,19 @@ def test_killed_chain_copies_no_state_on_steps_without_deaths(monkeypatch, entri
         assert 0 < len(kept) < 20
     assert got.lifetimes.tobytes() == lifetimes.tobytes()
     assert got.curve.p_hat.tobytes() == p_hat.tobytes()
-    assert sorted(got.empirical) == [5, 20]
-    for n in (5, 20):
-        assert got.empirical[n].tobytes() == empirical[n].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::relochain.ProportionalToStochasticWarning")
+@pytest.mark.parametrize("entries", [[[0.5, 0.5], [0.3, 0.7]], [[0.5, 0.5], [0.3, 0.6999]], None],
+                         ids=["stochastic", "rare-deaths", "benchmark"])
+@pytest.mark.parametrize("law", ["geometric 0.3", "explicit 0.2 0.3 0.5"])
+def test_killed_chain_curve_counts_the_lifetimes(entries, law):
+    # The two outputs of one run tell one story: p_hat[k] is the fraction of
+    # replicas that completed at least k transitions, with or without deaths.
+    sigma = rc.benchmark_matrix() if entries is None else rc.validate_substochastic(np.array(entries))
+    res = rc.run_killed_chain(sigma, ORACLE_LAWS[law], rc.HistoryWindow((1, 0)), 20, 5_000, rc.RngSpec(71))
+    for k in range(21):
+        assert res.curve.p_hat[k] == np.mean(res.lifetimes >= k)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -605,7 +599,7 @@ def test_affine_row_matches_theta_memory(law, m):
     sigma, a, law = _oracle_sigma(m), _oracle_tilt(m, flat=False), ORACLE_LAWS[law]
     init = rc.HistoryWindow((1, 0))
     args = (sigma, law, init, 20, 5_000, rc.RngSpec(53, m))
-    want, _, _ = _reference_killed_chain(*args, memory=_ThetaMemory)
+    want, _ = _reference_killed_chain(*args, memory=_ThetaMemory)
     assert rc.run_killed_chain(*args).lifetimes.tobytes() == want.tobytes()
 
     kwargs = dict(steps=_BLOCK + 1 + N_CHAINS * 2 * _BLOCK, burnin=_BLOCK + 1, thin=7, rng=rc.RngSpec(41, m))
@@ -724,13 +718,3 @@ def test_negative_step_counts_are_rejected(sigma_fig):
         rc.run_killed_chain(sigma_fig, law, init, -1, 100, rc.RngSpec(1))
     assert rc.fk_survival_estimate(sigma_fig, law, np.ones(2), init, 0, 100, rc.RngSpec(1)).value == 1.0
     assert rc.run_killed_chain(sigma_fig, law, init, 0, 100, rc.RngSpec(1)).curve.p_hat.tolist() == [1.0]
-
-
-@pytest.mark.parametrize("checkpoints", [(5,), (0, 2), (-1,), (1, 4)])
-def test_checkpoints_outside_the_run_are_rejected(sigma_fig, checkpoints):
-    # A checkpoint past n_max once returned no empirical measure and no error.
-    with pytest.raises(ValueError, match="checkpoints"):
-        rc.run_killed_chain(
-            sigma_fig, rc.RelocationLaw.geometric(0.3), rc.HistoryWindow((0,)), 3, 100, rc.RngSpec(1),
-            checkpoints=checkpoints,
-        )
