@@ -64,10 +64,8 @@ from .simulate import (
     RngSpec,
     SurvivalCurve,
     WeightedChainStats,
-    default_burnin,
     fk_survival_estimate,
     run_killed_chain,
-    run_weighted_chain,
     run_weighted_chains,
 )
 from .bounds import (

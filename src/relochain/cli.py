@@ -29,7 +29,7 @@ from .experiments import _load_sigma, run_config, write_csv, write_weighted_csv
 from .lifted import D_MAX, bracket_radius
 from .matrices import perron_triple
 from .relocation import HistoryWindow, parse_relocation_law
-from .simulate import RngSpec, run_killed_chain, run_weighted_chain
+from .simulate import RngSpec, run_killed_chain, run_weighted_chains
 
 
 def _sigma_arg(parser):
@@ -150,8 +150,8 @@ def _cmd_weighted_run(args):
     sigma = _load_sigma(args.sigma)
     law = parse_relocation_law(args.tau)
     a = _parse_a(args.a, sigma)
-    stats = run_weighted_chain(
-        sigma, law, a, steps=args.steps, burnin=args.burnin, thin=args.thin, rng=RngSpec(args.seed)
+    (stats,) = run_weighted_chains(
+        sigma, [law], a, steps=args.steps, burnin=args.burnin, thin=args.thin, rng=RngSpec(args.seed)
     )
     write_weighted_csv(args.out, stats)
 

@@ -52,8 +52,6 @@ class SubStochasticMatrix:
     """
 
     entries: np.ndarray
-    strictly_positive: bool
-    proportional_to_stochastic: bool
 
     @property
     def m(self) -> int:
@@ -152,14 +150,13 @@ def validate_substochastic(raw) -> SubStochasticMatrix:
         a[over] /= sums[over, None]
         sums = a.sum(axis=1)
 
-    irreducible, aperiodic, strictly_positive = structure_flags(a)
+    irreducible, aperiodic, _ = structure_flags(a)
     if not irreducible:
         raise ReducibleError("support digraph is not strongly connected")
     if not aperiodic:
         raise PeriodicError("support digraph is periodic")
 
-    proportional = bool(sums.max() - sums.min() <= ROW_SUM_TOL)
-    if proportional:
+    if sums.max() - sums.min() <= ROW_SUM_TOL:
         warnings.warn(
             "matrix is proportional to a stochastic matrix; killing is uniform",
             ProportionalToStochasticWarning,
@@ -167,11 +164,7 @@ def validate_substochastic(raw) -> SubStochasticMatrix:
         )
 
     a.setflags(write=False)
-    return SubStochasticMatrix(
-        entries=a,
-        strictly_positive=strictly_positive,
-        proportional_to_stochastic=proportional,
-    )
+    return SubStochasticMatrix(entries=a)
 
 
 def tilt_vector(a, m: int) -> np.ndarray:

@@ -81,10 +81,9 @@ class RelocationLaw:
         This decides the paper's strictness condition. Its ergodicity
         hypotheses hold for every law here: route (i) needs a finite first
         moment, which bounded and geometric laws have; route (ii) needs a
-        strictly positive matrix (`SubStochasticMatrix.strictly_positive`)
-        and a tail of order o(n^{-1/2}). Relocations then improve the
-        persistence rate strictly over the benchmark exactly when the law is
-        not a point mass.
+        strictly positive matrix (`structure_flags(entries)[2]`) and a tail
+        of order o(n^{-1/2}). Relocations then improve the persistence rate
+        strictly over the benchmark exactly when the law is not a point mass.
         """
         return len(self.depths) == 1
 
@@ -145,7 +144,7 @@ class HistoryWindow:
 
     @classmethod
     def constant(cls, state: int) -> "HistoryWindow":
-        return cls((int(state),))
+        return cls((state,))
 
     def entry(self, i: int) -> int:
         """State i steps into the past, with the eventually constant extension."""

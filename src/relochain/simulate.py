@@ -22,10 +22,10 @@ its arrays, so several geometric laws run side by side as one memory of
 L x N_CHAINS chains, and the loop costs the longest law's steps, not the sum
 of all laws' steps. The loop runs in blocks of _BLOCK steps: one draw of
 uniforms per law and block, and each law's per-step chain sums, running
-means and state counts folded once per block, in step order, so every
-output is bit for bit that of one law run alone in a loop folding one step
-at a time. The two samplers that never kill search only the first m - 1
-columns of a row.
+means, occupation samples and state counts folded once per block, in step
+order, so every output is bit for bit that of one law run alone in a loop
+folding one step at a time. The two samplers that never kill search only
+the first m - 1 columns of a row.
 """
 
 from __future__ import annotations
@@ -222,18 +222,13 @@ def _search(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return k
 
 
-def default_burnin(law: RelocationLaw) -> int:
-    """10/eps steps for geometric laws, else 100 (d+1): the memory horizon sets mixing."""
-    if not law.bounded:
-        return int(math.ceil(10.0 / law.eps))
-    return 100 * (law.support_max + 1)
-
-
 def _burnin(law: RelocationLaw, steps: int, burnin: int | None, thin: int) -> int:
     """The burn-in of a weighted run of `law`; ValueError when the run would be empty."""
     if burnin is None:
-        # The memory-horizon rule, capped so short diagnostic runs stay legal.
-        burnin = min(default_burnin(law), steps // 2)
+        # The memory horizon sets mixing: 10/eps steps for a geometric law, else
+        # 100 (d+1), capped so short diagnostic runs stay legal.
+        horizon = math.ceil(10.0 / law.eps) if not law.bounded else 100 * (law.support_max + 1)
+        burnin = min(horizon, steps // 2)
         if law.bounded and law.depths[0] >= burnin + (steps - burnin) // N_CHAINS:
             # No push is ever read, so every row is the start window's: nothing mixes.
             burnin = 0
@@ -314,10 +309,11 @@ def run_weighted_chains(
     steps; so the laws must all be geometric, and a bounded law runs alone.
     Steps run in blocks of _BLOCK: one draw of uniforms per law and block,
     the same PCG64 stream as one draw per step (a law that has ended draws
-    and steps on unread), and each law's chain sums, running means and state
-    counts folded after the block by a sequential cumsum on its own chains,
-    so every output is bit for bit that of a loop that folds each step as it
-    goes.
+    and steps on unread). Each step only draws, pushes and stores its state
+    and its row; after the block each law's chain sums, running means,
+    occupation samples and state counts are folded on its own chains by a
+    sequential cumsum, so every output is bit for bit that of a loop that
+    folds each step as it goes.
     """
     laws = tuple(laws)
     if not laws:
@@ -341,37 +337,33 @@ def run_weighted_chains(
     state_histograms = [np.zeros(m, dtype=np.int64) for _ in laws]
 
     nxt_block = np.empty((_BLOCK, len(chain_sums)), dtype=np.intp)
-    d_block = np.empty((_BLOCK, len(chain_sums)))
+    # Per step, the whole new row, whose K a and unnormalized theta the fold
+    # reads: one contiguous copy costs less than a copy of its last m + 1
+    # columns (0.25 against 0.92 us at 60 x 5 on a 2-core VM).
+    row_block = np.empty((_BLOCK, len(chain_sums), 2 * m + 1))
     rows = memory.row()
     # s counts the steps from 0; law k's chains are past burn-in from step
     # burnins[k] on, and one block of uniforms drives the steps s0 <= s < s0 + size.
     for s0 in range(0, total, _BLOCK):
         size = min(_BLOCK, total - s0)
         uniforms = np.hstack([gen.random((size, N_CHAINS)) for gen in gens])
-        # Step j of the block -> the (law, sample) pairs whose theta it records.
-        due = {}
-        for k, (b, end) in enumerate(zip(burnins, ends)):
-            first = max(s0 - b, 0)
-            for n in range(-(-first // thin), -(-(min(s0 + size, end) - b) // thin)):
-                due.setdefault(b + n * thin - s0, []).append((k, n))
         for j in range(size):
             nxt = _search(rows[:, : m - 1], uniforms[j] * rows[:, m])
             memory.push(nxt)
             rows = memory.row()
             nxt_block[j] = nxt
-            d_block[j] = rows[:, m]
-            for k, n in due.get(j, ()):
-                theta = rows[chains[k], m + 1 :]
-                theta_samples[k][n] = theta / theta.sum(axis=1, keepdims=True)
+            row_block[j] = rows
         # Fold each law's post-burn-in steps of the block: row j of d becomes
         # its chain sums after that step, added in step order as one step at a
-        # time would; i counts the law's steps after burn-in, from i0.
+        # time would; i counts the law's steps after burn-in, from i0, and
+        # every thin-th i records the running mean and theta.
         for k, (b, end) in enumerate(zip(burnins, ends)):
             i0 = s0 - b
             skip, stop = max(-i0, 0), min(size, end - s0)
             if skip >= stop:
                 continue
-            nxt, d = nxt_block[skip:stop, chains[k]], d_block[skip:stop, chains[k]]
+            nxt, block = nxt_block[skip:stop, chains[k]], row_block[skip:stop, chains[k]]
+            d = block[:, :, m]
             np.log(d, out=d)
             d -= log_av.take(nxt)
             d[0] += chain_sums[chains[k]]
@@ -381,6 +373,8 @@ def run_weighted_chains(
             first = -(i0 + skip) % thin
             ks = np.arange(i0 + skip + first, i0 + stop, thin)
             c2_running[k][ks // thin] = d[first::thin].sum(axis=1) / (N_CHAINS * (ks + 1))
+            theta = block[first::thin, :, m + 1 :]
+            theta_samples[k][ks // thin] = theta / theta.sum(axis=2, keepdims=True)
 
     runs = []
     for k, (b, end) in enumerate(zip(burnins, ends)):
@@ -397,19 +391,6 @@ def run_weighted_chains(
             steps=steps,
         ))
     return runs
-
-
-def run_weighted_chain(
-    sigma: SubStochasticMatrix,
-    law: RelocationLaw,
-    a,
-    steps: int,
-    burnin: int | None = None,
-    thin: int = 20,
-    rng: RngSpec = RngSpec(0),
-) -> WeightedChainStats:
-    """N_CHAINS independent paths of the weighted chain: `run_weighted_chains` of the one law `law`."""
-    return run_weighted_chains(sigma, (law,), a, steps, burnin=burnin, thin=thin, rng=rng)[0]
 
 
 def fk_survival_estimate(

@@ -93,9 +93,9 @@ def test_criterion_04_feynman_kac_identity(sigma_fig):
 def test_criterion_05_c2_strictness(sigma_fig):
     t0 = time.perf_counter()
     h = rc.perron_triple(sigma_fig).h
-    est = rc.run_weighted_chain(
-        sigma_fig, TWO_POINT, h, steps=1_500_000, rng=rc.RngSpec(2024)
-    )
+    est = rc.run_weighted_chains(
+        sigma_fig, [TWO_POINT], h, steps=1_500_000, rng=rc.RngSpec(2024)
+    )[0]
     log_r = math.log(R_CLOSED)
     log_r_bold = math.log(R_BOLD_HALF_HALF)
     elapsed = time.perf_counter() - t0
@@ -113,10 +113,10 @@ def test_criterion_06_occupation_concentration(sigma_fig):
     t0 = time.perf_counter()
     stats = {}
     for k, eps in enumerate((0.3, 0.01)):
-        run = rc.run_weighted_chain(
-            sigma_fig, rc.RelocationLaw.geometric(eps), np.ones(2),
+        run = rc.run_weighted_chains(
+            sigma_fig, [rc.RelocationLaw.geometric(eps)], np.ones(2),
             steps=400_000, thin=20, rng=rc.RngSpec(606, k),
-        )
+        )[0]
         theta1 = run.theta_samples[:, 0]
         stats[eps] = (float(theta1.mean()), float(theta1.std(ddof=1)))
     elapsed = time.perf_counter() - t0

@@ -375,18 +375,18 @@ def test_unattained_lifted_supremum_raises_before_any_overflow():
 
 def test_c2_dirac0_exact(sigma_fig):
     h = rc.perron_triple(sigma_fig).h
-    est = rc.run_weighted_chain(
-        sigma_fig, rc.RelocationLaw.dirac(0), h, steps=30_000, burnin=500, rng=rc.RngSpec(44)
-    )
+    est = rc.run_weighted_chains(
+        sigma_fig, [rc.RelocationLaw.dirac(0)], h, steps=30_000, burnin=500, rng=rc.RngSpec(44)
+    )[0]
     assert est.c2_mean == pytest.approx(math.log(R_CLOSED), abs=1e-12)
 
 
 def test_c2_two_point_matches_dense_oracle(sigma_fig):
     h = rc.perron_triple(sigma_fig).h
     oracle = weighted_chain_c2_oracle(sigma_fig, h)
-    est = rc.run_weighted_chain(
-        sigma_fig, rc.RelocationLaw.explicit([0.5, 0.5]), h, steps=400_000, rng=rc.RngSpec(45)
-    )
+    est = rc.run_weighted_chains(
+        sigma_fig, [rc.RelocationLaw.explicit([0.5, 0.5])], h, steps=400_000, rng=rc.RngSpec(45)
+    )[0]
     assert abs(est.c2_mean - oracle) <= 4 * est.c2_se
     # strictly between the benchmark rate and the lifted rate
     assert oracle > math.log(R_CLOSED)
@@ -404,7 +404,7 @@ def test_c2_se_is_calibrated(sigma_fig):
     oracle = weighted_chain_c2_oracle(sigma_fig, h)
     hits = 0
     for rep in range(20):
-        est = rc.run_weighted_chain(sigma_fig, law, h, steps=40_000, rng=rc.RngSpec(500, rep))
+        est = rc.run_weighted_chains(sigma_fig, [law], h, steps=40_000, rng=rc.RngSpec(500, rep))[0]
         hits += abs(est.c2_mean - oracle) <= 3 * est.c2_se
     assert hits >= 18
 
@@ -412,8 +412,8 @@ def test_c2_se_is_calibrated(sigma_fig):
 def test_c2_scale_invariance(sigma_fig):
     h = rc.perron_triple(sigma_fig).h
     law = rc.RelocationLaw.explicit([0.5, 0.5])
-    one = rc.run_weighted_chain(sigma_fig, law, h, steps=50_000, rng=rc.RngSpec(46))
-    two = rc.run_weighted_chain(sigma_fig, law, 2.0 * h, steps=50_000, rng=rc.RngSpec(46))
+    one = rc.run_weighted_chains(sigma_fig, [law], h, steps=50_000, rng=rc.RngSpec(46))[0]
+    two = rc.run_weighted_chains(sigma_fig, [law], 2.0 * h, steps=50_000, rng=rc.RngSpec(46))[0]
     assert abs(one.c2_mean - two.c2_mean) <= 1e-10
 
 

@@ -338,9 +338,9 @@ def test_fig1_law_k_is_the_lone_run_on_stream_k(tmp_path, capsys):
     assert code == 0
     for k, eps in enumerate(FIG1_EPSILONS):
         alone = tmp_path / f"alone{k}.csv"
-        stats = rc.run_weighted_chain(
-            rc.benchmark_matrix(), rc.RelocationLaw.geometric(eps), np.ones(2), 3000, rng=rc.RngSpec(13, k)
-        )
+        stats = rc.run_weighted_chains(
+            rc.benchmark_matrix(), [rc.RelocationLaw.geometric(eps)], np.ones(2), 3000, rng=rc.RngSpec(13, k)
+        )[0]
         write_weighted_csv(alone, stats)
         assert (outdir / f"fig1_eps{eps:g}.csv").read_bytes() == alone.read_bytes()
 
@@ -624,9 +624,9 @@ def test_write_csv_matches_per_cell_formatting(n_rows, tmp_path, capsys):
 
 
 def test_write_weighted_csv_matches_per_cell_formatting(tmp_path):
-    stats = rc.run_weighted_chain(
-        rc.benchmark_matrix(), rc.RelocationLaw.geometric(0.1), np.ones(2), steps=30_000, rng=rc.RngSpec(3)
-    )
+    stats = rc.run_weighted_chains(
+        rc.benchmark_matrix(), [rc.RelocationLaw.geometric(0.1)], np.ones(2), steps=30_000, rng=rc.RngSpec(3)
+    )[0]
     assert len(stats.sample_steps) > 2 * CSV_CHUNK
     path = tmp_path / "w.csv"
     experiments.write_weighted_csv(str(path), stats)
@@ -683,7 +683,7 @@ def test_fig1_config_accepts_exactly_the_step_budgets_the_sampler_runs():
             runs = True
             for eps in (0.3, 0.05):
                 try:
-                    rc.run_weighted_chain(sigma, rc.RelocationLaw.geometric(eps), ones, steps, burnin=burnin)
+                    rc.run_weighted_chains(sigma, [rc.RelocationLaw.geometric(eps)], ones, steps, burnin=burnin)
                 except ValueError:
                     runs = False
             try:

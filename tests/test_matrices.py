@@ -34,9 +34,11 @@ from conftest import R_CLOSED, largest_eigenvalue
 
 
 def test_validate_benchmark(sigma_fig):
-    assert sigma_fig.strictly_positive and sigma_fig.m == 2
-    assert not sigma_fig.proportional_to_stochastic
+    assert rc.structure_flags(sigma_fig.entries)[2] and sigma_fig.m == 2
     np.testing.assert_allclose(sigma_fig.row_sums(), [0.80, 0.76])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ProportionalToStochasticWarning)  # killing is not uniform
+        rc.validate_substochastic(sigma_fig.entries)
 
 
 def test_validate_identity_reducible():
@@ -51,8 +53,7 @@ def test_validate_periodic():
 
 def test_validate_proportional_warns():
     with pytest.warns(ProportionalToStochasticWarning):
-        m = rc.validate_substochastic([[0.5, 0.5], [0.5, 0.5]])
-    assert m.proportional_to_stochastic
+        rc.validate_substochastic([[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_validate_negative_entry():

@@ -121,6 +121,14 @@ def test_window_entries_are_integer_state_indices(states):
         rc.HistoryWindow(states)
 
 
+@pytest.mark.parametrize("state", [2.7, 0.5])
+def test_constant_window_rejects_a_non_integer_state(state):
+    # constant(2.7) used to build the window (2,), constant(0.5) the window (0,).
+    with pytest.raises(ValueError, match="integers"):
+        rc.HistoryWindow.constant(state)
+    assert rc.HistoryWindow.constant(np.int64(3)).states == (3,)
+
+
 @st.composite
 def dense_masses(draw):
     """Mass vectors on {0..d} with zeros at random depths below d."""

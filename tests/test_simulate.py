@@ -73,18 +73,18 @@ def test_killed_chain_dirac_ratio_stabilizes(sigma_fig):
 
 def test_weighted_chain_dirac0_with_h_is_constant(sigma_fig):
     h = rc.perron_triple(sigma_fig).h
-    stats = rc.run_weighted_chain(
-        sigma_fig, rc.RelocationLaw.dirac(0), h, steps=20_000, burnin=500, thin=10, rng=rc.RngSpec(4)
-    )
+    stats = rc.run_weighted_chains(
+        sigma_fig, [rc.RelocationLaw.dirac(0)], h, steps=20_000, burnin=500, thin=10, rng=rc.RngSpec(4)
+    )[0]
     assert stats.c2_mean == pytest.approx(math.log(R_CLOSED), abs=1e-12)
     assert np.abs(stats.chain_means - math.log(R_CLOSED)).max() <= 1e-12
     assert stats.c2_se <= 1e-12
 
 
 def test_weighted_chain_samples_in_simplex(sigma_fig):
-    stats = rc.run_weighted_chain(
-        sigma_fig, rc.RelocationLaw.geometric(0.05), np.ones(2), steps=60_000, rng=rc.RngSpec(8)
-    )
+    stats = rc.run_weighted_chains(
+        sigma_fig, [rc.RelocationLaw.geometric(0.05)], np.ones(2), steps=60_000, rng=rc.RngSpec(8)
+    )[0]
     assert np.abs(stats.theta_samples.sum(axis=1) - 1.0).max() <= 1e-12
     assert (stats.theta_samples >= 0).all()
     assert stats.state_histogram.sum() == stats.steps - stats.burnin
@@ -93,23 +93,23 @@ def test_weighted_chain_samples_in_simplex(sigma_fig):
 def test_weighted_chain_concentration_direction(sigma_fig):
     stds = []
     for k, eps in enumerate((0.3, 0.1, 0.03, 0.01)):
-        stats = rc.run_weighted_chain(
+        stats = rc.run_weighted_chains(
             sigma_fig,
-            rc.RelocationLaw.geometric(eps),
+            [rc.RelocationLaw.geometric(eps)],
             np.ones(2),
             steps=150_000,
             thin=20,
             rng=rc.RngSpec(100, k),
-        )
+        )[0]
         stds.append(stats.theta_samples[:, 0].std(ddof=1))
     assert stds[0] > stds[1] > stds[2] > stds[3]
 
 
 def test_weighted_chain_mean_occupation_near_quasi_stationary(sigma_fig, triple_closed):
     _, rho, _ = triple_closed
-    stats = rc.run_weighted_chain(
-        sigma_fig, rc.RelocationLaw.geometric(0.01), np.ones(2), steps=400_000, rng=rc.RngSpec(30)
-    )
+    stats = rc.run_weighted_chains(
+        sigma_fig, [rc.RelocationLaw.geometric(0.01)], np.ones(2), steps=400_000, rng=rc.RngSpec(30)
+    )[0]
     mean_theta = stats.theta_samples.mean(axis=0)
     assert np.abs(mean_theta - rho).sum() / 2 <= 0.02  # total variation
 
@@ -293,10 +293,10 @@ def test_far_ring_is_built_without_a_slot_table():
 def test_weighted_chain_layout(sigma_fig, tmp_path):
     steps, burnin, thin = 2_050, 50, 7
     post = (steps - burnin) // N_CHAINS
-    stats = rc.run_weighted_chain(
-        sigma_fig, rc.RelocationLaw.explicit([0.2, 0.3, 0.5]), np.ones(2),
+    stats = rc.run_weighted_chains(
+        sigma_fig, [rc.RelocationLaw.explicit([0.2, 0.3, 0.5])], np.ones(2),
         steps=steps, burnin=burnin, thin=thin, rng=rc.RngSpec(17),
-    )
+    )[0]
     sampled = (post - 1) // thin + 1
     assert stats.theta_samples.shape == (sampled * N_CHAINS, 2)
     assert len(stats.sample_steps) == len(stats.c2_running) == sampled * N_CHAINS
@@ -309,7 +309,7 @@ def test_weighted_chain_layout(sigma_fig, tmp_path):
     assert stats.c2_se == stats.chain_means.std(ddof=1) / math.sqrt(N_CHAINS)
 
     with pytest.raises(ValueError):
-        rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.dirac(0), np.ones(2), steps=69, burnin=50)
+        rc.run_weighted_chains(sigma_fig, [rc.RelocationLaw.dirac(0)], np.ones(2), steps=69, burnin=50)
     code = cli_main(
         ["weighted-run", "--tau", "dirac 0", "--steps", "69", "--burnin", "50", "--out", str(tmp_path / "w.csv")]
     )
@@ -332,7 +332,9 @@ def _reference_search(rows, x):
 
 def _reference_weighted_chain(sigma, law, a, steps, burnin=None, thin=20, rng=rc.RngSpec(0), memory=_Memory):
     if burnin is None:
-        burnin = min(rc.default_burnin(law), steps // 2)
+        # The memory horizon: 10/eps steps for a geometric law, 100 (d + 1) for a law on {0..d}.
+        horizon = 100 * (law.support_max + 1) if law.bounded else math.ceil(10 / law.eps)
+        burnin = min(horizon, steps // 2)
     av = tilt_vector(a, sigma.m)
     gen = rng.generator()
     m = sigma.m
@@ -466,10 +468,11 @@ def _oracle_tilt(m, flat):
 @pytest.mark.parametrize("law", list(ORACLE_LAWS), ids=list(ORACLE_LAWS))
 def test_weighted_chain_matches_per_step_loop_across_laws(law, flat, m):
     sigma, a = _oracle_sigma(m), _oracle_tilt(m, flat)
-    args = (sigma, ORACLE_LAWS[law], a)
+    law = ORACLE_LAWS[law]
     # Burn-in ends one step into the second block; three blocks fold statistics.
     kwargs = dict(steps=_BLOCK + 1 + N_CHAINS * 2 * _BLOCK, burnin=_BLOCK + 1, thin=7, rng=rc.RngSpec(41, m))
-    _assert_same_bits(rc.run_weighted_chain(*args, **kwargs), _reference_weighted_chain(*args, **kwargs))
+    (got,) = rc.run_weighted_chains(sigma, [law], a, **kwargs)
+    _assert_same_bits(got, _reference_weighted_chain(sigma, law, a, **kwargs))
 
 
 @pytest.mark.parametrize(
@@ -492,7 +495,7 @@ def test_weighted_chain_matches_per_step_loop_across_block_edges(law, burnin, po
     # The default burn-in, at most steps // 2, leaves at least post steps per chain.
     steps = 2 * N_CHAINS * post if burnin is None else burnin + N_CHAINS * post + N_CHAINS - 1
     kwargs = dict(steps=steps, burnin=burnin, thin=thin, rng=rc.RngSpec(43))
-    got = rc.run_weighted_chain(sigma, ORACLE_LAWS[law], a, **kwargs)
+    got = rc.run_weighted_chains(sigma, [ORACLE_LAWS[law]], a, **kwargs)[0]
     want = _reference_weighted_chain(sigma, ORACLE_LAWS[law], a, **kwargs)
     assert got.state_histogram.sum() == N_CHAINS * ((steps - got.burnin) // N_CHAINS)
     _assert_same_bits(got, want)
@@ -517,18 +520,31 @@ def test_laws_side_by_side_match_their_lone_runs(m, flat, thin, burnin):
         assert [run.burnin + run.state_histogram.sum() // N_CHAINS for run in runs] == [354, 2 * _BLOCK, 1_272]
     for k, (law, got) in enumerate(zip(SIDE_BY_SIDE, runs)):
         # Law k draws from stream 3 + k, as its lone run would.
-        alone = rc.run_weighted_chain(sigma, law, a, rng=rc.RngSpec(59, 3 + k), **kwargs)
+        alone = rc.run_weighted_chains(sigma, [law], a, rng=rc.RngSpec(59, 3 + k), **kwargs)[0]
         _assert_same_bits(got, alone)
         _assert_same_bits(got, _reference_weighted_chain(sigma, law, a, rng=rc.RngSpec(59, 3 + k), **kwargs))
 
 
 @pytest.mark.parametrize("law", list(ORACLE_LAWS), ids=list(ORACLE_LAWS))
-def test_one_law_batch_is_the_lone_run(law):
+def test_one_law_batch_after_whole_blocks_of_burnin(law):
     sigma, a = _oracle_sigma(3), _oracle_tilt(3, flat=False)
     kwargs = dict(steps=3 * _BLOCK + N_CHAINS * _BLOCK, burnin=3 * _BLOCK, thin=7, rng=rc.RngSpec(61))
     (got,) = rc.run_weighted_chains(sigma, [ORACLE_LAWS[law]], a, **kwargs)
-    _assert_same_bits(got, rc.run_weighted_chain(sigma, ORACLE_LAWS[law], a, **kwargs))
     _assert_same_bits(got, _reference_weighted_chain(sigma, ORACLE_LAWS[law], a, **kwargs))
+
+
+@pytest.mark.filterwarnings("ignore::relochain.ProportionalToStochasticWarning")
+@pytest.mark.parametrize("law", ["geometric 0.3", "explicit 0.5 0.5"])
+def test_one_state_weighted_run(law):
+    # One state: the draw searches zero columns, every step stays in state 0,
+    # theta is exactly 1 and each step adds log(K a / a) = log(0.9 * 2 / 2).
+    sigma, law = rc.validate_substochastic([[0.9]]), rc.parse_relocation_law(law)
+    kwargs = dict(steps=_BLOCK + 1 + N_CHAINS * 2 * _BLOCK, burnin=_BLOCK + 1, thin=7, rng=rc.RngSpec(73))
+    (got,) = rc.run_weighted_chains(sigma, [law], [2.0], **kwargs)
+    _assert_same_bits(got, _reference_weighted_chain(sigma, law, [2.0], **kwargs))
+    assert got.theta_samples.shape == (len(got.sample_steps), 1) and (got.theta_samples == 1.0).all()
+    assert got.state_histogram.tolist() == [N_CHAINS * 2 * _BLOCK]
+    np.testing.assert_allclose(got.chain_means, math.log(0.9), rtol=1e-12)
 
 
 def test_side_by_side_needs_geometric_laws_and_a_step_budget(sigma_fig):
@@ -603,7 +619,7 @@ def test_affine_row_matches_theta_memory(law, m):
     assert rc.run_killed_chain(*args).lifetimes.tobytes() == want.tobytes()
 
     kwargs = dict(steps=_BLOCK + 1 + N_CHAINS * 2 * _BLOCK, burnin=_BLOCK + 1, thin=7, rng=rc.RngSpec(41, m))
-    got = rc.run_weighted_chain(sigma, law, a, **kwargs)
+    got = rc.run_weighted_chains(sigma, [law], a, **kwargs)[0]
     want = _reference_weighted_chain(sigma, law, a, memory=_ThetaMemory, **kwargs)
     assert got.state_histogram.tobytes() == want.state_histogram.tobytes()
     assert got.theta_samples.tobytes() == want.theta_samples.tobytes()
@@ -682,7 +698,7 @@ def test_search_on_m_minus_one_columns_is_the_clamped_full_search(data):
 def test_deep_law_needs_no_burnin(sigma_fig):
     # dirac 10**4 never reads a state pushed in a 5,000-step run, so every row is
     # sigma[0] (sum 0.8) from the first step on and the default burns in nothing.
-    stats = rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.dirac(10**4), np.ones(2), steps=5_000)
+    stats = rc.run_weighted_chains(sigma_fig, [rc.RelocationLaw.dirac(10**4)], np.ones(2), steps=5_000)[0]
     assert stats.burnin == 0
     assert stats.state_histogram.sum() == 5_000
     assert np.abs(stats.chain_means - math.log(0.8)).max() <= 1e-12
@@ -692,10 +708,10 @@ def test_deep_law_burnin_rule_reads_the_pushed_depth(sigma_fig):
     # With the capped default burn-in of 2,500 steps each chain pushes
     # 2,500 + 2,500 // 20 = 2,625 states, so an atom at depth 2,625 is never
     # read and needs no burn-in, while one at 2,624 reads the last push.
-    far = rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.dirac(2_625), np.ones(2), steps=5_000)
+    far = rc.run_weighted_chains(sigma_fig, [rc.RelocationLaw.dirac(2_625)], np.ones(2), steps=5_000)[0]
     assert far.burnin == 0
     assert np.abs(far.chain_means - math.log(0.8)).max() <= 1e-12
-    near = rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.dirac(2_624), np.ones(2), steps=5_000)
+    near = rc.run_weighted_chains(sigma_fig, [rc.RelocationLaw.dirac(2_624)], np.ones(2), steps=5_000)[0]
     assert near.burnin == 2_500
 
 
@@ -706,7 +722,7 @@ def test_tilt_of_the_wrong_length_is_a_value_error(sigma_fig, a):
     with pytest.raises(ValueError, match="length"):
         rc.fk_survival_estimate(sigma_fig, rc.RelocationLaw.geometric(0.3), a, init, 3, 100, rc.RngSpec(1))
     with pytest.raises(ValueError, match="length"):
-        rc.run_weighted_chain(sigma_fig, rc.RelocationLaw.geometric(0.3), a, steps=1000)
+        rc.run_weighted_chains(sigma_fig, [rc.RelocationLaw.geometric(0.3)], a, steps=1000)
 
 
 def test_negative_step_counts_are_rejected(sigma_fig):
