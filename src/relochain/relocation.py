@@ -17,6 +17,11 @@ import numpy as np
 from .matrices import _nonnegative_entries
 
 
+def _is_index(k) -> bool:
+    """True for a Python or numpy integer; a bool is a truth value, not an index."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
 @dataclass(frozen=True)
 class RelocationLaw:
     """Probability law on the nonnegative integers governing relocation depth.
@@ -41,7 +46,7 @@ class RelocationLaw:
         p = np.asarray(self.masses, dtype=float)
         if len(p) == 0 or len(p) != len(self.depths):
             raise ValueError("a bounded law needs one mass per depth and at least one")
-        if not all(isinstance(k, (int, np.integer)) for k in self.depths):
+        if not all(_is_index(k) for k in self.depths):
             raise ValueError(f"depths must be integers, got {self.depths!r}")
         object.__setattr__(self, "depths", tuple(int(k) for k in self.depths))
         if not (np.isfinite(p).all() and (p > 0).all()):
@@ -136,7 +141,7 @@ class HistoryWindow:
     def __post_init__(self):
         if len(self.states) == 0:
             raise ValueError("history window must be nonempty")
-        if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in self.states):
+        if not all(_is_index(s) and s >= 0 for s in self.states):
             raise ValueError("window entries are state indices, must be integers >= 0")
 
     def __len__(self) -> int:

@@ -129,6 +129,23 @@ def test_constant_window_rejects_a_non_integer_state(state):
     assert rc.HistoryWindow.constant(np.int64(3)).states == (3,)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rc.HistoryWindow.constant(True),
+        lambda: rc.HistoryWindow((True, False)),
+        lambda: rc.RelocationLaw.dirac(True),
+        lambda: rc.RelocationLaw((0, True), (0.5, 0.5)),
+    ],
+    ids=["constant-window", "window", "dirac", "atoms"],
+)
+def test_a_bool_is_not_an_integer_index(build):
+    # bool is a subclass of int: constant(True) built the window (True,) and
+    # dirac(True) the law dirac 1, where 2.7 raised.
+    with pytest.raises(ValueError, match="integers"):
+        build()
+
+
 @st.composite
 def dense_masses(draw):
     """Mass vectors on {0..d} with zeros at random depths below d."""

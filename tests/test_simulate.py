@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import relochain as rc
 from relochain.cli import main as cli_main
 from relochain.matrices import tilt_vector
-from relochain.simulate import _BLOCK, N_CHAINS, _Memory, _search
+from relochain.simulate import _BLOCK, N_CHAINS, _PART, _Memory, _search
 
 from conftest import R_CLOSED, cycle_matrix_200
 
@@ -249,7 +249,7 @@ def test_memory_row_matches_depth_definition(sigma_fig, law):
     for n in range(12):
         if n == 6:
             alive = np.array([True, False, True, True])
-            many.keep(alive)
+            many.keep(np.flatnonzero(alive))
             paths = paths[alive]
         row = many.row()
         rows = row[:, :2]
@@ -389,7 +389,7 @@ def _reference_killed_chain(sigma, law, init, n_max, replicas, rng, memory=_Memo
         alive = nxt < m
         lifetimes[active[~alive]] = n - 1
         active, nxt = active[alive], nxt[alive]
-        memory.keep(alive)
+        memory.keep(np.flatnonzero(alive))
         memory.push(nxt)
         alive_counts.append(active.size)
     return lifetimes, np.array(alive_counts) / float(replicas)
@@ -409,8 +409,8 @@ class _ThetaMemory:
         self.theta *= 1.0 - self.eps
         self.theta[np.arange(len(self.theta)), t] += self.eps
 
-    def keep(self, alive):
-        self.theta = self.theta[alive]
+    def keep(self, index):
+        self.theta = self.theta[index]
 
 
 def _reference_fk(sigma, law, a, init, n, replicas, rng, memory=_Memory):
@@ -572,7 +572,7 @@ def test_killed_chain_copies_no_state_on_steps_without_deaths(monkeypatch, entri
     lifetimes, p_hat = _reference_killed_chain(*args)
     kept = []
     keep = _Memory.keep
-    monkeypatch.setattr(_Memory, "keep", lambda self, alive: kept.append(1) or keep(self, alive))
+    monkeypatch.setattr(_Memory, "keep", lambda self, index: kept.append(1) or keep(self, index))
     got = rc.run_killed_chain(*args)
     assert len(kept) == int((np.diff(p_hat) < 0).sum())
     if entries[1][1] == 0.7:
@@ -604,6 +604,30 @@ def test_fk_matches_per_step_loop(law, flat, m):
     init = rc.HistoryWindow((1, 0))
     args = (sigma, ORACLE_LAWS[law], a, init, 25, 300, rc.RngSpec(47, m))
     _assert_same_bits(rc.fk_survival_estimate(*args), _reference_fk(*args))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "tilted"])
+@pytest.mark.parametrize("law", list(ORACLE_LAWS), ids=list(ORACLE_LAWS))
+def test_fk_matches_per_step_loop_across_part_edges(law, flat, m):
+    # Three memories of _PART, _PART and 7 replicas read their own slices of
+    # each step's one draw; the oracle runs all replicas through one memory.
+    sigma, a = _oracle_sigma(m), _oracle_tilt(m, flat)
+    args = (sigma, ORACLE_LAWS[law], a, rc.HistoryWindow((1, 0)), 4, 2 * _PART + 7, rc.RngSpec(43, m))
+    _assert_same_bits(rc.fk_survival_estimate(*args), _reference_fk(*args))
+
+
+@pytest.mark.parametrize("law", list(ORACLE_LAWS), ids=list(ORACLE_LAWS))
+def test_killed_chain_matches_per_step_loop_with_deaths_on_every_step(law):
+    # The benchmark matrix kills on every step, so each step compacts the
+    # active list, the draws and the memory by one index list; the oracle
+    # compacts the first two by boolean masks.
+    args = (rc.benchmark_matrix(), ORACLE_LAWS[law], rc.HistoryWindow((1, 0)), 12, 40_000, rc.RngSpec(61))
+    lifetimes, p_hat = _reference_killed_chain(*args)
+    got = rc.run_killed_chain(*args)
+    assert (np.diff(p_hat) < 0).all()
+    assert got.lifetimes.tobytes() == lifetimes.tobytes()
+    assert got.curve.p_hat.tobytes() == p_hat.tobytes()
 
 
 @pytest.mark.parametrize("m", [2, 3])
