@@ -119,7 +119,8 @@ class RadiusBracket:
     one solve of the exact lift, at most 1e-12 relative apart, and equal
     `lo` and `hi`. Otherwise `lo` and `hi` additionally fold in the
     always-valid analytic envelopes (the Collatz-Wielandt lower bound of the
-    benchmark radius from below, the largest benchmark row sum from above),
+    benchmark radius from below, the largest benchmark row sum, widened
+    outward, from above),
     which carry the certificate when the affordable truncation is loose.
     A lift field is then tight to 1e-12 only when it carries its end of the
     bracket, and is otherwise a valid bound on the envelope's side: a lift
@@ -244,7 +245,8 @@ def bracket_radius(
     upper bound of the tail-majorized lift from above, so solver error
     cannot leak into the enclosure; the analytic envelopes (the
     Collatz-Wielandt lower bound of the benchmark radius, the largest
-    benchmark row sum) tighten whatever the truncation left loose. A law
+    benchmark row sum widened outward, as a rounded sum can fall below the
+    exact one) tighten whatever the truncation left loose. A law
     with no mass within the affordable depth gets exactly that envelope.
     The law is truncated, and so delta_tail checked, before the exact branch.
 
@@ -284,7 +286,7 @@ def bracket_radius(
 
     entries = sigma.entries
     r_bench = _certified_perron(entries.dot, m, lambda: entries).lower
-    row_max = float(sigma.row_sums().max())
+    row_max = _cw_bounds(sigma.row_sums(), m)[1]
     low, high = _lift_row_sums(sigma, trunc, LOWER)
     if high <= r_bench:
         lo_lift = low

@@ -2,10 +2,10 @@
 
 Covers construction and structure checking of sub-stochastic matrices,
 certified Perron spectral elements (a dense eigensolve for small operators,
-a shifted power iteration otherwise, each accepted only on a tight
-Collatz-Wielandt enclosure), positive tilting, the normalized simplex map
-driven by a tilted matrix, the Hilbert projective metric, and Birkhoff
-contraction coefficients.
+a shifted power iteration with Ritz restarts otherwise, each accepted only
+on a tight Collatz-Wielandt enclosure), positive tilting, the normalized
+simplex map driven by a tilted matrix, the Hilbert projective metric, and
+Birkhoff contraction coefficients.
 """
 
 from __future__ import annotations
@@ -35,11 +35,13 @@ NEGATIVE_NOISE_TOL = 1e-15
 CW_RTOL = 1e-12  # certified relative width of the Perron radius enclosure
 MAX_SWEEPS = 100_000
 CHECK_EVERY = 16  # power sweeps between Collatz-Wielandt checks
+KRYLOV_SIZE = 3  # Arnoldi basis of a Ritz restart; 3 measured best of 2 to 6 on fig2's lifts
 NORM_EVERY = 4  # defer sup-normalization; growth over 4 steps stays in range
 # Largest operator solved by a dense eigensolve. Measured per solve on
-# window chains with CSR power sweeps (2-core Xeon VM, one BLAS thread): eig
-# 0.6 vs power 2.1 ms at N=32, 2.8 vs 2.5 ms at N=64, 18 vs 3.0 ms at N=128.
-# N=64 sits at the crossover; a lower limit would change the bits of its radii.
+# window chains with CSR power sweeps and Ritz restarts (2-core Xeon VM, one
+# BLAS thread): eig 0.31-0.47 vs power 0.81 ms at N=32, 1.5-1.6 vs 1.06 ms at
+# N=64, 10.6-11.4 vs 1.31 ms at N=128. The crossover lies between 32 and 64;
+# a lower limit would change the bits of those radii.
 DENSE_MAX_STATES = 64
 
 
@@ -199,7 +201,9 @@ class SpectralResult:
 
     `lower` and `upper` are min and max of (A v)/v, widened outward by the
     rounding of their evaluation, so they enclose the radius of the operator;
-    `iterations` counts power sweeps (0 when the dense eigensolve certified).
+    `iterations` counts operator applications: the power sweeps and, per
+    Ritz restart, its Arnoldi matvecs and the one that checks its vector
+    (0 when the dense eigensolve certified).
     As v is sup-normalized and the radius lies in [lower, upper],
     max |A v - radius v| <= upper - lower.
     """
@@ -232,6 +236,13 @@ def _certified_perron(
     leading eigenvalue when that is positive (a row sum far above the radius
     would shrink the shifted gap), else a tenth of the largest row sum.
 
+    A gap check that does not stop the solve restarts it on the leading Ritz
+    vector of a KRYLOV_SIZE-vector Krylov space of the iterate
+    (`_ritz_vector`), which removes the second eigenvalue that slows the
+    power iteration. The Ritz vector is adopted only when it is strictly
+    positive and the Collatz-Wielandt interval of a real matvec at it is
+    narrower than the iterate's; otherwise the iterate goes on unchanged.
+
     With `envelope` = (below, above), the power iteration also returns at a
     gap check as soon as its widened interval lies at or below `below` or at
     or above `above`: the radius is then proved to sit on that side, and the
@@ -258,21 +269,76 @@ def _certified_perron(
     shift = 0.1 * (top if top > 0.0 else float(av.max()))
     if not shift > 0.0:
         raise ValueError("zero operator has no Perron radius")
-    sweeps = 1
-    while sweeps < MAX_SWEEPS:
-        v = av + shift * v
+    applied = sweeps = 1
+    while applied < MAX_SWEEPS:
+        v *= shift
+        v += av  # av + shift * v, in place: the same bits
         if sweeps % NORM_EVERY == 0:
             v /= v.max()  # positive iterates: the sup norm is the max
         av = matvec(v)
+        applied += 1
         sweeps += 1
         if sweeps % CHECK_EVERY == 0:
             if not v.min() > 0.0:
                 # A Perron vector with zero entries (reducible operator) underflows.
                 raise NoConvergenceError("power iterate lost strict positivity; no certificate exists")
             lo, hi = _cw_bounds(av / v, terms)
-            if hi - lo <= CW_RTOL * hi or hi <= below or lo >= above:
-                return _cw_result(0.5 * (lo + hi), v / v.max(), sweeps, lo, hi)
-    raise NoConvergenceError(f"power iteration did not certify in {MAX_SWEEPS} sweeps")
+            if not _settled(lo, hi, below, above):
+                x = _ritz_vector(matvec, v, av)
+                applied += KRYLOV_SIZE - 1
+                if x is not None and x.min() > 0.0:
+                    ax = matvec(x)
+                    applied += 1
+                    x_lo, x_hi = _cw_bounds(ax / x, terms)
+                    # Only a narrower interval is adopted: a restart drops the
+                    # iterate's tiny components, which may carry the certificate.
+                    if x_hi - x_lo < hi - lo:
+                        v, av, lo, hi = x, ax, x_lo, x_hi
+            if _settled(lo, hi, below, above):
+                return _cw_result(0.5 * (lo + hi), v / v.max(), applied, lo, hi)
+    raise NoConvergenceError(f"power iteration did not certify in {MAX_SWEEPS} operator applications")
+
+
+def _settled(lo: float, hi: float, below: float, above: float) -> bool:
+    """True when [lo, hi] certifies the radius to CW_RTOL or lies at or beyond an envelope end."""
+    return hi - lo <= CW_RTOL * hi or hi <= below or lo >= above
+
+
+def _ritz_vector(matvec, v: np.ndarray, av: np.ndarray) -> np.ndarray | None:
+    """Leading Ritz vector of A on the Krylov space of v, scaled to max |x| = 1.
+
+    Arnoldi builds an orthonormal basis of span{v, A v, ..., A^(K-1) v}, K =
+    KRYLOV_SIZE, in place in one K x n array, by classical Gram-Schmidt done
+    twice; A v is read from av, so the basis costs K - 1 matvecs. A and
+    A + shift I share the space and its Ritz vectors. The vector is that of
+    the Ritz value of largest real part, which approximates the Perron root
+    (Saad, Numerical Methods for Large Eigenvalue Problems, ch. 4 and 6).
+    None when the space is invariant before K vectors. The result carries no
+    certificate: the caller checks it with a real matvec.
+    """
+    basis = np.empty((KRYLOV_SIZE, v.shape[0]))
+    h = np.zeros((KRYLOV_SIZE, KRYLOV_SIZE))
+    norm = float(np.linalg.norm(v))
+    np.divide(v, norm, out=basis[0])
+    np.divide(av, norm, out=basis[1])
+    for j in range(1, KRYLOV_SIZE):
+        q, w = basis[:j], basis[j]
+        for _ in range(2):
+            c = q @ w
+            w -= c @ q
+            h[:j, j - 1] += c
+        h[j, j - 1] = beta = float(np.linalg.norm(w))
+        if not beta > 0.0:
+            return None
+        w /= beta
+        if j + 1 < KRYLOV_SIZE:
+            basis[j + 1] = matvec(w)
+    h[:, -1] = basis @ matvec(basis[-1])
+    vals, vecs = np.linalg.eig(h)
+    x = vecs[:, int(np.argmax(vals.real))].real @ basis
+    top, bottom = x.max(), x.min()
+    x /= top if top >= -bottom else bottom
+    return x
 
 
 def _cw_bounds(ratio: np.ndarray, terms: int) -> tuple[float, float]:

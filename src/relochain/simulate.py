@@ -46,7 +46,9 @@ from .errors import OverflowGuardError
 from .matrices import SubStochasticMatrix, tilt_vector
 from .relocation import HistoryWindow, RelocationLaw, occupation_measure
 
-LOG_OVERFLOW_LIMIT = 690.0  # log(1e300), unreachable for sub-stochastic weights
+# log(1e300). A step adds log(K a) - log a(next) to a log weight, at most
+# log(max a / min a): reachable by steep tilts, never by a = 1.
+LOG_OVERFLOW_LIMIT = 690.0
 N_CHAINS = 20  # independent weighted chains behind the standard error of c2
 _BLOCK = 256  # weighted-chain steps per block of uniforms and of folded statistics
 # Feynman-Kac replicas per memory, so one part's step arrays stay in a core's
@@ -418,7 +420,12 @@ def fk_survival_estimate(
     Replicas never die: each step draws from the tilted memory row
     sum_i tau(i) sigma[w_i, t] a(t), and the replica's log weight gains
     log(K a) - log a(next), where K a is that row's sum. The estimate is the
-    plain mean of the exponentiated weights.
+    plain mean of the exponentiated weights, and `se` their sample standard
+    error. `se` cannot see paths the proposal never draws: for the benchmark,
+    a = (1, 1e-12), `explicit 0.5 0.5` from the window (0, 0), n = 60 and
+    2,000 replicas, no replica enters state 1, every weight is equal, and
+    the estimate is 2.75e-9 with se 1.9e-26 against the exact 7.24e-7.
+    A log weight above LOG_OVERFLOW_LIMIT raises OverflowGuardError.
 
     The replicas run in parts of _PART, one memory per part. Each step makes
     one draw of `replicas` uniforms, and each part reads its own slice of it,

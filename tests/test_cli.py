@@ -22,6 +22,7 @@ from relochain.config import (
 from relochain.errors import ConfigParseError, UnknownExperimentError
 from relochain.experiments import CSV_CHUNK, write_weighted_csv
 from relochain.lifted import D_MAX
+from relochain.matrices import _cw_bounds
 
 from conftest import R_CLOSED, cycle_matrix_200
 
@@ -60,7 +61,8 @@ def test_lifted_radius_past_the_cap_prints_the_envelope(capsys):
     code, out, _ = run_cli(capsys, "lifted-radius", "--tau", "dirac 5", "--dmax", "2")
     assert code == 0
     data = json.loads(out)
-    assert data["lo"] <= R_CLOSED <= data["hi"] == rc.benchmark_matrix().row_sums().max()
+    # The largest row sum, widened outward so that it bounds the exact one.
+    assert data["lo"] <= R_CLOSED <= data["hi"] == _cw_bounds(rc.benchmark_matrix().row_sums(), 2)[1]
     assert (data["d_used"], data["tail_mass"]) == (2, 1.0)
 
 
@@ -73,7 +75,7 @@ def test_lifted_radius_takes_an_infinite_dtail_and_rejects_nan(tau, d_used, tail
     assert code == 0
     data = json.loads(out)
     assert (data["d_used"], data["tail_mass"]) == (d_used, tail_mass)
-    assert R_CLOSED <= data["hi"] <= rc.benchmark_matrix().row_sums().max()
+    assert R_CLOSED <= data["hi"] <= _cw_bounds(rc.benchmark_matrix().row_sums(), 2)[1]
     code, out, err = run_cli(capsys, "lifted-radius", "--tau", tau, "--dtail", "nan")
     assert (code, out) == (2, "")
     assert "delta_tail must be positive, got nan" in err

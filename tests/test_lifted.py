@@ -11,7 +11,7 @@ import relochain as rc
 from relochain.errors import StateCapExceededError
 from relochain.config import FIG2_EPSILONS
 from relochain.lifted import _lift_row_sums
-from relochain.matrices import DENSE_MAX_STATES, _certified_perron
+from relochain.matrices import CHECK_EVERY, CW_RTOL, DENSE_MAX_STATES, NORM_EVERY, _certified_perron, _cw_bounds
 
 from conftest import R_CLOSED, largest_eigenvalue, window_matrix
 
@@ -299,7 +299,7 @@ def test_bracket_is_envelope_when_all_mass_lies_past_the_cap(sigma_fig, d):
     br = rc.bracket_radius(sigma_fig, rc.RelocationLaw.dirac(d), d_max=2)
     assert not br.exact and br.cap_reached and br.d_used == 2
     assert br.tail_mass == 1.0 and br.lo_lift == 0.0
-    assert br.lo <= R_CLOSED <= br.hi == sigma_fig.row_sums().max()
+    assert br.lo <= R_CLOSED <= br.hi == _envelope(sigma_fig)[1]
     assert br.lo == pytest.approx(R_CLOSED, rel=1e-12)
     spread = rc.bracket_radius(sigma_fig, rc.RelocationLaw.explicit([0.5, 0, 0, 0.5]), d_max=2)
     assert (br.lo, br.hi) == (spread.lo, spread.hi)
@@ -386,7 +386,7 @@ def test_truncated_bracket_contains_enumerated_radii(sigma_fig, eps, d_max, ends
         # Both lifts were proved to lose to [r_bench, max row sum], unbuilt or
         # by a power solve stopped early; the oracle radii lie on that side.
         assert br.lo_lift < br.lo and br.hi < br.hi_lift
-        assert br.hi == sigma.sum(axis=1).max()
+        assert br.hi == _envelope(sigma_fig)[1]
         assert lam_lower <= br.lo * (1 + ORACLE_RTOL)
         assert lam_upper >= br.hi * (1 - ORACLE_RTOL)
     else:
@@ -397,9 +397,9 @@ def test_truncated_bracket_contains_enumerated_radii(sigma_fig, eps, d_max, ends
 
 
 def _envelope(sigma):
-    """(r_bench, max row sum): the analytic ends a truncated bracket folds in."""
+    """(r_bench, max row sum widened outward): the analytic ends a truncated bracket folds in."""
     entries = sigma.entries
-    return _certified_perron(entries.dot, sigma.m, lambda: entries).lower, float(sigma.row_sums().max())
+    return _certified_perron(entries.dot, sigma.m, lambda: entries).lower, _cw_bounds(sigma.row_sums(), sigma.m)[1]
 
 
 def assert_envelope_stop_is_exact(sigma, law, d_max):
@@ -435,6 +435,21 @@ def assert_envelope_stop_is_exact(sigma, law, d_max):
     else:
         assert br.hi_lift == full["upper"].upper
     return br
+
+
+@pytest.mark.parametrize("entries", [[[0.72, 0.08], [0.08, 0.72]], [[0.7, 0.1], [0.1, 0.7]], [[0.3, 0.6], [0.6, 0.3]]])
+@pytest.mark.parametrize("eps", [0.25, 0.001])
+def test_truncated_bracket_encloses_the_exact_row_sum(entries, eps):
+    # Read as exact binary values, each row of these matrices sums to the
+    # same s, so r = r_bold = s for every law. The rounded float sum lies
+    # below s; an envelope taken from it put hi up to 6.2e-17 relative below r.
+    with pytest.warns(rc.ProportionalToStochasticWarning):
+        sigma = rc.validate_substochastic(np.array(entries))
+    exact = {sum(map(Fraction, row)) for row in sigma.entries.tolist()}
+    assert len(exact) == 1
+    br = rc.bracket_radius(sigma, rc.RelocationLaw.geometric(eps), d_max=6)
+    assert not br.exact
+    assert Fraction(br.lo) <= exact.pop() <= Fraction(br.hi)
 
 
 @pytest.mark.parametrize("d_max", [3, 7, 9])
@@ -510,6 +525,41 @@ def test_lifted_certificate_random_laws(case, scale, zeros):
     if chain.n_states > DENSE_MAX_STATES:
         assert res.iterations > 0
     assert_certified(res, mat)
+
+
+def plain_power_solve(chain):
+    """(operator applications, lower, upper) of the shifted power iteration with no Ritz restart.
+
+    Shift, normalization, check schedule and stop rule are those of
+    `_certified_perron` on a chain too large for the dense eigensolve.
+    """
+    v = np.ones(chain.n_states)
+    av = chain.apply(v)
+    shift = 0.1 * av.max()
+    sweeps = 1
+    while True:
+        v = av + shift * v
+        if sweeps % NORM_EVERY == 0:
+            v /= v.max()
+        av = chain.apply(v)
+        sweeps += 1
+        if sweeps % CHECK_EVERY == 0:
+            lo, hi = _cw_bounds(av / v, chain.m)
+            if hi - lo <= CW_RTOL * hi:
+                return sweeps, lo, hi
+
+
+@pytest.mark.parametrize("mode", ["lower", "upper"])
+def test_ritz_restarts_halve_the_operator_applications(sigma_fig, mode):
+    # A fig2-shaped lift: geometric 0.5 cut at depth 12, 8,192 windows, where
+    # |lambda_2 / lambda_1| of the shifted operator is 0.83.
+    trunc = rc.truncate_law(rc.RelocationLaw.geometric(0.5), 1e-6, 12)
+    chain = rc.build_lifted(sigma_fig, trunc, mode=mode)
+    assert chain.n_states == 8192
+    res = rc.lifted_spectral_radius(chain)
+    sweeps, lo, hi = plain_power_solve(chain)
+    assert res.iterations <= 0.5 * sweeps
+    assert max(res.lower, lo) <= min(res.upper, hi)
 
 
 def test_badly_scaled_lift_falls_back_to_power_sweeps(sigma_fig):

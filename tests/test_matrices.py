@@ -388,6 +388,44 @@ def test_envelope_stop_keeps_a_valid_enclosure():
             assert 1 < res.iterations < full.iterations
 
 
+def power_test_operator(kind, seed):
+    """(dense matrix, certified solve) of a 65-400 state operator of the given kind, which takes the power path."""
+    rng = np.random.default_rng(seed)
+    if kind == "window":  # a badly scaled tilt of a random sigma: 128 to 256 windows
+        m = [2, 3, 4][seed % 3]
+        d = {2: 6 + seed % 2, 3: 4, 4: 3}[m]
+        raw = rng.uniform(0.05, 1.0, size=(m, m))
+        sigma = raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.3, 0.98, size=(m, 1))
+        tilted = sigma * rng.lognormal(0.0, 2.0, size=m)
+        chain = rc.build_lifted(tilted, rc.RelocationLaw.explicit(rng.dirichlet(np.ones(d + 1))))
+        return chain.operator.toarray(), lambda: rc.lifted_spectral_radius(chain)
+    n = int(rng.integers(DENSE_MAX_STATES + 1, 401))
+    a = rng.uniform(0.0, 1.0, size=(n, n))
+    cycle = np.roll(np.eye(n), 1, axis=1)
+    if kind == "sparse":  # about 3 entries per row, irreducible through the cycle
+        a = a * (rng.random((n, n)) < 3.0 / n) + rng.uniform(0.1, 1.0, size=(n, 1)) * cycle
+    elif kind == "lazy":
+        a = (0.3 * np.eye(n) + 0.6 * cycle + 0.001 * a) * rng.uniform(0.8, 1.0, size=(n, 1))
+    elif kind == "periodic":  # period 2: -r is an eigenvalue too
+        a[: n // 2, : n // 2] = 0.0
+        a[n // 2 :, n // 2 :] = 0.0
+    return a, lambda: _certified_perron(a.dot, n, None)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["positive", "sparse", "lazy", "periodic", "window"])
+def test_power_path_encloses_the_eigvals_radius(kind, seed):
+    # The power iteration with Ritz restarts against np.linalg.eigvals. The
+    # Perron root is the largest real part (of largest modulus too, but -r
+    # ties it on a periodic support).
+    a, solve = power_test_operator(kind, seed)
+    res = solve()
+    oracle = float(np.linalg.eigvals(a).real.max())
+    assert res.iterations > 0
+    assert res.lower - 1e-14 * oracle <= oracle <= res.upper + 1e-14 * oracle
+    assert res.upper - res.lower <= CW_RTOL * res.upper
+
+
 def test_spectral_radius_rejects_zero_perron_entries():
     # Reducible: the right vector of r = 0.5 is (1, 0), and no strictly
     # positive vector certifies r, so the solver must fail loudly.

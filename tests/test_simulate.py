@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relochain as rc
+from relochain import simulate
 from relochain.cli import main as cli_main
 from relochain.matrices import tilt_vector
 from relochain.simulate import _BLOCK, N_CHAINS, _PART, _Memory, _search
@@ -28,6 +29,17 @@ def test_killed_chain_determinism(sigma_fig):
     np.testing.assert_array_equal(a.lifetimes, b.lifetimes)
     c = rc.run_killed_chain(sigma_fig, law, init, 50, 5000, rc.RngSpec(99, 4))
     assert not np.array_equal(a.lifetimes, c.lifetimes)
+
+
+def test_fk_overflow_guard_fires_above_its_limit(sigma_fig, monkeypatch):
+    # A tilted step adds log(K a) - log a(next) to a log weight. No run here
+    # nears log(1e300), so the limit is lowered below this run's largest log
+    # weight, which is at least the log of the mean weight.
+    args = (sigma_fig, rc.RelocationLaw.explicit([0.5, 0.5]), np.array([1.0, 0.5]), rc.HistoryWindow((0, 0)), 30, 500)
+    est = rc.fk_survival_estimate(*args, rc.RngSpec(3))
+    monkeypatch.setattr(simulate, "LOG_OVERFLOW_LIMIT", math.log(est.value) - 1e-9)
+    with pytest.raises(rc.OverflowGuardError, match="representable range"):
+        rc.fk_survival_estimate(*args, rc.RngSpec(3))
 
 
 def test_killed_chain_curve_monotone_and_se(sigma_fig):
