@@ -6,9 +6,14 @@ maximized over log-weights lambda = log a with one coordinate gauge-fixed
 would wander along rays), from three starts: the flat weight, the benchmark
 Perron vector h, and one seeded Gaussian draw. The rate functions I and
 I_bold are Legendre transforms of the log spectral radii of the tilted
-benchmark and window chain. One in-house BFGS search (`_bfgs`, numpy
+benchmark and window chain. One in-house BFGS search (`_descent`, numpy
 only: no part of the package imports scipy.optimize) serves all three, for
-any number of states, on exact gradients. For the transforms the gradient is
+any number of states, on exact gradients. It is a generator that yields
+each tilt it wants evaluated and is sent the value and gradient, so one
+driver (`_lockstep`) can advance many searches a round at a time and
+evaluate each round's tilts together; `_bfgs` is the driver with one
+search. A rate table runs the searches of all its grid points so, and
+solves each round's distinct tilts as one stack (`_perron_triples`). For the transforms the gradient is
 the newest-state marginal of rho h. For log J = log r - rho lambda it is
 rho h minus the derivative of rho lambda, which takes one bordered solve
 with the tilted matrix A: [[A - rI, h], [rho, 0]] (x, mu) =
@@ -29,8 +34,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NoConvergenceError
-from .lifted import build_lifted
-from .matrices import DENSE_MAX_STATES, PerronTriple, SubStochasticMatrix, _perron_triple, tilt_vector
+from .lifted import _dense_lifts, build_lifted
+from .matrices import DENSE_MAX_STATES, PerronTriple, SubStochasticMatrix, _perron_triple, _perron_triples, tilt_vector
 from .relocation import RelocationLaw
 from .simulate import RngSpec
 
@@ -40,6 +45,13 @@ BOUNDARY_DRIFT_NORM = 20.0
 # inside double range. Without the bound, a line search toward an unattained
 # supremum asks for tilts so large that the power iteration overflows.
 MAX_TILT_SPREAD = 100.0
+# Operator bytes of one stacked Perron solve. A rate-table round with more
+# distinct tilts solves them in parts: a 101-point m = 3 table runs about
+# 5,000 searches at once, whose 27-window operators would take over 100 MB.
+ROUND_BYTES = 2**20
+# Gradient at which a Legendre transform's search stops: the value then sits
+# within about 1e-16 of the optimum.
+TRANSFORM_GTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -90,14 +102,12 @@ def _benchmark_triple(sigma: SubStochasticMatrix, a: np.ndarray) -> PerronTriple
     return _perron_triple(sigma.entries * a)
 
 
-def _reuse(triple_at, keep: bytes | None = None):
+def _reuse(triple_at):
     """`triple_at`, serving a tilt it has already solved from the triple it kept.
 
     Tilts are keyed by their bytes; the solver is deterministic, so a kept
-    triple is the one a new solve would return, bit for bit. Without `keep`
-    every tilt is kept; with it only the tilt of those bytes, so the memo
-    holds one triple however many tilts are asked for. The memo lives as long
-    as the returned function, which no caller keeps past its own return.
+    triple is the one a new solve would return, bit for bit. The memo lives
+    as long as the returned function, which no caller keeps past its own return.
     """
     memo = {}
 
@@ -105,12 +115,18 @@ def _reuse(triple_at, keep: bytes | None = None):
         key = a.tobytes()
         triple = memo.get(key)
         if triple is None:
-            triple = triple_at(a)
-            if keep is None or key == keep:
-                memo[key] = triple
+            triple = memo[key] = triple_at(a)
         return triple
 
     return at
+
+
+def _attempt(solve, *args):
+    """solve(*args), or the exception it raised."""
+    try:
+        return solve(*args)
+    except Exception as exc:  # handed back as this member's result
+        return exc
 
 
 def _j_value(triple: PerronTriple, a: np.ndarray) -> float:
@@ -135,11 +151,12 @@ class _Descent:
     bounded: bool
 
 
-def _bfgs(objective, x0: np.ndarray, gtol: float) -> _Descent:
-    """BFGS minimum of `objective` over lambda with lambda(last) = 0, started at lambda[:-1] = x0.
+def _descent(x0: np.ndarray, gtol: float):
+    """BFGS search for the minimum of an objective over lambda with lambda(last) = 0, started at lambda[:-1] = x0.
 
-    `objective(lam)` returns the value and the full gradient at the tilt
-    exp(lam). Each iteration moves along -H g, H the inverse-Hessian
+    A generator: it yields each gauged tilt lambda (the full vector) whose
+    value and full gradient it needs, is sent them as a pair, and returns its
+    `_Descent`. Each iteration moves along -H g, H the inverse-Hessian
     estimate of the BFGS update (Nocedal and Wright, Numerical Optimization,
     2006, ch. 6), by the first of the steps 1, 1/2, 1/4, ... that brings a
     strict decrease of at least 1e-4 of the linear prediction (Armijo). The
@@ -147,8 +164,8 @@ def _bfgs(objective, x0: np.ndarray, gtol: float) -> _Descent:
     (scipy's default), or when the decrease a halved step predicts is lost
     in the rounding of the value (the precision-loss end). A trial step to
     log-weights that spread wider than MAX_TILT_SPREAD ends the search
-    before its Perron solve, with `bounded` False. Every end returns the
-    last accepted point, the lowest value the search has reached.
+    before it is asked for, with `bounded` False. Every end returns the last
+    accepted point, the lowest value the search has reached.
     """
     evaluations = 0
 
@@ -157,11 +174,12 @@ def _bfgs(objective, x0: np.ndarray, gtol: float) -> _Descent:
         lam = np.append(x, 0.0)
         if not lam.max() - lam.min() <= MAX_TILT_SPREAD:  # also catches NaN
             return None
-        value, grad = objective(lam)
+        value, grad = yield lam
         evaluations += 1
         return value, grad[:-1]
 
-    x, start = x0, gauged(x0)
+    x = x0
+    start = yield from gauged(x0)
     if start is None:
         return _Descent(x=x0, value=math.inf, evaluations=0, bounded=False)
     f, g = start
@@ -172,7 +190,7 @@ def _bfgs(objective, x0: np.ndarray, gtol: float) -> _Descent:
         p = -inv_hess @ g
         slope, step = float(g @ p), 1.0
         while True:
-            trial = gauged(x + step * p)
+            trial = yield from gauged(x + step * p)
             if trial is None:
                 return _Descent(x=x, value=f, evaluations=evaluations, bounded=False)
             if trial[0] < f and trial[0] <= f + 1e-4 * step * slope:
@@ -187,6 +205,44 @@ def _bfgs(objective, x0: np.ndarray, gtol: float) -> _Descent:
             hy = inv_hess @ y
             inv_hess += (sy + y @ hy) / sy**2 * np.outer(s, s) - (np.outer(hy, s) + np.outer(s, hy)) / sy
     return _Descent(x=x, value=f, evaluations=evaluations, bounded=True)
+
+
+def _lockstep(searches: list, evaluate) -> list:
+    """Run `_descent` searches round by round; the result of each, in order.
+
+    Each round advances every live search to the tilt it asks for next and
+    passes the round's (search index, lambda) pairs to one `evaluate` call,
+    which returns, in order, each pair's (value, gradient) or the exception
+    its evaluation raised. A search that is handed an exception, or raises
+    one itself, ends with that exception as its result; the others go on.
+    """
+    results = [None] * len(searches)
+    replies = dict.fromkeys(range(len(searches)))
+    while replies:
+        asks = []
+        for i, reply in replies.items():
+            try:
+                asks.append((i, searches[i].send(reply)))
+            except StopIteration as stop:
+                results[i] = stop.value
+            except Exception as exc:  # ends this search only
+                results[i] = exc
+        replies = {}
+        if asks:
+            for (i, _), reply in zip(asks, evaluate(asks)):
+                if isinstance(reply, Exception):
+                    results[i] = reply
+                else:
+                    replies[i] = reply
+    return results
+
+
+def _bfgs(objective, x0: np.ndarray, gtol: float) -> _Descent:
+    """`_descent` on `objective(lam)`, which returns the value and the full gradient at the tilt exp(lam)."""
+    (run,) = _lockstep([_descent(x0, gtol)], lambda asks: [objective(lam) for _, lam in asks])
+    if isinstance(run, Exception):
+        raise run
+    return run
 
 
 def _neg_log_j(sigma: SubStochasticMatrix, lam: np.ndarray, triple_at=None) -> tuple[float, np.ndarray]:
@@ -295,34 +351,77 @@ def _vertex_rate(sigma: SubStochasticMatrix, nu: np.ndarray) -> float | None:
     return math.inf if diag == 0.0 else -math.log(diag)
 
 
+def _transform_point(triple: PerronTriple, nu: np.ndarray, lam: np.ndarray) -> tuple[float, np.ndarray]:
+    """log r - nu lambda and its gradient at log-weights lam, from the Perron triple of the tilt exp(lam).
+
+    By first-order perturbation, d log r / d lambda_t sums rho h over the
+    windows a move toward t enters, those with newest state t (windows
+    indexed newest state first; for the benchmark, state t itself).
+    """
+    grad = (triple.rho * triple.h).reshape(len(nu), -1).sum(axis=1) - nu
+    return math.log(triple.r) - float(nu @ lam), grad
+
+
+def _supremum(run, nu: np.ndarray) -> float:
+    """The transform's value at the end of its search, raising the search's exception or NoConvergenceError."""
+    if isinstance(run, Exception):
+        raise run
+    if not run.bounded:
+        raise NoConvergenceError(f"Legendre transform at nu = {nu.tolist()}: the supremum is not attained")
+    return -run.value
+
+
 def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarray]:
     """(value, maximizer) of sup over lambda of nu lambda - log r(exp lambda), gauge lambda(last) = 0.
 
     `triple_at(a)` is the Perron triple of the tilt by a of the benchmark or of
-    a window chain (windows indexed newest state first). By first-order
-    perturbation, d log r / d lambda_t sums rho h over the windows a move
-    toward t enters, those with newest state t. `_bfgs` maximizes the
-    concave objective on that exact gradient from the flat tilt, where it is
-    -log r, to a gradient of 1e-8 or to its precision-loss stop. A search
-    that steps past MAX_TILT_SPREAD follows a maximizing tilt that runs to
-    infinity and raises NoConvergenceError. Where the supremum is not
+    a window chain, and `_transform_point` gives the objective and its exact
+    gradient. `_bfgs` maximizes the concave objective from the flat tilt,
+    where it is -log r, to a gradient of TRANSFORM_GTOL or to its precision-loss stop.
+    A search that steps past MAX_TILT_SPREAD follows a maximizing tilt that
+    runs to infinity and raises NoConvergenceError. Where the supremum is not
     attained but the objective flattens below rounding before the spread is
     reached (some simplex edges), the search stops there and returns its
     best value. A `witness` tilt bounds the value from below.
     """
 
     def objective(lam):
-        triple = triple_at(np.exp(lam))
-        grad = (triple.rho * triple.h).reshape(len(nu), -1).sum(axis=1) - nu
-        return math.log(triple.r) - float(nu @ lam), grad
+        return _transform_point(triple_at(np.exp(lam)), nu, lam)
 
-    # At a gradient of 1e-8 the value sits within about 1e-16 of the optimum.
-    run = _bfgs(objective, np.zeros(len(nu) - 1), gtol=1e-8)
-    if not run.bounded:
-        raise NoConvergenceError(f"Legendre transform at nu = {nu.tolist()}: the supremum is not attained")
+    run = _bfgs(objective, np.zeros(len(nu) - 1), gtol=TRANSFORM_GTOL)
+    value = _supremum(run, nu)
     if witness is not None:
-        return max(-run.value, -objective(np.append(witness, 0.0))[0]), run.x
-    return -run.value, run.x
+        return max(value, -objective(np.append(witness, 0.0))[0]), run.x
+    return value, run.x
+
+
+def _transform_round(nus: np.ndarray, n: int, stack_of, alone, terms: int | None):
+    """`evaluate` of `_lockstep` for transform searches, search i at nus[i], on operators of n states.
+
+    A round solves each of its distinct tilts once (every search of a table
+    starts at the flat tilt). Up to DENSE_MAX_STATES states `_perron_triples`
+    solves the stacks `stack_of(tilts)` builds, in parts of at most
+    ROUND_BYTES of operators; larger operators are solved one tilt at a time
+    by `alone(a)`. Each pair gets `_transform_point` of its tilt's triple,
+    or the exception that its solve or its point raised.
+    """
+    part = max(1, ROUND_BYTES // (8 * n * n))
+
+    def evaluate(asks):
+        tilts = [np.exp(lam) for _, lam in asks]
+        distinct = {a.tobytes(): a for a in tilts}
+        run = np.array(list(distinct.values()))
+        if n > DENSE_MAX_STATES:
+            triples = [_attempt(alone, a) for a in run]
+        else:
+            triples = [t for at in range(0, len(run), part) for t in _perron_triples(stack_of(run[at : at + part]), terms)]
+        solved = dict(zip(distinct, triples))
+        return [
+            _attempt(_transform_point, triple, nus[i], lam) if isinstance(triple, PerronTriple) else triple
+            for (i, lam), triple in zip(asks, (solved[a.tobytes()] for a in tilts))
+        ]
+
+    return evaluate
 
 
 def rate_function_I(sigma: SubStochasticMatrix, nu) -> float:
@@ -348,13 +447,17 @@ def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_po
     Requires a validated sigma and a bounded law. The grid is every nu with
     coordinates in multiples of 1/(grid_points - 1), lexicographic in
     nu_1..nu_{m-1}: for two states nu = (x, 1 - x) with x rising. Both
-    columns are exact at the vertices; elsewhere `_legendre` maximizes the
-    lifted transform, then the benchmark one, also evaluated at the lifted
-    maximizer lambda_bold. The lifted radius dominates the benchmark one at
-    every tilt, so I_bold = lifted(lambda_bold) <= benchmark(lambda_bold) <= I
-    by construction. Every search starts at the flat tilt, so the table
-    solves the flat window triple and the flat benchmark triple once each
-    and keeps no other: a 101-point m = 3 table makes about 10^5 solves.
+    columns are exact at the vertices. Elsewhere the lifted transforms of
+    all points are maximized in lockstep (`_lockstep`), as `_legendre`
+    maximizes one, then the benchmark ones, each also evaluated at its
+    lifted maximizer lambda_bold. The lifted radius dominates the benchmark
+    one at every tilt, so I_bold = lifted(lambda_bold) <=
+    benchmark(lambda_bold) <= I by construction. A round solves each of its
+    distinct tilts once (all searches start at the flat tilt), as stacks of
+    at most ROUND_BYTES of operators; a 101-point m = 3 table makes about
+    10^5 solves. The table is bit for bit that of a loop over the points in
+    grid order, each running its lifted search, then its benchmark search,
+    and raises the error such a loop raises first.
     """
     if not law.bounded:
         raise ValueError("rate_function_lifted needs a bounded relocation law")
@@ -365,15 +468,38 @@ def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_po
     bars = np.array(list(itertools.combinations(range(k + m - 1), m - 1)), dtype=float)
     nu_grid = (np.diff(bars, axis=1, prepend=-1.0, append=k + m - 1.0) - 1.0) / k
 
-    flat = np.ones(m).tobytes()
-    window_at = _reuse(lambda a: _window_triple(sigma, law, a), keep=flat)
-    benchmark_at = _reuse(lambda a: _benchmark_triple(sigma, a), keep=flat)
     i_vals, i_bold = np.empty((2, len(nu_grid)))
+    inner = []
     for idx, nu in enumerate(nu_grid):
         at_vertex = _vertex_rate(sigma, nu)
-        if at_vertex is not None:
+        if at_vertex is None:
+            inner.append(idx)
+        else:
             i_vals[idx] = i_bold[idx] = at_vertex
-            continue
-        i_bold[idx], lam_bold = _legendre(window_at, nu)
-        i_vals[idx] = _legendre(benchmark_at, nu, witness=lam_bold)[0]
+    nus, entries, start = nu_grid[inner], sigma.entries, np.zeros(m - 1)
+    window_round = _transform_round(
+        nus, m ** (law.support_max + 1), lambda tilts: _dense_lifts(entries * tilts[:, None, :], law),
+        lambda a: _window_triple(sigma, law, a), m,
+    )
+    benchmark_round = _transform_round(
+        nus, m, lambda tilts: entries * tilts[:, None, :], lambda a: _benchmark_triple(sigma, a), None
+    )
+
+    def attained(run):
+        return not isinstance(run, Exception) and run.bounded
+
+    lifted = _lockstep([_descent(start, TRANSFORM_GTOL) for _ in nus], window_round)
+    # A grid-order loop stops at the first point whose lifted search fails, so
+    # only the points before it run their benchmark searches and witnesses.
+    stop = next((j for j, run in enumerate(lifted) if not attained(run)), len(nus))
+    bench = _lockstep([_descent(start, TRANSFORM_GTOL) for _ in range(stop)], benchmark_round)
+    asks = [(j, np.append(lifted[j].x, 0.0)) for j, run in enumerate(bench) if attained(run)]
+    witness = dict(zip((j for j, _ in asks), benchmark_round(asks)))
+    for j, idx in enumerate(inner):
+        i_bold[idx] = _supremum(lifted[j], nus[j])
+        i_vals[idx] = _supremum(bench[j], nus[j])
+        reply = witness[j]
+        if isinstance(reply, Exception):
+            raise reply
+        i_vals[idx] = max(i_vals[idx], -reply[0])
     return RateFunctionTable(nu_grid=nu_grid, i_values=i_vals, i_lifted=i_bold, violations=i_bold > i_vals + 1e-8)

@@ -6,13 +6,15 @@ recent state most significant, so the successor of window index w under a
 new state t is t * m**d + w // m: an integer shift-and-add, no lookup
 tables. The kernel weight from window w toward t is
 sum_i mass(i) * sigma[w_i, t]; the N x m array of these weights is the
-stored object, and `LiftedChain.successors` is the one place the successor
-map is written. `LiftedChain.operator` views the weights as the N x N sparse
+stored object, and `_successor_table` is the one place the successor map is
+written. `LiftedChain.operator` views the weights as the N x N sparse
 window operator (m entries per row, int32 indices); power sweeps and survival
 products run on it. Chains of at most
 DENSE_MAX_STATES windows are solved on `LiftedChain.dense`, which scatters
 the weights straight into an N x N array, so their solves never build the
-sparse form. scipy.sparse is imported only when `operator` is first built.
+sparse form; `_dense_lifts` builds such arrays for a whole stack of tilted
+kernels at once, as the rate tables solve them. scipy.sparse is imported
+only when `operator` is first built.
 """
 
 from __future__ import annotations
@@ -76,9 +78,7 @@ class LiftedChain:
     @cached_property
     def successors(self) -> np.ndarray:
         """N x m successor indices: entry (w, t) is t * m**d + w // m, int32 below 2**31 entries."""
-        n, m = self.n_states, self.m
-        index = np.int32 if n * m < 2**31 else np.int64
-        return np.arange(m, dtype=index) * (n // m) + (np.arange(n, dtype=index) // m)[:, None]
+        return _successor_table(self.n_states, self.m)
 
     @cached_property
     def operator(self) -> sparse.csr_array:
@@ -99,10 +99,7 @@ class LiftedChain:
         The successors of a window are distinct, so the scatter writes each
         weight once and equals `operator.toarray()` exactly.
         """
-        n = self.n_states
-        a = np.zeros((n, n))
-        a[np.arange(n)[:, None], self.successors] = self.weights
-        return a
+        return _scatter(self.weights, self.successors)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """One sub-stochastic sweep u(w) = sum_t weights[w, t] * v(succ(w, t))."""
@@ -159,9 +156,7 @@ def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
     killing); upper adds tail_mass * max_u sigma[u, t] to every weight toward
     t, which dominates the true kernel pointwise.
 
-    The table is built from the oldest window digit up: with W the weights
-    of the windows (w_{i+1}, ..., w_d), prefixing the digit w_i gives
-    tau(i) sigma[w_i] + W, and w_i is the more significant digit.
+    The weights are those of `_window_weights`.
     """
     entries = _nonnegative_entries(sigma)
     if mode not in (EXACT, LOWER, UPPER):
@@ -177,18 +172,67 @@ def build_lifted(sigma, law, mode: str = EXACT) -> LiftedChain:
             best_d=best,
         )
 
-    if m == 1:  # one window whatever d is, of weight sum_i tau(i) sigma[0, 0]
-        depths, masses = [0], [sum(masses)]
-    tau = np.zeros(depths[-1] + 1)
-    tau[depths] = masses
-    weights = tau[-1] * entries
-    for i in range(len(tau) - 2, -1, -1):
-        weights = (tau[i] * entries[:, None, :] + weights[None]).reshape(-1, m)
+    weights = _window_weights(entries, _mass_by_depth(depths, masses, m))
     if mode == UPPER and tail_mass > 0.0:
         weights += tail_mass * entries.max(axis=0)[None, :]
 
     weights.setflags(write=False)
     return LiftedChain(m=m, d=d, weights=weights)
+
+
+def _mass_by_depth(depths: list[int], masses: list[float], m: int) -> np.ndarray:
+    """tau(0), ..., tau(d) of a finite law; for m = 1 the one window's total, as every depth reads state 0."""
+    if m == 1:
+        return np.array([sum(masses)])
+    tau = np.zeros(depths[-1] + 1)
+    tau[depths] = masses
+    return tau
+
+
+def _window_weights(entries: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """N x m window weights of the m x m kernel `entries` under the masses tau, on any leading axes.
+
+    The table is built from the oldest window digit up: with W the weights
+    of the windows (w_{i+1}, ..., w_d), prefixing the digit w_i gives
+    tau(i) sigma[w_i] + W, and w_i is the more significant digit. Every
+    step is elementwise, so a kernel of a stack gets the weights it gets alone.
+    """
+    lead, m = entries.shape[:-2], entries.shape[-1]
+    digit = entries[..., :, None, :]
+    weights = tau[-1] * entries
+    for i in range(len(tau) - 2, -1, -1):
+        weights = (tau[i] * digit + weights[..., None, :, :]).reshape(lead + (-1, m))
+    return weights
+
+
+def _successor_table(n: int, m: int) -> np.ndarray:
+    """N x m successor indices of N windows: entry (w, t) is t * N/m + w // m, int32 below 2**31 entries."""
+    index = np.int32 if n * m < 2**31 else np.int64
+    return np.arange(m, dtype=index) * (n // m) + (np.arange(n, dtype=index) // m)[:, None]
+
+
+def _scatter(weights: np.ndarray, successors: np.ndarray) -> np.ndarray:
+    """Dense N x N window operators of N x m weight tables, on any leading axes.
+
+    Row w holds weights[w, t] in column successors[w, t].
+    """
+    n = weights.shape[-2]
+    a = np.zeros(weights.shape[:-2] + (n, n))
+    a[..., np.arange(n)[:, None], successors] = weights
+    return a
+
+
+def _dense_lifts(kernels: np.ndarray, law: RelocationLaw) -> np.ndarray:
+    """`build_lifted(kernels[k], law).dense()` for every kernel of a (K, m, m) stack, as one (K, N, N) array.
+
+    The kernels must be finite and nonnegative and the law bounded; the
+    weight recursion and the scatter run once on the leading axis, entry
+    for entry as the build of each kernel alone.
+    """
+    depths, masses, _ = _finite_masses(law)
+    m = kernels.shape[-1]
+    weights = _window_weights(kernels, _mass_by_depth(depths, masses, m))
+    return _scatter(weights, _successor_table(weights.shape[-2], m))
 
 
 def lifted_spectral_radius(chain: LiftedChain) -> SpectralResult:
@@ -204,8 +248,19 @@ def lifted_spectral_radius(chain: LiftedChain) -> SpectralResult:
 
 
 def _solve_lift(chain: LiftedChain, envelope: tuple[float, float] | None = None) -> SpectralResult:
-    """`lifted_spectral_radius`, stopped early once the radius is proved outside `envelope`."""
-    return _certified_perron(chain.apply, chain.n_states, chain.dense, terms=chain.m, envelope=envelope)
+    """`lifted_spectral_radius`, stopped early once the radius is proved outside `envelope`.
+
+    The bounds enclose the radius of the exact lift, whose weights are the
+    exact sums of `build_lifted`'s terms, not only of the rounded operator.
+    A built weight sums d + 1 products (d + 2 terms with the majorizing one),
+    so it is within (d + 2) * 2**-53 relative of the exact weight, and a
+    power sweep adds m products of weights: `terms` = m + d + 2 counts both
+    roundings. The dense step widens by all n = m**(d+1) columns of its
+    product, and m + d <= m**(d+1) for m >= 2, so it covers them too; a
+    one-state chain (m = 1) rounds the sum of its masses, which neither
+    count covers past d = 1.
+    """
+    return _certified_perron(chain.apply, chain.n_states, chain.dense, terms=chain.m + chain.d + 2, envelope=envelope)
 
 
 def survival_exact(chain: LiftedChain, init: HistoryWindow, n: int) -> float:

@@ -6,6 +6,13 @@ a shifted power iteration with Ritz restarts otherwise, each accepted only
 on a tight Collatz-Wielandt enclosure), positive tilting, the normalized
 simplex map driven by a tilted matrix, the Hilbert projective metric, and
 Birkhoff contraction coefficients.
+
+The dense step is written once, for a stack of operators
+(`_dense_certificates`): `_perron_triples` solves K small operators and
+their transposes with one dgeev gufunc call and checks every eigenvector
+and forms every Rayleigh quotient at once, and a single solve runs the
+same step on a stack of one. A member that fails the check takes the power
+path alone, so a stacked member's triple is the one its solve alone gives.
 """
 
 from __future__ import annotations
@@ -36,7 +43,13 @@ CW_RTOL = 1e-12  # certified relative width of the Perron radius enclosure
 MAX_SWEEPS = 100_000
 CHECK_EVERY = 16  # power sweeps between Collatz-Wielandt checks
 KRYLOV_SIZE = 3  # Arnoldi basis of a Ritz restart; 3 measured best of 2 to 6 on fig2's lifts
-NORM_EVERY = 4  # defer sup-normalization; growth over 4 steps stays in range
+NORM_EVERY = 4  # defer sup-normalization; growth over 4 steps stays in range (see SCALE_EXPONENT)
+# Between sup-normalizations the power iterate grows or shrinks by about
+# (1.1 r)^NORM_EVERY, which leaves double range for radii beyond about
+# 1e+-77. When the shift's binary exponent exceeds this in size, the power
+# path runs on the operator scaled by 2**-exponent: exact, so every iterate,
+# bound and Ritz vector is the unscaled one times a power of two.
+SCALE_EXPONENT = 100
 # Largest operator solved by a dense eigensolve. Measured per solve on
 # window chains with CSR power sweeps and Ritz restarts (2-core Xeon VM, one
 # BLAS thread): eig 0.31-0.47 vs power 0.81 ms at N=32, 1.5-1.6 vs 1.06 ms at
@@ -225,7 +238,8 @@ def _certified_perron(
     is at most CW_RTOL * r wide. `terms` is the number of summands per row
     of `matvec` (n when omitted). Operators with at most DENSE_MAX_STATES
     states are solved first by LAPACK's dgeev on the n x n matrix that
-    `dense()` builds, through the gufunc that np.linalg.eig wraps: the same
+    `dense()` builds (checked by `_dense_certificates` as a stack of one),
+    through the gufunc that np.linalg.eig wraps: the same
     bits without the wrapper's per-call checks, so the matrix must be finite
     (callers pass validated or `_nonnegative_entries` entries). When dgeev does
     not converge (non-finite eigenvalues), when its eigenvector fails the
@@ -253,15 +267,20 @@ def _certified_perron(
         a = dense()
         with np.errstate(all="ignore"):  # non-convergence shows as NaN, read below
             vals, vecs = _umath_linalg.eig(a, signature="d->DD")
-        k = int(np.argmax(vals.real))  # a NaN, if any, is the argmax
-        top = float(vals[k].real)
-        v = vecs[:, k].real
-        v = v / v[np.argmax(np.abs(v))]
-        if math.isfinite(top) and (v > 0.0).all():
-            lo, hi = _cw_bounds(a @ v / v, n)
-            if hi - lo <= CW_RTOL * hi:
-                return _cw_result(top, v, 0, lo, hi)
+            tops, v, _, bounds, ok = _dense_certificates(vals[None], vecs[None], lambda x: a @ x[0], n)
+        top = tops[0]
+        if ok[0]:
+            return _cw_result(top, v[0], 0, *bounds[0])
+    return _power_perron(matvec, n, top, terms, envelope)
 
+
+def _power_perron(matvec, n: int, top: float, terms: int | None, envelope: tuple[float, float] | None) -> SpectralResult:
+    """The power path of `_certified_perron`, shifted by a tenth of `top` when that is positive.
+
+    When the shift's binary exponent exceeds SCALE_EXPONENT in size, the
+    sweeps run on the operator times 2**-exponent and the bounds are scaled
+    back, so a radius far from 1 neither overflows nor underflows the iterate.
+    """
     terms = n if terms is None else terms
     below, above = (-math.inf, math.inf) if envelope is None else envelope
     v = np.ones(n)
@@ -269,6 +288,16 @@ def _certified_perron(
     shift = 0.1 * (top if top > 0.0 else float(av.max()))
     if not shift > 0.0:
         raise ValueError("zero operator has no Perron radius")
+    scale = 1.0
+    exponent = math.frexp(shift)[1]
+    if abs(exponent) > SCALE_EXPONENT:
+        scale, unscaled = math.ldexp(1.0, -exponent), matvec
+
+        def matvec(x):
+            return unscaled(x) * scale
+
+        av *= scale
+        shift, below, above = shift * scale, below * scale, above * scale
     applied = sweeps = 1
     while applied < MAX_SWEEPS:
         v *= shift
@@ -295,7 +324,7 @@ def _certified_perron(
                     if x_hi - x_lo < hi - lo:
                         v, av, lo, hi = x, ax, x_lo, x_hi
             if _settled(lo, hi, below, above):
-                return _cw_result(0.5 * (lo + hi), v / v.max(), applied, lo, hi)
+                return _cw_result(0.5 * (lo + hi) / scale, v / v.max(), applied, lo / scale, hi / scale)
     raise NoConvergenceError(f"power iteration did not certify in {MAX_SWEEPS} operator applications")
 
 
@@ -341,8 +370,45 @@ def _ritz_vector(matvec, v: np.ndarray, av: np.ndarray) -> np.ndarray | None:
     return x
 
 
+def _dense_certificates(vals, vecs, times, terms: int):
+    """The dense step of the certified solver over K operators: (top, v, av, bounds, ok), one row or item each.
+
+    `vals` (K, n) and `vecs` (K, n, n) are dgeev's eigenvalues and right
+    eigenvectors of the operators, and `times(v)` returns each operator's
+    product av with its row of the (K, n) array v. Per operator: top is the
+    largest real part of an eigenvalue (a NaN, if any, is the argmax), v its
+    eigenvector's real part scaled to max |v| = 1, bounds the widened
+    Collatz-Wielandt interval (lo, hi) of (A v)/v, and ok is True when top
+    is finite, v > 0 and hi - lo <= CW_RTOL * hi. Every array step is
+    elementwise or one product or reduction per operator, so an operator
+    gets the bits it gets in a stack of one. Call it under
+    np.errstate(all="ignore"): a failed row may divide by zero or carry NaN,
+    and its ok is False.
+    """
+    rows, re = np.arange(len(vals)), vals.real
+    k = re.argmax(axis=1)
+    top = re[rows, k].tolist()
+    v = vecs.real[rows, :, k]
+    v /= v[rows, np.abs(v).argmax(axis=1), None]
+    av = times(v)
+    ratio = av / v
+    # The few numbers per operator are cheaper as Python floats than as arrays.
+    extremes = zip(np.minimum.reduce(ratio, 1).tolist(), np.maximum.reduce(ratio, 1).tolist())
+    bounds = [_widened(lo, hi, terms) for lo, hi in extremes]
+    ok = [
+        hi - lo <= CW_RTOL * hi and least > 0.0 and math.isfinite(t)
+        for (lo, hi), least, t in zip(bounds, np.minimum.reduce(v, 1).tolist(), top)
+    ]
+    return top, v, av, bounds, ok
+
+
 def _cw_bounds(ratio: np.ndarray, terms: int) -> tuple[float, float]:
-    """min and max of ratio = (Av)/v, widened to enclose the exact values.
+    """min and max of ratio = (Av)/v, widened by `_widened` to enclose the exact values."""
+    return _widened(float(ratio.min()), float(ratio.max()), terms)
+
+
+def _widened(lo: float, hi: float, terms: int) -> tuple[float, float]:
+    """The rounded extremes lo and hi of (Av)/v, widened outward to enclose the exact ones.
 
     Each entry of Av is a sum of `terms` nonnegative products, so it is
     within terms * 2**-53 relative of the exact one, and the division by v
@@ -351,10 +417,7 @@ def _cw_bounds(ratio: np.ndarray, terms: int) -> tuple[float, float]:
     rounding of the widening itself.
     """
     slack = (terms + 2) * 2.0**-53
-    return (
-        math.nextafter(float(ratio.min()) * (1.0 - slack), 0.0),
-        math.nextafter(float(ratio.max()) * (1.0 + slack), math.inf),
-    )
+    return math.nextafter(lo * (1.0 - slack), 0.0), math.nextafter(hi * (1.0 + slack), math.inf)
 
 
 def _cw_result(radius, v, sweeps, lower, upper) -> SpectralResult:
@@ -386,20 +449,73 @@ def _perron_triple(a, terms: int | None = None) -> PerronTriple:
     `a` is a numpy array, or a scipy sparse array of more than
     DENSE_MAX_STATES states. `terms` counts the summands per row of `a` and
     `a.T` (the order of `a` when omitted): m for a window operator, as every
-    window has m successors and m predecessors.
+    window has m successors and m predecessors. Up to DENSE_MAX_STATES
+    states this is `_perron_triples` on a stack of one; above, the right and
+    left vectors come from two power solves of `_certified_perron`.
     """
     n = a.shape[0]
+    if n <= DENSE_MAX_STATES:
+        triple = _perron_triples(a[None], terms)[0]
+        if isinstance(triple, Exception):
+            raise triple
+        return triple
     at = a.T
-    v = _certified_perron(a.dot, n, lambda: a, terms).right_vector
-    u = _certified_perron(at.dot, n, lambda: at, terms).right_vector
+    v = _certified_perron(a.dot, n, None, terms).right_vector
+    u = _certified_perron(at.dot, n, None, terms).right_vector
+    return _rayleigh_triples((a @ v)[None], v[None], u[None])[0]
 
-    rho = u / u.sum()
-    # Two-sided Rayleigh estimate: error is quadratic in the vector residuals.
-    r = float(rho @ (a @ v) / (rho @ v))
-    h = v / (rho @ v)
+
+def _perron_triples(stack: np.ndarray, terms: int | None = None) -> list:
+    """Perron triples of a (K, n, n) stack of irreducible nonnegative operators, n <= DENSE_MAX_STATES.
+
+    One dgeev gufunc call solves the 2K matrices [A_k; A_k^T], and
+    `_dense_certificates` checks all their vectors at once, the left ones on
+    the transposed views A_k.T, as `_certified_perron` multiplies a
+    transpose. A right or left vector that fails the check is solved again
+    by the power path of `_certified_perron`, shifted by its own eigenvalue,
+    as a solve of that one side alone would do. Entry k is member k's
+    triple, or the exception its solve raised: one member's failure does not
+    stop the others.
+    """
+    size, n = stack.shape[0], stack.shape[-1]
+
+    def times(x):
+        return np.concatenate((stack @ x[:size, :, None], stack.mT @ x[size:, :, None]))[:, :, 0]
+
+    with np.errstate(all="ignore"):  # non-convergence shows as NaN, read below
+        vals, vecs = _umath_linalg.eig(np.concatenate((stack, stack.mT)), signature="d->DD")
+        top, vectors, av, _, ok = _dense_certificates(vals, vecs, times, n)
+    v, u, av = vectors[:size], vectors[size:], av[:size]
+    failed = {}
+    # Right sides come first, as a solve of one operator takes them.
+    for row in [row for row, good in enumerate(ok) if not good]:
+        k = row % size
+        if k not in failed:
+            op = stack[k] if row < size else stack[k].T
+            try:
+                vectors[row] = _power_perron(op.dot, n, top[row], terms, None).right_vector
+                if row < size:
+                    av[k] = op @ v[k]
+            except Exception as exc:  # handed back as member k's result
+                failed[k] = exc
+                v[k] = u[k] = av[k] = 1.0
+    triples = _rayleigh_triples(av, v, u)
+    return [failed.get(k, triple) for k, triple in enumerate(triples)]
+
+
+def _rayleigh_triples(av, v, u) -> list[PerronTriple]:
+    """One PerronTriple per row of the right vectors v, their products av = A v and the left vectors u.
+
+    rho = u / sum(u), r is the two-sided Rayleigh quotient rho A v / rho v,
+    whose error is quadratic in the vector residuals, and h = v / (rho v).
+    """
+    rho = u / np.add.reduce(u, 1, keepdims=True)
+    rho_v = (rho[:, None, :] @ v[:, :, None])[:, 0]
+    r = ((rho[:, None, :] @ av[:, :, None])[:, 0, 0] / rho_v[:, 0]).tolist()
+    h = v / rho_v
     h.setflags(write=False)
     rho.setflags(write=False)
-    return PerronTriple(r=r, h=h, rho=rho)
+    return [PerronTriple(r=r_k, h=h_k, rho=rho_k) for r_k, h_k, rho_k in zip(r, h, rho)]
 
 
 def spectral_radius(matrix) -> float:

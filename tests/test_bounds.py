@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -662,3 +664,151 @@ def test_outside_input_keeps_its_checks(sigma_fig):
         rc.j_objective(sigma_fig, np.ones(3))
     with pytest.raises(rc.NonPositiveInputError):
         rc.j_objective(sigma_fig, [1.0, 0.0])
+
+
+# The three-state matrix and law of ROADMAP's rate-table rows and of CI.
+SIGMA3_CI = [[0.3, 0.3, 0.2], [0.2, 0.4, 0.3], [0.1, 0.3, 0.5]]
+
+
+def grid_order_table(sigma, law, grid_points):
+    """The rate table as it was computed one grid point after another: the oracle of the lockstep table.
+
+    Each point runs the one-search `_legendre` on the lifted transform, then
+    on the benchmark transform with the lifted maximizer as witness; the
+    first error stops the loop.
+    """
+    m, k = sigma.m, grid_points - 1
+    bars = np.array(list(itertools.combinations(range(k + m - 1), m - 1)), dtype=float)
+    nu_grid = (np.diff(bars, axis=1, prepend=-1.0, append=k + m - 1.0) - 1.0) / k
+    i_vals, i_bold = np.empty((2, len(nu_grid)))
+    for idx, nu in enumerate(nu_grid):
+        at_vertex = bounds._vertex_rate(sigma, nu)
+        if at_vertex is not None:
+            i_vals[idx] = i_bold[idx] = at_vertex
+            continue
+        i_bold[idx], lam_bold = _legendre(lambda a: _window_triple(sigma, law, a), nu)
+        i_vals[idx] = _legendre(lambda a: bounds._benchmark_triple(sigma, a), nu, witness=lam_bold)[0]
+    return nu_grid, i_vals, i_bold, i_bold > i_vals + 1e-8
+
+
+def table_bytes(table):
+    if isinstance(table, tuple):
+        return tuple(x.tobytes() for x in table)
+    return tuple(x.tobytes() for x in (table.nu_grid, table.i_values, table.i_lifted, table.violations))
+
+
+def solved_alone(stack, terms=None):
+    """`_perron_triples` with every member solved on its own, as a stack of one."""
+    return [bounds._attempt(matrices._perron_triple, a, terms) for a in stack]
+
+
+TABLE_CASES = {
+    "benchmark-26": (None, [0.5, 0.5], 26),
+    "benchmark-101": (None, [0.5, 0.5], 101),
+    "law3-26": (None, [0.2, 0.3, 0.5], 26),
+    "sigma3-11": (SIGMA3_CI, [0.2, 0.3, 0.5], 11),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_lockstep_table_keeps_the_bits_of_the_grid_order_loop(monkeypatch, sigma_fig, case):
+    entries, masses, grid_points = TABLE_CASES[case]
+    sigma = sigma_fig if entries is None else rc.validate_substochastic(entries)
+    law = rc.RelocationLaw.explicit(masses)
+    want = table_bytes(grid_order_table(sigma, law, grid_points))
+    assert table_bytes(rc.rate_function_lifted(sigma, law, grid_points)) == want
+    if case in ("benchmark-26", "sigma3-11"):
+        monkeypatch.setattr(bounds, "_perron_triples", solved_alone)
+        assert table_bytes(rc.rate_function_lifted(sigma, law, grid_points)) == want
+
+
+def raised(run, *args):
+    """Type and message of the error run(*args) raises."""
+    with pytest.raises(Exception) as info:
+        run(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("entries", [[[0.0, 0.9], [0.4, 0.3]], BADLY_SCALED], ids=["zero_diag", "badly_scaled"])
+def test_table_raises_the_error_the_grid_order_loop_raises_first(entries):
+    sigma = rc.validate_substochastic(entries)
+    law = rc.RelocationLaw.explicit([0.5, 0.5])
+    want = raised(grid_order_table, sigma, law, 5)
+    assert want[0] is rc.NoConvergenceError
+    assert raised(rc.rate_function_lifted, sigma, law, 5) == want
+
+
+@pytest.mark.parametrize("lifted_at, benchmark_at", [(0.7, 0.3), (0.3, 0.7), (0.5, 0.5), (0.4, None)])
+def test_table_errors_follow_the_grid_order_of_interleaved_searches(monkeypatch, sigma_fig, lifted_at, benchmark_at):
+    # The lockstep table runs every lifted search before any benchmark
+    # search, yet raises what the loop raised: at each grid point the lifted
+    # search, then the benchmark search.
+    point = bounds._transform_point
+
+    def failing(triple, nu, lam):
+        kind = "lifted" if len(triple.h) > len(nu) else "benchmark"
+        if round(float(nu[0]), 12) == {"lifted": lifted_at, "benchmark": benchmark_at}[kind]:
+            raise ArithmeticError(f"{kind} search at nu_1 = {nu[0]}")
+        return point(triple, nu, lam)
+
+    monkeypatch.setattr(bounds, "_transform_point", failing)
+    law = rc.RelocationLaw.explicit([0.5, 0.5])
+    want = raised(grid_order_table, sigma_fig, law, 11)
+    first = min(x for x in (lifted_at, benchmark_at) if x is not None)
+    assert want[0] is ArithmeticError and f"nu_1 = {first}" in want[1]
+    assert raised(rc.rate_function_lifted, sigma_fig, law, 11) == want
+
+
+def test_lockstep_searches_end_as_they_end_alone():
+    # Three quadratic searches in one lockstep; the second is handed an error
+    # on its third evaluation. The others end as `_bfgs` ends them alone, bit
+    # for bit, and the second ends with that error.
+    rng = np.random.default_rng(5)
+    hessians = [q @ q.T + 0.1 * np.eye(2) for q in rng.normal(size=(3, 2, 2))]
+
+    def quadratic(hess, lam):
+        grad = hess @ lam[:-1] - 1.0
+        return 0.5 * float(lam[:-1] @ hess @ lam[:-1]) - float(lam[:-1].sum()), np.append(grad, 0.0)
+
+    asked = []
+
+    def evaluate(asks):
+        asked.append([i for i, _ in asks])
+        return [
+            ZeroDivisionError("third ask") if i == 1 and sum(1 in ids for ids in asked) == 3 else quadratic(hessians[i], lam)
+            for i, lam in asks
+        ]
+
+    runs = bounds._lockstep([bounds._descent(np.zeros(2), 1e-10) for _ in hessians], evaluate)
+    assert isinstance(runs[1], ZeroDivisionError)
+    for i in (0, 2):
+        alone = bounds._bfgs(lambda lam: quadratic(hessians[i], lam), np.zeros(2), gtol=1e-10)
+        assert (runs[i].x.tobytes(), runs[i].value, runs[i].evaluations) == (alone.x.tobytes(), alone.value, alone.evaluations)
+    assert len(asked) > 3 and all(1 not in ids for ids in asked[3:])
+
+
+def test_a_table_round_stays_within_its_byte_budget(monkeypatch, sigma_fig):
+    # Six masses make 64-window chains, 32 KiB each, so ROUND_BYTES holds 32
+    # of them and the 99 searches of a 101-point table run in parts. Without
+    # parts a round of 99 would trace about 23 MB (eigenvectors, copies and
+    # stack); with them the whole table stays under 10 * ROUND_BYTES.
+    law = rc.RelocationLaw.explicit([1 / 6] * 6)
+    part = bounds.ROUND_BYTES // (8 * 64 * 64)
+    sizes = []
+    stacked = bounds._perron_triples
+
+    def recording(stack, terms=None):
+        if stack.shape[1] == 64:
+            sizes.append(stack.shape[0])
+        return stacked(stack, terms)
+
+    monkeypatch.setattr(bounds, "_perron_triples", recording)
+    tracemalloc.start()
+    try:
+        table = rc.rate_function_lifted(sigma_fig, law, grid_points=101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) == part and sizes.count(part) >= 3  # rounds split into full parts
+    assert peak < 10 * bounds.ROUND_BYTES
+    assert not table.violations.any()

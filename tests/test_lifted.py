@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import relochain as rc
 from relochain.errors import StateCapExceededError
 from relochain.config import FIG2_EPSILONS
-from relochain.lifted import _lift_row_sums
+from relochain import matrices
+from relochain.lifted import _dense_lifts, _finite_masses, _lift_row_sums
 from relochain.matrices import CHECK_EVERY, CW_RTOL, DENSE_MAX_STATES, NORM_EVERY, _certified_perron, _cw_bounds
 
 from conftest import R_CLOSED, largest_eigenvalue, window_matrix
@@ -117,16 +118,21 @@ def test_small_window_solves_never_build_the_sparse_operator(sigma_fig, monkeypa
     chain = rc.build_lifted(sigma_fig, two_point_law())
     res = rc.lifted_spectral_radius(chain)
     assert res.iterations == 0 and "operator" not in chain.__dict__
-    # The rate table's window chains have 4 windows each.
+    # The rate table's window chains have 4 windows each: it builds them as
+    # dense stacks and never reads a chain's sparse operator.
     built = []
 
-    def recording_build(*args, **kwargs):
-        built.append(rc.build_lifted(*args, **kwargs))
+    def recording_lifts(kernels, law):
+        built.append(_dense_lifts(kernels, law))
         return built[-1]
 
-    monkeypatch.setattr("relochain.bounds.build_lifted", recording_build)
+    def refuse(chain):
+        raise AssertionError("sparse operator built for a 4-window chain")
+
+    monkeypatch.setattr("relochain.bounds._dense_lifts", recording_lifts)
+    monkeypatch.setattr(rc.LiftedChain, "operator", property(refuse))
     rc.rate_function_lifted(sigma_fig, two_point_law(), grid_points=5)
-    assert built and not any("operator" in c.__dict__ for c in built)
+    assert built and all(stack.shape[1:] == (4, 4) for stack in built)
 
 
 @pytest.mark.parametrize(
@@ -681,3 +687,72 @@ def test_bracket_matches_full_solves_bit_for_bit(m, d_maxes):
             br = rc.bracket_radius(sigma, law, delta_tail=1e-6, d_max=d_max)
             got = (br.lo, br.hi, br.d_used, br.tail_mass, br.exact, br.cap_reached)
             assert got == full_solve_bracket(sigma, law, 1e-6, d_max)
+
+
+def exact_ratios(rows, v):
+    """(A v)/v in exact arithmetic; rows[w] lists the (column, Fraction weight) pairs of row w."""
+    x = [Fraction(float(t)) for t in v]
+    return [sum(weight * x[col] for col, weight in row) / x[w] for w, row in enumerate(rows)]
+
+
+def exact_lift_rows(kernel, masses):
+    """Rows of the window operator of a float kernel under float masses, each weight an exact sum."""
+    m, d = kernel.shape[0], len(masses) - 1
+    k = [[Fraction(float(x)) for x in row] for row in kernel]
+    tau = [Fraction(float(t)) for t in masses]
+    rows = []
+    for w in range(m ** (d + 1)):
+        digits = [(w // m ** (d - i)) % m for i in range(d + 1)]  # newest state first
+        rows.append([(t * m**d + w // m, sum(tau[i] * k[digits[i]][t] for i in range(d + 1))) for t in range(m)])
+    return rows
+
+
+def exact_matrix_rows(a):
+    return [[(col, Fraction(float(x))) for col, x in enumerate(row)] for row in a]
+
+
+def assert_encloses(rows, v, lower, upper):
+    ratios = exact_ratios(rows, v)
+    assert Fraction(lower) <= min(ratios) and max(ratios) <= Fraction(upper)
+
+
+AUDIT_LAWS = [[0.5, 0.5], [0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("power", [False, True], ids=["dense", "power"])
+def test_certificates_enclose_the_exact_operators_ratios(monkeypatch, m, power):
+    # The float weights of a lift are rounded sums of d + 1 products, so the
+    # exact lift (its weights summed exactly from the stored kernel entries and
+    # masses) is not the stored operator. Its Collatz-Wielandt ratios at the
+    # returned vector must lie in [lower, upper], checked in Fractions: on
+    # lifts of m = 2 and 3 up to 27 windows and on tilted kernels, for the
+    # stacked dense step, the one-matrix dense step and the power path.
+    if power:
+        monkeypatch.setattr(matrices, "DENSE_MAX_STATES", 0)
+    rng = np.random.default_rng(40 + m)
+    for masses in AUDIT_LAWS if m == 2 else AUDIT_LAWS[:2]:  # at most 27 windows
+        law = rc.RelocationLaw.explicit(masses)
+        depths, law_masses, _ = _finite_masses(law)
+        tau = np.zeros(depths[-1] + 1)
+        tau[depths] = law_masses
+        raw = rng.uniform(0.05, 1.0, size=(m, m))
+        sigma = raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.3, 0.98, size=(m, 1))
+        kernels = sigma * np.exp(rng.uniform(-3.0, 3.0, size=(6, 1, m)))
+        for kernel in kernels:
+            res = rc.lifted_spectral_radius(rc.build_lifted(kernel, law))
+            assert (res.iterations > 0) == power
+            assert_encloses(exact_lift_rows(kernel, tau), res.right_vector, res.lower, res.upper)
+            res = _certified_perron(kernel.dot, m, lambda: kernel)
+            assert_encloses(exact_matrix_rows(kernel), res.right_vector, res.lower, res.upper)
+        if not power:
+            stack = _dense_lifts(kernels, law)
+            n = stack.shape[-1]
+            with np.errstate(all="ignore"):
+                vals, vecs = matrices._umath_linalg.eig(stack, signature="d->DD")
+                _, vectors, _, bounds, ok = matrices._dense_certificates(
+                    vals, vecs, lambda x: (stack @ x[:, :, None])[:, :, 0], n
+                )
+            assert all(ok)
+            for kernel, v, (lower, upper) in zip(kernels, vectors, bounds):
+                assert_encloses(exact_lift_rows(kernel, tau), v, lower, upper)

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -539,7 +540,7 @@ def test_unconverged_eigensolve_falls_back_to_power_iteration(monkeypatch, sigma
     # solver must take the power path, even beside a vector that would
     # certify, and let no RuntimeWarning out.
     def unconverged(a, signature):
-        nan = np.full(a.shape[0], np.inf) - np.inf  # sets the invalid flag, as the gufunc does
+        nan = np.full(a.shape[:-1], np.inf) - np.inf  # sets the invalid flag, as the gufunc does
         return nan.astype(complex), np.linalg.eig(a)[1].astype(complex)
 
     monkeypatch.setattr(matrices, "_umath_linalg", SimpleNamespace(eig=unconverged))
@@ -551,6 +552,134 @@ def test_unconverged_eigensolve_falls_back_to_power_iteration(monkeypatch, sigma
     assert res.iterations > 0
     assert res.lower <= R_CLOSED <= res.upper
     assert triple.r == pytest.approx(R_CLOSED, rel=1e-12)
+
+
+def reference_triple(a, terms=None):
+    """The Perron triple as `_perron_triple` computed it one operator at a time: two solves, then the Rayleigh quotient."""
+    n, at = a.shape[0], a.T
+    v = _certified_perron(a.dot, n, lambda: a, terms).right_vector
+    u = _certified_perron(at.dot, n, lambda: at, terms).right_vector
+    rho = u / u.sum()
+    r = float(rho @ (a @ v) / (rho @ v))
+    return r, v / (rho @ v), rho
+
+
+def triple_bits(triple):
+    """A triple's bits, or the type and message of the error that stood for it."""
+    if isinstance(triple, Exception):
+        return type(triple), str(triple)
+    if isinstance(triple, tuple):
+        r, h, rho = triple
+    else:
+        r, h, rho = triple.r, triple.h, triple.rho
+    return r.hex(), h.tobytes(), rho.tobytes()
+
+
+def outcome_of(solve, *args):
+    try:
+        return triple_bits(solve(*args))
+    except (NoConvergenceError, ValueError) as exc:
+        return triple_bits(exc)
+
+
+# Tilted by exp(-S) on state 0, the window chains of this matrix fail the
+# dense certificate at S = 45 and 60 (see test_bounds.py).
+BADLY_SCALED = [[0.3, 0.6, 0.0], [0.0, 0.0, 0.9], [0.8, 0.0, 0.0]]
+
+
+def stacked_test_operators(n, size, seed):
+    """`size` nonnegative n x n operators of mixed kinds, as one (size, n, n) stack."""
+    rng = np.random.default_rng(seed)
+    kinds = ["positive", "zeros", "scaled", "periodic"]
+    return np.array([dense_test_matrix(kinds[int(rng.integers(4))], n, int(rng.integers(2**32))) for _ in range(size)])
+
+
+@pytest.mark.parametrize("n, size, seed", [(2, 1, 0), (2, 40, 1), (3, 17, 2), (4, 33, 3), (9, 12, 4), (16, 9, 5), (27, 6, 6), (64, 3, 7)])
+def test_stacked_triples_keep_the_bits_of_single_solves(monkeypatch, n, size, seed):
+    # Every member of a stack gets the triple a solve of it alone gives, and
+    # the one the one-operator solver gave before stacks existed; a member
+    # that fails the dense certificate takes the power path, and one whose
+    # solve raises gives back that error without stopping the others.
+    stack = stacked_test_operators(n, size, seed)
+    powered = []
+    power_perron = matrices._power_perron
+
+    def recording(matvec, *args):
+        powered.append(args)
+        return power_perron(matvec, *args)
+
+    monkeypatch.setattr(matrices, "_power_perron", recording)
+    stacked = [triple_bits(t) for t in matrices._perron_triples(stack)]
+    assert stacked == [outcome_of(matrices._perron_triple, a) for a in stack]
+    assert stacked == [outcome_of(reference_triple, a) for a in stack]
+    if seed in (3, 5):  # these stacks hold members that fall back
+        assert powered
+
+
+@pytest.mark.parametrize("spread", [45, 60])
+def test_badly_scaled_members_fall_back_alone(monkeypatch, spread):
+    # The window chains of BADLY_SCALED tilted by exp(-S) on state 0 fail the
+    # dense certificate; in a stack with well-scaled tilts, only they take the
+    # power path, and every member keeps the bits of its solve alone.
+    sigma = np.array(BADLY_SCALED)
+    law = rc.RelocationLaw.explicit([0.5, 0.5])
+    tilts = [np.exp([-spread, 0.0, 0.0]), np.ones(3), np.exp([0.3, -0.2, 0.0]), np.exp([-spread, 0.5, 0.0])]
+    stack = np.array([rc.build_lifted(sigma * a, law).dense() for a in tilts])
+    powered = []
+    power_perron = matrices._power_perron
+
+    def recording(matvec, n, top, *args):
+        powered.append(top)
+        return power_perron(matvec, n, top, *args)
+
+    monkeypatch.setattr(matrices, "_power_perron", recording)
+    stacked = [triple_bits(t) for t in matrices._perron_triples(stack, 3)]
+    falls = len(powered)
+    assert falls >= 2
+    assert stacked == [outcome_of(reference_triple, a, 3) for a in stack]
+    assert len(powered) == 2 * falls  # the reference solves took the same power paths
+
+
+def test_a_member_that_raises_leaves_the_rest_of_its_stack(sigma_fig):
+    # [[0.5, 0.1], [0, 0.3]] is reducible: its Perron vector has a zero entry,
+    # so the power path raises; the members beside it are solved as usual.
+    reducible = np.array([[0.5, 0.1], [0.0, 0.3]])
+    stack = np.array([sigma_fig.entries, reducible, sigma_fig.entries * [1.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        triples = matrices._perron_triples(stack)
+    assert isinstance(triples[1], NoConvergenceError) and "strict positivity" in str(triples[1])
+    with pytest.raises(NoConvergenceError, match="strict positivity"):
+        matrices._perron_triple(reducible)
+    for k in (0, 2):
+        assert triple_bits(triples[k]) == triple_bits(reference_triple(stack[k]))
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e250, 1e-100, 1e-250])
+def test_power_path_certifies_huge_and_tiny_radii(scale):
+    # The radius of a constant 65 x 65 matrix is 65 times its entry. Past
+    # about 1e+-77 the iterate used to overflow or underflow between
+    # sup-normalizations (RuntimeWarnings, then NoConvergenceError).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _certified_perron(np.full((65, 65), scale).dot, 65, None)
+    exact = 65 * Fraction(scale)
+    assert Fraction(res.lower) <= exact <= Fraction(res.upper)
+    assert res.upper - res.lower <= CW_RTOL * res.upper
+
+
+@pytest.mark.parametrize("power", [400, -400, 150])
+def test_power_path_rescale_is_exact(power):
+    # An operator scaled by 2**power is solved as the operator itself: every
+    # bound and vector is the unscaled one times a power of two.
+    rng = np.random.default_rng(11)
+    a = rng.uniform(0.0, 0.2, size=(80, 80))  # row sums near 8: a shift near 0.8, not rescaled
+    base = _certified_perron(a.dot, 80, None)
+    scaled_a = a * 2.0**power
+    scaled = _certified_perron(scaled_a.dot, 80, None)
+    assert scaled.iterations == base.iterations
+    assert (scaled.lower, scaled.upper, scaled.radius) == tuple(x * 2.0**power for x in (base.lower, base.upper, base.radius))
+    assert scaled.right_vector.tobytes() == base.right_vector.tobytes()
 
 
 def test_matrix_text_roundtrip(sigma_fig):
