@@ -13,15 +13,16 @@ each tilt it wants evaluated and is sent the value and gradient, so one
 driver (`_lockstep`) can advance many searches a round at a time and
 evaluate each round's tilts together; `_bfgs` is the driver with one
 search. A rate table runs the searches of all its grid points so, and
-solves each round's distinct tilts as one stack (`_perron_triples`). For the transforms the gradient is
-the newest-state marginal of rho h. For log J = log r - rho lambda it is
-rho h minus the derivative of rho lambda, which takes one bordered solve
-with the tilted matrix A: [[A - rI, h], [rho, 0]] (x, mu) =
-(lambda - (rho lambda) 1, 0) gives d(rho lambda)/d lambda_t =
-rho_t + r rho_t h_t (rho x) - r rho_t x_t (derivatives of Perron vectors:
-Golub and Meyer, SIAM J. Algebraic Discrete Methods 7, 1986; Meyer and
-Stewart, SIAM J. Numer. Anal. 25, 1988). The benchmark transform is also
-evaluated at the lifted maximizer, so I_bold <= I holds by construction.
+solves each round's distinct tilts as one stack (`_perron_triples`). For
+the transforms the gradient is the newest-state marginal of rho h. For
+log J = log r - rho lambda it is rho h minus the derivative of rho lambda,
+which takes one bordered solve with the tilted matrix A:
+[[A - rI, h], [rho, 0]] (x, mu) = (lambda - (rho lambda) 1, 0) gives
+d(rho lambda)/d lambda_t = rho_t + r rho_t h_t (rho x) - r rho_t x_t
+(derivatives of Perron vectors: Golub and Meyer, SIAM J. Algebraic
+Discrete Methods 7, 1986; Meyer and Stewart, SIAM J. Numer. Anal. 25,
+1988). The benchmark transform is also evaluated at the lifted maximizer,
+so I_bold <= I holds by construction.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NoConvergenceError
-from .lifted import _dense_lifts, build_lifted
+from .lifted import _affordable_depth, _dense_lifts, build_lifted
 from .matrices import DENSE_MAX_STATES, PerronTriple, SubStochasticMatrix, _perron_triple, _perron_triples, tilt_vector
 from .relocation import RelocationLaw
 from .simulate import RngSpec
@@ -395,26 +396,35 @@ def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarra
     return value, run.x
 
 
-def _transform_round(nus: np.ndarray, n: int, stack_of, alone, terms: int | None):
+def _transform_round(nus: np.ndarray, n: int | None, stack_of, alone, terms: int | None):
     """`evaluate` of `_lockstep` for transform searches, search i at nus[i], on operators of n states.
 
     A round solves each of its distinct tilts once (every search of a table
     starts at the flat tilt). Up to DENSE_MAX_STATES states `_perron_triples`
     solves the stacks `stack_of(tilts)` builds, in parts of at most
-    ROUND_BYTES of operators; larger operators are solved one tilt at a time
-    by `alone(a)`. Each pair gets `_transform_point` of its tilt's triple,
-    or the exception that its solve or its point raised.
+    ROUND_BYTES of operators; a part whose solve raises is solved again one
+    operator at a time, so only the members that raise fail. Larger
+    operators, and those past the state cap (n None), are solved one tilt at
+    a time by `alone(a)`. Each pair gets `_transform_point` of its tilt's
+    triple, or the exception that its solve or its point raised.
     """
-    part = max(1, ROUND_BYTES // (8 * n * n))
+    stacked = n is not None and n <= DENSE_MAX_STATES
+    part = max(1, ROUND_BYTES // (8 * n * n)) if stacked else 1
+
+    def solve(tilts):
+        if not stacked:
+            return [_attempt(alone, a) for a in tilts]
+        stack = stack_of(tilts)
+        try:
+            return _perron_triples(stack, terms)
+        except Exception:  # the members that raise alone fail alone
+            return [_attempt(_perron_triple, op, terms) for op in stack]
 
     def evaluate(asks):
         tilts = [np.exp(lam) for _, lam in asks]
         distinct = {a.tobytes(): a for a in tilts}
         run = np.array(list(distinct.values()))
-        if n > DENSE_MAX_STATES:
-            triples = [_attempt(alone, a) for a in run]
-        else:
-            triples = [t for at in range(0, len(run), part) for t in _perron_triples(stack_of(run[at : at + part]), terms)]
+        triples = [t for at in range(0, len(run), part) for t in solve(run[at : at + part])]
         solved = dict(zip(distinct, triples))
         return [
             _attempt(_transform_point, triple, nus[i], lam) if isinstance(triple, PerronTriple) else triple
@@ -476,9 +486,13 @@ def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_po
             inner.append(idx)
         else:
             i_vals[idx] = i_bold[idx] = at_vertex
-    nus, entries, start = nu_grid[inner], sigma.entries, np.zeros(m - 1)
+    nus, entries, start, d = nu_grid[inner], sigma.entries, np.zeros(m - 1), law.support_max
+    # Compared through the depth, as build_lifted compares, so a far point
+    # mass never forms m**(d+1): a chain past the state cap is left to the
+    # solve alone, whose build raises StateCapExceededError.
+    windows = m ** (d + 1) if _affordable_depth(m, d) == d else None
     window_round = _transform_round(
-        nus, m ** (law.support_max + 1), lambda tilts: _dense_lifts(entries * tilts[:, None, :], law),
+        nus, windows, lambda tilts: _dense_lifts(entries * tilts[:, None, :], law),
         lambda a: _window_triple(sigma, law, a), m,
     )
     benchmark_round = _transform_round(

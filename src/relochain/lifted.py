@@ -252,13 +252,13 @@ def _solve_lift(chain: LiftedChain, envelope: tuple[float, float] | None = None)
 
     The bounds enclose the radius of the exact lift, whose weights are the
     exact sums of `build_lifted`'s terms, not only of the rounded operator.
-    A built weight sums d + 1 products (d + 2 terms with the majorizing one),
-    so it is within (d + 2) * 2**-53 relative of the exact weight, and a
-    power sweep adds m products of weights: `terms` = m + d + 2 counts both
-    roundings. The dense step widens by all n = m**(d+1) columns of its
-    product, and m + d <= m**(d+1) for m >= 2, so it covers them too; a
-    one-state chain (m = 1) rounds the sum of its masses, which neither
-    count covers past d = 1.
+    A built weight sums d + 1 products (d + 2 terms with the majorizing one;
+    for m = 1, the sum of the masses times sigma), so it is within
+    (d + 2) * 2**-53 relative of the exact weight, and a product with the
+    operator sums m nonzero products of weights: `terms` = m + d + 2 counts
+    both roundings. The dense step widens by the larger of `terms` and its
+    n = m**(d+1) columns, so it counts both as well: its product adds n - m
+    exact zeros.
     """
     return _certified_perron(chain.apply, chain.n_states, chain.dense, terms=chain.m + chain.d + 2, envelope=envelope)
 

@@ -236,10 +236,11 @@ def _certified_perron(
     For any strictly positive v, min (Av)/v <= r <= max (Av)/v; a result is
     returned only once that interval, widened for rounding (`_cw_bounds`),
     is at most CW_RTOL * r wide. `terms` is the number of summands per row
-    of `matvec` (n when omitted). Operators with at most DENSE_MAX_STATES
-    states are solved first by LAPACK's dgeev on the n x n matrix that
-    `dense()` builds (checked by `_dense_certificates` as a stack of one),
-    through the gufunc that np.linalg.eig wraps: the same
+    of `matvec` (n when omitted), or more to count other rounding; the dense
+    step widens by the larger of n and `terms`. Operators with at most
+    DENSE_MAX_STATES states are solved first by LAPACK's dgeev on the n x n
+    matrix that `dense()` builds (checked by `_dense_certificates` as a
+    stack of one), through the gufunc that np.linalg.eig wraps: the same
     bits without the wrapper's per-call checks, so the matrix must be finite
     (callers pass validated or `_nonnegative_entries` entries). When dgeev does
     not converge (non-finite eigenvalues), when its eigenvector fails the
@@ -266,8 +267,8 @@ def _certified_perron(
     if n <= DENSE_MAX_STATES:
         a = dense()
         with np.errstate(all="ignore"):  # non-convergence shows as NaN, read below
-            vals, vecs = _umath_linalg.eig(a, signature="d->DD")
-            tops, v, _, bounds, ok = _dense_certificates(vals[None], vecs[None], lambda x: a @ x[0], n)
+            vals, vecs = _umath_linalg.eig(a[None], signature="d->DD")
+            tops, v, _, bounds, ok = _dense_certificates(vals, vecs, lambda x: a @ x[0], terms)
         top = tops[0]
         if ok[0]:
             return _cw_result(top, v[0], 0, *bounds[0])
@@ -370,7 +371,7 @@ def _ritz_vector(matvec, v: np.ndarray, av: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def _dense_certificates(vals, vecs, times, terms: int):
+def _dense_certificates(vals, vecs, times, terms: int | None):
     """The dense step of the certified solver over K operators: (top, v, av, bounds, ok), one row or item each.
 
     `vals` (K, n) and `vecs` (K, n, n) are dgeev's eigenvalues and right
@@ -379,26 +380,39 @@ def _dense_certificates(vals, vecs, times, terms: int):
     largest real part of an eigenvalue (a NaN, if any, is the argmax), v its
     eigenvector's real part scaled to max |v| = 1, bounds the widened
     Collatz-Wielandt interval (lo, hi) of (A v)/v, and ok is True when top
-    is finite, v > 0 and hi - lo <= CW_RTOL * hi. Every array step is
+    is finite, v > 0 and hi - lo <= CW_RTOL * hi. The products sum n terms,
+    so the bounds widen by the larger of n and `terms` (n when None), which
+    may count other rounding, as a lift's weights do. Every array step is
     elementwise or one product or reduction per operator, so an operator
     gets the bits it gets in a stack of one. Call it under
     np.errstate(all="ignore"): a failed row may divide by zero or carry NaN,
     and its ok is False.
     """
-    rows, re = np.arange(len(vals)), vals.real
-    k = re.argmax(axis=1)
-    top = re[rows, k].tolist()
-    v = vecs.real[rows, :, k]
-    v /= v[rows, np.abs(v).argmax(axis=1), None]
+    re, n = vals.real, vals.shape[-1]
+    terms = n if terms is None else max(n, terms)
+    # Rows of (A v)/v, its negation and v, so that one min reduction gives
+    # each operator's lo, -hi and least entry; negation is exact.
+    parts = np.empty((3, len(vals), n))
+    if len(vals) == 1:  # a single solve's stack of one: basic indexing, the same elements
+        k = int(re[0].argmax())
+        top = [re.item(k)]
+        v = vecs.real[:, :, k]
+        v = np.divide(v, v[0, abs(v[0]).argmax()], out=parts[2])
+    else:
+        rows = np.arange(len(vals))
+        k = re.argmax(axis=1)
+        top = re[rows, k].tolist()
+        v = vecs.real[rows, :, k]
+        v = np.divide(v, v[rows, np.abs(v).argmax(axis=1), None], out=parts[2])
     av = times(v)
-    ratio = av / v
+    np.divide(av, v, out=parts[0])
+    np.negative(parts[0], out=parts[1])
     # The few numbers per operator are cheaper as Python floats than as arrays.
-    extremes = zip(np.minimum.reduce(ratio, 1).tolist(), np.maximum.reduce(ratio, 1).tolist())
-    bounds = [_widened(lo, hi, terms) for lo, hi in extremes]
-    ok = [
-        hi - lo <= CW_RTOL * hi and least > 0.0 and math.isfinite(t)
-        for (lo, hi), least, t in zip(bounds, np.minimum.reduce(v, 1).tolist(), top)
-    ]
+    bounds, ok = [], []
+    for lo, neg_hi, least, t in zip(*np.minimum.reduce(parts, 2).tolist(), top):
+        lo, hi = _widened(lo, -neg_hi, terms)
+        bounds.append((lo, hi))
+        ok.append(hi - lo <= CW_RTOL * hi and least > 0.0 and math.isfinite(t))
     return top, v, av, bounds, ok
 
 
@@ -455,17 +469,14 @@ def _perron_triple(a, terms: int | None = None) -> PerronTriple:
     """
     n = a.shape[0]
     if n <= DENSE_MAX_STATES:
-        triple = _perron_triples(a[None], terms)[0]
-        if isinstance(triple, Exception):
-            raise triple
-        return triple
+        return _perron_triples(a[None], terms)[0]
     at = a.T
     v = _certified_perron(a.dot, n, None, terms).right_vector
     u = _certified_perron(at.dot, n, None, terms).right_vector
     return _rayleigh_triples((a @ v)[None], v[None], u[None])[0]
 
 
-def _perron_triples(stack: np.ndarray, terms: int | None = None) -> list:
+def _perron_triples(stack: np.ndarray, terms: int | None = None) -> list[PerronTriple]:
     """Perron triples of a (K, n, n) stack of irreducible nonnegative operators, n <= DENSE_MAX_STATES.
 
     One dgeev gufunc call solves the 2K matrices [A_k; A_k^T], and
@@ -473,9 +484,8 @@ def _perron_triples(stack: np.ndarray, terms: int | None = None) -> list:
     the transposed views A_k.T, as `_certified_perron` multiplies a
     transpose. A right or left vector that fails the check is solved again
     by the power path of `_certified_perron`, shifted by its own eigenvalue,
-    as a solve of that one side alone would do. Entry k is member k's
-    triple, or the exception its solve raised: one member's failure does not
-    stop the others.
+    as a solve of that one side alone would do; the first such solve that
+    raises ends the call with its exception.
     """
     size, n = stack.shape[0], stack.shape[-1]
 
@@ -484,23 +494,15 @@ def _perron_triples(stack: np.ndarray, terms: int | None = None) -> list:
 
     with np.errstate(all="ignore"):  # non-convergence shows as NaN, read below
         vals, vecs = _umath_linalg.eig(np.concatenate((stack, stack.mT)), signature="d->DD")
-        top, vectors, av, _, ok = _dense_certificates(vals, vecs, times, n)
+        top, vectors, av, _, ok = _dense_certificates(vals, vecs, times, terms)
     v, u, av = vectors[:size], vectors[size:], av[:size]
-    failed = {}
     # Right sides come first, as a solve of one operator takes them.
     for row in [row for row, good in enumerate(ok) if not good]:
-        k = row % size
-        if k not in failed:
-            op = stack[k] if row < size else stack[k].T
-            try:
-                vectors[row] = _power_perron(op.dot, n, top[row], terms, None).right_vector
-                if row < size:
-                    av[k] = op @ v[k]
-            except Exception as exc:  # handed back as member k's result
-                failed[k] = exc
-                v[k] = u[k] = av[k] = 1.0
-    triples = _rayleigh_triples(av, v, u)
-    return [failed.get(k, triple) for k, triple in enumerate(triples)]
+        op = stack[row] if row < size else stack[row - size].T
+        vectors[row] = _power_perron(op.dot, n, top[row], terms, None).right_vector
+        if row < size:
+            av[row] = op @ v[row]
+    return _rayleigh_triples(av, v, u)
 
 
 def _rayleigh_triples(av, v, u) -> list[PerronTriple]:

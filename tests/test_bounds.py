@@ -812,3 +812,41 @@ def test_a_table_round_stays_within_its_byte_budget(monkeypatch, sigma_fig):
     assert max(sizes) == part and sizes.count(part) >= 3  # rounds split into full parts
     assert peak < 10 * bounds.ROUND_BYTES
     assert not table.violations.any()
+
+
+def test_a_member_that_raises_leaves_the_rest_of_its_round(sigma_fig):
+    # The tilt (2, 1) is solved as the reducible [[0.5, 0.1], [0, 0.3]], whose
+    # power path raises: its search gets that error, the others their points.
+    reducible = np.array([[0.5, 0.1], [0.0, 0.3]])
+
+    def stack_of(tilts):
+        return np.array([reducible if t[0] == 2.0 else sigma_fig.entries * t for t in tilts])
+
+    nus = np.array([[0.3, 0.7], [0.5, 0.5], [0.6, 0.4]])
+    lams = [np.array([0.0, 0.0]), np.log([2.0, 1.0]), np.array([0.4, 0.0])]
+    evaluate = bounds._transform_round(nus, 2, stack_of, None, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        replies = evaluate(list(enumerate(lams)))
+    assert isinstance(replies[1], rc.NoConvergenceError) and "strict positivity" in str(replies[1])
+    for i in (0, 2):
+        value, grad = bounds._transform_point(bounds._perron_triple(stack_of([np.exp(lams[i])])[0]), nus[i], lams[i])
+        assert replies[i][0] == value and replies[i][1].tobytes() == grad.tobytes()
+
+
+def test_a_table_past_the_state_cap_raises_before_building_a_lift(sigma_fig):
+    # dirac(10**15) would have 2**(10**15 + 1) windows. The table compares
+    # through the depth, as build_lifted does, and raises build_lifted's error
+    # at its first evaluation, without forming that count.
+    law = rc.RelocationLaw.dirac(10**15)
+    with pytest.raises(rc.StateCapExceededError) as alone:
+        rc.build_lifted(sigma_fig, law)
+    tracemalloc.start()
+    try:
+        with pytest.raises(rc.StateCapExceededError) as caught:
+            rc.rate_function_lifted(sigma_fig, law, grid_points=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == str(alone.value)
+    assert peak < 2**20

@@ -11,7 +11,7 @@ import relochain as rc
 from relochain.errors import StateCapExceededError
 from relochain.config import FIG2_EPSILONS
 from relochain import matrices
-from relochain.lifted import _dense_lifts, _finite_masses, _lift_row_sums
+from relochain.lifted import LOWER, UPPER, _dense_lifts, _finite_masses, _lift_row_sums
 from relochain.matrices import CHECK_EVERY, CW_RTOL, DENSE_MAX_STATES, NORM_EVERY, _certified_perron, _cw_bounds
 
 from conftest import R_CLOSED, largest_eigenvalue, window_matrix
@@ -695,15 +695,21 @@ def exact_ratios(rows, v):
     return [sum(weight * x[col] for col, weight in row) / x[w] for w, row in enumerate(rows)]
 
 
-def exact_lift_rows(kernel, masses):
-    """Rows of the window operator of a float kernel under float masses, each weight an exact sum."""
+def exact_lift_rows(kernel, masses, tail_mass=0.0):
+    """Rows of the window operator of a float kernel under float masses, each weight an exact sum.
+
+    A positive `tail_mass` adds the majorizing term tail_mass * max_u kernel[u, t] of an upper lift.
+    """
     m, d = kernel.shape[0], len(masses) - 1
     k = [[Fraction(float(x)) for x in row] for row in kernel]
     tau = [Fraction(float(t)) for t in masses]
+    top = [Fraction(float(tail_mass)) * max(row[t] for row in k) for t in range(m)]
     rows = []
     for w in range(m ** (d + 1)):
         digits = [(w // m ** (d - i)) % m for i in range(d + 1)]  # newest state first
-        rows.append([(t * m**d + w // m, sum(tau[i] * k[digits[i]][t] for i in range(d + 1))) for t in range(m)])
+        rows.append(
+            [(t * m**d + w // m, sum(tau[i] * k[digits[i]][t] for i in range(d + 1)) + top[t]) for t in range(m)]
+        )
     return rows
 
 
@@ -726,8 +732,9 @@ def test_certificates_enclose_the_exact_operators_ratios(monkeypatch, m, power):
     # exact lift (its weights summed exactly from the stored kernel entries and
     # masses) is not the stored operator. Its Collatz-Wielandt ratios at the
     # returned vector must lie in [lower, upper], checked in Fractions: on
-    # lifts of m = 2 and 3 up to 27 windows and on tilted kernels, for the
-    # stacked dense step, the one-matrix dense step and the power path.
+    # lifts of m = 2 and 3 up to 27 windows, on truncated lower and upper
+    # lifts at d <= 1 and on tilted kernels, for the stacked dense step, the
+    # one-matrix dense step and the power path.
     if power:
         monkeypatch.setattr(matrices, "DENSE_MAX_STATES", 0)
     rng = np.random.default_rng(40 + m)
@@ -756,3 +763,13 @@ def test_certificates_enclose_the_exact_operators_ratios(monkeypatch, m, power):
             assert all(ok)
             for kernel, v, (lower, upper) in zip(kernels, vectors, bounds):
                 assert_encloses(exact_lift_rows(kernel, tau), v, lower, upper)
+    # Truncated lifts at d <= 1, the conservative one and the majorized one: their
+    # n = m**(d+1) columns are fewer than the m + d + 2 terms a lift counts.
+    for d_max in (0, 1) if m == 2 else (0,):
+        trunc = rc.truncate_law(rc.RelocationLaw.geometric(0.5), 1e-6, d_max)
+        for mode, tail_mass in ((LOWER, 0.0), (UPPER, trunc.tail_mass)):
+            for kernel in kernels:
+                res = rc.lifted_spectral_radius(rc.build_lifted(kernel, trunc, mode))
+                assert (res.iterations > 0) == power
+                rows = exact_lift_rows(kernel, trunc.masses, tail_mass)
+                assert_encloses(rows, res.right_vector, res.lower, res.upper)
