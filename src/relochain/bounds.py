@@ -12,11 +12,16 @@ any number of states, on exact gradients. It is a generator that yields
 each tilt it wants evaluated and is sent the value and gradient, so one
 driver (`_lockstep`) can advance many searches a round at a time and
 evaluate each round's tilts together; `_bfgs` is the driver with one
-search. A rate table runs the searches of all its grid points so, and
-solves each round's distinct tilts as one stack (`_perron_triples`). For
+search. `_optimize_j_batch` runs the three starts of every matrix of a
+batch so (`optimize_j` is its batch of one, the conjecture scan's batch
+holds all its cases), keeping a memo per matrix so that a call solves each
+distinct tilt once; a rate table runs the searches of all its grid points
+so. Each round solves the tilts it has not solved yet as one stack
+(`_perron_triples`) and evaluates all its gradients as one array step. For
 the transforms the gradient is the newest-state marginal of rho h. For
 log J = log r - rho lambda it is rho h minus the derivative of rho lambda,
-which takes one bordered solve with the tilted matrix A:
+which takes one bordered solve with the tilted matrix A (a round's solves
+are one stacked dgesv call):
 [[A - rI, h], [rho, 0]] (x, mu) = (lambda - (rho lambda) 1, 0) gives
 d(rho lambda)/d lambda_t = rho_t + r rho_t h_t (rho x) - r rho_t x_t
 (derivatives of Perron vectors: Golub and Meyer, SIAM J. Algebraic
@@ -103,23 +108,13 @@ def _benchmark_triple(sigma: SubStochasticMatrix, a: np.ndarray) -> PerronTriple
     return _perron_triple(sigma.entries * a)
 
 
-def _reuse(triple_at):
-    """`triple_at`, serving a tilt it has already solved from the triple it kept.
+def _tilt_keys(tilts: np.ndarray) -> list[bytes]:
+    """The keys under which the solved triples of the rows of a (K, m) array of tilts are kept: their bytes.
 
-    Tilts are keyed by their bytes; the solver is deterministic, so a kept
-    triple is the one a new solve would return, bit for bit. The memo lives
-    as long as the returned function, which no caller keeps past its own return.
+    The solver is deterministic, so a kept triple is the one a new solve of
+    the same tilt would return, bit for bit.
     """
-    memo = {}
-
-    def at(a: np.ndarray) -> PerronTriple:
-        key = a.tobytes()
-        triple = memo.get(key)
-        if triple is None:
-            triple = memo[key] = triple_at(a)
-        return triple
-
-    return at
+    return [a.tobytes() for a in tilts]
 
 
 def _attempt(solve, *args):
@@ -128,6 +123,42 @@ def _attempt(solve, *args):
         return solve(*args)
     except Exception as exc:  # handed back as this member's result
         return exc
+
+
+def _solved(count: int, stack_of, n: int, terms: int | None) -> list:
+    """Perron triples of `count` operators of n <= DENSE_MAX_STATES states, in order, each or the exception its solve raised.
+
+    `stack_of(part)` builds the operators of a slice of them. `_perron_triples`
+    solves them in parts of at most ROUND_BYTES of operators; a part whose
+    solve raises is solved again one operator at a time, so only the members
+    that raise fail.
+    """
+    size = max(1, ROUND_BYTES // (8 * n * n))
+    triples = []
+    for at in range(0, count, size):
+        stack = stack_of(slice(at, at + size))
+        try:
+            triples += _perron_triples(stack, terms)
+        except Exception:  # the members that raise alone fail alone
+            triples += [_attempt(_perron_triple, op, terms) for op in stack]
+    return triples
+
+
+def _replies(found: list, point) -> list:
+    """`found` with each PerronTriple replaced by its reply; an exception stays in its place.
+
+    `point(rows, triples)` returns, in order, the replies of the members at
+    `rows` (an index list, or slice(None) when every member is a triple),
+    whose triples are `triples`.
+    """
+    rows = [k for k, triple in enumerate(found) if isinstance(triple, PerronTriple)]
+    if rows and len(rows) == len(found):  # the usual round: a slice takes no copy
+        return point(slice(None), found)
+    replies = list(found)
+    if rows:
+        for k, reply in zip(rows, point(rows, [found[k] for k in rows])):
+            replies[k] = reply
+    return replies
 
 
 def _j_value(triple: PerronTriple, a: np.ndarray) -> float:
@@ -172,7 +203,8 @@ def _descent(x0: np.ndarray, gtol: float):
 
     def gauged(x):
         nonlocal evaluations
-        lam = np.append(x, 0.0)
+        lam = np.zeros(len(x) + 1)  # x with the gauge coordinate appended, cheaper than np.append
+        lam[:-1] = x
         if not lam.max() - lam.min() <= MAX_TILT_SPREAD:  # also catches NaN
             return None
         value, grad = yield lam
@@ -204,7 +236,8 @@ def _descent(x0: np.ndarray, gtol: float):
         sy = float(s @ y)
         if sy > 0.0:  # otherwise the update would lose positive definiteness
             hy = inv_hess @ y
-            inv_hess += (sy + y @ hy) / sy**2 * np.outer(s, s) - (np.outer(hy, s) + np.outer(s, hy)) / sy
+            # Outer products by broadcasting: np.outer's own product, without its call overhead.
+            inv_hess += (sy + y @ hy) / sy**2 * (s[:, None] * s) - (hy[:, None] * s + s[:, None] * hy) / sy
     return _Descent(x=x, value=f, evaluations=evaluations, bounded=True)
 
 
@@ -246,36 +279,128 @@ def _bfgs(objective, x0: np.ndarray, gtol: float) -> _Descent:
     return run
 
 
-def _neg_log_j(sigma: SubStochasticMatrix, lam: np.ndarray, triple_at=None) -> tuple[float, np.ndarray]:
-    """-log J and its exact gradient at log-weights lam, for a validated sigma.
+def _neg_log_js(tilted: np.ndarray, lams: np.ndarray, triples: list[PerronTriple]) -> list:
+    """-log J and its exact gradient at each row of the log-weights lams, or LinAlgError where that is singular.
 
-    With A = sigma diag(exp(lam)) and its Perron triple (r, h, rho),
-    log J = log r - rho lam and d log r / d lam_t = rho_t h_t. The bordered
-    system [[A - rI, h], [rho, 0]] (x, mu) = (lam - (rho lam) 1, 0) is
-    nonsingular because r is simple, and d(rho lam)/d lam_t =
-    rho_t + r rho_t h_t (rho x) - r rho_t x_t for any solution x of its
-    first block (the border fixes rho x = 0). The system goes straight to
-    LAPACK's dgesv through the gufunc np.linalg.solve wraps, same bits; a
-    singular one still raises np.linalg.LinAlgError, so no NaN gradient
-    reaches the search. `triple_at(a)` gives the triple of sigma diag(a),
-    a fresh solve when omitted.
+    With A = tilted[k] = sigma diag(exp(lams[k])) and its Perron triple
+    triples[k] = (r, h, rho), log J = log r - rho lam and d log r / d lam_t =
+    rho_t h_t. The bordered system [[A - rI, h], [rho, 0]] (x, mu) =
+    (lam - (rho lam) 1, 0) is nonsingular because r is simple, and
+    d(rho lam)/d lam_t = rho_t + r rho_t h_t (rho x) - r rho_t x_t for any
+    solution x of its first block (the border fixes rho x = 0). The K
+    systems go straight to LAPACK's dgesv, one call of the gufunc that
+    np.linalg.solve wraps, and the dot products are one stacked matmul each:
+    every member gets the bits a stack of one gives it. dgesv marks a
+    singular system with NaN; that member gets np.linalg.LinAlgError, as
+    np.linalg.solve raises it, so no NaN gradient reaches a search.
     """
-    m = sigma.m
-    a = np.exp(lam)
-    triple = _benchmark_triple(sigma, a) if triple_at is None else triple_at(a)
-    r, h, rho = triple.r, triple.h, triple.rho
-    mean = float(rho @ lam)
-    border = np.zeros((m + 1, m + 1))
-    border[:m, :m] = sigma.entries * a - r * np.eye(m)
-    border[:m, m] = h
-    border[m, :m] = rho
-    with np.errstate(all="ignore"):  # dgesv marks a singular system with NaN
-        x = _umath_linalg.solve1(border, np.append(lam - mean, 0.0), signature="dd->d")[:m]
-    rho_x = float(rho @ x)  # rho > 0, so this is finite exactly when x is
-    if not math.isfinite(rho_x):
-        raise np.linalg.LinAlgError("Singular matrix")
-    d_mean = rho + r * rho * h * rho_x - r * rho * x
-    return mean - math.log(r), d_mean - rho * h
+    count, m = lams.shape
+    r = np.array([triple.r for triple in triples])
+    h = np.array([triple.h for triple in triples])
+    rho = np.array([triple.rho for triple in triples])
+    mean = (rho[:, None, :] @ lams[:, :, None])[:, 0, 0]
+    border = np.zeros((count, m + 1, m + 1))
+    border[:, :m, :m] = tilted
+    border.reshape(count, -1)[:, : m * (m + 2) : m + 2] -= r[:, None]  # the diagonal of A - rI
+    border[:, :m, m] = h
+    border[:, m, :m] = rho
+    rhs = np.zeros((count, m + 1))
+    np.subtract(lams, mean[:, None], out=rhs[:, :m])
+    with np.errstate(all="ignore"):  # a singular member's NaN, read below
+        x = _umath_linalg.solve1(border, rhs, signature="dd->d")[:, :m]
+        rho_x = (rho[:, None, :] @ x[:, :, None])[:, 0, 0]  # rho > 0, so this is finite exactly when x is
+        r_rho = r[:, None] * rho
+        grads = rho + r_rho * h * rho_x[:, None] - r_rho * x - rho * h
+    return [
+        (mu - math.log(r_k), grad) if math.isfinite(rx) else np.linalg.LinAlgError("Singular matrix")
+        for mu, r_k, rx, grad in zip(mean.tolist(), r.tolist(), rho_x.tolist(), grads)
+    ]
+
+
+def _optimize_j_batch(sigmas: list[SubStochasticMatrix], rngs: list[RngSpec]) -> list:
+    """`optimize_j(sigmas[c], rngs[c])` for every case c, all sigmas of one order m: each result, or the exception that call raises.
+
+    The batch solves what the calls one after another would solve, a round
+    at a time: the flat tilts of all cases as one stack, then their Perron
+    vectors h, then the three searches of every case in one `_lockstep`,
+    then the re-scoring of every search's end. A round finds, per case, the
+    tilts that case has not solved yet (a memo keyed by the case and
+    `_tilt_keys`, that lives for the call) and solves them as one stack
+    (`_solved`); its -log J gradients are one stacked bordered solve
+    (`_neg_log_js`). Every member gets the bits a solve alone gives it, so
+    each result is bit for bit that of its own call. A case's exception is
+    the first its call would meet: the flat solve, J(h), then each start's
+    search and the re-scoring of its end in turn.
+    """
+    if not sigmas:
+        return []
+    m, count = sigmas[0].m, len(sigmas)
+    entries = np.array([sigma.entries for sigma in sigmas])
+    memo = {}
+
+    def solve(cases: list[int], tilts: np.ndarray):
+        """(sigma_c diag(a) of each case c and tilt a, the triple or exception of each)."""
+        tilted = (entries if count == 1 else entries[cases]) * tilts[:, None, :]  # one case broadcasts
+        ids = list(zip(cases, _tilt_keys(tilts)))
+        # Each (case, tilt) the call has not solved yet, with one ask of it.
+        fresh = {key: k for key, k in dict(zip(ids, range(len(ids)))).items() if key not in memo}
+        stack = tilted if len(fresh) == len(ids) else tilted[list(fresh.values())]
+        memo.update(zip(fresh, _solved(len(stack), lambda part: stack[part], m, None)))
+        return tilted, [memo[key] for key in ids]
+
+    _, flat = solve(list(range(count)), np.ones((count, m)))
+    results = list(flat)  # a failed flat solve is its case's result
+    live = [c for c in range(count) if isinstance(flat[c], PerronTriple)]
+    hs = np.array([flat[c].h for c in live]).reshape(len(live), m)
+    _, at_h = solve(live, hs)
+    j_h = dict(zip(live, _replies(at_h, lambda rows, triples: [_attempt(_j_value, t, h) for t, h in zip(triples, hs[rows])])))
+    for c in live:
+        if isinstance(j_h[c], Exception):
+            results[c] = j_h[c]
+    live = [c for c in live if not isinstance(j_h[c], Exception)]
+    if m == 1:
+        for c in live:
+            j_one = flat[c].r  # J(1) = r exp(-rho . log 1) = r
+            results[c] = OptimizeJResult(
+                a_star=np.ones(1), j_star=j_one, j_at_one=j_one, j_at_h=j_h[c], boundary_drift=False, evaluations=2
+            )
+        return results
+
+    starts = []
+    for c in live:
+        log_h = np.log(flat[c].h)
+        starts += [np.zeros(m - 1), (log_h - log_h[-1])[:-1], rngs[c].generator().normal(size=m - 1)]
+    owner = [c for c in live for _ in range(3)]
+
+    def evaluate(asks):
+        lams = np.array([lam for _, lam in asks])
+        tilted, found = solve([owner[i] for i, _ in asks], np.exp(lams))
+        return _replies(found, lambda rows, triples: _neg_log_js(tilted[rows], lams[rows], triples))
+
+    runs = _lockstep([_descent(x0, 1e-10) for x0 in starts], evaluate)
+    ends = [i for i, run in enumerate(runs) if not isinstance(run, Exception)]
+    tilts = np.exp(np.array([np.append(runs[i].x, 0.0) for i in ends]).reshape(len(ends), m))
+    _, rescored = solve([owner[i] for i in ends], tilts)
+    scores = dict(zip(ends, _replies(rescored, lambda rows, triples: [_attempt(_j_value, t, a) for t, a in zip(triples, tilts[rows])])))
+    for at, c in enumerate(live):
+        j_one = flat[c].r
+        best_x, best, evaluations, drift = starts[3 * at], j_one, 2, False
+        for i in range(3 * at, 3 * at + 3):
+            run, j = runs[i], scores.get(i)
+            if isinstance(run, Exception) or isinstance(j, Exception):
+                results[c] = run if isinstance(run, Exception) else j
+                break
+            evaluations += run.evaluations + 1
+            drift = drift or not run.bounded
+            if j > best:
+                best, best_x = j, run.x
+        else:
+            a_star = np.exp(np.append(best_x, 0.0))
+            drift = drift or bool(np.abs(np.log(a_star)).max() > BOUNDARY_DRIFT_NORM)
+            results[c] = OptimizeJResult(
+                a_star=a_star, j_star=best, j_at_one=j_one, j_at_h=j_h[c], boundary_drift=drift, evaluations=evaluations
+            )
+    return results
 
 
 def optimize_j(sigma: SubStochasticMatrix, rng: RngSpec = RngSpec(0)) -> OptimizeJResult:
@@ -285,8 +410,8 @@ def optimize_j(sigma: SubStochasticMatrix, rng: RngSpec = RngSpec(0)) -> Optimiz
     gauge-fixed log h, and one standard Gaussian draw from `rng`: J is not
     known to be unimodal, and the draw is a cheap hedge against a second
     local maximum. Each search minimizes -log J on the gradient of
-    `_neg_log_j` (one bordered (m+1) x (m+1) solve per evaluation) to a
-    gradient of 1e-10. Some searches end first on `_bfgs`'s precision-loss
+    `_neg_log_js` (one bordered (m+1) x (m+1) solve per evaluation) to a
+    gradient of 1e-10. Some searches end first on `_descent`'s precision-loss
     stop, where a step's predicted decrease is lost in the rounding of -log J;
     their end points are kept. Each end point is re-scored
     as `j_objective` scores it, and the result is the best of those values
@@ -296,39 +421,18 @@ def optimize_j(sigma: SubStochasticMatrix, rng: RngSpec = RngSpec(0)) -> Optimiz
     BOUNDARY_DRIFT_NORM, is reported as boundary drift rather than treated
     as an attained supremum.
 
-    `evaluations` counts every evaluation of J: J(1) (the benchmark's own
-    triple, which also gives h), J(h), the steps of the three searches and
-    the re-scoring of their ends. They are not one Perron solve each: the
-    call solves each distinct tilt once (`_reuse`), so the flat start reuses
-    J(1)'s triple and a re-scored end point the one its search solved.
+    This is the batch of one of `_optimize_j_batch`: the three searches run
+    in lockstep, and each round's tilts are solved together. `evaluations`
+    counts every evaluation of J: J(1) (the benchmark's own triple, which
+    also gives h), J(h), the steps of the three searches and the re-scoring
+    of their ends. They are not one Perron solve each: the call solves each
+    distinct tilt once, so the flat start reuses J(1)'s triple and a
+    re-scored end point the one its search solved.
     """
-    m = sigma.m
-    triple_at = _reuse(lambda a: _benchmark_triple(sigma, a))
-    flat = triple_at(np.ones(m))
-    j_one, h = flat.r, flat.h  # J(1) = r exp(-rho . log 1) = r
-    j_h = _j_value(triple_at(h), h)
-    if m == 1:
-        return OptimizeJResult(
-            a_star=np.ones(1), j_star=j_one, j_at_one=j_one, j_at_h=j_h, boundary_drift=False, evaluations=2
-        )
-
-    log_h = np.log(h)
-    starts = [np.zeros(m - 1), (log_h - log_h[-1])[:-1], rng.generator().normal(size=m - 1)]
-
-    best_x, best, evaluations, drift = starts[0], j_one, 2, False
-    for x0 in starts:
-        run = _bfgs(lambda lam: _neg_log_j(sigma, lam, triple_at), x0, gtol=1e-10)
-        a = np.exp(np.append(run.x, 0.0))
-        j = _j_value(triple_at(a), a)
-        evaluations += run.evaluations + 1
-        drift = drift or not run.bounded
-        if j > best:
-            best, best_x = j, run.x
-    a_star = np.exp(np.append(best_x, 0.0))
-    drift = drift or bool(np.abs(np.log(a_star)).max() > BOUNDARY_DRIFT_NORM)
-    return OptimizeJResult(
-        a_star=a_star, j_star=best, j_at_one=j_one, j_at_h=j_h, boundary_drift=drift, evaluations=evaluations
-    )
+    (result,) = _optimize_j_batch([sigma], [rng])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _vertex_rate(sigma: SubStochasticMatrix, nu: np.ndarray) -> float | None:
@@ -352,15 +456,20 @@ def _vertex_rate(sigma: SubStochasticMatrix, nu: np.ndarray) -> float | None:
     return math.inf if diag == 0.0 else -math.log(diag)
 
 
-def _transform_point(triple: PerronTriple, nu: np.ndarray, lam: np.ndarray) -> tuple[float, np.ndarray]:
-    """log r - nu lambda and its gradient at log-weights lam, from the Perron triple of the tilt exp(lam).
+def _transform_points(triples: list[PerronTriple], nus: np.ndarray, lams: np.ndarray) -> list:
+    """log r - nu lambda and its gradient at each row of the log-weights lams, from the Perron triple of the tilt exp(lam).
 
     By first-order perturbation, d log r / d lambda_t sums rho h over the
     windows a move toward t enters, those with newest state t (windows
-    indexed newest state first; for the benchmark, state t itself).
+    indexed newest state first; for the benchmark, state t itself). The
+    sums and the products nu lambda are one array step for all rows, each
+    row summed as it is alone; the logarithm of each certified (positive)
+    radius is math.log's.
     """
-    grad = (triple.rho * triple.h).reshape(len(nu), -1).sum(axis=1) - nu
-    return math.log(triple.r) - float(nu @ lam), grad
+    rho_h = np.array([triple.rho for triple in triples]) * np.array([triple.h for triple in triples])
+    grads = rho_h.reshape(nus.shape + (-1,)).sum(axis=2) - nus
+    nu_lams = (nus[:, None, :] @ lams[:, :, None])[:, 0, 0].tolist()
+    return [(math.log(triple.r) - nu_lam, grad) for triple, nu_lam, grad in zip(triples, nu_lams, grads)]
 
 
 def _supremum(run, nu: np.ndarray) -> float:
@@ -376,7 +485,7 @@ def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarra
     """(value, maximizer) of sup over lambda of nu lambda - log r(exp lambda), gauge lambda(last) = 0.
 
     `triple_at(a)` is the Perron triple of the tilt by a of the benchmark or of
-    a window chain, and `_transform_point` gives the objective and its exact
+    a window chain, and `_transform_points` gives the objective and its exact
     gradient. `_bfgs` maximizes the concave objective from the flat tilt,
     where it is -log r, to a gradient of TRANSFORM_GTOL or to its precision-loss stop.
     A search that steps past MAX_TILT_SPREAD follows a maximizing tilt that
@@ -387,7 +496,10 @@ def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarra
     """
 
     def objective(lam):
-        return _transform_point(triple_at(np.exp(lam)), nu, lam)
+        (reply,) = _transform_points([triple_at(np.exp(lam))], nu[None], lam[None])
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
     run = _bfgs(objective, np.zeros(len(nu) - 1), gtol=TRANSFORM_GTOL)
     value = _supremum(run, nu)
@@ -399,37 +511,30 @@ def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarra
 def _transform_round(nus: np.ndarray, n: int | None, stack_of, alone, terms: int | None):
     """`evaluate` of `_lockstep` for transform searches, search i at nus[i], on operators of n states.
 
-    A round solves each of its distinct tilts once (every search of a table
-    starts at the flat tilt). Up to DENSE_MAX_STATES states `_perron_triples`
-    solves the stacks `stack_of(tilts)` builds, in parts of at most
-    ROUND_BYTES of operators; a part whose solve raises is solved again one
-    operator at a time, so only the members that raise fail. Larger
-    operators, and those past the state cap (n None), are solved one tilt at
-    a time by `alone(a)`. Each pair gets `_transform_point` of its tilt's
-    triple, or the exception that its solve or its point raised.
+    A round takes the tilts of all its asks with one np.exp and solves each
+    distinct tilt once (every search of a table starts at the flat tilt). Up
+    to DENSE_MAX_STATES states `_solved` solves the stacks `stack_of(tilts)`
+    builds; larger operators, and those past the state cap (n None), are
+    solved one tilt at a time by `alone(a)`. The pairs whose tilt was solved
+    get their `_transform_points` as one stack; the others get the exception
+    their solve raised.
     """
     stacked = n is not None and n <= DENSE_MAX_STATES
-    part = max(1, ROUND_BYTES // (8 * n * n)) if stacked else 1
-
-    def solve(tilts):
-        if not stacked:
-            return [_attempt(alone, a) for a in tilts]
-        stack = stack_of(tilts)
-        try:
-            return _perron_triples(stack, terms)
-        except Exception:  # the members that raise alone fail alone
-            return [_attempt(_perron_triple, op, terms) for op in stack]
 
     def evaluate(asks):
-        tilts = [np.exp(lam) for _, lam in asks]
-        distinct = {a.tobytes(): a for a in tilts}
-        run = np.array(list(distinct.values()))
-        triples = [t for at in range(0, len(run), part) for t in solve(run[at : at + part])]
-        solved = dict(zip(distinct, triples))
-        return [
-            _attempt(_transform_point, triple, nus[i], lam) if isinstance(triple, PerronTriple) else triple
-            for (i, lam), triple in zip(asks, (solved[a.tobytes()] for a in tilts))
-        ]
+        lams = np.array([lam for _, lam in asks])
+        tilts = np.exp(lams)
+        keys = _tilt_keys(tilts)
+        first = dict(zip(keys, range(len(keys))))  # each distinct tilt, with one ask of it
+        distinct = np.array(list(first.values()), dtype=int)
+        if stacked:
+            triples = _solved(len(distinct), lambda part: stack_of(tilts[distinct[part]]), n, terms)
+        else:
+            triples = [_attempt(alone, tilts[k]) for k in distinct]
+        solved = dict(zip(first, triples))
+        found = [solved[key] for key in keys]
+        at = np.array([i for i, _ in asks])
+        return _replies(found, lambda rows, triples: _transform_points(triples, nus[at[rows]], lams[rows]))
 
     return evaluate
 

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import os
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 import relochain as rc
-from relochain import matrices
-from relochain import bounds
-from relochain.bounds import _legendre, _neg_log_j, _window_triple
+from relochain import bounds, experiments, matrices
+from relochain.bounds import _legendre, _window_triple
+from relochain.config import load_config
 
 from conftest import R_CLOSED, largest_eigenvalue, window_matrix
 
@@ -157,6 +159,15 @@ def test_optimize_j_gauge_invariance(sigma_fig):
     assert res.j_star == pytest.approx(res_swapped.j_star, abs=1e-9)
 
 
+def neg_log_j(sigma, lam):
+    """-log J and its gradient at lam by the stacked bordered solve on a stack of one, raising its LinAlgError."""
+    a = np.exp(lam)
+    (reply,) = bounds._neg_log_js((sigma.entries * a)[None], lam[None], [bounds._benchmark_triple(sigma, a)])
+    if isinstance(reply, Exception):
+        raise reply
+    return reply
+
+
 def dense_log_j(entries, lam):
     """log J(exp(lam)) = log r - rho . lam from a dense eigensolve of the tilted transpose."""
     vals, vecs = np.linalg.eig((entries * np.exp(lam)[None, :]).T)
@@ -180,7 +191,7 @@ def test_log_j_gradient_matches_dense_differences(m, zeros):
         assert not zeros or (sigma.entries == 0.0).any()
         for _ in range(3):
             lam = np.append(rng.normal(size=m - 1), 0.0)
-            value, grad = _neg_log_j(sigma, lam)
+            value, grad = neg_log_j(sigma, lam)
             assert -value == pytest.approx(dense_log_j(sigma.entries, lam), rel=1e-12, abs=1e-13)
             differences = np.empty(m)
             for t in range(m):
@@ -199,15 +210,15 @@ def test_log_j_gradient_matches_dense_differences(m, zeros):
     spread=st.floats(min_value=0.0, max_value=bounds.MAX_TILT_SPREAD),
 )
 def test_bordered_solve_keeps_the_bits_of_np_linalg_solve(m, zeros, seed, spread):
-    # The gradient's bordered system goes straight to the gufunc that
+    # The gradient's bordered systems go straight to the gufunc that
     # np.linalg.solve wraps; value and gradient must be the wrapper's, bit for bit.
     rng = np.random.default_rng(seed)
     sigma = random_substochastic(rng, m, zeros)
     lam = np.append(rng.uniform(-0.5, 0.5, size=m - 1) * spread, 0.0)
-    value, grad = _neg_log_j(sigma, lam)
-    wrapper = SimpleNamespace(solve1=lambda a, b, signature: np.linalg.solve(a, b))
+    value, grad = neg_log_j(sigma, lam)
+    wrapper = SimpleNamespace(solve1=lambda a, b, signature: np.linalg.solve(a, b[..., None])[..., 0])
     with mock.patch.object(bounds, "_umath_linalg", wrapper):
-        wrapped_value, wrapped_grad = _neg_log_j(sigma, lam)
+        wrapped_value, wrapped_grad = neg_log_j(sigma, lam)
     assert (value.hex(), grad.tobytes()) == (wrapped_value.hex(), wrapped_grad.tobytes())
 
 
@@ -224,13 +235,14 @@ def test_singular_bordered_system_raises_linalgerror(monkeypatch, sigma_fig):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError):
-            _neg_log_j(sigma_fig, np.zeros(2))
+            neg_log_j(sigma_fig, np.zeros(2))
         with pytest.raises(np.linalg.LinAlgError):
             rc.optimize_j(sigma_fig)
 
 
-def _no_reuse(triple_at, keep=None):
-    return triple_at
+def fresh_keys(tilts):
+    """`_tilt_keys` equal to no other key, so that every ask is solved fresh."""
+    return [object() for _ in tilts]
 
 
 @pytest.mark.parametrize("three_states", [False, True])
@@ -248,25 +260,25 @@ def test_reused_triples_change_no_bit(monkeypatch, sigma_fig, three_states):
         return scalars, arrays, opt.boundary_drift, opt.evaluations
 
     reused = bits()
-    monkeypatch.setattr(bounds, "_reuse", _no_reuse)
+    monkeypatch.setattr(bounds, "_tilt_keys", fresh_keys)
     assert bits() == reused
 
 
 def test_optimize_j_solves_each_distinct_tilt_once(monkeypatch, sigma_fig):
-    # Every Perron solve in optimize_j is of a tilted sigma. Fresh solves
-    # show which tilts one call asks for; with reuse, each distinct tilt is
-    # solved once, and a second call pays its solves again.
+    # Every Perron solve in optimize_j is of a tilted sigma, a member of a
+    # stack. Fresh solves show which tilts one call asks for; with reuse,
+    # each distinct tilt is solved once, and a second call pays its solves again.
     tilted = []
-    perron_triple = bounds._perron_triple
+    perron_triples = bounds._perron_triples
 
-    def recording(a, *args):
-        tilted.append(a.tobytes())
-        return perron_triple(a, *args)
+    def recording(stack, *args):
+        tilted.extend(a.tobytes() for a in stack)
+        return perron_triples(stack, *args)
 
-    monkeypatch.setattr(bounds, "_perron_triple", recording)
+    monkeypatch.setattr(bounds, "_perron_triples", recording)
     for sigma in (sigma_fig, rc.validate_substochastic(SIGMA3)):
         with monkeypatch.context() as fresh:
-            fresh.setattr(bounds, "_reuse", _no_reuse)
+            fresh.setattr(bounds, "_tilt_keys", fresh_keys)
             tilted.clear()
             rc.optimize_j(sigma)
         asked = list(tilted)
@@ -743,15 +755,17 @@ def test_table_errors_follow_the_grid_order_of_interleaved_searches(monkeypatch,
     # The lockstep table runs every lifted search before any benchmark
     # search, yet raises what the loop raised: at each grid point the lifted
     # search, then the benchmark search.
-    point = bounds._transform_point
+    points = bounds._transform_points
 
-    def failing(triple, nu, lam):
-        kind = "lifted" if len(triple.h) > len(nu) else "benchmark"
-        if round(float(nu[0]), 12) == {"lifted": lifted_at, "benchmark": benchmark_at}[kind]:
-            raise ArithmeticError(f"{kind} search at nu_1 = {nu[0]}")
-        return point(triple, nu, lam)
+    def failing(triples, nus, lams):
+        replies = points(triples, nus, lams)
+        for k, (triple, nu) in enumerate(zip(triples, nus)):
+            kind = "lifted" if len(triple.h) > len(nu) else "benchmark"
+            if round(float(nu[0]), 12) == {"lifted": lifted_at, "benchmark": benchmark_at}[kind]:
+                replies[k] = ArithmeticError(f"{kind} search at nu_1 = {nu[0]}")
+        return replies
 
-    monkeypatch.setattr(bounds, "_transform_point", failing)
+    monkeypatch.setattr(bounds, "_transform_points", failing)
     law = rc.RelocationLaw.explicit([0.5, 0.5])
     want = raised(grid_order_table, sigma_fig, law, 11)
     first = min(x for x in (lifted_at, benchmark_at) if x is not None)
@@ -830,7 +844,8 @@ def test_a_member_that_raises_leaves_the_rest_of_its_round(sigma_fig):
         replies = evaluate(list(enumerate(lams)))
     assert isinstance(replies[1], rc.NoConvergenceError) and "strict positivity" in str(replies[1])
     for i in (0, 2):
-        value, grad = bounds._transform_point(bounds._perron_triple(stack_of([np.exp(lams[i])])[0]), nus[i], lams[i])
+        triple = bounds._perron_triple(stack_of([np.exp(lams[i])])[0])
+        ((value, grad),) = bounds._transform_points([triple], nus[i : i + 1], lams[i][None])
         assert replies[i][0] == value and replies[i][1].tobytes() == grad.tobytes()
 
 
@@ -850,3 +865,211 @@ def test_a_table_past_the_state_cap_raises_before_building_a_lift(sigma_fig):
         tracemalloc.stop()
     assert str(caught.value) == str(alone.value)
     assert peak < 2**20
+
+
+def sequential_neg_log_j(sigma, lam, triple_at):
+    """-log J and its gradient as one bordered (m+1) x (m+1) solve of one matrix computed them: the oracle of `_neg_log_js`."""
+    m = sigma.m
+    a = np.exp(lam)
+    triple = triple_at(a)
+    r, h, rho = triple.r, triple.h, triple.rho
+    mean = float(rho @ lam)
+    border = np.zeros((m + 1, m + 1))
+    border[:m, :m] = sigma.entries * a - r * np.eye(m)
+    border[:m, m] = h
+    border[m, :m] = rho
+    with np.errstate(all="ignore"):
+        x = bounds._umath_linalg.solve1(border, np.append(lam - mean, 0.0), signature="dd->d")[:m]
+    rho_x = float(rho @ x)
+    if not math.isfinite(rho_x):
+        raise np.linalg.LinAlgError("Singular matrix")
+    d_mean = rho + r * rho * h * rho_x - r * rho * x
+    return mean - math.log(r), d_mean - rho * h
+
+
+def reuse(triple_at):
+    """`triple_at`, serving a tilt it has already solved (keyed by its bytes) from the triple it kept."""
+    memo = {}
+
+    def at(a):
+        key = a.tobytes()
+        if key not in memo:
+            memo[key] = triple_at(a)
+        return memo[key]
+
+    return at
+
+
+def per_start_optimize_j(sigma, rng=rc.RngSpec(0)):
+    """optimize_j as it ran one `_bfgs` search per start over one memo: the oracle of the batch.
+
+    Raises the first error of the flat solve, J(h), then each start's search
+    and the re-scoring of its end.
+    """
+    m = sigma.m
+    triple_at = reuse(lambda a: bounds._benchmark_triple(sigma, a))
+    flat = triple_at(np.ones(m))
+    j_one, h = flat.r, flat.h
+    j_h = bounds._j_value(triple_at(h), h)
+    if m == 1:
+        return rc.OptimizeJResult(np.ones(1), j_one, j_one, j_h, False, 2)
+    log_h = np.log(h)
+    starts = [np.zeros(m - 1), (log_h - log_h[-1])[:-1], rng.generator().normal(size=m - 1)]
+    best_x, best, evaluations, drift = starts[0], j_one, 2, False
+    for x0 in starts:
+        run = bounds._bfgs(lambda lam: sequential_neg_log_j(sigma, lam, triple_at), x0, gtol=1e-10)
+        a = np.exp(np.append(run.x, 0.0))
+        j = bounds._j_value(triple_at(a), a)
+        evaluations += run.evaluations + 1
+        drift = drift or not run.bounded
+        if j > best:
+            best, best_x = j, run.x
+    a_star = np.exp(np.append(best_x, 0.0))
+    drift = drift or bool(np.abs(np.log(a_star)).max() > bounds.BOUNDARY_DRIFT_NORM)
+    return rc.OptimizeJResult(a_star, best, j_one, j_h, drift, evaluations)
+
+
+def result_bits(result):
+    """Every field of an OptimizeJResult, floats by hex and a_star by bytes, or an exception's type and message."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    floats = [x.hex() for x in (result.j_star, result.j_at_one, result.j_at_h)]
+    return result.a_star.tobytes(), floats, result.boundary_drift, result.evaluations
+
+
+def scan_cases(m, count, seed=12345):
+    """The first `count` (sigma, stream) cases of a conjecture scan with this m and seed, drawn as the scan draws them."""
+    gen = rc.RngSpec(seed).generator()
+    cases = []
+    for case in range(count):
+        sigma = experiments._random_substochastic(gen, m)
+        experiments._random_bounded_law(gen)
+        cases.append((sigma, rc.RngSpec(seed, case + 1)))
+    return cases
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_batch_keeps_the_bits_of_per_start_calls(m):
+    # 20 scan cases in one batch: every field of every result is that of the
+    # per-start oracle, and that of optimize_j, the batch of one.
+    cases = scan_cases(m, 20, seed=12345 + m)
+    want = [result_bits(per_start_optimize_j(sigma, rng)) for sigma, rng in cases]
+    batch = bounds._optimize_j_batch([sigma for sigma, _ in cases], [rng for _, rng in cases])
+    assert [result_bits(result) for result in batch] == want
+    assert [result_bits(rc.optimize_j(sigma, rng)) for sigma, rng in cases[:5]] == want[:5]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_stacked_bordered_solves_keep_the_bits_of_one_matrix_solves(m):
+    # 30 matrices with zeros and spread tilts in one stack: each value and
+    # gradient is the one-matrix solve's, bit for bit.
+    rng = np.random.default_rng(700 + m)
+    sigmas = [random_substochastic(rng, m, zeros=k % 2 == 1) for k in range(30)]
+    lams = np.array([np.append(rng.uniform(-3.0, 3.0, size=m - 1), 0.0) for _ in sigmas])
+    tilts = np.exp(lams)
+    triples = [bounds._benchmark_triple(sigma, a) for sigma, a in zip(sigmas, tilts)]
+    tilted = np.array([sigma.entries * a for sigma, a in zip(sigmas, tilts)])
+    stacked = bounds._neg_log_js(tilted, lams, triples)
+    for sigma, lam, triple, (value, grad) in zip(sigmas, lams, triples, stacked):
+        want_value, want_grad = sequential_neg_log_j(sigma, lam, lambda a: triple)
+        assert (value.hex(), grad.tobytes()) == (want_value.hex(), want_grad.tobytes())
+
+
+def case_order_scan(config, path):
+    """conjecture.csv as the scan wrote it, solving and optimizing one case after another: the oracle of the batched scan."""
+    gen = rc.RngSpec(config.seed).generator()
+    rows = []
+    for case in range(config.count):
+        sigma = experiments._random_substochastic(gen, config.m)
+        law = experiments._random_bounded_law(gen)
+        r_bold = experiments.lifted_spectral_radius(experiments.build_lifted(sigma, law, mode="exact")).radius
+        opt = per_start_optimize_j(sigma, rc.RngSpec(config.seed, case + 1))
+        rows.append([str(case), opt.j_at_one, opt.j_star, r_bold, str(int(r_bold > opt.j_star + 1e-6))])
+    experiments.write_csv(path, ["case_id", "r", "J_star", "r_bold", "violated"], rows)
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED_SCAN = load_config(os.path.join(REPO_ROOT, "configs", "conjecture.cfg"))
+
+
+@pytest.mark.parametrize("m", [2, 3], ids=["shipped", "m3"])
+def test_scan_keeps_the_bytes_of_the_case_order_loop(tmp_path, m):
+    config = dataclasses.replace(SHIPPED_SCAN, m=m, outdir=str(tmp_path / "scan"))
+    rc.run_config(config)
+    case_order_scan(config, tmp_path / "oracle.csv")
+    assert (tmp_path / "scan" / "conjecture.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def singular_member(target):
+    """A `solve1` that zeroes the bordered system whose (matrix, right side) bytes are `target` before dgesv solves it."""
+    solve1 = bounds._umath_linalg.solve1
+
+    def solve(a, b, signature):
+        a = a.copy()
+        for k in np.ndindex(b.shape[:-1]):
+            if (a[k].tobytes(), b[k].tobytes()) == target:
+                a[k] = 0.0
+        return solve1(a, b, signature=signature)
+
+    return solve
+
+
+def bordered_system(sigma, rng, start, evaluation):
+    """(matrix, right side) bytes of one bordered system that the per-start oracle solves for `sigma`.
+
+    The one of the evaluation-th ask of the start-th search; the first two
+    evaluations of a start are those of its first step, so any evaluation
+    from the third on is asked by that start alone.
+    """
+    systems = []
+    solve1 = bounds._umath_linalg.solve1
+
+    def recording(a, b, signature):
+        systems.append((a.tobytes(), b.tobytes()))
+        return solve1(a, b, signature=signature)
+
+    with mock.patch.object(bounds, "_umath_linalg", SimpleNamespace(solve1=recording)):
+        runs = []
+        bfgs = bounds._bfgs
+
+        def counted(objective, x0, gtol):
+            runs.append(len(systems))
+            return bfgs(objective, x0, gtol)
+
+        with mock.patch.object(bounds, "_bfgs", counted):
+            per_start_optimize_j(sigma, rng)
+    return systems[runs[start] + evaluation]
+
+
+@pytest.mark.parametrize("case, start", [(1, 2), (3, 0)])
+def test_batch_raises_what_the_sequential_loops_raise_first(monkeypatch, tmp_path, case, start):
+    # One start of one case meets a singular bordered system (NaN from
+    # solve1, as dgesv marks it): that case's result is the LinAlgError its
+    # call raises, and the other cases keep their bits. The scan raises what
+    # the case-order loop raises first, also when a later or earlier case's
+    # lift fails to converge.
+    config = dataclasses.replace(SHIPPED_SCAN, count=5, outdir=str(tmp_path / "scan"))
+    cases = scan_cases(config.m, config.count, config.seed)
+    target = bordered_system(*cases[case], start, 4)
+    monkeypatch.setattr(bounds, "_umath_linalg", SimpleNamespace(solve1=singular_member(target)))
+    want = [result_bits(bounds._attempt(per_start_optimize_j, sigma, rng)) for sigma, rng in cases]
+    assert [k for k, bits in enumerate(want) if bits[0] is np.linalg.LinAlgError] == [case]
+    batch = bounds._optimize_j_batch([sigma for sigma, _ in cases], [rng for _, rng in cases])
+    assert [result_bits(result) for result in batch] == want
+    assert raised(rc.run_config, config) == raised(case_order_scan, config, tmp_path / "oracle.csv")
+
+    solve = experiments.lifted_spectral_radius
+    for failing in (2, 4):
+        calls = []
+
+        def lift(chain):
+            calls.append(chain)
+            if len(calls) == failing + 1:
+                raise rc.NoConvergenceError(f"lift of case {failing}")
+            return solve(chain)
+
+        monkeypatch.setattr(experiments, "lifted_spectral_radius", lift)
+        want = raised(case_order_scan, config, tmp_path / "oracle.csv")
+        assert want[0] is (rc.NoConvergenceError if failing < case else np.linalg.LinAlgError)
+        calls.clear()
+        assert raised(rc.run_config, config) == want

@@ -1,17 +1,19 @@
 import math
 import time
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import relochain as rc
 from relochain.errors import StateCapExceededError
 from relochain.config import FIG2_EPSILONS
 from relochain import matrices
-from relochain.lifted import LOWER, UPPER, _dense_lifts, _finite_masses, _lift_row_sums
+from relochain.lifted import LOWER, UPPER, _dense_lifts, _finite_masses, _lift_row_sums, _solve_lift
 from relochain.matrices import CHECK_EVERY, CW_RTOL, DENSE_MAX_STATES, NORM_EVERY, _certified_perron, _cw_bounds
 
 from conftest import R_CLOSED, largest_eigenvalue, window_matrix
@@ -773,3 +775,128 @@ def test_certificates_enclose_the_exact_operators_ratios(monkeypatch, m, power):
                 assert (res.iterations > 0) == power
                 rows = exact_lift_rows(kernel, trunc.masses, tail_mass)
                 assert_encloses(rows, res.right_vector, res.lower, res.upper)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_row_sum_bounds_enclose_the_exact_lifts_row_sums(m):
+    # A lift is decided from the least and largest of its row sums. Oracle:
+    # the row sums of the exact truncated lift (each weight an exact sum of
+    # the stored entries and masses), and those of the lift build_lifted
+    # rounds, summed exactly, in Fractions, at d <= 3 with nonzero tail mass.
+    rng = np.random.default_rng(810 + m)
+    sigmas = [random_validated(rng, m) for _ in range(3)] + ([rc.benchmark_matrix()] if m == 2 else [])
+    for sigma in sigmas:
+        for d in range(4):
+            for law in (rc.RelocationLaw.geometric(0.3), rc.RelocationLaw.explicit(rng.dirichlet(np.ones(d + 3)))):
+                trunc = rc.truncate_law(law, 1e-300, d_max=d)
+                assert trunc.d == d and trunc.tail_mass > 0.0
+                for mode, tail_mass in ((LOWER, 0.0), (UPPER, trunc.tail_mass)):
+                    low, high = map(Fraction, _lift_row_sums(sigma, trunc, mode))
+                    exact = [sum(weight for _, weight in row) for row in exact_lift_rows(sigma.entries, trunc.masses, tail_mass)]
+                    built = [sum(map(Fraction, row)) for row in rc.build_lifted(sigma, trunc, mode).weights.tolist()]
+                    assert low <= min(exact) and max(exact) <= high
+                    assert low <= min(built) and max(built) <= high
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_envelope_stops_enclose_the_exact_lifts_ratios(monkeypatch, m):
+    # A truncated lift's power solve returns as soon as its interval lies on
+    # the side of bracket_radius's envelope (r_bench above the conservative
+    # lift, the widened largest row sum below the majorized one), with the
+    # possibly wide bounds at which it stopped. The exact lift's
+    # Collatz-Wielandt ratios at the returned vector must lie within them.
+    rng = np.random.default_rng(820 + m)
+    sigmas = [random_validated(rng, m) for _ in range(2)] + ([rc.benchmark_matrix()] if m == 2 else [])
+    envelopes = [_envelope(sigma) for sigma in sigmas]
+    monkeypatch.setattr(matrices, "DENSE_MAX_STATES", 0)  # every lift takes the power path
+    stopped = 0
+    for sigma, (r_bench, row_max) in zip(sigmas, envelopes):
+        for d in (1, 2, 3):
+            for eps in FIG2_EPSILONS[::3]:
+                trunc = rc.truncate_law(rc.RelocationLaw.geometric(eps), 1e-6, d)
+                for mode, tail_mass, envelope in ((LOWER, 0.0, (r_bench, math.inf)), (UPPER, trunc.tail_mass, (-math.inf, row_max))):
+                    res = _solve_lift(rc.build_lifted(sigma, trunc, mode), envelope)
+                    if res.upper - res.lower > CW_RTOL * res.upper:
+                        stopped += 1
+                        assert res.upper <= envelope[0] or res.lower >= envelope[1]
+                    assert_encloses(exact_lift_rows(sigma.entries, trunc.masses, tail_mass), res.right_vector, res.lower, res.upper)
+    assert stopped >= 10
+
+
+@st.composite
+def proportional_to_stochastic(draw):
+    """(entries, c): an integer matrix with equal row sums S, times 2**-k, so that every row sums exactly to c = S 2**-k <= 1.
+
+    The ones vector is then a positive right eigenvector, so the radius of
+    the matrix, and of every lift of every law whose masses sum to 1, is
+    exactly c: a closed form that shares no code with the solver.
+    """
+    m = draw(st.integers(min_value=2, max_value=4))
+    total = draw(st.integers(min_value=m, max_value=60))
+    rows = []
+    for _ in range(m):
+        cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=total), min_size=m - 1, max_size=m - 1)))
+        rows.append(np.diff([0, *cuts, total]))
+    k = draw(st.integers(min_value=total.bit_length(), max_value=total.bit_length() + 8))
+    entries = np.array(rows, dtype=float) * 2.0**-k
+    irreducible, aperiodic, _ = matrices.structure_flags(entries)
+    assume(irreducible and aperiodic)
+    return entries, math.ldexp(total, -k)
+
+
+@st.composite
+def dyadic_masses(draw, depth):
+    """Masses w_i / 2**j of a law of support max `depth`: exact floats that sum exactly to 1."""
+    j = draw(st.integers(min_value=depth + 1, max_value=depth + 6))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=2**j - 1), min_size=depth, max_size=depth)))
+    weights = np.diff([0, *cuts, 2**j])
+    return (weights * 2.0**-j).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=proportional_to_stochastic(), data=st.data())
+def test_certificates_enclose_the_closed_form_radius_of_a_uniformly_killing_matrix(case, data):
+    entries, c = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", rc.ProportionalToStochasticWarning)
+        sigma = rc.validate_substochastic(entries)
+    exact, m = Fraction(c), sigma.m
+    assert {sum(map(Fraction, row)) for row in sigma.entries.tolist()} == {exact}
+
+    # perron_triple's certificates, right and left: the dense step's bounds,
+    # then, with the dense step off, the two power solves'.
+    checked = []
+    dense_step, power_solve = matrices._dense_certificates, matrices._certified_perron
+
+    def dense(*args):
+        top, v, av, bounds, ok = dense_step(*args)
+        checked.extend(b for b, good in zip(bounds, ok) if good)
+        return top, v, av, bounds, ok
+
+    def power(*args, **kwargs):
+        res = power_solve(*args, **kwargs)
+        checked.append((res.lower, res.upper))
+        return res
+
+    with mock.patch.object(matrices, "_dense_certificates", dense):
+        rc.perron_triple(sigma)
+    with mock.patch.object(matrices, "DENSE_MAX_STATES", 0), mock.patch.object(matrices, "_certified_perron", power):
+        rc.perron_triple(sigma)
+    assert len(checked) == 4
+    for lower, upper in checked:
+        assert Fraction(lower) <= exact <= Fraction(upper)
+
+    # A bounded law of dyadic masses, on the dense and the power path.
+    depth = data.draw(st.integers(min_value=0, max_value={2: 4, 3: 2, 4: 1}[m]), label="depth")
+    chain = rc.build_lifted(sigma, rc.RelocationLaw.explicit(data.draw(dyadic_masses(depth), label="masses")))
+    for dense_max in (DENSE_MAX_STATES, 0):
+        with mock.patch.object(matrices, "DENSE_MAX_STATES", dense_max):
+            res = rc.lifted_spectral_radius(chain)
+        assert (res.iterations > 0) == (dense_max == 0)
+        assert Fraction(res.lower) <= exact <= Fraction(res.upper)
+
+    # A geometric law: its masses sum to 1, so the relocation chain's radius is c.
+    eps = data.draw(st.floats(min_value=0.01, max_value=0.99), label="eps")
+    d_max = data.draw(st.integers(min_value=0, max_value={2: 5, 3: 3, 4: 2}[m]), label="d_max")
+    br = rc.bracket_radius(sigma, rc.RelocationLaw.geometric(eps), d_max=d_max)
+    assert Fraction(br.lo) <= exact <= Fraction(br.hi)

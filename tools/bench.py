@@ -9,9 +9,21 @@ alternates from pair to pair, so a drift of the machine's speed falls on both
 sides alike. The last stdout line of each run is its JSON result. The output
 file holds, per workload and end-to-end metric of the change's BENCHMARK.json,
 both sides' medians and quartiles, the change's relative move of the median,
-the pairs the change won, every run's value, and whether every run's output
-checks held; also the machine, the interpreter and library versions and both
-checkouts' `src/relochain` line counts. Each run writes `.perfbench_runs/`
+the pairs the change won, every run's value, the metric's verdict, and
+whether every run's output checks held; also the machine, the interpreter
+and library versions and both checkouts' `src/relochain` line counts.
+
+A verdict reads the pairs against the metric's relative bound:
+
+- `gain`: the change wins at least nine tenths of the pairs (ties count for
+  neither side), and its median is better than the parent's by more than
+  the parent's quartile spread;
+- `unresolved`: the parent's own quartile spread, relative to its median,
+  exceeds the bound, and not every change run beats every parent run, so
+  the runs cannot tell a move within the bound from noise;
+- `worse`: the change's median is worse than the parent's by more than the
+  bound, relative to the parent's median;
+- `no worse`: anything else. Each run writes `.perfbench_runs/`
 into its checkout, so compare clean trees, for example made with
 `git archive`.
 """
@@ -46,6 +58,24 @@ def summary(values: list[float]) -> dict:
     """Median and quartiles (inclusive method) of one side's values of one metric."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def verdict(parent: list[float], change: list[float], lower_wins: bool, bound: float) -> str:
+    """`gain`, `unresolved`, `worse` or `no worse` for paired runs (parent[k], change[k]) of one metric, as the module docstring defines them."""
+    before, after = summary(parent), summary(change)
+    sign = 1.0 if lower_wins else -1.0
+    better = sign * (before["median"] - after["median"])  # positive when the change's median is better
+    spread = before["q3"] - before["q1"]
+    wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and better > spread:
+        return "gain"
+    beats_all = max(change) < min(parent) if lower_wins else min(change) > max(parent)
+    scale = abs(before["median"])
+    if spread > bound * scale and not beats_all:
+        return "unresolved"
+    if -better > bound * scale:
+        return "worse"
+    return "no worse"
 
 
 def src_lines(checkout: str) -> int:
@@ -101,6 +131,7 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
             "median_rel_change": after["median"] / before["median"] - 1.0 if before["median"] else None,
             "wins": sum((c < p) if lower_wins else (c > p) for p, c in pairs),
             "pairs": len(pairs),
+            "verdict": verdict(parent, change, lower_wins, metric.get("bound") or 0.0),
             "parent_values": parent,
             "change_values": change,
         }
