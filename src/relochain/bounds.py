@@ -11,13 +11,16 @@ only: no part of the package imports scipy.optimize) serves all three, for
 any number of states, on exact gradients. It is a generator that yields
 each tilt it wants evaluated and is sent the value and gradient, so one
 driver (`_lockstep`) can advance many searches a round at a time and
-evaluate each round's tilts together; `_bfgs` is the driver with one
-search. `_optimize_j_batch` runs the three starts of every matrix of a
-batch so (`optimize_j` is its batch of one, the conjecture scan's batch
-holds all its cases), keeping a memo per matrix so that a call solves each
-distinct tilt once; a rate table runs the searches of all its grid points
-so. Each round solves the tilts it has not solved yet as one stack
-(`_perron_triples`) and evaluates all its gradients as one array step. For
+evaluate each round's tilts together. `_optimize_j_batch` runs the three
+starts of every matrix of a batch so (`optimize_j` is its batch of one,
+the conjecture scan's batch holds all its cases), keeping a memo per
+matrix so that a call solves each distinct tilt once; a rate table runs
+the searches of all its grid points so, and `rate_function_I` is the
+table's benchmark round on one point. Each round solves the tilts it has
+not solved yet in one place (`_solved`): operators of at most
+DENSE_MAX_STATES states as one stack (`_perron_triples`), larger ones,
+`optimize_j`'s benchmark matrices included, one at a time. It evaluates
+all its gradients as one array step. For
 the transforms the gradient is the newest-state marginal of rho h. For
 log J = log r - rho lambda it is rho h minus the derivative of rho lambda,
 which takes one bordered solve with the tilted matrix A (a round's solves
@@ -97,10 +100,9 @@ class RateFunctionTable:
 
 
 def _window_triple(sigma: SubStochasticMatrix, law: RelocationLaw, a: np.ndarray) -> PerronTriple:
-    """Perron triple of the window chain of sigma diag(a): dense up to DENSE_MAX_STATES windows, sparse above."""
+    """Perron triple of the window chain of sigma diag(a), of more than DENSE_MAX_STATES windows, on its sparse operator."""
     chain = build_lifted(sigma.entries * a, law)
-    n = chain.n_states
-    return _perron_triple(chain.dense() if n <= DENSE_MAX_STATES else chain.operator, chain.m)
+    return _perron_triple(chain.operator, chain.m)
 
 
 def _benchmark_triple(sigma: SubStochasticMatrix, a: np.ndarray) -> PerronTriple:
@@ -125,23 +127,32 @@ def _attempt(solve, *args):
         return exc
 
 
-def _solved(count: int, stack_of, n: int, terms: int | None) -> list:
-    """Perron triples of `count` operators of n <= DENSE_MAX_STATES states, in order, each or the exception its solve raised.
+def _solved(keys: list, stack_of, n: int | None, terms: int | None, alone, memo: dict) -> list:
+    """The Perron triple of each of a round's operators, keyed by `keys`, each or the exception its solve raised.
 
-    `stack_of(part)` builds the operators of a slice of them. `_perron_triples`
-    solves them in parts of at most ROUND_BYTES of operators; a part whose
-    solve raises is solved again one operator at a time, so only the members
-    that raise fail.
+    Each key not in `memo` is solved once, from one of the operators it keys,
+    and kept there. Up to DENSE_MAX_STATES states `stack_of(rows)` builds the
+    operators at an index list, and `_perron_triples` solves them in parts of
+    at most ROUND_BYTES of operators; a part whose solve raises is solved
+    again one operator at a time, so only the members that raise fail.
+    Larger operators, and those past the state cap (n None), are solved one
+    at a time by `alone(k)`, the solve of operator k.
     """
-    size = max(1, ROUND_BYTES // (8 * n * n))
-    triples = []
-    for at in range(0, count, size):
-        stack = stack_of(slice(at, at + size))
-        try:
-            triples += _perron_triples(stack, terms)
-        except Exception:  # the members that raise alone fail alone
-            triples += [_attempt(_perron_triple, op, terms) for op in stack]
-    return triples
+    fresh = {key: k for k, key in enumerate(keys) if key not in memo}
+    rows = list(fresh.values())
+    if n is not None and n <= DENSE_MAX_STATES:
+        size = max(1, ROUND_BYTES // (8 * n * n))
+        triples = []
+        for at in range(0, len(rows), size):
+            stack = stack_of(rows[at : at + size])
+            try:
+                triples += _perron_triples(stack, terms)
+            except Exception:  # the members that raise alone fail alone
+                triples += [_attempt(_perron_triple, op, terms) for op in stack]
+    else:
+        triples = [_attempt(alone, k) for k in rows]
+    memo.update(zip(fresh, triples))
+    return [memo[key] for key in keys]
 
 
 def _replies(found: list, point) -> list:
@@ -271,14 +282,6 @@ def _lockstep(searches: list, evaluate) -> list:
     return results
 
 
-def _bfgs(objective, x0: np.ndarray, gtol: float) -> _Descent:
-    """`_descent` on `objective(lam)`, which returns the value and the full gradient at the tilt exp(lam)."""
-    (run,) = _lockstep([_descent(x0, gtol)], lambda asks: [objective(lam) for _, lam in asks])
-    if isinstance(run, Exception):
-        raise run
-    return run
-
-
 def _neg_log_js(tilted: np.ndarray, lams: np.ndarray, triples: list[PerronTriple]) -> list:
     """-log J and its exact gradient at each row of the log-weights lams, or LinAlgError where that is singular.
 
@@ -325,9 +328,10 @@ def _optimize_j_batch(sigmas: list[SubStochasticMatrix], rngs: list[RngSpec]) ->
     vectors h, then the three searches of every case in one `_lockstep`,
     then the re-scoring of every search's end. A round finds, per case, the
     tilts that case has not solved yet (a memo keyed by the case and
-    `_tilt_keys`, that lives for the call) and solves them as one stack
-    (`_solved`); its -log J gradients are one stacked bordered solve
-    (`_neg_log_js`). Every member gets the bits a solve alone gives it, so
+    `_tilt_keys`, that lives for the call) and solves them with `_solved`:
+    as one stack up to DENSE_MAX_STATES states, one at a time above, as
+    `j_objective` solves them. Its -log J gradients are one stacked
+    bordered solve (`_neg_log_js`). Every member gets the bits a solve alone gives it, so
     each result is bit for bit that of its own call. A case's exception is
     the first its call would meet: the flat solve, J(h), then each start's
     search and the re-scoring of its end in turn.
@@ -341,12 +345,8 @@ def _optimize_j_batch(sigmas: list[SubStochasticMatrix], rngs: list[RngSpec]) ->
     def solve(cases: list[int], tilts: np.ndarray):
         """(sigma_c diag(a) of each case c and tilt a, the triple or exception of each)."""
         tilted = (entries if count == 1 else entries[cases]) * tilts[:, None, :]  # one case broadcasts
-        ids = list(zip(cases, _tilt_keys(tilts)))
-        # Each (case, tilt) the call has not solved yet, with one ask of it.
-        fresh = {key: k for key, k in dict(zip(ids, range(len(ids)))).items() if key not in memo}
-        stack = tilted if len(fresh) == len(ids) else tilted[list(fresh.values())]
-        memo.update(zip(fresh, _solved(len(stack), lambda part: stack[part], m, None)))
-        return tilted, [memo[key] for key in ids]
+        keys = list(zip(cases, _tilt_keys(tilts)))
+        return tilted, _solved(keys, lambda rows: tilted[rows], m, None, lambda k: _perron_triple(tilted[k]), memo)
 
     _, flat = solve(list(range(count)), np.ones((count, m)))
     results = list(flat)  # a failed flat solve is its case's result
@@ -481,62 +481,32 @@ def _supremum(run, nu: np.ndarray) -> float:
     return -run.value
 
 
-def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarray]:
-    """(value, maximizer) of sup over lambda of nu lambda - log r(exp lambda), gauge lambda(last) = 0.
-
-    `triple_at(a)` is the Perron triple of the tilt by a of the benchmark or of
-    a window chain, and `_transform_points` gives the objective and its exact
-    gradient. `_bfgs` maximizes the concave objective from the flat tilt,
-    where it is -log r, to a gradient of TRANSFORM_GTOL or to its precision-loss stop.
-    A search that steps past MAX_TILT_SPREAD follows a maximizing tilt that
-    runs to infinity and raises NoConvergenceError. Where the supremum is not
-    attained but the objective flattens below rounding before the spread is
-    reached (some simplex edges), the search stops there and returns its
-    best value. A `witness` tilt bounds the value from below.
-    """
-
-    def objective(lam):
-        (reply,) = _transform_points([triple_at(np.exp(lam))], nu[None], lam[None])
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-    run = _bfgs(objective, np.zeros(len(nu) - 1), gtol=TRANSFORM_GTOL)
-    value = _supremum(run, nu)
-    if witness is not None:
-        return max(value, -objective(np.append(witness, 0.0))[0]), run.x
-    return value, run.x
-
-
 def _transform_round(nus: np.ndarray, n: int | None, stack_of, alone, terms: int | None):
     """`evaluate` of `_lockstep` for transform searches, search i at nus[i], on operators of n states.
 
     A round takes the tilts of all its asks with one np.exp and solves each
-    distinct tilt once (every search of a table starts at the flat tilt). Up
-    to DENSE_MAX_STATES states `_solved` solves the stacks `stack_of(tilts)`
-    builds; larger operators, and those past the state cap (n None), are
-    solved one tilt at a time by `alone(a)`. The pairs whose tilt was solved
-    get their `_transform_points` as one stack; the others get the exception
-    their solve raised.
+    distinct tilt once (every search of a table starts at the flat tilt) by
+    `_solved`: as the stacks `stack_of(tilts)` builds, or one tilt at a time
+    by `alone(a)`. The pairs whose tilt was solved get their
+    `_transform_points` as one stack; the others get the exception their
+    solve raised.
     """
-    stacked = n is not None and n <= DENSE_MAX_STATES
 
     def evaluate(asks):
         lams = np.array([lam for _, lam in asks])
         tilts = np.exp(lams)
-        keys = _tilt_keys(tilts)
-        first = dict(zip(keys, range(len(keys))))  # each distinct tilt, with one ask of it
-        distinct = np.array(list(first.values()), dtype=int)
-        if stacked:
-            triples = _solved(len(distinct), lambda part: stack_of(tilts[distinct[part]]), n, terms)
-        else:
-            triples = [_attempt(alone, tilts[k]) for k in distinct]
-        solved = dict(zip(first, triples))
-        found = [solved[key] for key in keys]
+        found = _solved(_tilt_keys(tilts), lambda rows: stack_of(tilts[rows]), n, terms, lambda k: alone(tilts[k]), {})
         at = np.array([i for i, _ in asks])
         return _replies(found, lambda rows, triples: _transform_points(triples, nus[at[rows]], lams[rows]))
 
     return evaluate
+
+
+def _benchmark_round(sigma: SubStochasticMatrix, nus: np.ndarray):
+    """`_transform_round` of the benchmark transforms of sigma, search i at nus[i]."""
+    return _transform_round(
+        nus, sigma.m, lambda tilts: sigma.entries * tilts[:, None, :], lambda a: _benchmark_triple(sigma, a), None
+    )
 
 
 def rate_function_I(sigma: SubStochasticMatrix, nu) -> float:
@@ -544,16 +514,26 @@ def rate_function_I(sigma: SubStochasticMatrix, nu) -> float:
 
     At simplex vertices the supremum has the closed form -log sigma[s, s],
     returned exactly (infinite when the diagonal entry vanishes). Elsewhere
-    the concave transform is maximized by BFGS on its exact gradient, started
-    at the flat tilt, so the result never falls below -log r. nu must be a
-    probability vector on the m states: off the simplex the transform is
-    infinite, and the gauge lambda(last) = 0 would hide that behind a finite value.
+    the concave transform lambda nu - log r(exp lambda), gauge lambda(last)
+    = 0, is maximized by one `_descent` on its exact gradient, the rate
+    table's benchmark round on one point: started at the flat tilt, so the
+    result never falls below -log r, to a gradient of TRANSFORM_GTOL or to
+    its precision-loss stop. A search that steps past MAX_TILT_SPREAD
+    follows a maximizing tilt that runs to infinity and raises
+    NoConvergenceError. Where the supremum is not attained but the
+    objective flattens below rounding before the spread is reached (some
+    simplex edges), the search stops there and returns its best value. nu
+    must be a probability vector on the m states: off the simplex the
+    transform is infinite, and the gauge would hide that behind a finite value.
     """
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (sigma.m,) or not (nu.min() >= 0.0 and abs(nu.sum() - 1.0) <= 1e-12):
         raise ValueError(f"nu must be a probability vector on {sigma.m} states, got {nu.tolist()}")
     at_vertex = _vertex_rate(sigma, nu)
-    return at_vertex if at_vertex is not None else _legendre(lambda a: _benchmark_triple(sigma, a), nu)[0]
+    if at_vertex is not None:
+        return at_vertex
+    (run,) = _lockstep([_descent(np.zeros(sigma.m - 1), TRANSFORM_GTOL)], _benchmark_round(sigma, nu[None]))
+    return _supremum(run, nu)
 
 
 def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_points: int = 101) -> RateFunctionTable:
@@ -563,10 +543,10 @@ def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_po
     coordinates in multiples of 1/(grid_points - 1), lexicographic in
     nu_1..nu_{m-1}: for two states nu = (x, 1 - x) with x rising. Both
     columns are exact at the vertices. Elsewhere the lifted transforms of
-    all points are maximized in lockstep (`_lockstep`), as `_legendre`
-    maximizes one, then the benchmark ones, each also evaluated at its
-    lifted maximizer lambda_bold. The lifted radius dominates the benchmark
-    one at every tilt, so I_bold = lifted(lambda_bold) <=
+    all points are maximized in lockstep (`_lockstep`), each as
+    `rate_function_I` maximizes one, then the benchmark ones, each also
+    evaluated at its lifted maximizer lambda_bold. The lifted radius
+    dominates the benchmark one at every tilt, so I_bold = lifted(lambda_bold) <=
     benchmark(lambda_bold) <= I by construction. A round solves each of its
     distinct tilts once (all searches start at the flat tilt), as stacks of
     at most ROUND_BYTES of operators; a 101-point m = 3 table makes about
@@ -600,9 +580,7 @@ def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_po
         nus, windows, lambda tilts: _dense_lifts(entries * tilts[:, None, :], law),
         lambda a: _window_triple(sigma, law, a), m,
     )
-    benchmark_round = _transform_round(
-        nus, m, lambda tilts: entries * tilts[:, None, :], lambda a: _benchmark_triple(sigma, a), None
-    )
+    benchmark_round = _benchmark_round(sigma, nus)
 
     def attained(run):
         return not isinstance(run, Exception) and run.bounded

@@ -15,8 +15,8 @@ from scipy.optimize import minimize, minimize_scalar
 
 import relochain as rc
 from relochain import bounds, experiments, matrices
-from relochain.bounds import _legendre, _window_triple
 from relochain.config import load_config
+from relochain.matrices import DENSE_MAX_STATES
 
 from conftest import R_CLOSED, largest_eigenvalue, window_matrix
 
@@ -100,6 +100,55 @@ def random_substochastic(rng, m, zeros):
             return rc.validate_substochastic(raw / sums * rng.uniform(0.3, 0.98, size=(m, 1)))
         except ValueError:
             continue
+
+
+# The one-search BFGS, the one-search Legendre transform and the dense window
+# solve, as the package ran them before its rate functions ran in lockstep:
+# the oracles of the grid-order table and of rate_function_I. `_bfgs` is `_lockstep` with one
+# search; `_legendre` is one transform search on `bounds._transform_points`,
+# read through the module so that tests can patch it.
+
+
+def _bfgs(objective, x0: np.ndarray, gtol: float) -> bounds._Descent:
+    """`_descent` on `objective(lam)`, which returns the value and the full gradient at the tilt exp(lam)."""
+    (run,) = bounds._lockstep([bounds._descent(x0, gtol)], lambda asks: [objective(lam) for _, lam in asks])
+    if isinstance(run, Exception):
+        raise run
+    return run
+
+
+def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarray]:
+    """(value, maximizer) of sup over lambda of nu lambda - log r(exp lambda), gauge lambda(last) = 0.
+
+    `triple_at(a)` is the Perron triple of the tilt by a of the benchmark or of
+    a window chain, and `_transform_points` gives the objective and its exact
+    gradient. `_bfgs` maximizes the concave objective from the flat tilt,
+    where it is -log r, to a gradient of TRANSFORM_GTOL or to its precision-loss stop.
+    A search that steps past MAX_TILT_SPREAD follows a maximizing tilt that
+    runs to infinity and raises NoConvergenceError. Where the supremum is not
+    attained but the objective flattens below rounding before the spread is
+    reached (some simplex edges), the search stops there and returns its
+    best value. A `witness` tilt bounds the value from below.
+    """
+
+    def objective(lam):
+        (reply,) = bounds._transform_points([triple_at(np.exp(lam))], nu[None], lam[None])
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    run = _bfgs(objective, np.zeros(len(nu) - 1), gtol=bounds.TRANSFORM_GTOL)
+    value = bounds._supremum(run, nu)
+    if witness is not None:
+        return max(value, -objective(np.append(witness, 0.0))[0]), run.x
+    return value, run.x
+
+
+def _window_triple(sigma, law, a: np.ndarray) -> matrices.PerronTriple:
+    """Perron triple of the window chain of sigma diag(a): dense up to DENSE_MAX_STATES windows, sparse above."""
+    chain = rc.build_lifted(sigma.entries * a, law)
+    n = chain.n_states
+    return matrices._perron_triple(chain.dense() if n <= DENSE_MAX_STATES else chain.operator, chain.m)
 
 
 def test_j_objective_examples(sigma_fig):
@@ -319,7 +368,7 @@ def test_bfgs_reaches_the_minimizer_of_a_convex_quadratic(n):
         grad = hess @ (lam[:-1] - x_min)
         return 0.5 * float((lam[:-1] - x_min) @ grad), np.append(grad, 0.0)
 
-    run = bounds._bfgs(quadratic, np.zeros(n), gtol=1e-10)
+    run = _bfgs(quadratic, np.zeros(n), gtol=1e-10)
     assert run.bounded
     assert np.abs(hess @ (run.x - x_min)).max() <= 1e-10
     np.testing.assert_allclose(run.x, x_min, atol=1e-9)  # the least eigenvalue of hess is above 0.1
@@ -330,7 +379,7 @@ def test_bfgs_ends_on_a_value_flat_to_rounding():
     # a strict one, so the search stops where it started once a halved step
     # predicts a decrease below the rounding of 1.0 (37 evaluations).
     objective, asked = _recorded(lambda lam: (1.0 + 1e-20 * lam[0], np.array([1e-3, -1e-3, 0.0])))
-    run = bounds._bfgs(objective, np.array([0.5, 0.0]), gtol=1e-10)
+    run = _bfgs(objective, np.array([0.5, 0.0]), gtol=1e-10)
     assert run.bounded
     assert run.value == 1.0 and run.x.tolist() == [0.5, 0.0]
     assert run.evaluations == len(asked) <= 40
@@ -342,7 +391,7 @@ def test_bfgs_stops_at_the_spread_bound_on_a_linear_objective():
     # and it never asks for that point.
     slope = np.array([-1.0, 2.0, 0.0])
     objective, asked = _recorded(lambda lam: (float(slope @ lam), slope))
-    run = bounds._bfgs(objective, np.zeros(2), gtol=1e-10)
+    run = _bfgs(objective, np.zeros(2), gtol=1e-10)
     assert not run.bounded
     spreads = [lam.max() - lam.min() for lam in asked]
     assert max(spreads) <= bounds.MAX_TILT_SPREAD < max(spreads) + 3.0
@@ -773,6 +822,43 @@ def test_table_errors_follow_the_grid_order_of_interleaved_searches(monkeypatch,
     assert raised(rc.rate_function_lifted, sigma_fig, law, 11) == want
 
 
+def simplex_points(m, k):
+    """The nu with coordinates in multiples of 1/k on m states, vertices left out."""
+    points = [np.array(c, dtype=float) / k for c in itertools.product(range(k + 1), repeat=m) if sum(c) == k]
+    return [nu for nu in points if nu.max() < 1.0]
+
+
+def outcome(run, *args):
+    """run(*args) as hex, or the type and message of the error it raises."""
+    try:
+        return run(*args).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "entries, k",
+    [(None, 40), (SIGMA3_CI, 12), (BADLY_SCALED, 6), ([[0.0, 0.9], [0.4, 0.3]], 20)],
+    ids=["sigma_fig", "sigma3", "badly_scaled", "zero_diag"],
+)
+def test_rate_function_I_keeps_the_bits_of_its_one_search(sigma_fig, entries, k):
+    # rate_function_I runs the table's benchmark round on one point: off the
+    # vertices, at interior and edge points and next to the vertices, its
+    # value is that of the one-search `_legendre`, bit for bit, and where the
+    # supremum is not attained it raises that search's error.
+    sigma = sigma_fig if entries is None else rc.validate_substochastic(entries)
+    points = simplex_points(sigma.m, k)
+    if sigma.m == 2:
+        points += [np.array([x, 1.0 - x]) for x in (1e-3, 1.0 - 1e-3)]
+    outcomes = {}
+    for nu in points + [np.array([0.6, 0.4])] * (sigma.m == 2):
+        want = outcome(lambda: _legendre(lambda a: bounds._benchmark_triple(sigma, a), nu)[0])
+        assert outcome(rc.rate_function_I, sigma, nu) == want
+        outcomes[tuple(nu)] = want
+    if entries == [[0.0, 0.9], [0.4, 0.3]]:  # state 0 cannot repeat: nu_1 = 0.6 is not attained
+        assert outcomes[(0.6, 0.4)][0] is rc.NoConvergenceError
+
+
 def test_lockstep_searches_end_as_they_end_alone():
     # Three quadratic searches in one lockstep; the second is handed an error
     # on its third evaluation. The others end as `_bfgs` ends them alone, bit
@@ -796,7 +882,7 @@ def test_lockstep_searches_end_as_they_end_alone():
     runs = bounds._lockstep([bounds._descent(np.zeros(2), 1e-10) for _ in hessians], evaluate)
     assert isinstance(runs[1], ZeroDivisionError)
     for i in (0, 2):
-        alone = bounds._bfgs(lambda lam: quadratic(hessians[i], lam), np.zeros(2), gtol=1e-10)
+        alone = _bfgs(lambda lam: quadratic(hessians[i], lam), np.zeros(2), gtol=1e-10)
         assert (runs[i].x.tobytes(), runs[i].value, runs[i].evaluations) == (alone.x.tobytes(), alone.value, alone.evaluations)
     assert len(asked) > 3 and all(1 not in ids for ids in asked[3:])
 
@@ -917,7 +1003,7 @@ def per_start_optimize_j(sigma, rng=rc.RngSpec(0)):
     starts = [np.zeros(m - 1), (log_h - log_h[-1])[:-1], rng.generator().normal(size=m - 1)]
     best_x, best, evaluations, drift = starts[0], j_one, 2, False
     for x0 in starts:
-        run = bounds._bfgs(lambda lam: sequential_neg_log_j(sigma, lam, triple_at), x0, gtol=1e-10)
+        run = _bfgs(lambda lam: sequential_neg_log_j(sigma, lam, triple_at), x0, gtol=1e-10)
         a = np.exp(np.append(run.x, 0.0))
         j = bounds._j_value(triple_at(a), a)
         evaluations += run.evaluations + 1
@@ -948,15 +1034,27 @@ def scan_cases(m, count, seed=12345):
     return cases
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_batch_keeps_the_bits_of_per_start_calls(m):
-    # 20 scan cases in one batch: every field of every result is that of the
-    # per-start oracle, and that of optimize_j, the batch of one.
-    cases = scan_cases(m, 20, seed=12345 + m)
+@pytest.mark.parametrize("m", [2, 3, 4, DENSE_MAX_STATES + 1])
+def test_batch_keeps_the_bits_of_per_start_calls(monkeypatch, m):
+    # 20 scan cases in one batch (3 above the dense limit): every field of
+    # every result is that of the per-start oracle, and that of optimize_j,
+    # the batch of one. Only operators of at most DENSE_MAX_STATES states are
+    # solved as stacks; larger ones take the power path one at a time, as
+    # j_objective solves them.
+    cases = scan_cases(m, 20 if m <= DENSE_MAX_STATES else 3, seed=12345 + m)
     want = [result_bits(per_start_optimize_j(sigma, rng)) for sigma, rng in cases]
+    widths = []
+    stacked = bounds._perron_triples
+
+    def recording(stack, *args):
+        widths.append(stack.shape[-1])
+        return stacked(stack, *args)
+
+    monkeypatch.setattr(bounds, "_perron_triples", recording)
     batch = bounds._optimize_j_batch([sigma for sigma, _ in cases], [rng for _, rng in cases])
     assert [result_bits(result) for result in batch] == want
     assert [result_bits(rc.optimize_j(sigma, rng)) for sigma, rng in cases[:5]] == want[:5]
+    assert set(widths) == ({m} if m <= DENSE_MAX_STATES else set())
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -1030,13 +1128,13 @@ def bordered_system(sigma, rng, start, evaluation):
 
     with mock.patch.object(bounds, "_umath_linalg", SimpleNamespace(solve1=recording)):
         runs = []
-        bfgs = bounds._bfgs
+        bfgs = _bfgs
 
         def counted(objective, x0, gtol):
             runs.append(len(systems))
             return bfgs(objective, x0, gtol)
 
-        with mock.patch.object(bounds, "_bfgs", counted):
+        with mock.patch.dict(globals(), {"_bfgs": counted}):
             per_start_optimize_j(sigma, rng)
     return systems[runs[start] + evaluation]
 
