@@ -17,10 +17,11 @@ the conjecture scan's batch holds all its cases), keeping a memo per
 matrix so that a call solves each distinct tilt once; a rate table runs
 the searches of all its grid points so, and `rate_function_I` is the
 table's benchmark round on one point. Each round solves the tilts it has
-not solved yet in one place (`_solved`): operators of at most
-DENSE_MAX_STATES states as one stack (`_perron_triples`), larger ones,
-`optimize_j`'s benchmark matrices included, one at a time. It evaluates
-all its gradients as one array step. For
+not solved yet in one place (`_solved`), as stacks of `_perron_triples`,
+which picks dense or power solves by the order and hands back each
+member's triple or error; the window stacks come in the format
+`_window_operators` picks. It evaluates all its gradients as one array
+step. For
 the transforms the gradient is the newest-state marginal of rho h. For
 log J = log r - rho lambda it is rho h minus the derivative of rho lambda,
 which takes one bordered solve with the tilted matrix A (a round's solves
@@ -43,8 +44,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NoConvergenceError
-from .lifted import _affordable_depth, _dense_lifts, build_lifted
-from .matrices import DENSE_MAX_STATES, PerronTriple, SubStochasticMatrix, _perron_triple, _perron_triples, tilt_vector
+from .lifted import _affordable_depth, _window_operators
+from .matrices import PerronTriple, SubStochasticMatrix, _perron_triple, _perron_triples, tilt_vector
 from .relocation import RelocationLaw
 from .simulate import RngSpec
 
@@ -99,17 +100,6 @@ class RateFunctionTable:
     violations: np.ndarray
 
 
-def _window_triple(sigma: SubStochasticMatrix, law: RelocationLaw, a: np.ndarray) -> PerronTriple:
-    """Perron triple of the window chain of sigma diag(a), of more than DENSE_MAX_STATES windows, on its sparse operator."""
-    chain = build_lifted(sigma.entries * a, law)
-    return _perron_triple(chain.operator, chain.m)
-
-
-def _benchmark_triple(sigma: SubStochasticMatrix, a: np.ndarray) -> PerronTriple:
-    """Perron triple of sigma diag(a), unchecked: a positive tilt keeps the support validation proved irreducible."""
-    return _perron_triple(sigma.entries * a)
-
-
 def _tilt_keys(tilts: np.ndarray) -> list[bytes]:
     """The keys under which the solved triples of the rows of a (K, m) array of tilts are kept: their bytes.
 
@@ -127,30 +117,20 @@ def _attempt(solve, *args):
         return exc
 
 
-def _solved(keys: list, stack_of, n: int | None, terms: int | None, alone, memo: dict) -> list:
-    """The Perron triple of each of a round's operators, keyed by `keys`, each or the exception its solve raised.
+def _solved(keys: list, stack_of, n: int, terms: int | None, memo: dict) -> list:
+    """The Perron triple of each of a round's operators of n states, keyed by `keys`, each or the exception its solve raised.
 
     Each key not in `memo` is solved once, from one of the operators it keys,
-    and kept there. Up to DENSE_MAX_STATES states `stack_of(rows)` builds the
-    operators at an index list, and `_perron_triples` solves them in parts of
-    at most ROUND_BYTES of operators; a part whose solve raises is solved
-    again one operator at a time, so only the members that raise fail.
-    Larger operators, and those past the state cap (n None), are solved one
-    at a time by `alone(k)`, the solve of operator k.
+    and kept there. `stack_of(rows)` builds the operators at an index list,
+    in the form `_perron_triples` takes, and they are solved in parts of at
+    most ROUND_BYTES of n x n operators.
     """
     fresh = {key: k for k, key in enumerate(keys) if key not in memo}
     rows = list(fresh.values())
-    if n is not None and n <= DENSE_MAX_STATES:
-        size = max(1, ROUND_BYTES // (8 * n * n))
-        triples = []
-        for at in range(0, len(rows), size):
-            stack = stack_of(rows[at : at + size])
-            try:
-                triples += _perron_triples(stack, terms)
-            except Exception:  # the members that raise alone fail alone
-                triples += [_attempt(_perron_triple, op, terms) for op in stack]
-    else:
-        triples = [_attempt(alone, k) for k in rows]
+    size = max(1, ROUND_BYTES // (8 * n * n))
+    triples = []
+    for at in range(0, len(rows), size):
+        triples += _perron_triples(stack_of(rows[at : at + size]), terms)
     memo.update(zip(fresh, triples))
     return [memo[key] for key in keys]
 
@@ -180,7 +160,7 @@ def _j_value(triple: PerronTriple, a: np.ndarray) -> float:
 def j_objective(sigma: SubStochasticMatrix, a) -> ObjectiveEval:
     """J(a) = r_a exp(-rho_a log a) for a validated sigma and a positive weight vector a."""
     av = tilt_vector(a, sigma.m)
-    triple = _benchmark_triple(sigma, av)
+    triple = _perron_triple(sigma.entries * av)  # a positive tilt keeps the support validation proved irreducible
     return ObjectiveEval(a=av, r_a=triple.r, rho_a=triple.rho, j_value=_j_value(triple, av))
 
 
@@ -328,11 +308,11 @@ def _optimize_j_batch(sigmas: list[SubStochasticMatrix], rngs: list[RngSpec]) ->
     vectors h, then the three searches of every case in one `_lockstep`,
     then the re-scoring of every search's end. A round finds, per case, the
     tilts that case has not solved yet (a memo keyed by the case and
-    `_tilt_keys`, that lives for the call) and solves them with `_solved`:
-    as one stack up to DENSE_MAX_STATES states, one at a time above, as
-    `j_objective` solves them. Its -log J gradients are one stacked
-    bordered solve (`_neg_log_js`). Every member gets the bits a solve alone gives it, so
-    each result is bit for bit that of its own call. A case's exception is
+    `_tilt_keys`, that lives for the call) and solves them with `_solved`
+    as stacks, each member as `j_objective` solves it. Its -log J gradients
+    are one stacked bordered solve (`_neg_log_js`). Every member gets the
+    bits a solve alone gives it, so each result is bit for bit that of its
+    own call. A case's exception is
     the first its call would meet: the flat solve, J(h), then each start's
     search and the re-scoring of its end in turn.
     """
@@ -346,7 +326,7 @@ def _optimize_j_batch(sigmas: list[SubStochasticMatrix], rngs: list[RngSpec]) ->
         """(sigma_c diag(a) of each case c and tilt a, the triple or exception of each)."""
         tilted = (entries if count == 1 else entries[cases]) * tilts[:, None, :]  # one case broadcasts
         keys = list(zip(cases, _tilt_keys(tilts)))
-        return tilted, _solved(keys, lambda rows: tilted[rows], m, None, lambda k: _perron_triple(tilted[k]), memo)
+        return tilted, _solved(keys, lambda rows: tilted[rows], m, None, memo)
 
     _, flat = solve(list(range(count)), np.ones((count, m)))
     results = list(flat)  # a failed flat solve is its case's result
@@ -481,21 +461,20 @@ def _supremum(run, nu: np.ndarray) -> float:
     return -run.value
 
 
-def _transform_round(nus: np.ndarray, n: int | None, stack_of, alone, terms: int | None):
+def _transform_round(nus: np.ndarray, n: int, stack_of, terms: int | None):
     """`evaluate` of `_lockstep` for transform searches, search i at nus[i], on operators of n states.
 
     A round takes the tilts of all its asks with one np.exp and solves each
     distinct tilt once (every search of a table starts at the flat tilt) by
-    `_solved`: as the stacks `stack_of(tilts)` builds, or one tilt at a time
-    by `alone(a)`. The pairs whose tilt was solved get their
-    `_transform_points` as one stack; the others get the exception their
-    solve raised.
+    `_solved`, on the operators `stack_of(tilts)` builds. The pairs whose
+    tilt was solved get their `_transform_points` as one stack; the others
+    get the exception their solve raised.
     """
 
     def evaluate(asks):
         lams = np.array([lam for _, lam in asks])
         tilts = np.exp(lams)
-        found = _solved(_tilt_keys(tilts), lambda rows: stack_of(tilts[rows]), n, terms, lambda k: alone(tilts[k]), {})
+        found = _solved(_tilt_keys(tilts), lambda rows: stack_of(tilts[rows]), n, terms, {})
         at = np.array([i for i, _ in asks])
         return _replies(found, lambda rows, triples: _transform_points(triples, nus[at[rows]], lams[rows]))
 
@@ -504,9 +483,7 @@ def _transform_round(nus: np.ndarray, n: int | None, stack_of, alone, terms: int
 
 def _benchmark_round(sigma: SubStochasticMatrix, nus: np.ndarray):
     """`_transform_round` of the benchmark transforms of sigma, search i at nus[i]."""
-    return _transform_round(
-        nus, sigma.m, lambda tilts: sigma.entries * tilts[:, None, :], lambda a: _benchmark_triple(sigma, a), None
-    )
+    return _transform_round(nus, sigma.m, lambda tilts: sigma.entries * tilts[:, None, :], None)
 
 
 def rate_function_I(sigma: SubStochasticMatrix, nu) -> float:
@@ -573,13 +550,11 @@ def rate_function_lifted(sigma: SubStochasticMatrix, law: RelocationLaw, grid_po
             i_vals[idx] = i_bold[idx] = at_vertex
     nus, entries, start, d = nu_grid[inner], sigma.entries, np.zeros(m - 1), law.support_max
     # Compared through the depth, as build_lifted compares, so a far point
-    # mass never forms m**(d+1): a chain past the state cap is left to the
-    # solve alone, whose build raises StateCapExceededError.
-    windows = m ** (d + 1) if _affordable_depth(m, d) == d else None
-    window_round = _transform_round(
-        nus, windows, lambda tilts: _dense_lifts(entries * tilts[:, None, :], law),
-        lambda a: _window_triple(sigma, law, a), m,
-    )
+    # mass never forms m**(d+1). Past the state cap `_window_operators`
+    # raises build_lifted's error at the first evaluation, as the grid-order
+    # loop meets it (it depends on m and d alone); the part size is moot there.
+    windows = m ** (_affordable_depth(m, d) + 1)
+    window_round = _transform_round(nus, windows, lambda tilts: _window_operators(entries * tilts[:, None, :], law), m)
     benchmark_round = _benchmark_round(sigma, nus)
 
     def attained(run):

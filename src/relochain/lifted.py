@@ -12,9 +12,11 @@ window operator (m entries per row, int32 indices); power sweeps and survival
 products run on it. Chains of at most
 DENSE_MAX_STATES windows are solved on `LiftedChain.dense`, which scatters
 the weights straight into an N x N array, so their solves never build the
-sparse form; `_dense_lifts` builds such arrays for a whole stack of tilted
-kernels at once, as the rate tables solve them. scipy.sparse is imported
-only when `operator` is first built.
+sparse form. `_window_operators` is the one place that picks the format of
+a whole stack of tilted kernels' operators, as the rate tables solve them:
+one dense array (`_dense_lifts`) up to that limit, each chain's sparse
+operator above. scipy.sparse is imported only when `operator` is first
+built.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import StateCapExceededError
-from .matrices import SpectralResult, SubStochasticMatrix
+from .matrices import DENSE_MAX_STATES, SpectralResult, SubStochasticMatrix
 from .matrices import _certified_perron, _cw_bounds, _nonnegative_entries
 from .relocation import HistoryWindow, RelocationLaw, TruncationResult, truncate_law
 
@@ -233,6 +235,18 @@ def _dense_lifts(kernels: np.ndarray, law: RelocationLaw) -> np.ndarray:
     m = kernels.shape[-1]
     weights = _window_weights(kernels, _mass_by_depth(depths, masses, m))
     return _scatter(weights, _successor_table(weights.shape[-2], m))
+
+
+def _window_operators(kernels: np.ndarray, law: RelocationLaw):
+    """The window operators of a (K, m, m) stack of kernels under a bounded law, as `_perron_triples` takes them.
+
+    One (K, N, N) array (`_dense_lifts`) up to DENSE_MAX_STATES windows, each
+    chain's sparse `operator` above; past the state cap, build_lifted's error.
+    """
+    m, d = kernels.shape[-1], law.support_max
+    if _affordable_depth(m, d) == d and m ** (d + 1) <= DENSE_MAX_STATES:
+        return _dense_lifts(kernels, law)
+    return [build_lifted(kernel, law).operator for kernel in kernels]
 
 
 def lifted_spectral_radius(chain: LiftedChain) -> SpectralResult:

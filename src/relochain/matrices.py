@@ -7,12 +7,13 @@ on a tight Collatz-Wielandt enclosure), positive tilting, the normalized
 simplex map driven by a tilted matrix, the Hilbert projective metric, and
 Birkhoff contraction coefficients.
 
-The dense step is written once, for a stack of operators
-(`_dense_certificates`): `_perron_triples` solves K small operators and
-their transposes with one dgeev gufunc call and checks every eigenvector
-and forms every Rayleigh quotient at once, and a single solve runs the
-same step on a stack of one. A member that fails the check takes the power
-path alone, so a stacked member's triple is the one its solve alone gives.
+The dense step is written once, for a stack of operators, around the one
+dgeev call of the package (`_dense_certificates`). `_perron_triples` is
+the only two-sided solve: it checks a stack of up to DENSE_MAX_STATES
+states at once and sends a side that fails the check, and every side of a
+larger numpy or scipy-sparse operator, down the power path alone, so each
+member's triple, or the error its solve raised, is the one its solve alone
+gives.
 """
 
 from __future__ import annotations
@@ -238,11 +239,10 @@ def _certified_perron(
     is at most CW_RTOL * r wide. `terms` is the number of summands per row
     of `matvec` (n when omitted), or more to count other rounding; the dense
     step widens by the larger of n and `terms`. Operators with at most
-    DENSE_MAX_STATES states are solved first by LAPACK's dgeev on the n x n
-    matrix that `dense()` builds (checked by `_dense_certificates` as a
-    stack of one), through the gufunc that np.linalg.eig wraps: the same
-    bits without the wrapper's per-call checks, so the matrix must be finite
-    (callers pass validated or `_nonnegative_entries` entries). When dgeev does
+    DENSE_MAX_STATES states are solved first by the dense step
+    (`_dense_certificates`) on the n x n matrix that `dense()` builds, as a
+    stack of one, so the matrix must be finite (callers pass validated or
+    `_nonnegative_entries` entries). When dgeev does
     not converge (non-finite eigenvalues), when its eigenvector fails the
     certificate (badly scaled or reducible operators), and for every larger
     operator, a sup-normalized power iteration over `matvec` runs on
@@ -266,9 +266,7 @@ def _certified_perron(
     top = 0.0
     if n <= DENSE_MAX_STATES:
         a = dense()
-        with np.errstate(all="ignore"):  # non-convergence shows as NaN, read below
-            vals, vecs = _umath_linalg.eig(a[None], signature="d->DD")
-            tops, v, _, bounds, ok = _dense_certificates(vals, vecs, lambda x: a @ x[0], terms)
+        tops, v, _, bounds, ok = _dense_certificates(a[None], lambda x: a @ x[0], terms)
         top = tops[0]
         if ok[0]:
             return _cw_result(top, v[0], 0, *bounds[0])
@@ -371,45 +369,50 @@ def _ritz_vector(matvec, v: np.ndarray, av: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def _dense_certificates(vals, vecs, times, terms: int | None):
-    """The dense step of the certified solver over K operators: (top, v, av, bounds, ok), one row or item each.
+def _dense_certificates(stack: np.ndarray, times, terms: int | None):
+    """The dense step of the certified solver over a (K, n, n) stack: (top, v, av, bounds, ok), one row or item each.
 
-    `vals` (K, n) and `vecs` (K, n, n) are dgeev's eigenvalues and right
-    eigenvectors of the operators, and `times(v)` returns each operator's
-    product av with its row of the (K, n) array v. Per operator: top is the
-    largest real part of an eigenvalue (a NaN, if any, is the argmax), v its
-    eigenvector's real part scaled to max |v| = 1, bounds the widened
-    Collatz-Wielandt interval (lo, hi) of (A v)/v, and ok is True when top
-    is finite, v > 0 and hi - lo <= CW_RTOL * hi. The products sum n terms,
-    so the bounds widen by the larger of n and `terms` (n when None), which
-    may count other rounding, as a lift's weights do. Every array step is
-    elementwise or one product or reduction per operator, so an operator
-    gets the bits it gets in a stack of one. Call it under
-    np.errstate(all="ignore"): a failed row may divide by zero or carry NaN,
-    and its ok is False.
+    One call of the dgeev gufunc that np.linalg.eig wraps gives the
+    eigenvalues and right eigenvectors of every operator: the same bits
+    without the wrapper's per-call checks, so the stack must be finite. Its
+    non-convergence shows as NaN, under np.errstate(all="ignore") as every
+    step here runs: a failed row may divide by zero or carry NaN, and its
+    ok is False. `times(v)` returns each operator's product av with its row
+    of the (K, n) array v. Per operator: top is the largest real part of an
+    eigenvalue (a NaN, if any, is the argmax), v its eigenvector's real part
+    scaled to max |v| = 1, bounds the widened Collatz-Wielandt interval
+    (lo, hi) of (A v)/v, and ok is True when top is finite, v > 0 and
+    hi - lo <= CW_RTOL * hi. The products sum n terms, so the bounds widen
+    by the larger of n and `terms` (n when None), which may count other
+    rounding, as a lift's weights do. Every array step is elementwise or one
+    product or reduction per operator, so an operator gets the bits it gets
+    in a stack of one.
     """
-    re, n = vals.real, vals.shape[-1]
+    with np.errstate(all="ignore"):
+        vals, vecs = _umath_linalg.eig(stack, signature="d->DD")
+        re, n = vals.real, vals.shape[-1]
+        # Rows of (A v)/v, its negation and v, so that one min reduction gives
+        # each operator's lo, -hi and least entry; negation is exact.
+        parts = np.empty((3, len(vals), n))
+        if len(vals) == 1:  # a single solve's stack of one: basic indexing, the same elements
+            k = int(re[0].argmax())
+            top = [re.item(k)]
+            v = vecs.real[:, :, k]
+            v = np.divide(v, v[0, abs(v[0]).argmax()], out=parts[2])
+        else:
+            rows = np.arange(len(vals))
+            k = re.argmax(axis=1)
+            top = re[rows, k].tolist()
+            v = vecs.real[rows, :, k]
+            v = np.divide(v, v[rows, np.abs(v).argmax(axis=1), None], out=parts[2])
+        av = times(v)
+        np.divide(av, v, out=parts[0])
+        np.negative(parts[0], out=parts[1])
+        extremes = np.minimum.reduce(parts, 2).tolist()
     terms = n if terms is None else max(n, terms)
-    # Rows of (A v)/v, its negation and v, so that one min reduction gives
-    # each operator's lo, -hi and least entry; negation is exact.
-    parts = np.empty((3, len(vals), n))
-    if len(vals) == 1:  # a single solve's stack of one: basic indexing, the same elements
-        k = int(re[0].argmax())
-        top = [re.item(k)]
-        v = vecs.real[:, :, k]
-        v = np.divide(v, v[0, abs(v[0]).argmax()], out=parts[2])
-    else:
-        rows = np.arange(len(vals))
-        k = re.argmax(axis=1)
-        top = re[rows, k].tolist()
-        v = vecs.real[rows, :, k]
-        v = np.divide(v, v[rows, np.abs(v).argmax(axis=1), None], out=parts[2])
-    av = times(v)
-    np.divide(av, v, out=parts[0])
-    np.negative(parts[0], out=parts[1])
     # The few numbers per operator are cheaper as Python floats than as arrays.
     bounds, ok = [], []
-    for lo, neg_hi, least, t in zip(*np.minimum.reduce(parts, 2).tolist(), top):
+    for lo, neg_hi, least, t in zip(*extremes, top):
         lo, hi = _widened(lo, -neg_hi, terms)
         bounds.append((lo, hi))
         ok.append(hi - lo <= CW_RTOL * hi and least > 0.0 and math.isfinite(t))
@@ -457,52 +460,57 @@ def perron_triple(matrix) -> PerronTriple:
     return _perron_triple(a)
 
 
-def _perron_triple(a, terms: int | None = None) -> PerronTriple:
-    """Unchecked Perron triple of an irreducible nonnegative square operator.
+def _perron_triple(a: np.ndarray, terms: int | None = None) -> PerronTriple:
+    """Unchecked Perron triple of an irreducible nonnegative square array: `_perron_triples` on a stack of one, raising its error."""
+    (triple,) = _perron_triples(a[None], terms)
+    if isinstance(triple, Exception):
+        raise triple
+    return triple
 
-    `a` is a numpy array, or a scipy sparse array of more than
-    DENSE_MAX_STATES states. `terms` counts the summands per row of `a` and
-    `a.T` (the order of `a` when omitted): m for a window operator, as every
-    window has m successors and m predecessors. Up to DENSE_MAX_STATES
-    states this is `_perron_triples` on a stack of one; above, the right and
-    left vectors come from two power solves of `_certified_perron`.
+
+def _perron_triples(ops, terms: int | None = None) -> list:
+    """The Perron triple of each of K irreducible nonnegative n x n operators, or the exception its solve raised.
+
+    Up to DENSE_MAX_STATES states `ops` is a (K, n, n) array: one
+    `_dense_certificates` call solves and checks the 2K matrices
+    [A_k; A_k^T], the left ones on the transposed views A_k.T, as
+    `_certified_perron` multiplies a transpose. A side that fails the check
+    takes that solver's power path, shifted by its own eigenvalue, as a
+    solve of that side alone would; above the limit `ops` is any sequence
+    of numpy or scipy-sparse operators, and every side takes it. `terms`
+    counts the summands per row of A_k and A_k^T (n when omitted): m for a
+    window operator. Right sides come first: a member whose right, else
+    left, solve raises gets that exception, and the others their triples.
     """
-    n = a.shape[0]
+    size, n = len(ops), ops[0].shape[-1]
     if n <= DENSE_MAX_STATES:
-        return _perron_triples(a[None], terms)[0]
-    at = a.T
-    v = _certified_perron(a.dot, n, None, terms).right_vector
-    u = _certified_perron(at.dot, n, None, terms).right_vector
-    return _rayleigh_triples((a @ v)[None], v[None], u[None])[0]
 
+        def times(x):
+            return np.concatenate((ops @ x[:size, :, None], ops.mT @ x[size:, :, None]))[:, :, 0]
 
-def _perron_triples(stack: np.ndarray, terms: int | None = None) -> list[PerronTriple]:
-    """Perron triples of a (K, n, n) stack of irreducible nonnegative operators, n <= DENSE_MAX_STATES.
-
-    One dgeev gufunc call solves the 2K matrices [A_k; A_k^T], and
-    `_dense_certificates` checks all their vectors at once, the left ones on
-    the transposed views A_k.T, as `_certified_perron` multiplies a
-    transpose. A right or left vector that fails the check is solved again
-    by the power path of `_certified_perron`, shifted by its own eigenvalue,
-    as a solve of that one side alone would do; the first such solve that
-    raises ends the call with its exception.
-    """
-    size, n = stack.shape[0], stack.shape[-1]
-
-    def times(x):
-        return np.concatenate((stack @ x[:size, :, None], stack.mT @ x[size:, :, None]))[:, :, 0]
-
-    with np.errstate(all="ignore"):  # non-convergence shows as NaN, read below
-        vals, vecs = _umath_linalg.eig(np.concatenate((stack, stack.mT)), signature="d->DD")
-        top, vectors, av, _, ok = _dense_certificates(vals, vecs, times, terms)
-    v, u, av = vectors[:size], vectors[size:], av[:size]
-    # Right sides come first, as a solve of one operator takes them.
+        top, vectors, av, _, ok = _dense_certificates(np.concatenate((ops, ops.mT)), times, terms)
+        av = av[:size]
+    else:
+        top, ok = [0.0] * (2 * size), [False] * (2 * size)
+        vectors, av = np.empty((2 * size, n)), np.empty((size, n))
+    failed = {}
     for row in [row for row, good in enumerate(ok) if not good]:
-        op = stack[row] if row < size else stack[row - size].T
-        vectors[row] = _power_perron(op.dot, n, top[row], terms, None).right_vector
+        k = row % size
+        if k in failed:
+            continue
+        op = ops[k] if row < size else ops[k].T
+        try:
+            vectors[row] = _power_perron(op.dot, n, top[row], terms, None).right_vector
+        except Exception as exc:  # this member's outcome; the others go on
+            failed[k] = exc
+            continue
         if row < size:
-            av[row] = op @ v[row]
-    return _rayleigh_triples(av, v, u)
+            av[row] = op @ vectors[row]
+    if not failed:
+        return _rayleigh_triples(av, vectors[:size], vectors[size:])
+    keep = [k for k in range(size) if k not in failed]
+    triples = iter(_rayleigh_triples(av[keep], vectors[keep], vectors[[size + k for k in keep]]))
+    return [failed[k] if k in failed else next(triples) for k in range(size)]
 
 
 def _rayleigh_triples(av, v, u) -> list[PerronTriple]:
@@ -588,11 +596,9 @@ def read_matrix_text(text: str) -> np.ndarray:
 
 
 def write_matrix_text(a) -> str:
+    """The shared matrix text of a square array, each entry as the repr of its float: `read_matrix_text` gives it back exactly."""
     a = _as_square_array(a)
-    lines = [str(a.shape[0])]
-    for row in a:
-        lines.append(" ".join(f"{x:.12g}" for x in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([str(a.shape[0])] + [" ".join(map(repr, row)) for row in a.tolist()]) + "\n"
 
 
 def load_matrix(path) -> SubStochasticMatrix:

@@ -102,10 +102,11 @@ def random_substochastic(rng, m, zeros):
             continue
 
 
-# The one-search BFGS, the one-search Legendre transform and the dense window
+# The one-search BFGS, the one-search Legendre transform and the window
 # solve, as the package ran them before its rate functions ran in lockstep:
-# the oracles of the grid-order table and of rate_function_I. Above
-# DENSE_MAX_STATES windows the window solve is the package's sparse one.
+# the oracles of the grid-order table and of rate_function_I. The window
+# solve is the package's solve of one chain: of its dense operator up to
+# DENSE_MAX_STATES windows, of its sparse one above.
 # `_bfgs` is `_lockstep` with one search; `_legendre` is one transform search
 # on `bounds._transform_points`, read through the module so that tests can
 # patch it.
@@ -147,11 +148,19 @@ def _legendre(triple_at, nu: np.ndarray, witness=None) -> tuple[float, np.ndarra
 
 
 def _window_triple(sigma, law, a: np.ndarray) -> matrices.PerronTriple:
-    """Perron triple of the window chain of sigma diag(a): dense up to DENSE_MAX_STATES windows, the package's sparse solve above."""
+    """Perron triple of the window chain of sigma diag(a): of its dense operator up to DENSE_MAX_STATES windows, of its sparse one above."""
     chain = rc.build_lifted(sigma.entries * a, law)
     if chain.n_states <= DENSE_MAX_STATES:
         return matrices._perron_triple(chain.dense(), chain.m)
-    return bounds._window_triple(sigma, law, a)
+    (triple,) = matrices._perron_triples([chain.operator], chain.m)
+    if isinstance(triple, Exception):
+        raise triple
+    return triple
+
+
+def benchmark_triple(sigma, a: np.ndarray) -> matrices.PerronTriple:
+    """Perron triple of sigma diag(a), as j_objective solves it."""
+    return matrices._perron_triple(sigma.entries * a)
 
 
 def test_j_objective_examples(sigma_fig):
@@ -214,7 +223,7 @@ def test_optimize_j_gauge_invariance(sigma_fig):
 def neg_log_j(sigma, lam):
     """-log J and its gradient at lam by the stacked bordered solve on a stack of one, raising its LinAlgError."""
     a = np.exp(lam)
-    (reply,) = bounds._neg_log_js((sigma.entries * a)[None], lam[None], [bounds._benchmark_triple(sigma, a)])
+    (reply,) = bounds._neg_log_js((sigma.entries * a)[None], lam[None], [benchmark_triple(sigma, a)])
     if isinstance(reply, Exception):
         raise reply
     return reply
@@ -751,7 +760,7 @@ def grid_order_table(sigma, law, grid_points):
             i_vals[idx] = i_bold[idx] = at_vertex
             continue
         i_bold[idx], lam_bold = _legendre(lambda a: _window_triple(sigma, law, a), nu)
-        i_vals[idx] = _legendre(lambda a: bounds._benchmark_triple(sigma, a), nu, witness=lam_bold)[0]
+        i_vals[idx] = _legendre(lambda a: benchmark_triple(sigma, a), nu, witness=lam_bold)[0]
     return nu_grid, i_vals, i_bold, i_bold > i_vals + 1e-8
 
 
@@ -854,7 +863,7 @@ def test_rate_function_I_keeps_the_bits_of_its_one_search(sigma_fig, entries, k)
     if sigma.m == 2:
         points += [np.array([x, 1.0 - x]) for x in (1e-3, 1.0 - 1e-3)]
     for nu in points:
-        want = outcome(lambda: _legendre(lambda a: bounds._benchmark_triple(sigma, a), nu)[0])
+        want = outcome(lambda: _legendre(lambda a: benchmark_triple(sigma, a), nu)[0])
         assert outcome(rc.rate_function_I, sigma, nu) == want
 
 
@@ -913,20 +922,31 @@ def test_a_table_round_stays_within_its_byte_budget(monkeypatch, sigma_fig):
     assert not table.violations.any()
 
 
-def test_a_member_that_raises_leaves_the_rest_of_its_round(sigma_fig):
+def test_a_member_that_raises_leaves_the_rest_of_its_round(monkeypatch, sigma_fig):
     # The tilt (2, 1) is solved as the reducible [[0.5, 0.1], [0, 0.3]], whose
-    # power path raises: its search gets that error, the others their points.
+    # power path raises: its search gets that error, the others their points,
+    # all from one stacked solve of the round.
     reducible = np.array([[0.5, 0.1], [0.0, 0.3]])
 
     def stack_of(tilts):
         return np.array([reducible if t[0] == 2.0 else sigma_fig.entries * t for t in tilts])
 
+    calls = []
+    stacked = matrices._perron_triples
+
+    def recording(stack, *args):
+        calls.append(len(stack))
+        return stacked(stack, *args)
+
+    for module in (bounds, matrices):  # a solve of one member alone counts too
+        monkeypatch.setattr(module, "_perron_triples", recording)
     nus = np.array([[0.3, 0.7], [0.5, 0.5], [0.6, 0.4]])
     lams = [np.array([0.0, 0.0]), np.log([2.0, 1.0]), np.array([0.4, 0.0])]
-    evaluate = bounds._transform_round(nus, 2, stack_of, None, None)
+    evaluate = bounds._transform_round(nus, 2, stack_of, None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         replies = evaluate(list(enumerate(lams)))
+    assert calls == [3]
     assert isinstance(replies[1], rc.NoConvergenceError) and "strict positivity" in str(replies[1])
     for i in (0, 2):
         triple = bounds._perron_triple(stack_of([np.exp(lams[i])])[0])
@@ -992,7 +1012,7 @@ def per_start_optimize_j(sigma, rng=rc.RngSpec(0)):
     and the re-scoring of its end.
     """
     m = sigma.m
-    triple_at = reuse(lambda a: bounds._benchmark_triple(sigma, a))
+    triple_at = reuse(lambda a: benchmark_triple(sigma, a))
     flat = triple_at(np.ones(m))
     j_one, h = flat.r, flat.h
     j_h = bounds._j_value(triple_at(h), h)
@@ -1037,9 +1057,9 @@ def scan_cases(m, count, seed=12345):
 def test_batch_keeps_the_bits_of_per_start_calls(monkeypatch, m):
     # 20 scan cases in one batch (3 above the dense limit): every field of
     # every result is that of the per-start oracle, and that of optimize_j,
-    # the batch of one. Only operators of at most DENSE_MAX_STATES states are
-    # solved as stacks; larger ones take the power path one at a time, as
-    # j_objective solves them.
+    # the batch of one. Operators of every order are solved as stacks; above
+    # DENSE_MAX_STATES states each member of a stack takes the power path,
+    # as j_objective solves it.
     cases = scan_cases(m, 20 if m <= DENSE_MAX_STATES else 3, seed=12345 + m)
     want = [result_bits(per_start_optimize_j(sigma, rng)) for sigma, rng in cases]
     widths = []
@@ -1053,7 +1073,7 @@ def test_batch_keeps_the_bits_of_per_start_calls(monkeypatch, m):
     batch = bounds._optimize_j_batch([sigma for sigma, _ in cases], [rng for _, rng in cases])
     assert [result_bits(result) for result in batch] == want
     assert [result_bits(rc.optimize_j(sigma, rng)) for sigma, rng in cases[:5]] == want[:5]
-    assert set(widths) == ({m} if m <= DENSE_MAX_STATES else set())
+    assert set(widths) == {m}
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -1064,7 +1084,7 @@ def test_stacked_bordered_solves_keep_the_bits_of_one_matrix_solves(m):
     sigmas = [random_substochastic(rng, m, zeros=k % 2 == 1) for k in range(30)]
     lams = np.array([np.append(rng.uniform(-3.0, 3.0, size=m - 1), 0.0) for _ in sigmas])
     tilts = np.exp(lams)
-    triples = [bounds._benchmark_triple(sigma, a) for sigma, a in zip(sigmas, tilts)]
+    triples = [benchmark_triple(sigma, a) for sigma, a in zip(sigmas, tilts)]
     tilted = np.array([sigma.entries * a for sigma, a in zip(sigmas, tilts)])
     stacked = bounds._neg_log_js(tilted, lams, triples)
     for sigma, lam, triple, (value, grad) in zip(sigmas, lams, triples, stacked):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import relochain as rc
 from relochain.cli import main
@@ -588,26 +589,50 @@ BADLY_SCALED = [[0.3, 0.6, 0.0], [0.0, 0.0, 0.9], [0.8, 0.0, 0.0]]
 
 
 def stacked_test_operators(n, size, seed):
-    """`size` nonnegative n x n operators of mixed kinds, as one (size, n, n) stack."""
+    """`size` nonnegative n x n operators as `_perron_triples` takes them.
+
+    Up to 64 states, mixed kinds as one (size, n, n) stack. At 65, positive
+    members as one stack, but the next to last has row 0 zero off the
+    diagonal and the last column 0, so that the right and the left Perron
+    vector of one of them has a zero entry. At 128, the sparse operators of
+    128-window chains of badly scaled two-state tilts.
+    """
     rng = np.random.default_rng(seed)
+    if n == 128:
+        ops = []
+        for _ in range(size):
+            raw = rng.uniform(0.05, 1.0, size=(2, 2))
+            sigma = raw / raw.sum(axis=1, keepdims=True) * rng.uniform(0.3, 0.98, size=(2, 1))
+            law = rc.RelocationLaw.explicit(rng.dirichlet(np.ones(7)))
+            ops.append(rc.build_lifted(sigma * rng.lognormal(0.0, 2.0, size=2), law).operator)
+        return ops
+    if n > DENSE_MAX_STATES:
+        stack = rng.uniform(0.0, 1.0, size=(size, n, n)) / n
+        stack[-2, 0, 1:] = 0.0
+        stack[-1, 1:, 0] = 0.0
+        return stack
     kinds = ["positive", "zeros", "scaled", "periodic"]
     return np.array([dense_test_matrix(kinds[int(rng.integers(4))], n, int(rng.integers(2**32))) for _ in range(size)])
 
 
-@pytest.mark.parametrize("n, size, seed", [(2, 1, 0), (2, 40, 1), (3, 17, 2), (4, 33, 3), (9, 12, 4), (16, 9, 5), (27, 6, 6), (64, 3, 7)])
+@pytest.mark.parametrize(
+    "n, size, seed",
+    [(2, 1, 0), (2, 40, 1), (3, 17, 2), (4, 33, 3), (9, 12, 4), (16, 9, 5), (27, 6, 6), (64, 3, 7), (65, 4, 8), (128, 4, 9)],
+)
 def test_stacked_triples_keep_the_bits_of_single_solves(monkeypatch, n, size, seed):
-    # Every member of a stack gets the triple a solve of it alone gives, and
-    # the one the one-operator solver gave before stacks existed; a member
-    # that fails the dense certificate takes the power path. A stack with a
-    # member whose solve raises raises that member's error; without those
-    # members, the rest keep their bits.
+    # Every member of a stack gets the outcome a solve of it alone gives,
+    # and the one the one-operator solver gave before stacks existed: its
+    # triple's bits, or its error's type and message. Up to 64 states a
+    # member that fails the dense certificate takes the power path; above,
+    # every side of a dense or sparse operator takes it. Members whose solve
+    # raises leave the others their bits.
     stack = stacked_test_operators(n, size, seed)
-    alone = [outcome_of(matrices._perron_triple, a) for a in stack]
-    assert alone == [outcome_of(reference_triple, a) for a in stack]
-    errors = [bits for bits in alone if isinstance(bits[0], type)]
-    assert bool(errors) == (seed in (1, 2, 3, 4, 5))  # sparse "zeros" members make these raise
-    if errors:
-        assert outcome_of(matrices._perron_triples, stack) in errors
+    want = [outcome_of(reference_triple, a) for a in stack]
+    assert [triple_bits(t) for t in matrices._perron_triples(stack)] == want
+    assert [triple_bits(matrices._perron_triples(stack[k : k + 1])[0]) for k in range(size)] == want
+    errors = [bits for bits in want if isinstance(bits[0], type)]
+    # Sparse "zeros" members make these raise, and two of the 65-state stack.
+    assert bool(errors) == (seed in (1, 2, 3, 4, 5, 8))
     powered = []
     power_perron = matrices._power_perron
 
@@ -616,10 +641,11 @@ def test_stacked_triples_keep_the_bits_of_single_solves(monkeypatch, n, size, se
         return power_perron(matvec, *args)
 
     monkeypatch.setattr(matrices, "_power_perron", recording)
-    solved = [k for k, bits in enumerate(alone) if not isinstance(bits[0], type)]
-    assert [triple_bits(t) for t in matrices._perron_triples(stack[solved])] == [alone[k] for k in solved]
+    matrices._perron_triples(stack)
     if seed == 7:  # this stack holds a member that falls back and certifies
         assert powered
+    if n > DENSE_MAX_STATES:  # both sides of every member, but the left of the one whose right raises
+        assert len(powered) == 2 * size - (seed == 8)
 
 
 @pytest.mark.parametrize("spread", [45, 60])
@@ -646,17 +672,19 @@ def test_badly_scaled_members_fall_back_alone(monkeypatch, spread):
     assert len(powered) == 2 * falls  # the reference solves took the same power paths
 
 
-def test_a_stack_with_a_member_that_raises_raises_its_error(sigma_fig):
+def test_a_stack_member_that_raises_gets_its_error_in_its_slot(sigma_fig):
     # [[0.5, 0.1], [0, 0.3]] is reducible: its Perron vector has a zero entry,
-    # so the power path raises, in a stack as alone.
+    # so the power path raises. In a stack its slot holds that error and the
+    # others their triples; alone, the solve raises it.
     reducible = np.array([[0.5, 0.1], [0.0, 0.3]])
     stack = np.array([sigma_fig.entries, reducible, sigma_fig.entries * [1.5, 0.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NoConvergenceError, match="strict positivity"):
-            matrices._perron_triples(stack)
+        triples = matrices._perron_triples(stack)
         with pytest.raises(NoConvergenceError, match="strict positivity"):
             matrices._perron_triple(reducible)
+    assert isinstance(triples[1], NoConvergenceError) and "strict positivity" in str(triples[1])
+    assert [triple_bits(triples[k]) for k in (0, 2)] == [triple_bits(matrices._perron_triple(stack[k])) for k in (0, 2)]
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e250, 1e-100, 1e-250])
@@ -686,11 +714,19 @@ def test_power_path_rescale_is_exact(power):
     assert scaled.right_vector.tobytes() == base.right_vector.tobytes()
 
 
-def test_matrix_text_roundtrip(sigma_fig):
-    text = rc.write_matrix_text(sigma_fig.entries)
-    back = rc.read_matrix_text(text)
-    np.testing.assert_array_equal(back, sigma_fig.entries)
-    assert text.splitlines()[0] == "2"
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.integers(min_value=1, max_value=6).flatmap(
+        lambda m: hnp.arrays(np.float64, (m, m), elements=st.floats(allow_nan=False, allow_infinity=False))
+    )
+)
+def test_matrix_text_roundtrip(a):
+    # Every finite float, the 2-digit benchmark's and the drawn ones, comes
+    # back bit for bit; 12 significant digits lost most of them.
+    for entries in (rc.benchmark_matrix().entries, a):
+        text = rc.write_matrix_text(entries)
+        assert rc.read_matrix_text(text).tobytes() == entries.tobytes()
+        assert text.splitlines()[0] == str(len(entries))
     for text, message in (
         ("2\n0.5 0.5\n0.5", "expected 4 entries"),
         ("", "empty matrix text"),
