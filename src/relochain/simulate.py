@@ -25,12 +25,14 @@ drops the replicas killed in a step by one index list of the survivors.
 A step of the weighted chain costs a few numpy calls whatever the width of
 its arrays, so several geometric laws run side by side as one memory of
 L x N_CHAINS chains, and the loop costs the longest law's steps, not the sum
-of all laws' steps. The loop runs in blocks of _BLOCK steps: one draw of
-uniforms per law and block, and each law's per-step chain sums, running
-means, occupation samples and state counts folded once per block, in step
-order, so every output is bit for bit that of one law run alone in a loop
-folding one step at a time. The two samplers that never kill search only
-the first m - 1 columns of a row.
+of all laws' steps. The loop runs in blocks of _BLOCK steps, with one draw of
+uniforms per law and block. A step writes straight into the block's buffers:
+the search its gain rows (the state plus its law's offset in the stacked
+gains), the push its new row, which the next step searches. Each law's
+per-step chain sums, running means, occupation samples and state counts are
+folded once per block, in step order, so every output is bit for bit that of
+one law run alone in a loop folding one step at a time. The two samplers
+that never kill search only the first m - 1 columns of a row.
 """
 
 from __future__ import annotations
@@ -129,17 +131,21 @@ class _Memory:
     mass once, here, so a row gathers one (R, k) term per atom and adds it,
     with no multiply pass; the price is one (m, k) table per atom.
 
+    `push(t, out)` also writes the new row into the caller's (R, k) buffer
+    `out`, bit for bit the row of `push(t)`: a geometric memory then keeps
+    `out` as its row, which the caller must not write before the next push,
+    and a ring gathers its atoms into it.
+
     `law` may also be a tuple of geometric laws, run side by side in one
     affine row of L * replicas rows, law l in rows l * replicas onward. Each
     row then decays by its own law's 1 - eps, held as a full (R, k) array (a
     broadcast (R, 1) column doubles the multiply: 1.47 against 0.72 us at
-    R = 60, k = 5 on a 2-core VM), and the gains
-    stack to L * m rows, so a push of state t to a row of law l reads gain
-    row t + m * l. One law keeps a float decay and reads gain row t: the
-    full decay array and offsets for one law, kept by `keep` too, made
-    survival's geometric FK estimates 31% and its killed chain 53% slower
-    (medians of 10 alternating pairs, 100,000 replicas, 2-core VM). A
-    bounded law runs alone.
+    R = 60, k = 5 on a 2-core VM), and the gains stack to L * m rows: a push
+    names gain rows, so state t enters a row of law l as gain row t + m * l.
+    One law keeps a float decay, and its gain rows are its states: a full
+    decay array for one law, kept by `keep` too, made survival's geometric FK
+    estimates 31% and its killed chain 53% slower (medians of 10 alternating
+    pairs, 100,000 replicas, 2-core VM). A bounded law runs alone.
     """
 
     def __init__(
@@ -160,13 +166,12 @@ class _Memory:
         self._geometric = not law.bounded
         if self._geometric:
             if len(laws) == 1:
-                self._decay, self._offsets = 1.0 - law.eps, None
+                self._decay = 1.0 - law.eps
             else:
                 self._decay = np.repeat([[1.0 - one.eps] * table.shape[1] for one in laws], replicas, axis=0)
-                self._offsets = np.repeat(np.arange(0, m * len(laws), m), replicas)
             self._gain = np.concatenate([one.eps * table for one in laws])
             starts = [occupation_measure(init, one, m) @ table for one in laws]
-            self._hold(np.repeat(starts, replicas, axis=0))
+            self._row, self._view = np.repeat(starts, replicas, axis=0), None
         else:
             self._length = length = min(law.support_max + 1, pushes + len(init))
             near = bisect_left(law.depths, length)
@@ -178,56 +183,66 @@ class _Memory:
             start = np.array(init.truncated(length) + init.states[-1:] * far, dtype=np.intp)
             self._ring = np.repeat(start[:, None], replicas, axis=1)
 
-    def _hold(self, row: np.ndarray) -> None:
-        self._row = row
-        self._view = row.view()
-        self._view.flags.writeable = False
-
     def row(self) -> np.ndarray:
-        if self._geometric:
-            return self._view
+        if not self._geometric:
+            return self._gather()
+        if self._view is None:
+            self._view = self._row.view()
+            self._view.flags.writeable = False
+        return self._view
+
+    def _gather(self, out: np.ndarray | None = None) -> np.ndarray:
         # Slot (ptr + i) mod L holds w_i. One term at a time, so at most two
         # (R, k) arrays are alive.
         length = self._length
         slots = [(self._ptr + i) % length if i < length else length for i in self._depths]
-        out = self._tables[0].take(self._ring[slots[0]], axis=0)
+        out = self._tables[0].take(self._ring[slots[0]], axis=0, out=out)
         for slot, table in zip(slots[1:], self._tables[1:]):
             term = table.take(self._ring[slot], axis=0)
             out += term
             del term
         return out
 
-    def push(self, t) -> None:
-        if self._geometric:
-            self._row *= self._decay
-            self._row += self._gain.take(t if self._offsets is None else t + self._offsets, axis=0)
-        else:
+    def push(self, t, out: np.ndarray | None = None) -> None:
+        if not self._geometric:
             self._ptr = (self._ptr - 1) % self._length
             self._ring[self._ptr] = t
+            if out is not None:
+                self._gather(out)
+        elif out is None:
+            self._row *= self._decay
+            self._row += self._gain.take(t, axis=0)
+        else:
+            np.multiply(self._row, self._decay, out=out)
+            out += self._gain.take(t, axis=0)
+            self._row, self._view = out, None
 
     def keep(self, index: np.ndarray) -> None:
         """Keep only the replicas at the increasing positions `index` (one law only)."""
         if self._geometric:
-            self._hold(self._row.take(index, axis=0))
+            self._row, self._view = self._row.take(index, axis=0), None
         else:
             self._ring = self._ring.take(index, axis=1)
 
 
-def _search(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _search(rows: np.ndarray, x: np.ndarray, base: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Per replica, the number of columns whose running row sum is at most x.
 
     That is the first column whose running sum exceeds x, or the column count
     when none does. Rows are non-negative, so the running sums are monotone
     and the columns counted form a prefix: searching only the first m - 1
     columns of a row gives min(k, m - 1), the draw of a sampler that never
-    kills, while the killed chain searches all m and reads m as death.
+    kills, while the killed chain searches all m and reads m as death. With
+    an intp `base` the count is added to it and written to `out`, so the
+    weighted chain gets its gain rows, state plus law offset, in its block
+    buffer; the other samplers keep the one cast of a new count.
     """
     if not rows.shape[1]:
-        return np.zeros(len(x), dtype=np.intp)
+        return np.zeros(len(x), dtype=np.intp) if base is None else np.add(base, 0, out=out)
     # Column 0 is read in place; the first sum is a new array, so the caller's
     # rows are never written.
     acc = rows[:, 0]
-    k = (acc <= x).astype(np.intp)
+    k = (acc <= x).astype(np.intp) if base is None else np.add(base, acc <= x, out=out)
     for j in range(1, rows.shape[1]):
         acc = np.add(acc, rows[:, j], out=acc if j > 1 else None)
         k += acc <= x
@@ -322,11 +337,15 @@ def run_weighted_chains(
     steps; so the laws must all be geometric, and a bounded law runs alone.
     Steps run in blocks of _BLOCK: one draw of uniforms per law and block,
     the same PCG64 stream as one draw per step (a law that has ended draws
-    and steps on unread). Each step only draws, pushes and stores its state
-    and its row; after the block each law's chain sums, running means,
-    occupation samples and state counts are folded on its own chains by a
-    sequential cumsum, so every output is bit for bit that of a loop that
-    folds each step as it goes.
+    and steps on unread). A step searches the row the step before wrote,
+    writes its gain rows into one buffer and pushes its new row into
+    another, and stores nothing else: on a geometric law that is a product,
+    a compare and an add for the search on m = 2, then a multiply, a gather
+    and an add for the push. After the block the law offsets are taken off
+    the gain rows, and each law's chain sums, running means, occupation
+    samples and state counts are folded on its own chains by a sequential
+    cumsum, so every output is bit for bit that of a loop that folds each
+    step as it goes.
     """
     laws = tuple(laws)
     if not laws:
@@ -349,35 +368,38 @@ def run_weighted_chains(
     chain_sums = np.zeros(len(laws) * N_CHAINS)
     state_histograms = [np.zeros(m, dtype=np.int64) for _ in laws]
 
-    nxt_block = np.empty((_BLOCK, len(chain_sums)), dtype=np.intp)
-    # Per step, the whole new row, whose K a and unnormalized theta the fold
-    # reads: one contiguous copy costs less than a copy of its last m + 1
-    # columns (0.25 against 0.92 us at 60 x 5 on a 2-core VM).
-    row_block = np.empty((_BLOCK, len(chain_sums), 2 * m + 1))
-    rows = memory.row()
+    # Step j of a block searches row j - 1 of row_block, row -1 being the last
+    # row of the block before, and writes gain rows (state plus its law's
+    # offset, which the fold takes off once per block) to nxt_block[j] and
+    # its new row, whose K a and unnormalized theta the fold reads, to
+    # row_block[j]. The views of each step are made once, here.
+    offsets = np.repeat(np.arange(0, m * len(laws), m), N_CHAINS)
+    nxt_block = np.empty((_BLOCK, len(offsets)), dtype=np.intp)
+    row_block = np.empty((_BLOCK, len(offsets), 2 * m + 1))
+    row_block[-1] = memory.row()
+    draws = [(row[:, : m - 1], row[:, m]) for row in row_block]
+    steps_of_block = list(zip(draws[-1:] + draws[:-1], nxt_block, row_block))
     # s counts the steps from 0; law k's chains are past burn-in from step
     # burnins[k] on, and one block of uniforms drives the steps s0 <= s < s0 + size.
     for s0 in range(0, total, _BLOCK):
         size = min(_BLOCK, total - s0)
         uniforms = np.hstack([gen.random((size, N_CHAINS)) for gen in gens])
-        for j in range(size):
-            nxt = _search(rows[:, : m - 1], uniforms[j] * rows[:, m])
-            memory.push(nxt)
-            rows = memory.row()
-            nxt_block[j] = nxt
-            row_block[j] = rows
+        for u, ((rows, ka), nxt, row) in zip(uniforms, steps_of_block):
+            _search(rows, u * ka, offsets, nxt)
+            memory.push(nxt, row)
+        nxt_block[:size] -= offsets
         # Fold each law's post-burn-in steps of the block: row j of d becomes
         # its chain sums after that step, added in step order as one step at a
         # time would; i counts the law's steps after burn-in, from i0, and
-        # every thin-th i records the running mean and theta.
+        # every thin-th i records the running mean and theta. The log is a
+        # new array, so row -1 stays the next block's first row.
         for k, (b, end) in enumerate(zip(burnins, ends)):
             i0 = s0 - b
             skip, stop = max(-i0, 0), min(size, end - s0)
             if skip >= stop:
                 continue
             nxt, block = nxt_block[skip:stop, chains[k]], row_block[skip:stop, chains[k]]
-            d = block[:, :, m]
-            np.log(d, out=d)
+            d = np.log(block[:, :, m])
             d -= log_av.take(nxt)
             d[0] += chain_sums[chains[k]]
             np.cumsum(d, axis=0, out=d)

@@ -537,6 +537,30 @@ def test_laws_side_by_side_match_their_lone_runs(m, flat, thin, burnin):
         _assert_same_bits(got, _reference_weighted_chain(sigma, law, a, rng=rc.RngSpec(59, 3 + k), **kwargs))
 
 
+SIGMA_5 = [
+    [0.3, 0.2, 0.1, 0.1, 0.1],
+    [0.1, 0.4, 0.2, 0.1, 0.1],
+    [0.2, 0.1, 0.3, 0.2, 0.1],
+    [0.1, 0.1, 0.2, 0.4, 0.1],
+    [0.2, 0.2, 0.1, 0.1, 0.3],
+]
+
+
+def test_five_state_laws_side_by_side_match_their_lone_runs():
+    # Five states search four columns, so the search adds columns 2 and 3 in
+    # place and every count starts from its law's gain-row offset. The laws
+    # end in blocks 1, 2 and 4, as in test_laws_side_by_side_match_their_lone_runs.
+    sigma, a = rc.validate_substochastic(np.array(SIGMA_5)), np.array([1.0, 2.5, 0.4, 1.7, 0.8])
+    kwargs = dict(steps=6_440, thin=7)
+    runs = rc.run_weighted_chains(sigma, SIDE_BY_SIDE, a, rng=rc.RngSpec(59, 3), **kwargs)
+    assert [run.burnin + run.state_histogram.sum() // N_CHAINS for run in runs] == [354, 2 * _BLOCK, 1_272]
+    for k, (law, got) in enumerate(zip(SIDE_BY_SIDE, runs)):
+        assert (got.state_histogram > 0).all()
+        alone = rc.run_weighted_chains(sigma, [law], a, rng=rc.RngSpec(59, 3 + k), **kwargs)[0]
+        _assert_same_bits(got, alone)
+        _assert_same_bits(got, _reference_weighted_chain(sigma, law, a, rng=rc.RngSpec(59, 3 + k), **kwargs))
+
+
 @pytest.mark.parametrize("law", list(ORACLE_LAWS), ids=list(ORACLE_LAWS))
 def test_one_law_batch_after_whole_blocks_of_burnin(law):
     sigma, a = _oracle_sigma(3), _oracle_tilt(3, flat=False)
@@ -699,6 +723,40 @@ def test_geometric_push_holds_at_most_two_replica_arrays():
     theta0[[3, 150, 199]] = eps, eps * (1 - eps), (1 - eps) ** 2
     np.testing.assert_allclose(row, np.tile((1 - eps) * theta0 @ mat + eps * mat[7], (replicas, 1)), rtol=1e-14)
     assert not row.flags.writeable
+
+
+MEMORY_KINDS = {
+    "geometric": ((rc.RelocationLaw.geometric(0.3),), 3),
+    "side by side": (SIDE_BY_SIDE, 3),
+    "ring": ((rc.RelocationLaw.explicit([0.2, 0.3, 0.5]),), 3),
+    "far atom": ((ORACLE_LAWS["far atom"],), 3),
+    "one state, geometric": ((rc.RelocationLaw.geometric(0.3),), 1),
+    "one state, ring": ((rc.RelocationLaw.explicit([0.5, 0.5]),), 1),
+}
+
+
+@pytest.mark.parametrize("kind", list(MEMORY_KINDS), ids=list(MEMORY_KINDS))
+def test_push_into_a_buffer_keeps_the_row_bits(kind):
+    # The weighted chain pushes into its block buffers, two rows taking turns
+    # as it does; the memory pushed by default gives its row the same bits.
+    laws, m = MEMORY_KINDS[kind]
+    table = np.array(SIGMA_3)[:m, :m] * _oracle_tilt(m, flat=False)
+    table = np.hstack([table, table.sum(axis=1, keepdims=True), np.eye(m)])
+    init, replicas, pushes = rc.HistoryWindow((1, 0) if m > 1 else (0,)), 4, 12
+    law = laws if len(laws) > 1 else laws[0]
+    plain, into = (_Memory(law, init, table, replicas, pushes=pushes) for _ in range(2))
+    offsets = np.repeat(np.arange(0, m * len(laws), m), replicas)
+    gain_rows = np.random.default_rng(7).integers(0, m, size=(pushes, len(offsets))) + offsets
+    buffers = np.full((2, len(offsets), table.shape[1]), np.nan)
+    for n, t in enumerate(gain_rows):
+        plain.push(t)
+        into.push(t, out=buffers[n % 2])
+        want = plain.row()
+        assert buffers[n % 2].tobytes() == want.tobytes()
+        assert into.row().tobytes() == want.tobytes()
+        if not laws[0].bounded:
+            assert not want.flags.writeable and not into.row().flags.writeable
+    assert np.isfinite(buffers).all()
 
 
 def _rows_and_targets(draw):
